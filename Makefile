@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-perf bench-perf-quick chaos chaos-ckpt examples results clean
+.PHONY: install test bench bench-perf bench-perf-quick chaos chaos-ckpt examples results loc clean
 
 # parallel workers for the `results` regeneration (see docs/parallelism.md)
 JOBS ?= 1
@@ -51,6 +51,13 @@ results:
 	    python $$b --jobs $(JOBS) \
 	        $(if $(CACHE_DIR),--cache-dir $(CACHE_DIR),) || exit 1; \
 	done
+
+# net src/ size is a tracked number (ROADMAP): lines per package, then total
+loc:
+	@for d in src/repro src/repro/*/; do \
+	    printf '%-26s %6d\n' "$${d%/}/*.py" $$(cat $$d/*.py | wc -l); \
+	done
+	@printf '%-26s %6d\n' total $$(find src/repro -name '*.py' | xargs cat | wc -l)
 
 examples:
 	for e in examples/*.py; do echo "== $$e =="; python $$e || exit 1; done

@@ -1,20 +1,23 @@
 """Supervised sweep execution: liveness, timeouts, retries, and chaos.
 
-The parallel runner in :mod:`repro.analysis.sweeps` forks workers and
-streams results back over a queue.  That is fast, but fragile: a worker
-that is OOM-killed, segfaults, or wedges on a pathological configuration
-never enqueues anything, and a parent blocked unconditionally on
-``queue.get()`` waits forever.  Long unattended sweeps — every figure,
-ablation, and CI gate — need the harness itself to survive partial
-failure, the same way PR 1 taught the *simulated machine* to survive
-dropped and corrupted messages.
+Long unattended sweeps — every figure, ablation, and CI gate — need the
+harness itself to survive partial failure: a worker that is OOM-killed,
+segfaults, or wedges on a pathological configuration must cost a retry,
+not the sweep.  This module is the one engine behind
+:func:`repro.analysis.sweeps.run_points`:
 
-This module provides that layer:
-
-* :class:`SupervisedRunner` — a supervisor loop that dispatches points
-  to forked workers over per-worker pipes, monitors liveness through
-  process sentinels, exit codes, and per-point start heartbeats, and
-  never blocks without a timeout;
+* :func:`execute_point` — the single function that simulates one
+  attempt of one point, called by forked workers and by the in-process
+  driver alike;
+* :class:`~repro.analysis.sweeps.PointLedger` (next door) — the single
+  completion record: every resolved point reaches the cache, manifest,
+  report, monitor, ``obs`` tracer and ``progress`` prefix through it;
+* :class:`SupervisedRunner` — one failure policy over two drivers: a
+  supervisor loop that dispatches points to forked workers over
+  per-worker pipes, monitors liveness through process sentinels, exit
+  codes, and per-point start heartbeats, and never blocks without a
+  timeout; and a short in-process loop for when no workers are needed
+  (or fork is unavailable);
 * per-point **wall-clock timeouts** — a hung worker is SIGKILLed and its
   point rescheduled;
 * **bounded retry with exponential backoff** for points whose worker
@@ -31,8 +34,8 @@ This module provides that layer:
   execute only the points a previous interrupted run did not finish;
 * graceful **SIGINT/SIGTERM** handling — in-flight results are drained
   (and therefore flushed to the :class:`~repro.analysis.cache.
-  ResultCache` by the caller's completion hook) before
-  :class:`SweepInterrupted` is raised;
+  ResultCache` by the ledger) before :class:`SweepInterrupted` is
+  raised;
 * :class:`ChaosPlan` — the fault injector behind ``repro sweep
   --chaos``: seeded, deterministic per point, SIGKILLing workers and
   injecting hung or failing points so the recovery paths above are
@@ -47,10 +50,13 @@ and dynamic dispatch cannot change results, only wall-clock.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import heapq
 import json
 import os
+import pickle
 import random
 import signal
 import threading
@@ -64,6 +70,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,13 +79,12 @@ from typing import (
 
 from repro.machine.stats import SimStats
 from repro.obs.aggregate import PointTelemetry
-from repro.obs.dashboard import SweepMonitor
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     import multiprocessing
 
-    from repro.analysis.sweeps import PointSpec
+    from repro.analysis.sweeps import PointLedger, PointSpec
 
 #: version of the SweepReport / SweepManifest on-disk shapes
 REPORT_SCHEMA = 1
@@ -90,7 +96,7 @@ def fork_context() -> Optional["multiprocessing.context.BaseContext"]:
     Fork is required (not merely preferred) because point specs carry
     arbitrary callables — lambdas, closures over configs — which spawn
     would have to pickle.  On platforms without fork the sweep engine
-    degrades to the serial path, which is always correct.
+    runs every point in-process, which is always correct.
     """
     import multiprocessing
 
@@ -507,57 +513,119 @@ def checkpoint_file(checkpoint_dir: Path | str, index: int) -> Path:
     return Path(checkpoint_dir) / f"point{index:05d}.ckpt"
 
 
-def _supervised_worker(
-    specs: Sequence["PointSpec"],
-    conn: "connection.Connection",
-    chaos: Optional[ChaosPlan],
+#: one successful attempt: ``(stats, wall, telemetry, events_saved)``
+PointResult = Tuple[SimStats, float, Optional[PointTelemetry], Optional[int]]
+
+
+def execute_point(
+    spec: "PointSpec",
+    index: int,
+    attempt: int = 1,
+    *,
+    chaos: Optional[ChaosPlan] = None,
     telemetry_capacity: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
+    checkpoint_dir: Optional[Path | str] = None,
     checkpoint_interval: Optional[int] = None,
-) -> None:
-    """Forked worker loop: receive ``(index, attempt)`` tasks, stream results.
+) -> PointResult:
+    """Simulate one attempt of one point — the engine's only simulation site.
 
-    Protocol (worker -> parent): ``("start", idx, attempt)`` heartbeat
-    before simulating, then ``("done", idx, attempt, stats, wall,
-    telemetry, ckpt_info)`` or ``("fail", idx, attempt, exc)``.  A clean
-    exception keeps the worker alive for its next task;
-    ``KeyboardInterrupt``/``SystemExit`` are *not* swallowed — SIGINT is
-    restored to its default disposition so Ctrl-C is handled once, by
-    the parent's supervisor loop.
+    Forked workers and the in-process driver both call this, so a point
+    is built, run, checked, stripped and timed the same way wherever it
+    executes.  ``wall`` is machine construction (or snapshot restore) +
+    run + coherence check.
 
-    With ``telemetry_capacity`` set (sweep aggregation on), each point
+    With ``telemetry_capacity`` set (sweep aggregation on), the point
     runs under a fresh real :class:`~repro.obs.tracer.Tracer` and its
-    :class:`~repro.obs.aggregate.PointTelemetry` rides the ``done``
-    message.  The shipped ``SimStats`` has its metrics reference
-    stripped first: metrics travel in the telemetry, and the stats stay
-    byte-identical to an untraced run (the zero-cost guarantee holds
-    through the pipe, the result cache, and the results table).
+    :class:`~repro.obs.aggregate.PointTelemetry` is returned alongside.
+    The ``SimStats`` has its metrics reference stripped first: metrics
+    travel in the telemetry, and the stats stay byte-identical to an
+    untraced run's through the pipe, the result cache, and the table.
 
-    With ``checkpoint_dir`` + ``checkpoint_interval`` set, each point
+    With ``checkpoint_dir`` + ``checkpoint_interval`` set, the point
     writes a crash-consistent snapshot every ``checkpoint_interval``
     simulated events, and an attempt that finds a snapshot from a
     previous (killed or timed-out) attempt restores it and continues
     mid-run — re-simulating strictly fewer events, with byte-identical
     results (the determinism contract in ``docs/robustness.md``).  A
     snapshot that fails to load (torn write, version skew) is discarded
-    along with the half-restored machine, and the point restarts from
-    scratch.  ``ckpt_info`` on the ``done`` message reports
-    ``{"resumed": bool, "events_saved": int}`` (None when checkpointing
-    is off).  The chaos ``midkill`` action SIGKILLs the worker right
-    after its first snapshot lands, guaranteeing the retry exercises
-    the resume path.
+    and the point restarts from scratch.  ``events_saved`` is the event
+    count a restored snapshot had already executed — work this attempt
+    did *not* redo — and None when it started from scratch.
+
+    ``chaos`` (forked workers only) injects this attempt's fault first;
+    its ``midkill`` action SIGKILLs the process right after the first
+    snapshot lands, so the retry is sure to exercise the resume path.
     """
     from repro.machine.checkpoint import CheckpointError, load_checkpoint
     from repro.machine.system import DashSystem
 
+    if chaos is not None:
+        chaos.strike(index, attempt)
+    tracer: Optional[Tracer] = None
+    if telemetry_capacity is not None:
+        tracer = Tracer(telemetry_capacity)
+    ckpt_path: Optional[str] = None
+    if checkpoint_dir is not None and checkpoint_interval is not None:
+        ckpt_path = str(checkpoint_file(checkpoint_dir, index))
+    on_checkpoint = None
+    if chaos is not None and chaos.midkill_armed(index, attempt):
+        if ckpt_path is not None:
+            def on_checkpoint(_ckpt: Any) -> None:
+                # die only once a resumable snapshot is on disk
+                os.kill(os.getpid(), signal.SIGKILL)
+        else:  # no snapshots to wait for: degenerate to "kill"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def build() -> DashSystem:
+        return DashSystem(spec.config, spec.workload_factory(), obs=tracer)
+
+    t0 = time.perf_counter()
+    system = build()
+    events_saved: Optional[int] = None
+    if ckpt_path is not None and os.path.exists(ckpt_path):
+        try:
+            system.restore(load_checkpoint(ckpt_path))
+            events_saved = system.events.events_run
+        except CheckpointError:
+            # restore mutates progressively — a failed load leaves a
+            # half-restored machine; discard it and start from scratch
+            system = build()
+    stats = system.run(
+        checkpoint_path=ckpt_path,
+        checkpoint_interval=checkpoint_interval if ckpt_path else None,
+        on_checkpoint=on_checkpoint,
+    )
+    if spec.check:
+        system.check_coherence()
+    wall = time.perf_counter() - t0
+    telemetry: Optional[PointTelemetry] = None
+    if tracer is not None:
+        stats.metrics = None  # metrics ship in the telemetry
+        telemetry = PointTelemetry.capture(
+            tracer, index=index, label=spec.label, wall_s=wall
+        )
+    return stats, wall, telemetry, events_saved
+
+
+def _supervised_worker(
+    specs: Sequence["PointSpec"],
+    conn: "connection.Connection",
+    execute: Callable[["PointSpec", int, int], PointResult],
+) -> None:
+    """Forked worker loop: receive ``(index, attempt)`` tasks, stream results.
+
+    Protocol (worker -> parent): ``("start", idx, attempt)`` heartbeat
+    before simulating, then ``("done", idx, attempt, *point_result)`` or
+    ``("fail", idx, attempt, exc)``.  A clean exception keeps the worker
+    alive for its next task; ``KeyboardInterrupt``/``SystemExit`` are
+    *not* swallowed — SIGINT is restored to its default disposition so
+    Ctrl-C is handled once, by the parent's supervisor loop.
+    """
     # restore default dispositions: the fork inherits the parent's
     # supervisor handlers, which merely set a flag — a worker keeping
     # them would ignore both Ctrl-C and the parent's terminate()
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    checkpointing = (
-        checkpoint_dir is not None and checkpoint_interval is not None
-    )
     while True:
         try:
             task = conn.recv()
@@ -566,75 +634,10 @@ def _supervised_worker(
         if task is None:
             return
         idx, attempt = task
-        spec = specs[idx]
         try:
             conn.send(("start", idx, attempt))
-            if chaos is not None:
-                chaos.strike(idx, attempt)
-            tracer: Optional[Tracer] = None
-            if telemetry_capacity is not None:
-                tracer = Tracer(telemetry_capacity)
-            ckpt_path: Optional[str] = None
-            resumed = False
-            events_saved = 0
-            system: Optional[DashSystem] = None
-            if checkpointing:
-                assert checkpoint_dir is not None
-                ckpt_path = str(checkpoint_file(checkpoint_dir, idx))
-                if os.path.exists(ckpt_path):
-                    try:
-                        ckpt = load_checkpoint(ckpt_path)
-                        system = DashSystem(
-                            spec.config, spec.workload_factory(), obs=tracer
-                        )
-                        system.restore(ckpt)
-                        resumed = True
-                        # events the snapshot had already executed: work
-                        # this attempt will NOT re-simulate
-                        events_saved = system.events.events_run
-                    except CheckpointError:
-                        # restore mutates progressively — a failed load
-                        # leaves a half-restored machine; discard it and
-                        # start the point from scratch
-                        system = None
-            if system is None:
-                system = DashSystem(
-                    spec.config, spec.workload_factory(), obs=tracer
-                )
-            on_checkpoint = None
-            if chaos is not None and chaos.midkill_armed(idx, attempt):
-                if checkpointing:
-                    def on_checkpoint(_ckpt: Any) -> None:
-                        # die only once a resumable snapshot is on disk
-                        os.kill(os.getpid(), signal.SIGKILL)
-                else:  # no snapshots to wait for: degenerate to "kill"
-                    os.kill(os.getpid(), signal.SIGKILL)
-            t0 = time.perf_counter()
-            stats = system.run(
-                checkpoint_path=ckpt_path,
-                checkpoint_interval=(
-                    checkpoint_interval if checkpointing else None
-                ),
-                on_checkpoint=on_checkpoint,
-            )
-            if spec.check:
-                system.check_coherence()
-            wall = time.perf_counter() - t0
-            telemetry: Optional[PointTelemetry] = None
-            if tracer is not None:
-                stats.metrics = None  # metrics ship in the telemetry
-                telemetry = PointTelemetry.capture(
-                    tracer, index=idx, label=spec.label, wall_s=wall
-                )
-            ckpt_info: Optional[Dict[str, Any]] = None
-            if checkpointing:
-                ckpt_info = {"resumed": resumed, "events_saved": events_saved}
-            conn.send(
-                ("done", idx, attempt, stats, wall, telemetry, ckpt_info)
-            )
+            conn.send(("done", idx, attempt, *execute(specs[idx], idx, attempt)))
         except Exception as exc:  # noqa: BLE001 - relayed to the parent
-            import pickle
-
             try:
                 pickle.dumps(exc)
             except Exception:
@@ -648,13 +651,12 @@ def _supervised_worker(
 class _WorkerHandle:
     """Parent-side bookkeeping for one live worker process."""
 
-    __slots__ = ("proc", "conn", "current", "attempt", "started_at")
+    __slots__ = ("proc", "conn", "current", "started_at")
 
     def __init__(self, proc: Any, conn: "connection.Connection") -> None:
         self.proc = proc
         self.conn = conn
         self.current: Optional[int] = None
-        self.attempt = 0
         self.started_at: Optional[float] = None
 
     @property
@@ -664,18 +666,20 @@ class _WorkerHandle:
 
 
 class SupervisedRunner:
-    """Fault-tolerant point executor: dispatch, supervise, retry, report.
+    """Fault-tolerant point executor: dispatch, supervise, retry, record.
 
-    Unlike :class:`~repro.analysis.sweeps.ParallelRunner` (static
-    round-robin shards, blocking queue reads), the supervised runner
-    dispatches points dynamically over per-worker pipes and its loop
-    never blocks without a timeout: every wait covers worker pipes *and*
-    process sentinels, so a worker that dies without reporting is
-    detected immediately, its in-flight point is retried with backoff on
-    a respawned worker, and a worker that exceeds the per-point timeout
-    is SIGKILLed and treated the same way.  Scheduling is dynamic, but
-    results are unaffected — each point is simulated from a freshly
-    built workload, so stats are a pure function of the spec.
+    One failure policy (retry with backoff, quarantine, or fail fast)
+    over two drivers.  The forked driver dispatches points dynamically
+    over per-worker pipes and its loop never blocks without a timeout:
+    every wait covers worker pipes *and* process sentinels, so a worker
+    that dies without reporting is detected immediately, its in-flight
+    point is retried with backoff on a respawned worker, and a worker
+    that exceeds the per-point timeout is SIGKILLed and treated the same
+    way.  The in-process driver runs the same queue of points in this
+    process; it cannot preempt a hung simulation, so ``timeout`` and
+    ``chaos`` need the forked one.  Scheduling is dynamic, but results
+    are unaffected — each point is simulated from a freshly built
+    workload, so stats are a pure function of the spec.
     """
 
     def __init__(
@@ -683,7 +687,6 @@ class SupervisedRunner:
         jobs: int,
         policy: Optional[SupervisorPolicy] = None,
         *,
-        obs: Optional[Tracer] = None,
         telemetry_capacity: Optional[int] = None,
         checkpoint_dir: Optional[Path | str] = None,
         checkpoint_interval: Optional[int] = None,
@@ -694,90 +697,55 @@ class SupervisedRunner:
             raise ValueError("checkpoint_interval must be >= 1")
         self.jobs = jobs
         self.policy = policy if policy is not None else SupervisorPolicy()
-        self.obs = obs if obs is not None else NULL_TRACER
-        #: per-point tracer ring capacity inside workers; None = tracing
-        #: off in workers (the zero-cost default)
+        # handed to :func:`execute_point` for every attempt
         self.telemetry_capacity = telemetry_capacity
-        #: per-point crash-consistent snapshots: workers write
-        #: ``<dir>/pointNNNNN.ckpt`` every ``checkpoint_interval``
-        #: events and resume from it after a death/timeout (both must
-        #: be set; None = checkpointing off)
-        self.checkpoint_dir = (
-            str(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = checkpoint_interval
         self._interrupted: Optional[int] = None
 
-    @property
-    def checkpointing(self) -> bool:
-        """True when workers snapshot and resume in-flight points."""
-        return (self.checkpoint_dir is not None
-                and self.checkpoint_interval is not None)
-
-    def _checkpoint_path(self, index: int) -> Optional[Path]:
-        """This point's snapshot file, or None when checkpointing is off."""
-        if self.checkpoint_dir is None:
-            return None
-        return checkpoint_file(self.checkpoint_dir, index)
-
-    # -- signal handling ----------------------------------------------------
-
-    def _install_signals(self) -> List[Tuple[int, Any]]:
-        """Install graceful SIGINT/SIGTERM handlers (main thread only)."""
+    @contextlib.contextmanager
+    def _graceful_signals(self) -> Iterator[None]:
+        """Turn SIGINT/SIGTERM into a flag the loop polls (main thread only);
+        the previous dispositions come back however the block exits."""
         self._interrupted = None
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        saved = []
+        saved: List[Tuple[int, Any]] = []
 
         def _handler(signum: int, frame: Any) -> None:
             self._interrupted = signum
 
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                saved.append((signum, signal.signal(signum, _handler)))
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                pass
-        return saved
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    saved.append((signum, signal.signal(signum, _handler)))
+                except (ValueError, OSError):  # pragma: no cover - exotic hosts
+                    pass
+        try:
+            yield
+        finally:
+            for signum, handler in saved:
+                try:
+                    signal.signal(signum, handler)
+                except (ValueError, OSError):  # pragma: no cover
+                    pass
 
-    @staticmethod
-    def _restore_signals(saved: List[Tuple[int, Any]]) -> None:
-        """Put the previous signal dispositions back."""
-        for signum, handler in saved:
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    # -- the supervisor loop ------------------------------------------------
+    # -- the engine ---------------------------------------------------------
 
     def run(
         self,
         specs: Sequence["PointSpec"],
         indices: Sequence[int],
-        on_complete: Optional[Callable[[int, SimStats, float], None]] = None,
+        ledger: "PointLedger",
         *,
-        on_quarantine: Optional[Callable[[int, BaseException], None]] = None,
-        report: Optional[SweepReport] = None,
-        on_telemetry: Optional[Callable[[PointTelemetry], None]] = None,
-        monitor: Optional[SweepMonitor] = None,
-        on_partial: Optional[Callable[[int], None]] = None,
-    ) -> Dict[int, SimStats]:
-        """Execute the points at ``indices`` under supervision.
+        fork: bool,
+    ) -> None:
+        """Execute the points at ``indices``, recording each in ``ledger``.
 
-        ``on_complete(idx, stats, wall)`` fires in completion order as
-        results stream in (grid-order delivery is the caller's job, as
-        with the unsupervised runner).  ``on_quarantine(idx, error)``
-        fires when keep-going gives up on a point.  ``report`` (if
-        given) accumulates per-point outcomes.  With
-        ``telemetry_capacity`` set on the runner, ``on_telemetry(pt)``
-        fires once per completed point with the worker's captured
-        :class:`~repro.obs.aggregate.PointTelemetry` (same first-result
-        dedup as ``on_complete``).  ``monitor`` (a
-        :class:`~repro.obs.dashboard.SweepMonitor`) receives point
-        lifecycle callbacks plus a ``tick()`` per supervisor loop turn.
-        With checkpointing on, ``on_partial(idx)`` fires when a worker
-        died or timed out leaving a resumable snapshot behind (the
-        manifest records the point as ``partial``).
+        ``fork`` picks the driver: supervised forked workers, or this
+        process.  Either way every resolution reaches ``ledger`` (in
+        completion order — grid-order delivery is the ledger's job) and
+        every failed attempt the one policy below.  With checkpointing
+        on, an attempt that died or timed out leaving a resumable
+        snapshot behind marks the point ``partial`` in the manifest.
 
         Fail-fast mode (``keep_going=False``): the first point that
         exhausts its retries stops new dispatch; in-flight points are
@@ -785,97 +753,108 @@ class SupervisedRunner:
         the smallest grid index is raised — the same error a serial
         grid-order loop would have hit first among those executed.
         """
-        ctx = fork_context()
-        assert ctx is not None, "SupervisedRunner requires fork support"
         policy = self.policy
+        if policy.chaos is not None and not fork:
+            raise RuntimeError("chaos injection requires fork-based workers")
         pending = deque(indices)
-        retry_heap: List[Tuple[float, int, int]] = []  # (due, seq, idx)
-        retry_seq = 0
+        retry_heap: List[Tuple[float, int]] = []  # (due, idx)
         failures: Dict[int, int] = {}
-        results: Dict[int, SimStats] = {}
         errors: Dict[int, BaseException] = {}
         outstanding = set(indices)
-        failing_fast = False
-        workers: List[_WorkerHandle] = []
+        completed = 0
+        execute = functools.partial(
+            execute_point,
+            chaos=policy.chaos,
+            telemetry_capacity=self.telemetry_capacity,
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_interval=self.checkpoint_interval,
+        )
 
-        def label(idx: int) -> str:
-            return specs[idx].label
+        def next_task(now: float) -> Optional[int]:
+            """Due retries first, then pending points in grid order."""
+            if retry_heap and retry_heap[0][0] <= now:
+                return heapq.heappop(retry_heap)[1]
+            return pending.popleft() if pending else None
+
+        def point_done(
+            idx: int, stats: SimStats, wall: float,
+            telemetry: Optional[PointTelemetry], events_saved: Optional[int],
+        ) -> None:
+            nonlocal completed
+            outstanding.discard(idx)
+            completed += 1
+            if self.checkpoint_dir is not None:
+                # the point is done: its snapshot is superseded by the
+                # completed (and cached) result
+                try:
+                    checkpoint_file(self.checkpoint_dir, idx).unlink()
+                except OSError:
+                    pass
+            ledger.completed(idx, stats, wall, telemetry, events_saved)
+
+        def attempt_failed(idx: int, exc: BaseException, kind: str) -> None:
+            """Retry with backoff, quarantine, or fail fast — decided here only."""
+            failures[idx] = attempt = failures.get(idx, 0) + 1
+            if kind == "timeout":
+                ledger.obs.metrics.counter("sweep_timeouts").inc()
+            if (kind != "error" and self.checkpoint_dir is not None
+                    and checkpoint_file(self.checkpoint_dir, idx).exists()):
+                # the dead attempt left a resumable snapshot: the next
+                # attempt (this sweep or a --resume rerun) continues
+                # from it instead of restarting
+                ledger.mark(idx, "partial")
+            if (policy.retryable(kind) or isinstance(exc, ChaosError)) \
+                    and attempt <= policy.max_retries and not errors:
+                due = time.monotonic() + policy.backoff * 2 ** (attempt - 1)
+                heapq.heappush(retry_heap, (due, idx))
+                ledger.retry(idx, kind, attempt)
+                return
+            outstanding.discard(idx)
+            if policy.keep_going:
+                ledger.quarantined(idx, exc, timed_out=(kind == "timeout"))
+                return
+            errors[idx] = exc
+            ledger.report.mark_failed(idx, exc, ledger.label(idx))
+            # fail fast: abandon everything unstarted
+            for other in [*pending, *(i for _, i in retry_heap)]:
+                outstanding.discard(other)
+                ledger.report.mark_skipped(other, ledger.label(other))
+            pending.clear()
+            retry_heap.clear()
+
+        if not fork:
+            while outstanding:
+                idx = next_task(time.monotonic())
+                if idx is None:  # only backoff-delayed retries remain
+                    time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
+                    continue
+                ledger.monitor.point_started(
+                    idx, ledger.label(idx), os.getpid()
+                )
+                try:
+                    result = execute(specs[idx], idx, failures.get(idx, 0) + 1)
+                except Exception as exc:
+                    attempt_failed(idx, exc, "error")
+                else:
+                    point_done(idx, *result)
+            if errors:
+                raise errors[min(errors)]
+            return
+
+        ctx = fork_context()
+        assert ctx is not None, "forked workers require fork support"
+        workers: List[_WorkerHandle] = []
 
         def spawn() -> None:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_supervised_worker,
-                args=(specs, child_conn, policy.chaos,
-                      self.telemetry_capacity,
-                      self.checkpoint_dir, self.checkpoint_interval),
+                args=(specs, child_conn, execute),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             workers.append(_WorkerHandle(proc, parent_conn))
-
-        def attempt_failed(idx: int, exc: BaseException, kind: str) -> None:
-            nonlocal failing_fast, retry_seq
-            failures[idx] = failures.get(idx, 0) + 1
-            if self.obs.enabled and kind == "timeout":
-                self.obs.metrics.counter("sweep_timeouts").inc()
-            if kind in ("death", "timeout") and on_partial is not None:
-                ckpt = self._checkpoint_path(idx)
-                if ckpt is not None and ckpt.exists():
-                    # the dead attempt left a resumable snapshot: the
-                    # next attempt (this sweep or a --resume rerun)
-                    # continues from it instead of restarting
-                    on_partial(idx)
-            if (policy.retryable(kind) or isinstance(exc, ChaosError)) \
-                    and failures[idx] <= policy.max_retries \
-                    and not failing_fast:
-                due = time.monotonic() + policy.backoff * (
-                    2 ** (failures[idx] - 1)
-                )
-                retry_seq += 1
-                heapq.heappush(retry_heap, (due, retry_seq, idx))
-                if report is not None:
-                    report.mark_retry(idx, kind, label(idx))
-                if self.obs.enabled:
-                    self.obs.metrics.counter("sweep_retries").inc()
-                    self.obs.emit(
-                        "sweep.retry", ts=self.obs.now(), comp="sweep",
-                        args={"index": idx, "kind": kind,
-                              "attempt": failures[idx],
-                              "label": label(idx)},
-                    )
-                if monitor is not None:
-                    monitor.point_retry(idx, label(idx), kind)
-                return
-            outstanding.discard(idx)
-            if policy.keep_going:
-                if report is not None:
-                    report.mark_quarantined(
-                        idx, exc, timed_out=(kind == "timeout"),
-                        label=label(idx),
-                    )
-                if self.obs.enabled:
-                    self.obs.metrics.counter("sweep_quarantined").inc()
-                if monitor is not None:
-                    monitor.point_quarantined(idx, label(idx))
-                if on_quarantine is not None:
-                    on_quarantine(idx, exc)
-            else:
-                errors[idx] = exc
-                if report is not None:
-                    report.mark_failed(idx, exc, label(idx))
-                failing_fast = True
-                # mirror serial fail-fast: abandon everything unstarted
-                for other in list(pending):
-                    outstanding.discard(other)
-                    if report is not None:
-                        report.mark_skipped(other, label(other))
-                pending.clear()
-                for _, _, other in retry_heap:
-                    outstanding.discard(other)
-                    if report is not None:
-                        report.mark_skipped(other, label(other))
-                retry_heap.clear()
 
         def drain(w: _WorkerHandle) -> None:
             """Consume every ready message from one worker's pipe."""
@@ -883,73 +862,41 @@ class SupervisedRunner:
                 try:
                     if not w.conn.poll():
                         return
-                    msg = w.conn.recv()
+                    tag, idx, _attempt, *payload = w.conn.recv()
                 except (EOFError, OSError):
                     return
-                tag = msg[0]
                 if tag == "start":
-                    _, idx, attempt = msg
                     if w.current == idx:
                         w.started_at = time.monotonic()
-                        if monitor is not None and w.proc.pid is not None:
-                            monitor.point_started(idx, label(idx), w.proc.pid)
-                elif tag == "done":
-                    _, idx, attempt, stats, wall, telemetry, ckpt_info = msg
-                    w.current, w.started_at = None, None
-                    if idx not in outstanding:
-                        continue  # resolved elsewhere (late arrival)
-                    outstanding.discard(idx)
-                    results[idx] = stats
-                    if report is not None:
-                        report.mark_completed(idx, label(idx), wall)
-                        if ckpt_info is not None and ckpt_info["resumed"]:
-                            report.mark_resumed(
-                                idx, ckpt_info["events_saved"], label(idx)
+                        if w.proc.pid is not None:
+                            ledger.monitor.point_started(
+                                idx, ledger.label(idx), w.proc.pid
                             )
-                    if ckpt_info is not None:
-                        # the point is done: its snapshot is superseded
-                        # by the completed (and cached) result
-                        ckpt = self._checkpoint_path(idx)
-                        if ckpt is not None:
-                            try:
-                                ckpt.unlink()
-                            except OSError:
-                                pass
-                    if telemetry is not None and on_telemetry is not None:
-                        on_telemetry(telemetry)
-                    if monitor is not None:
-                        monitor.point_done(idx, label(idx), wall)
-                    if on_complete is not None:
-                        on_complete(idx, stats, wall)
-                elif tag == "fail":
-                    _, idx, attempt, exc = msg
-                    w.current, w.started_at = None, None
-                    if idx in outstanding:
-                        attempt_failed(idx, exc, "error")
+                    continue
+                w.current, w.started_at = None, None
+                if idx not in outstanding:
+                    continue  # resolved elsewhere (late arrival)
+                if tag == "done":
+                    point_done(idx, *payload)
+                else:
+                    attempt_failed(idx, payload[0], "error")
 
-        saved = self._install_signals()
-        try:
+        with self._graceful_signals(), self._stopped_on_exit(workers):
             for _ in range(min(self.jobs, len(pending))):
                 spawn()
             while outstanding and self._interrupted is None:
                 now = time.monotonic()
-                # 1. dispatch work to idle workers (due retries first,
-                #    then pending points in grid order)
+                # 1. dispatch work to idle workers
                 for w in workers:
                     if not w.idle or not w.proc.is_alive():
                         continue
-                    idx: Optional[int] = None
-                    if retry_heap and retry_heap[0][0] <= now:
-                        _, _, idx = heapq.heappop(retry_heap)
-                    elif pending:
-                        idx = pending.popleft()
-                    if idx is None:
+                    task = next_task(now)
+                    if task is None:
                         break
-                    w.current = idx
-                    w.attempt = failures.get(idx, 0) + 1
+                    w.current = task
                     w.started_at = now
                     try:
-                        w.conn.send((idx, w.attempt))
+                        w.conn.send((task, failures.get(task, 0) + 1))
                     except (BrokenPipeError, OSError):
                         pass  # death handled below; current stays set
                 # 2. bounded wait on every pipe and process sentinel
@@ -1008,62 +955,60 @@ class SupervisedRunner:
                             attempt_failed(
                                 idx,
                                 PointTimeout(
-                                    f"point {idx} ({label(idx)!r}) exceeded "
-                                    f"{policy.timeout:.1f}s wall-clock "
-                                    f"timeout"
+                                    f"point {idx} ({ledger.label(idx)!r}) "
+                                    f"exceeded {policy.timeout:.1f}s "
+                                    f"wall-clock timeout"
                                 ),
                                 "timeout",
                             )
                 # 5. keep the worker pool sized to the remaining work
                 while len(workers) < min(self.jobs, len(outstanding)):
                     spawn()
-                if monitor is not None:
-                    monitor.tick()
-        finally:
-            self._shutdown(workers, drain)
-            self._restore_signals(saved)
+                ledger.monitor.tick()
+            # Reached on the clean and interrupted exits only: flush
+            # every finished result before the workers are stopped, so
+            # SIGINT loses none (each still reaches the ledger, and
+            # therefore the result cache).  An exception unwinding
+            # the loop skips this: no completion is delivered after it.
+            for w in workers:
+                drain(w)
         if self._interrupted is not None:
-            if report is not None:
-                report.interrupted = True
-            raise SweepInterrupted(self._interrupted, len(results))
+            ledger.report.interrupted = True
+            raise SweepInterrupted(self._interrupted, completed)
         if errors:
             raise errors[min(errors)]
-        return results
 
     @staticmethod
-    def _shutdown(
-        workers: List[_WorkerHandle],
-        drain: Callable[[_WorkerHandle], None],
-    ) -> None:
-        """Flush every ready result, then stop all workers.
+    @contextlib.contextmanager
+    def _stopped_on_exit(workers: List[_WorkerHandle]) -> Iterator[None]:
+        """However the block exits, leave no worker process behind.
 
-        Draining first is what makes SIGINT graceful: any point that
-        finished while the stop was being honored still reaches
-        ``on_complete`` — and therefore the result cache — before the
-        processes are torn down.
+        Idle workers are asked to exit, busy ones get a second to
+        finish, then SIGTERM (and SIGKILL for a worker ignoring it).
         """
-        for w in workers:
-            drain(w)
-        for w in workers:
-            if w.idle and w.proc.is_alive():
-                try:
-                    w.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        deadline = time.monotonic() + 1.0
-        for w in workers:
-            w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if w.proc.is_alive():
-                w.proc.terminate()
-                w.proc.join(timeout=1.0)
-            if w.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                w.proc.kill()
-                w.proc.join()
-            w.conn.close()
-        workers.clear()
+        try:
+            yield
+        finally:
+            for w in workers:
+                if w.idle and w.proc.is_alive():
+                    try:
+                        w.conn.send(None)
+                    except (BrokenPipeError, OSError):
+                        pass
+            deadline = time.monotonic() + 1.0
+            for w in workers:
+                w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                if w.proc.is_alive():
+                    w.proc.terminate()
+                    w.proc.join(timeout=1.0)
+                if w.proc.is_alive():  # pragma: no cover - SIGTERM ignored
+                    w.proc.kill()
+                    w.proc.join()
+                w.conn.close()
+            workers.clear()
 
 
-# re-exported field default so dataclasses docs render; kept explicit for mypy
+#: the public surface; ``repro.analysis`` re-exports the user-facing part
 __all__ = [
     "ChaosError",
     "ChaosPlan",
@@ -1077,5 +1022,6 @@ __all__ = [
     "SweepReport",
     "WorkerDied",
     "checkpoint_file",
+    "execute_point",
     "fork_context",
 ]

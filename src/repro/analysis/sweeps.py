@@ -16,22 +16,20 @@ Example::
     results = sweep.run(jobs=4)
     print(results.table(["exec_time", "total_messages"]))
 
-Execution goes through :func:`run_points`, which adds two orthogonal
-accelerations to the serial loop while returning point-for-point
-identical results:
+Execution goes through :func:`run_points` and the one engine behind it
+(:class:`~repro.analysis.supervisor.SupervisedRunner`), which adds two
+orthogonal accelerations to the in-process loop while returning
+point-for-point identical results:
 
 * **parallelism** — ``jobs > 1`` runs the grid across forked worker
-  processes under the supervised executor
-  (:class:`~repro.analysis.supervisor.SupervisedRunner`: liveness
-  monitoring, per-point timeouts, bounded retry of dead workers,
-  results reassembled in grid order);
+  processes (liveness monitoring, per-point timeouts, bounded retry of
+  dead workers, results reassembled in grid order);
 * **caching** — a :class:`~repro.analysis.cache.ResultCache` skips any
   point whose content-addressed key (config + workload identity + code
   fingerprint) already has a stored result.
 
 Resilience knobs (``policy``, ``report``, ``manifest``) are documented
-on :func:`run_points`; :class:`ParallelRunner` remains as the simple
-static-shard executor for callers that want no supervision.
+on :func:`run_points`.
 
 The ``progress`` callback contract holds on every path: it is invoked
 exactly once per *completed* point (simulated or cache-loaded), in
@@ -43,12 +41,6 @@ of points before the first (grid-order) failure.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
-import pickle
-import queue as queue_mod
-import signal
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -67,17 +59,14 @@ from typing import (
 from repro.analysis.cache import ResultCache, point_key
 from repro.analysis.report import format_table
 from repro.analysis.supervisor import (
-    ChaosError,
     SupervisedRunner,
     SupervisorPolicy,
     SweepManifest,
     SweepReport,
-    WorkerDied,
     fork_context,
 )
 from repro.machine.config import MachineConfig
 from repro.machine.stats import STATS_SCHEMA, SimStats
-from repro.machine.system import run_workload
 from repro.obs.aggregate import PointTelemetry, SweepAggregator
 from repro.obs.dashboard import SweepMonitor
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -206,159 +195,141 @@ class PointSpec:
     label: str = ""
 
 
-#: backwards-compatible alias; the implementation lives in supervisor.py
-_fork_context = fork_context
+class PointLedger:
+    """The one place a sweep point's fate is written down.
 
-
-def _worker_main(
-    specs: Sequence[PointSpec],
-    shard: Sequence[int],
-    queue: "multiprocessing.queues.Queue",
-) -> None:
-    """Forked worker: simulate one shard, stream (index, stats, wall) back.
-
-    On the first failing point the worker reports ``(index, exception)``
-    and exits; its remaining points are accounted for by the parent.
-    Only :class:`Exception` is relayed as a point failure —
-    ``KeyboardInterrupt``/``SystemExit`` terminate the worker, and
-    SIGINT is restored to its default disposition so Ctrl-C is handled
-    once, by the parent (which sees the death through supervision).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    for idx in shard:
-        spec = specs[idx]
-        try:
-            t0 = time.perf_counter()
-            stats = run_workload(
-                spec.config, spec.workload_factory(), check=spec.check
-            )
-            queue.put((idx, stats, time.perf_counter() - t0))
-        except Exception as exc:  # noqa: BLE001 - relayed to the parent
-            try:
-                pickle.dumps(exc)
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            queue.put((idx, exc, None))
-            return
-
-
-class ParallelRunner:
-    """Executes point specs across forked workers, deterministically.
-
-    Sharding is round-robin by grid index (worker ``w`` gets indices
-    ``w, w+jobs, w+2*jobs, ...``), so the assignment — and therefore any
-    per-worker execution order effect — is a pure function of the grid
-    and ``jobs``.  Each point is simulated from a freshly built workload
-    exactly as the serial path would, so results are point-for-point
-    identical; only wall-clock changes.
+    Every resolution — cache hit, completion, retry, quarantine — lands
+    here exactly once and fans out to the result cache, the resume
+    manifest, the report, the monitor, the ``obs`` tracer and the
+    grid-order ``progress`` prefix, identically for the in-process and
+    the forked driver.  Sinks the caller left out are replaced by inert
+    stand-ins (a throwaway report, the no-op base monitor,
+    ``NULL_TRACER``), so neither this class nor the runner guards on
+    None; the manifest has no inert form and goes through :meth:`mark`.
     """
 
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-
-    def run(
+    def __init__(
         self,
         specs: Sequence[PointSpec],
-        indices: Sequence[int],
-        on_complete: Optional[Callable[[int, SimStats, float], None]] = None,
-    ) -> Dict[int, SimStats]:
-        """Simulate the points at ``indices``; returns index -> stats.
+        keys: Sequence[str],
+        *,
+        cache: Optional[ResultCache],
+        progress: Optional[Callable[[int, SimStats], None]],
+        obs: Optional[Tracer],
+        report: Optional[SweepReport],
+        manifest: Optional[SweepManifest],
+        aggregate: Optional[SweepAggregator],
+        monitor: Optional[SweepMonitor],
+    ) -> None:
+        self.specs = specs
+        self.keys = keys
+        self.cache = cache
+        self.progress = progress
+        self.obs = obs if obs is not None else NULL_TRACER
+        self.report = report if report is not None else SweepReport()
+        self.manifest = manifest
+        self.aggregate = aggregate
+        self.monitor = monitor if monitor is not None else SweepMonitor()
+        #: every resolved point: its final stats, or None if quarantined
+        self.stats: Dict[int, Optional[SimStats]] = {}
+        self._next = 0  # first grid index ``progress`` has not passed
 
-        ``on_complete`` fires in *completion* order (any index order) as
-        results stream in — grid-order delivery is the caller's job.  If
-        any point raises, every live shard is drained first and the
-        failure with the smallest grid index is re-raised, matching the
-        error the serial path would have hit first.
+    def label(self, i: int) -> str:
+        """The observability label of grid point ``i``."""
+        return self.specs[i].label
 
-        The receive loop never blocks unconditionally: queue reads are
-        timed and worker exit codes are checked between them, so a
-        worker that dies without enqueueing (OOM kill, segfault,
-        ``SystemExit``) surfaces as a :class:`~repro.analysis.supervisor.
-        WorkerDied` error for its in-flight point instead of a deadlock.
-        An exception escaping ``on_complete`` (or any interrupt)
-        terminates the remaining workers rather than joining them to
-        completion.
+    def mark(self, i: int, status: str) -> None:
+        """Persist one point's manifest status (no manifest: nothing to do)."""
+        if self.manifest is not None:
+            self.manifest.mark(i, status)
+
+    def _span(self, i: int, wall: float, cached: bool) -> None:
+        self.obs.emit(
+            "sweep.point", ts=self.obs.now(), dur=wall, comp="sweep",
+            args={"index": i, "cached": cached, "label": self.label(i)},
+        )
+
+    def _deliver_prefix(self) -> None:
+        """Fire ``progress`` for the contiguous resolved prefix, in order.
+
+        Quarantined points resolve without stats: they are passed over
+        (no progress call) so delivery of later completed points goes on.
         """
-        ctx = _fork_context()
-        assert ctx is not None, "ParallelRunner requires fork support"
-        shards = [
-            list(indices[w :: self.jobs]) for w in range(self.jobs)
-        ]
-        shards = [s for s in shards if s]
-        queue = ctx.Queue()
-        workers = [
-            ctx.Process(
-                target=_worker_main, args=(specs, shard, queue), daemon=True
-            )
-            for shard in shards
-        ]
-        for worker in workers:
-            worker.start()
-        shard_of = {
-            idx: w for w, shard in enumerate(shards) for idx in shard
-        }
-        done_in_shard = [0] * len(shards)
-        dead_shards: set = set()
-        suspect_shards: Dict[int, int] = {}
-        expected = sum(len(s) for s in shards)
-        received = 0
-        results: Dict[int, SimStats] = {}
-        errors: Dict[int, BaseException] = {}
-        completed = False
-        try:
-            while received < expected:
-                try:
-                    idx, payload, wall = queue.get(timeout=0.2)
-                except queue_mod.Empty:
-                    # liveness check: a shard that died without reporting
-                    # abandons its remaining points with a WorkerDied error.
-                    # Two consecutive empty polls are required so results
-                    # still in the queue pipe when the worker exits get a
-                    # window to arrive before the death is declared.
-                    for w, worker in enumerate(workers):
-                        if w in dead_shards or worker.is_alive():
-                            continue
-                        if done_in_shard[w] >= len(shards[w]):
-                            continue  # shard finished; worker exited cleanly
-                        suspect_shards[w] = suspect_shards.get(w, 0) + 1
-                        if suspect_shards[w] < 2:
-                            continue
-                        dead_shards.add(w)
-                        idx = shards[w][done_in_shard[w]]
-                        errors[idx] = WorkerDied(
-                            f"worker (pid {worker.pid}) exited with code "
-                            f"{worker.exitcode} while running point {idx}"
-                        )
-                        received += len(shards[w]) - done_in_shard[w]
-                    continue
-                w = shard_of[idx]
-                suspect_shards.pop(w, None)
-                done_in_shard[w] += 1
-                if wall is None:
-                    # shard w failed at idx: its unfinished points never
-                    # arrive (the worker exits after reporting)
-                    dead_shards.add(w)
-                    errors[idx] = payload
-                    received += len(shards[w]) - done_in_shard[w] + 1
-                    continue
-                received += 1
-                results[idx] = payload
-                if on_complete is not None:
-                    on_complete(idx, payload, wall)
-            completed = True
-        finally:
-            for worker in workers:
-                if errors or not completed:
-                    worker.terminate()
-                worker.join()
-            queue.close()
-            queue.cancel_join_thread()
-        if errors:
-            raise errors[min(errors)]
-        return results
+        while self._next in self.stats:
+            stats = self.stats[self._next]
+            if self.progress is not None and stats is not None:
+                self.progress(self._next, stats)
+            self._next += 1
+
+    def serve_cached(self) -> List[int]:
+        """Resolve every cache hit; returns the indices left to simulate."""
+        misses = []
+        for i in range(len(self.specs)):
+            hit = self.cache.get(self.keys[i]) if self.cache is not None else None
+            if hit is None:
+                misses.append(i)
+            else:
+                self.stats[i] = hit
+                self.report.mark_cached(i, self.label(i))
+                self.monitor.point_cached(i, self.label(i))
+                self._span(i, 0.0, cached=True)
+            if self.manifest is not None:
+                self.manifest.statuses[i] = "pending" if hit is None else "cached"
+        if self.manifest is not None:
+            self.manifest.save()
+        self.obs.metrics.counter("sweep_cache_hits").inc(len(self.stats))
+        self.obs.metrics.counter("sweep_cache_misses").inc(len(misses))
+        self._deliver_prefix()
+        return misses
+
+    def completed(
+        self, i: int, stats: SimStats, wall: float,
+        telemetry: Optional[PointTelemetry], events_saved: Optional[int],
+    ) -> None:
+        """Point ``i`` simulated successfully (possibly after retries).
+
+        ``events_saved`` is set when the winning attempt resumed from a
+        mid-run checkpoint (see :func:`~repro.analysis.supervisor.
+        execute_point`).
+        """
+        self.stats[i] = stats
+        self.report.mark_completed(i, self.label(i), wall)
+        if events_saved is not None:
+            self.report.mark_resumed(i, events_saved, self.label(i))
+        if telemetry is not None:
+            if self.aggregate is not None:
+                self.aggregate.add(telemetry)
+            self.monitor.telemetry(telemetry)
+        self.monitor.point_done(i, self.label(i), wall)
+        if self.cache is not None:
+            self.cache.put(self.keys[i], stats)
+        self.mark(i, "completed")
+        self._span(i, wall, cached=False)
+        self._deliver_prefix()
+
+    def retry(self, i: int, kind: str, attempt: int) -> None:
+        """Failed attempt number ``attempt`` of point ``i`` was rescheduled."""
+        self.report.mark_retry(i, kind, self.label(i))
+        self.obs.metrics.counter("sweep_retries").inc()
+        self.obs.emit_now(
+            "sweep.retry", comp="sweep",
+            args={"index": i, "kind": kind, "attempt": attempt,
+                  "label": self.label(i)},
+        )
+        self.monitor.point_retry(i, self.label(i), kind)
+
+    def quarantined(
+        self, i: int, error: BaseException, *, timed_out: bool
+    ) -> None:
+        """Keep-going gave up on point ``i``; the sweep goes on without it."""
+        self.stats[i] = None
+        self.report.mark_quarantined(
+            i, error, timed_out=timed_out, label=self.label(i)
+        )
+        self.obs.metrics.counter("sweep_quarantined").inc()
+        self.monitor.point_quarantined(i, self.label(i))
+        self.mark(i, "quarantined")
+        self._deliver_prefix()
 
 
 def run_points(
@@ -387,256 +358,86 @@ def run_points(
 
     ``aggregate`` (a :class:`~repro.obs.aggregate.SweepAggregator`)
     turns on cross-worker trace aggregation: every simulated point —
-    serial or forked — runs under a fresh real tracer sized to
+    in-process or forked — runs under a fresh real tracer sized to
     ``aggregate.capacity``, and its captured
     :class:`~repro.obs.aggregate.PointTelemetry` is merged into the
     aggregator as results stream in.  The stats a point returns (and
-    caches) are byte-identical with or without aggregation: workers
-    strip the metrics reference before shipping, so the telemetry is
-    the only channel the observability data travels on.  ``monitor``
-    (a :class:`~repro.obs.dashboard.SweepMonitor`, e.g. the live
-    dashboard) receives begin/point lifecycle/tick/finish callbacks
+    caches) are byte-identical with or without aggregation: the metrics
+    reference is stripped before the stats leave the executor, so the
+    telemetry is the only channel the observability data travels on.
+    ``monitor`` (a :class:`~repro.obs.dashboard.SweepMonitor`, e.g. the
+    live dashboard) receives begin/point lifecycle/tick/finish callbacks
     from the parent process on every execution path.
 
-    Resilience: the parallel path always runs under
-    :class:`~repro.analysis.supervisor.SupervisedRunner` — a worker
-    death can no longer hang the sweep; the point is retried with
-    backoff.  Passing an explicit ``policy`` additionally enables
-    per-point timeouts, keep-going quarantine, chaos injection, and
-    forces the supervised (forked) path even at ``jobs=1`` so timeouts
-    can be enforced.  Under ``policy.keep_going`` a quarantined point's
-    slot in the returned list is ``None`` (and ``progress`` never fires
-    for it; later points still deliver in order).  ``report``
-    accumulates per-point :class:`~repro.analysis.supervisor.
-    PointOutcome` records; ``manifest`` persists per-point status for
-    ``repro sweep --resume``.
+    Execution: every point goes through one
+    :class:`~repro.analysis.supervisor.SupervisedRunner`, which forks
+    workers when ``jobs > 1`` (a worker death cannot hang the sweep; the
+    point is retried with backoff) and otherwise runs the same retry /
+    quarantine / fail-fast policy in this process.  Passing an explicit
+    ``policy`` additionally enables per-point timeouts, keep-going
+    quarantine, chaos injection, and forces the forked path even at
+    ``jobs=1`` so timeouts can be enforced (where fork is unavailable
+    the in-process loop cannot preempt a hung point, so ``timeout`` does
+    not apply and ``chaos`` is refused).  Under ``policy.keep_going`` a
+    quarantined point's slot in the returned list is ``None`` (and
+    ``progress`` never fires for it; later points still deliver in
+    order).  ``report`` accumulates per-point
+    :class:`~repro.analysis.supervisor.PointOutcome` records;
+    ``manifest`` persists per-point status for ``repro sweep --resume``
+    (and its ``keys`` serve as the point keys, so they are hashed once).
 
     ``checkpoint_dir`` + ``checkpoint_interval`` turn on crash-
-    consistent per-point snapshots on the supervised forked path:
-    workers write ``<dir>/pointNNNNN.ckpt`` every
-    ``checkpoint_interval`` simulated events, a killed or timed-out
-    point *resumes* from its last snapshot instead of restarting, and
-    the manifest records such points as ``partial`` so a later
-    ``--resume`` continues them mid-run too.  Results stay
-    byte-identical either way (``docs/robustness.md``).  The fork-free
-    serial fallback ignores checkpointing — it has no worker deaths to
-    recover from.
+    consistent per-point snapshots: each executing point writes
+    ``<dir>/pointNNNNN.ckpt`` every ``checkpoint_interval`` simulated
+    events, a killed or timed-out point *resumes* from its last
+    snapshot instead of restarting, and the manifest records such
+    points as ``partial`` so a later ``--resume`` continues them
+    mid-run too.  Results stay byte-identical either way
+    (``docs/robustness.md``).
     """
-    obs = obs if obs is not None else NULL_TRACER
-    supervised = policy is not None
-    pol = policy if policy is not None else SupervisorPolicy()
     n = len(specs)
-    stats_by_index: Dict[int, SimStats] = {}
-    skipped: set = set()
-    cached = set()
-    keys: Dict[int, str] = {}
-    if cache is not None or manifest is not None:
-        for i, spec in enumerate(specs):
-            keys[i] = point_key(
-                spec.config, spec.workload_factory(), check=spec.check
-            )
-    if monitor is not None:
-        monitor.begin(total=n, jobs=max(1, jobs))
-    if cache is not None:
-        for i in range(n):
-            hit = cache.get(keys[i])
-            if hit is not None:
-                stats_by_index[i] = hit
-                cached.add(i)
-                if report is not None:
-                    report.mark_cached(i, specs[i].label)
-                if manifest is not None:
-                    manifest.statuses[i] = "cached"
-                if monitor is not None:
-                    monitor.point_cached(i, specs[i].label)
+    keys: Sequence[str] = ()
     if manifest is not None:
-        for i in range(n):
-            if i not in cached:
-                manifest.statuses[i] = "pending"
-        manifest.save()
-    if obs.enabled:
-        obs.metrics.counter("sweep_cache_hits").inc(len(cached))
-        obs.metrics.counter("sweep_cache_misses").inc(n - len(cached))
-    misses = [i for i in range(n) if i not in cached]
-
-    next_i = 0
-
-    def _deliver_prefix() -> None:
-        """Fire progress for the contiguous resolved prefix, in order.
-
-        Quarantined points resolve without stats: they are skipped (no
-        progress call) so delivery of later completed points continues.
-        """
-        nonlocal next_i
-        while next_i < n and (next_i in stats_by_index or next_i in skipped):
-            if next_i in stats_by_index and progress is not None:
-                progress(next_i, stats_by_index[next_i])
-            next_i += 1
-
-    def _record(i: int, stats: SimStats, wall: float) -> None:
-        stats_by_index[i] = stats
-        if cache is not None:
-            cache.put(keys[i], stats)
-        if manifest is not None:
-            manifest.mark(i, "completed")
-        if obs.enabled:
-            obs.emit(
-                "sweep.point",
-                ts=obs.now(),
-                dur=wall,
-                comp="sweep",
-                args={"index": i, "cached": False, "label": specs[i].label},
+        if len(manifest.keys) != n:
+            raise ValueError(
+                f"manifest describes {len(manifest.keys)} points, "
+                f"the sweep has {n}"
             )
-        _deliver_prefix()
-
-    def _quarantine(i: int, exc: BaseException) -> None:
-        skipped.add(i)
-        if manifest is not None:
-            manifest.mark(i, "quarantined")
-        _deliver_prefix()
-
-    if obs.enabled:
-        for i in sorted(cached):
-            obs.emit(
-                "sweep.point",
-                ts=obs.now(),
-                dur=0.0,
-                comp="sweep",
-                args={"index": i, "cached": True, "label": specs[i].label},
-            )
-
-    def _telemetry(point: PointTelemetry) -> None:
-        if aggregate is not None:
-            aggregate.add(point)
-        if monitor is not None:
-            monitor.telemetry(point)
-
-    fork_ok = _fork_context() is not None
-    use_workers = fork_ok and misses and (
-        (jobs > 1 and len(misses) > 1) or supervised
+        keys = manifest.keys
+    elif cache is not None:
+        keys = [
+            point_key(s.config, s.workload_factory(), check=s.check)
+            for s in specs
+        ]
+    ledger = PointLedger(
+        specs, keys, cache=cache, progress=progress, obs=obs, report=report,
+        manifest=manifest, aggregate=aggregate, monitor=monitor,
     )
-    if pol.chaos is not None and not use_workers and misses:
-        raise RuntimeError("chaos injection requires fork-based workers")
+    ledger.monitor.begin(total=n, jobs=max(1, jobs))
     try:
-        if use_workers:
+        misses = ledger.serve_cached()
+        if misses:
             if checkpoint_dir is not None:
                 Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            runner = SupervisedRunner(
-                max(1, min(jobs, len(misses))), pol, obs=obs,
+            SupervisedRunner(
+                max(1, min(jobs, len(misses))), policy,
                 telemetry_capacity=(
                     aggregate.capacity if aggregate is not None else None
                 ),
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_interval=checkpoint_interval,
+            ).run(
+                specs, misses, ledger,
+                # an explicit policy forces workers even at jobs=1, so
+                # its timeout can be enforced
+                fork=fork_context() is not None and (
+                    policy is not None or (jobs > 1 and len(misses) > 1)
+                ),
             )
-
-            def _partial(i: int) -> None:
-                if manifest is not None:
-                    manifest.mark(i, "partial")
-
-            _deliver_prefix()
-            runner.run(
-                specs, misses, on_complete=_record,
-                on_quarantine=_quarantine, report=report,
-                on_telemetry=_telemetry if aggregate is not None else None,
-                monitor=monitor,
-                on_partial=_partial if manifest is not None else None,
-            )
-        else:
-            _deliver_prefix()
-            for i in misses:
-                _run_point_serial(
-                    specs[i], i, pol if supervised else None,
-                    _record, _quarantine, report, obs,
-                    aggregate=aggregate, monitor=monitor,
-                )
     finally:
-        if monitor is not None:
-            monitor.finish()
-    assert next_i == n, "internal error: sweep points missing"
-    return [stats_by_index.get(i) for i in range(n)]
-
-
-def _run_point_serial(
-    spec: PointSpec,
-    i: int,
-    policy: Optional[SupervisorPolicy],
-    record: Callable[[int, SimStats, float], None],
-    quarantine: Callable[[int, BaseException], None],
-    report: Optional[SweepReport],
-    obs: Tracer,
-    *,
-    aggregate: Optional[SweepAggregator] = None,
-    monitor: Optional[SweepMonitor] = None,
-) -> None:
-    """One in-process point with the serial subset of the retry policy.
-
-    The fork-free fallback cannot preempt a hung simulation, so
-    ``timeout`` and ``chaos`` do not apply; bounded retry of exceptions
-    (when ``retry_errors``) and keep-going quarantine still do.  With
-    ``aggregate``, the point runs under a fresh per-attempt tracer and
-    its telemetry is merged exactly as the forked path does it — same
-    capacity, same metrics stripping, same stats bytes.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            if monitor is not None:
-                monitor.point_started(i, spec.label, os.getpid())
-            tracer: Optional[Tracer] = None
-            if aggregate is not None:
-                tracer = Tracer(aggregate.capacity)
-            t0 = time.perf_counter()
-            stats = run_workload(
-                spec.config, spec.workload_factory(), check=spec.check,
-                obs=tracer,
-            )
-            wall = time.perf_counter() - t0
-            if tracer is not None:
-                stats.metrics = None  # metrics travel in the telemetry
-                telemetry = PointTelemetry.capture(
-                    tracer, index=i, label=spec.label, wall_s=wall
-                )
-                if aggregate is not None:
-                    aggregate.add(telemetry)
-                if monitor is not None:
-                    monitor.telemetry(telemetry)
-            if report is not None:
-                report.mark_completed(i, spec.label, wall)
-            if monitor is not None:
-                monitor.point_done(i, spec.label, wall)
-            record(i, stats, wall)
-            return
-        except Exception as exc:
-            if policy is not None and attempt <= policy.max_retries and (
-                policy.retry_errors or isinstance(exc, ChaosError)
-            ):
-                if report is not None:
-                    report.mark_retry(i, "error", spec.label)
-                if obs.enabled:
-                    obs.metrics.counter("sweep_retries").inc()
-                    obs.emit(
-                        "sweep.retry", ts=obs.now(), comp="sweep",
-                        args={"index": i, "kind": "error",
-                              "attempt": attempt, "label": spec.label},
-                    )
-                if monitor is not None:
-                    monitor.point_retry(i, spec.label, "error")
-                time.sleep(policy.backoff * (2 ** (attempt - 1)))
-                continue
-            if policy is not None and policy.keep_going:
-                if report is not None:
-                    report.mark_quarantined(i, exc, label=spec.label)
-                if obs.enabled:
-                    obs.metrics.counter("sweep_quarantined").inc()
-                if monitor is not None:
-                    monitor.point_quarantined(i, spec.label)
-                quarantine(i, exc)
-                return
-            if report is not None:
-                report.mark_failed(i, exc, spec.label)
-            raise
+        ledger.monitor.finish()
+    assert len(ledger.stats) == n, "internal error: sweep points missing"
+    return [ledger.stats[i] for i in range(n)]
 
 
 class Sweep:
@@ -675,7 +476,7 @@ class Sweep:
 
         Axes vary slowest-first in the order they were added (the
         cartesian-product order the serial loop has always used); this
-        order defines shard assignment, progress delivery, and the
+        order defines dispatch order, progress delivery, and the
         ordering of :attr:`SweepResults.points`.
         """
         if not self._axes:

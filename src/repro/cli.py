@@ -243,7 +243,7 @@ def cmd_sweep(args) -> int:
                          f"checkpoints)")
             print(line)
 
-    # per-point crash-consistent snapshots (supervised forked path only)
+    # per-point crash-consistent snapshots
     checkpoint_dir = None
     if args.ckpt_interval is not None:
         if args.ckpt_dir:

@@ -379,6 +379,52 @@ def test_midkill_without_checkpointing_degrades_to_plain_kill(tmp_path):
     assert counts["retries"] >= 1
 
 
+def test_in_process_sweep_checkpoints_resumes_and_cleans_up(
+    tmp_path, monkeypatch
+):
+    """The in-process driver honours ``checkpoint_dir``/``_interval``
+    exactly as forked workers do: a snapshot an earlier (killed) attempt
+    left behind is resumed, periodic snapshots are written while points
+    run, results equal a plain run's byte for byte, and completing a
+    point unlinks its snapshot."""
+    monkeypatch.setattr("repro.analysis.sweeps.fork_context", lambda: None)
+    base = MachineConfig(num_clusters=P, seed=3)
+
+    def build():
+        return Sweep(
+            base, _workload, check_coherence=True
+        ).add_axis("scheme", ["full", "DirLL"])
+
+    clean = [
+        (p.overrides, _stats_json(p.stats)) for p in build().run().points
+    ]
+
+    killed = DashSystem(base.with_(scheme="DirLL"), _workload())
+    killed.run(max_events=300)
+    killed.checkpoint(str(checkpoint_file(tmp_path, 1)))
+
+    written = []
+    real_checkpoint = DashSystem.checkpoint
+
+    def spy(self, path=None, **kwargs):
+        written.append(os.path.basename(path))
+        return real_checkpoint(self, path, **kwargs)
+
+    monkeypatch.setattr(DashSystem, "checkpoint", spy)
+    report = SweepReport()
+    results = build().run(
+        report=report, checkpoint_dir=tmp_path, checkpoint_interval=300
+    )
+    assert [
+        (p.overrides, _stats_json(p.stats)) for p in results.points
+    ] == clean
+    assert {"point00000.ckpt", "point00001.ckpt"} <= set(written)
+    assert report.outcomes[0].resumed is False
+    assert report.outcomes[1].resumed is True
+    assert report.counts()["events_saved"] == 300
+    assert list(tmp_path.glob("*.ckpt")) == []
+
+
 def test_checkpoint_file_naming_and_partial_manifest(tmp_path):
     """`checkpoint_file` yields stable per-point names, and a manifest
     distinguishes mid-run-resumable points from done/pending ones."""

@@ -90,7 +90,7 @@ class TestCacheIntegration:
         def boom(*args, **kwargs):
             raise AssertionError("simulated on a warm cache")
 
-        monkeypatch.setattr("repro.analysis.sweeps.run_workload", boom)
+        monkeypatch.setattr("repro.analysis.supervisor.execute_point", boom)
         table = make_sweep().run(jobs=4, cache=cache).table(METRICS)
         assert table == baseline
 

@@ -10,13 +10,15 @@ The acceptance properties from the resilient-execution work:
   resumed run executes only the missing points;
 * a worker that dies on ``SystemExit``/``KeyboardInterrupt`` surfaces
   as :class:`WorkerDied` instead of deadlocking the parent;
-* an exception escaping ``on_complete`` terminates workers promptly
-  instead of joining them to completion;
+* an exception escaping the ``progress`` callback terminates workers
+  promptly instead of joining them to completion, surfaces as raised,
+  and leaves the parent's signal handlers as it found them;
 * retry/timeout/quarantine observability is emitted only when those
   events actually occur (the zero-cost guarantee holds).
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -34,9 +36,10 @@ from repro.analysis.supervisor import (
     SweepReport,
     WorkerDied,
 )
-from repro.analysis.sweeps import ParallelRunner, PointSpec, Sweep, run_points
+from repro.analysis.sweeps import PointSpec, Sweep, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig
+from repro.obs.dashboard import SweepMonitor
 from repro.obs.tracer import Tracer
 
 METRICS = ["exec_time", "total_messages", "invalidation_events"]
@@ -115,7 +118,7 @@ class TestChaosDeterminism:
 
     def test_chaos_requires_workers(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         policy = SupervisorPolicy(chaos=ChaosPlan(seed=0))
         with pytest.raises(RuntimeError, match="fork"):
@@ -195,7 +198,7 @@ class TestWorkerDeath:
             config=small_config(), workload_factory=dying_factory
         )
         with pytest.raises(WorkerDied):
-            ParallelRunner(2).run(specs, [0, 1])
+            run_points(specs, jobs=2, policy=SupervisorPolicy(max_retries=0))
 
     def test_supervised_retries_death_then_raises(self):
         def dying_factory():
@@ -230,7 +233,7 @@ class TestWorkerDeath:
 
 
 class TestCallbackFailure:
-    def test_on_complete_exception_terminates_workers(self):
+    def test_progress_exception_terminates_workers(self):
         """A raising callback must not join a busy worker to completion."""
         def slow_factory():
             time.sleep(30.0)
@@ -239,13 +242,39 @@ class TestCallbackFailure:
         specs = make_specs(("full", "Dir2B"))
         specs[1] = PointSpec(config=small_config(), workload_factory=slow_factory)
 
-        def boom(idx, stats, wall):
+        def boom(i, stats):
             raise RuntimeError("callback boom")
 
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="callback boom"):
-            ParallelRunner(2).run(specs, [0, 1], on_complete=boom)
+            run_points(specs, jobs=2, progress=boom)
         assert time.monotonic() - t0 < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_progress_exception_unwinds_cleanly(self):
+        """The *first* callback exception surfaces, every worker is torn
+        down, and the parent's signal dispositions come back.
+
+        While ``boom`` sleeps the other fast points finish, so the pipes
+        hold results at unwind time: shutdown used to drain them into
+        the callback again (a second exception replacing the first,
+        before the workers were stopped or the handlers restored).
+        """
+        calls = []
+
+        def boom(i, stats):
+            calls.append(i)
+            time.sleep(0.3)
+            raise RuntimeError(f"callback boom {len(calls)}")
+
+        sigint, sigterm = (signal.getsignal(s)
+                           for s in (signal.SIGINT, signal.SIGTERM))
+        with pytest.raises(RuntimeError, match="callback boom 1"):
+            run_points(make_specs() + make_specs(), jobs=2, progress=boom)
+        assert calls == [0]
+        assert signal.getsignal(signal.SIGINT) is sigint
+        assert signal.getsignal(signal.SIGTERM) is sigterm
+        assert multiprocessing.active_children() == []
 
 
 class TestKeepGoingQuarantine:
@@ -265,7 +294,7 @@ class TestKeepGoingQuarantine:
 
     def test_poison_point_quarantined_serial(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         specs = make_specs(("full", "no-such-scheme", "Dir2B"))
         policy = SupervisorPolicy(max_retries=0, keep_going=True)
@@ -277,7 +306,7 @@ class TestKeepGoingQuarantine:
 
     def test_serial_retry_of_transient_error(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         calls = {"n": 0}
 
@@ -294,6 +323,147 @@ class TestKeepGoingQuarantine:
         assert stats[0] is not None
         assert report.outcomes[0].retries == 1
         assert report.outcomes[0].status == "completed"
+
+
+class RecordingMonitor(SweepMonitor):
+    """Every lifecycle callback, minus what legitimately differs between
+    drivers: the worker pid, wall times, and the forked loop's ticks."""
+
+    def __init__(self):
+        self.calls = []
+
+    def begin(self, *, total, jobs):
+        self.calls.append(("begin", total, jobs))
+
+    def point_cached(self, index, label):
+        self.calls.append(("cached", index, label))
+
+    def point_started(self, index, label, worker):
+        self.calls.append(("started", index, label))
+
+    def point_done(self, index, label, wall_s):
+        self.calls.append(("done", index, label))
+
+    def point_retry(self, index, label, kind):
+        self.calls.append(("retry", index, label, kind))
+
+    def point_quarantined(self, index, label):
+        self.calls.append(("quarantined", index, label))
+
+    def finish(self):
+        self.calls.append(("finish",))
+
+
+class TestEngineParity:
+    """The in-process and the forked driver are one engine: the same
+    grid resolves to the same results *and the same records* on both."""
+
+    OBS_NAMES = (
+        "sweep_cache_hits", "sweep_cache_misses", "sweep_retries",
+        "sweep_timeouts", "sweep_quarantined",
+    )
+
+    def observe(self, root, policy, monkeypatch, *, fork):
+        """One pass over the grid (a poison point, a factory failing
+        once, three good points) with every sink attached."""
+        root.mkdir(exist_ok=True)
+        fired = root / "flaky-fired"  # on disk: visible to forked workers
+
+        def flaky_factory():
+            if not fired.exists():
+                fired.touch()
+                raise RuntimeError("transient")
+            return small_factory()
+
+        specs = make_specs(("full", "no-such-scheme", "Dir1B", "Dir2B", "Dir1NB"))
+        specs[2] = PointSpec(
+            config=specs[2].config, workload_factory=flaky_factory,
+            label="flaky",
+        )
+        keys = [point_key(s.config, small_factory(), check=s.check) for s in specs]
+        cache = ResultCache(root)
+        manifest = SweepManifest.for_sweep(root, keys, [s.label for s in specs])
+        report, tracer, monitor = SweepReport(), Tracer(), RecordingMonitor()
+        seen = []
+        error = None
+        with monkeypatch.context() as patch:
+            if not fork:
+                patch.setattr("repro.analysis.sweeps.fork_context", lambda: None)
+            try:
+                stats = run_points(
+                    specs, cache=cache, policy=policy, report=report,
+                    manifest=manifest, obs=tracer, monitor=monitor,
+                    progress=lambda i, s: seen.append(i),
+                )
+            except Exception as exc:
+                stats, error = [], f"{type(exc).__name__}: {exc}"
+        outcomes = report.to_dict()
+        for point in outcomes["points"]:
+            point["wall"] = None
+        return {
+            "stats": stats_dicts(stats),
+            "error": error,
+            "progress": seen,
+            "report": outcomes,
+            "manifest": dict(manifest.statuses),
+            "cache": cache.counters(),
+            "events": {
+                name: tracer.counts[name]
+                for name in ("sweep.point", "sweep.retry")
+            },
+            "counters": {
+                name: tracer.metrics.counter(name).value
+                for name in self.OBS_NAMES
+            },
+            "monitor": monitor.calls,
+        }
+
+    def test_keep_going_records_identical(self, tmp_path, monkeypatch):
+        policy = SupervisorPolicy(
+            max_retries=1, retry_errors=True, backoff=0.0, keep_going=True
+        )
+        inproc = self.observe(tmp_path / "in", policy, monkeypatch, fork=False)
+        forked = self.observe(tmp_path / "fk", policy, monkeypatch, fork=True)
+        assert inproc == forked
+        # ...and the shared record is the right one
+        assert inproc["progress"] == [0, 2, 3, 4]
+        assert inproc["stats"][1] is None
+        assert inproc["report"]["counts"]["completed"] == 4
+        assert inproc["report"]["counts"]["quarantined"] == 1
+        assert inproc["report"]["counts"]["retries"] == 2  # flaky + poison
+        assert inproc["manifest"] == {
+            0: "completed", 1: "quarantined", 2: "completed",
+            3: "completed", 4: "completed",
+        }
+        assert inproc["events"] == {"sweep.point": 4, "sweep.retry": 2}
+        assert inproc["counters"]["sweep_cache_misses"] == 5
+        assert inproc["monitor"][:3] == [
+            ("begin", 5, 1), ("started", 0, "scheme=full"),
+            ("done", 0, "scheme=full"),
+        ]
+
+        # a warm second pass: hits are recorded identically too
+        warm_in = self.observe(tmp_path / "in", policy, monkeypatch, fork=False)
+        warm_fk = self.observe(tmp_path / "fk", policy, monkeypatch, fork=True)
+        assert warm_in == warm_fk
+        assert warm_in["counters"]["sweep_cache_hits"] == 4
+        assert warm_in["report"]["counts"]["cached"] == 4
+        assert warm_in["stats"] == inproc["stats"]
+
+    def test_fail_fast_marks_remainder_skipped(self, tmp_path, monkeypatch):
+        """Fail-fast stops at the poison point on both drivers, and both
+        account for the unstarted remainder as ``skipped``."""
+        policy = SupervisorPolicy(max_retries=1, retry_errors=True, backoff=0.0)
+        inproc = self.observe(tmp_path / "in", policy, monkeypatch, fork=False)
+        forked = self.observe(tmp_path / "fk", policy, monkeypatch, fork=True)
+        assert inproc == forked
+        assert inproc["error"] is not None and "no-such-scheme" in inproc["error"]
+        assert inproc["progress"] == [0]
+        statuses = {p["index"]: p["status"] for p in inproc["report"]["points"]}
+        assert statuses == {
+            0: "completed", 1: "failed", 2: "skipped", 3: "skipped",
+            4: "skipped",
+        }
 
 
 class TestInterruptAndResume:
