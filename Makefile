@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-perf bench-perf-quick chaos chaos-ckpt examples results loc clean
+.PHONY: install test bench bench-selftest bench-perf bench-perf-quick chaos chaos-ckpt examples results loc clean
 
 # parallel workers for the `results` regeneration (see docs/parallelism.md)
 JOBS ?= 1
@@ -15,6 +15,12 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# the repo benchmark's own tests (~50 s, outside tier-1): they call what
+# bench/micro.py and bench/e2e.py call in src/, so a src/ change that
+# breaks the benchmark is caught here rather than by the benchmark driver
+bench-selftest:
+	python3 -m pytest bench -q
 
 # perf telemetry: writes the schema-versioned BENCH_throughput.json
 bench-perf:

@@ -176,17 +176,21 @@ class ResultCache:
         writer may still be about to rename them.  Returns the number
         of files removed (also accumulated on the ``orphans`` counter).
         """
-        if not self.root.is_dir():
-            return 0
         cutoff = time.time() - ttl
         removed = 0
-        for tmp in self.root.rglob("*.tmp"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-                    removed += 1
-            except OSError:
-                continue  # raced with a concurrent sweep/writer
+        # os.walk yields nothing for a missing root and skips directories
+        # that vanish under it, so neither case needs a check here
+        for dirpath, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                if not name.endswith(".tmp"):
+                    continue
+                tmp = os.path.join(dirpath, name)
+                try:
+                    if os.stat(tmp).st_mtime < cutoff:
+                        os.unlink(tmp)
+                        removed += 1
+                except OSError:
+                    continue  # raced with a concurrent sweep/writer
         self.orphans += removed
         return removed
 

@@ -30,10 +30,20 @@ class ReplacementPolicy(ABC):
         self.associativity = associativity
         self.rng = random.Random(seed)
         self._clock = 0
+        #: set index -> per-way timestamp row, for sets stamped at least
+        #: once (a way never stamped reads 0, older than any tick)
+        self._stamps: Dict[int, List[int]] = {}
 
-    def _tick(self) -> int:
+    def _stamp(self, set_index: int, way: int) -> None:
         self._clock += 1
-        return self._clock
+        row = self._stamps.get(set_index)
+        if row is None:
+            row = self._stamps[set_index] = [0] * self.associativity
+        row[way] = self._clock
+
+    def _oldest(self, set_index: int, ways: Sequence[int]) -> int:
+        row = self._stamps.get(set_index) or [0] * self.associativity
+        return min(ways, key=lambda w: row[w])
 
     def touch(self, set_index: int, way: int) -> None:
         """Record a (read or write) access to an occupied way."""
@@ -46,72 +56,45 @@ class ReplacementPolicy(ABC):
         """Pick the way to evict among the candidate ``ways`` (all valid)."""
 
     def to_state(self) -> Dict[str, Any]:
-        """Snapshot of mutable policy state (simulation checkpointing)."""
-        return {"rng": self.rng.getstate(), "clock": self._clock}
+        """Snapshot of mutable policy state (simulation checkpointing);
+        stamp rows as ``(set index, row)`` in ascending set order."""
+        return {
+            "rng": self.rng.getstate(),
+            "clock": self._clock,
+            "stamps": [(s, list(self._stamps[s])) for s in sorted(self._stamps)],
+        }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore onto a policy built with identical parameters."""
+        stamps = {s: list(row) for s, row in state["stamps"]}
+        if any(
+            not 0 <= s < self.num_sets or len(row) != self.associativity
+            for s, row in stamps.items()
+        ):
+            raise ValueError(
+                "replacement-policy geometry mismatch: snapshot rows do not "
+                f"fit {self.num_sets} sets of {self.associativity} ways"
+            )
         self.rng.setstate(state["rng"])
         self._clock = state["clock"]
+        self._stamps = stamps
 
 
 class LRUPolicy(ReplacementPolicy):
     """Least-recently-used: evict the way with the oldest access."""
 
     name = "lru"
-
-    def __init__(self, num_sets: int, associativity: int, *, seed: int = 0) -> None:
-        super().__init__(num_sets, associativity, seed=seed)
-        self._last_access: List[List[int]] = [
-            [0] * associativity for _ in range(num_sets)
-        ]
-
-    def touch(self, set_index: int, way: int) -> None:
-        self._last_access[set_index][way] = self._tick()
-
-    def allocate(self, set_index: int, way: int) -> None:
-        self._last_access[set_index][way] = self._tick()
-
-    def choose_victim(self, set_index: int, ways: Sequence[int]) -> int:
-        stamps = self._last_access[set_index]
-        return min(ways, key=lambda w: stamps[w])
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["last_access"] = [list(row) for row in self._last_access]
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self._last_access = [list(row) for row in state["last_access"]]
+    touch = ReplacementPolicy._stamp
+    allocate = ReplacementPolicy._stamp
+    choose_victim = ReplacementPolicy._oldest
 
 
 class LRAPolicy(ReplacementPolicy):
     """Least-recently-allocated: ignores accesses, orders by fill time."""
 
     name = "lra"
-
-    def __init__(self, num_sets: int, associativity: int, *, seed: int = 0) -> None:
-        super().__init__(num_sets, associativity, seed=seed)
-        self._alloc_time: List[List[int]] = [
-            [0] * associativity for _ in range(num_sets)
-        ]
-
-    def allocate(self, set_index: int, way: int) -> None:
-        self._alloc_time[set_index][way] = self._tick()
-
-    def choose_victim(self, set_index: int, ways: Sequence[int]) -> int:
-        stamps = self._alloc_time[set_index]
-        return min(ways, key=lambda w: stamps[w])
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["alloc_time"] = [list(row) for row in self._alloc_time]
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self._alloc_time = [list(row) for row in state["alloc_time"]]
+    allocate = ReplacementPolicy._stamp
+    choose_victim = ReplacementPolicy._oldest
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -66,7 +66,7 @@ class SharedEntryDirectory(DirectoryStore):
             )
         return (block // self.stride) // self.group_size
 
-    def lookup(self, block: int) -> Optional[DirLine]:
+    def peek(self, block: int) -> Optional[DirLine]:
         return self._lines.get(block)
 
     def get_or_allocate(

@@ -71,8 +71,14 @@ class DirectoryStore(ABC):
         self.replacements = 0
 
     @abstractmethod
+    def peek(self, block: int) -> Optional[DirLine]:
+        """The line for ``block`` if present, else ``None``; no side effects
+        (what invariant checks and audits read the directory with)."""
+
     def lookup(self, block: int) -> Optional[DirLine]:
-        """The line for ``block`` if present, else ``None`` (no side effects)."""
+        """:meth:`peek` as a protocol access: a store with a replacement
+        policy overrides this to count it as a use of the entry."""
+        return self.peek(block)
 
     @abstractmethod
     def get_or_allocate(
@@ -145,7 +151,7 @@ class FullMapDirectory(DirectoryStore):
         super().__init__(scheme)
         self._lines: Dict[int, DirLine] = {}
 
-    def lookup(self, block: int) -> Optional[DirLine]:
+    def peek(self, block: int) -> Optional[DirLine]:
         return self._lines.get(block)
 
     def get_or_allocate(
@@ -201,8 +207,7 @@ class FullMapDirectory(DirectoryStore):
 
 @dataclass
 class _Way:
-    tag: int = -1
-    valid: bool = False
+    tag: int = -1  # -1 (no block has it) while the way is empty
     line: Optional[DirLine] = None
 
 
@@ -252,9 +257,10 @@ class SparseDirectory(DirectoryStore):
             self.policy = policy
         else:
             self.policy = make_policy(policy, self.num_sets, associativity, seed=seed)
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(associativity)] for _ in range(self.num_sets)
-        ]
+        #: set index -> ways, for sets an entry has ever been filled into;
+        #: every walk goes in ascending set index (the dense-array order)
+        self._sets: Dict[int, List[_Way]] = {}
+        self._valid = 0  # entries held: _fill +1, _evict / release -1
 
     # -- address mapping -------------------------------------------------
 
@@ -281,28 +287,35 @@ class SparseDirectory(DirectoryStore):
     # -- DirectoryStore interface ----------------------------------------
 
     def lookup(self, block: int) -> Optional[DirLine]:
-        s = self.set_index(block)
-        tag = self.tag_of(block)
-        for w, way in enumerate(self._sets[s]):
-            if way.valid and way.tag == tag:
+        tag, s = divmod(self._local(block), self.num_sets)
+        for w, way in enumerate(self._sets.get(s, ())):
+            if way.tag == tag:
                 self.policy.touch(s, w)
+                return way.line
+        return None
+
+    def peek(self, block: int) -> Optional[DirLine]:
+        tag, s = divmod(self._local(block), self.num_sets)
+        for way in self._sets.get(s, ()):
+            if way.tag == tag:
                 return way.line
         return None
 
     def get_or_allocate(
         self, block: int, avoid: FrozenSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
-        s = self.set_index(block)
-        tag = self.tag_of(block)
-        ways = self._sets[s]
+        tag, s = divmod(self._local(block), self.num_sets)
+        ways = self._sets.get(s)
+        if ways is None:
+            ways = self._sets[s] = [_Way() for _ in range(self.associativity)]
         for w, way in enumerate(ways):
-            if way.valid and way.tag == tag:
+            if way.tag == tag:
                 self.policy.touch(s, w)
                 assert way.line is not None
                 return way.line, []
         # Prefer an empty slot; replacement only on a genuinely full set.
         for w, way in enumerate(ways):
-            if not way.valid:
+            if way.line is None:
                 self.allocations += 1
                 return self._fill(s, w, tag), []
         candidates = [
@@ -324,14 +337,14 @@ class SparseDirectory(DirectoryStore):
     def _fill(self, set_index: int, way_index: int, tag: int) -> DirLine:
         way = self._sets[set_index][way_index]
         way.tag = tag
-        way.valid = True
         way.line = DirLine(entry=self.scheme.make_entry())
+        self._valid += 1
         self.policy.allocate(set_index, way_index)
         return way.line
 
     def _evict(self, set_index: int, way_index: int) -> Eviction:
         way = self._sets[set_index][way_index]
-        assert way.valid and way.line is not None
+        assert way.line is not None
         line = way.line
         block = self._block_of(set_index, way.tag)
         if line.dirty:
@@ -341,9 +354,9 @@ class SparseDirectory(DirectoryStore):
         ev = Eviction(
             block=block, targets=targets, was_dirty=line.dirty, owner=line.owner
         )
-        way.valid = False
         way.tag = -1
         way.line = None
+        self._valid -= 1
         return ev
 
     def release(self, block: int) -> None:
@@ -352,53 +365,55 @@ class SparseDirectory(DirectoryStore):
         The paper: "empty slots are also created when a processor cache
         replaces and writes back a dirty line."
         """
-        s = self.set_index(block)
-        tag = self.tag_of(block)
-        for way in self._sets[s]:
-            if way.valid and way.tag == tag:
+        tag, s = divmod(self._local(block), self.num_sets)
+        for way in self._sets.get(s, ()):
+            if way.tag == tag:
                 assert way.line is not None
                 if way.line.is_empty():
-                    way.valid = False
                     way.tag = -1
                     way.line = None
+                    self._valid -= 1
                 return
 
     def capacity_entries(self) -> Optional[int]:
         return self.num_entries
 
     def lines(self) -> Iterator[Tuple[int, DirLine]]:
-        for s, ways in enumerate(self._sets):
-            for way in ways:
-                if way.valid and way.line is not None:
+        for s in sorted(self._sets):
+            for way in self._sets[s]:
+                if way.line is not None:
                     yield self._block_of(s, way.tag), way.line
 
     # -- introspection for tests/benchmarks --------------------------------
 
     def occupancy(self) -> int:
         """Number of valid entries currently held."""
-        return sum(way.valid for ways in self._sets for way in ways)
+        return self._valid
 
     def to_state(self) -> Dict[str, Any]:
+        """Occupied sets only, ascending, as ``(set index, row)``: one slot
+        per way, ``None`` when empty, else ``(block, entry, dirty, owner)``."""
         return {
             "allocations": self.allocations,
             "replacements": self.replacements,
             "policy": self.policy.to_state(),
             "sets": [
-                [
-                    (
-                        way.tag,
-                        way.valid,
+                (
+                    s,
+                    [
                         (
+                            self._block_of(s, way.tag),
                             way.line.entry.to_state(),
                             way.line.dirty,
                             way.line.owner,
                         )
                         if way.line is not None
-                        else None,
-                    )
-                    for way in ways
-                ]
-                for ways in self._sets
+                        else None
+                        for way in self._sets[s]
+                    ],
+                )
+                for s in sorted(self._sets)
+                if any(way.line is not None for way in self._sets[s])
             ],
         }
 
@@ -406,43 +421,47 @@ class SparseDirectory(DirectoryStore):
         self.allocations = state["allocations"]
         self.replacements = state["replacements"]
         self.policy.load_state(state["policy"])
-        sets = state["sets"]
-        if len(sets) != self.num_sets or any(
-            len(ways) != self.associativity for ways in sets
-        ):
-            raise ValueError(
-                "sparse-directory geometry mismatch: snapshot has "
-                f"{len(sets)} sets, store has {self.num_sets}"
-            )
-        self._sets = []
-        for ways in sets:
-            row = []
-            for tag, valid, line_state in ways:
-                if line_state is None:
-                    row.append(_Way(tag=tag, valid=valid, line=None))
-                else:
-                    entry_state, dirty, owner = line_state
-                    line = DirLine(
-                        entry=self.scheme.entry_from_state(entry_state),
-                        dirty=dirty,
-                        owner=owner,
-                    )
-                    row.append(_Way(tag=tag, valid=valid, line=line))
-            self._sets.append(row)
+        self._sets = {}
+        self._valid = 0
+        for s, row in state["sets"]:
+            if (
+                not 0 <= s < self.num_sets
+                or len(row) != self.associativity
+                or any(slot and self.set_index(slot[0]) != s for slot in row)
+            ):
+                raise ValueError(
+                    "sparse-directory geometry mismatch: snapshot set "
+                    f"{s} does not fit {self.num_sets} sets of "
+                    f"{self.associativity} ways"
+                )
+            ways = self._sets[s] = []
+            for slot in row:
+                if slot is None:
+                    ways.append(_Way())
+                    continue
+                block, entry_state, dirty, owner = slot
+                line = DirLine(
+                    entry=self.scheme.entry_from_state(entry_state),
+                    dirty=dirty,
+                    owner=owner,
+                )
+                ways.append(_Way(tag=self.tag_of(block), line=line))
+                self._valid += 1
 
     def layout(self) -> Tuple[Tuple[int, ...], ...]:
         """Resident block per (set, way); ``-1`` marks an empty way.
 
         A side-effect-free snapshot of the placement (no replacement-policy
         touches), used by the model checker's canonical state encoding and
-        handy for audits/tests.
+        handy for audits/tests.  Dense: one row per set, touched or not.
         """
+        untouched = (_Way(),) * self.associativity
         return tuple(
             tuple(
-                self._block_of(s, way.tag) if way.valid else -1
-                for way in ways
+                -1 if way.line is None else self._block_of(s, way.tag)
+                for way in self._sets.get(s, untouched)
             )
-            for s, ways in enumerate(self._sets)
+            for s in range(self.num_sets)
         )
 
 

@@ -31,7 +31,15 @@ class LineState(IntEnum):
 
 
 class CacheLevel:
-    """One set-associative cache level (tags only; no data is simulated)."""
+    """One set-associative cache level (tags only; no data is simulated).
+
+    Sets are materialised on first install, so an empty cache costs the
+    same whatever its capacity and every whole-cache walk is proportional
+    to the sets ever filled.  Walks go in ascending set index: that is the
+    order a dense array of sets would give, and checkpoints and invariant
+    reports are defined by it.  A set emptied again keeps its ``dict`` —
+    re-creating one per direct-mapped eviction costs more than it saves.
+    """
 
     __slots__ = ("num_sets", "assoc", "_sets")
 
@@ -40,13 +48,14 @@ class CacheLevel:
         assoc = min(assoc, capacity_blocks)
         self.assoc = assoc
         self.num_sets = max(1, capacity_blocks // assoc)
-        self._sets: List[Dict[int, LineState]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        #: set index -> LRU stack, for sets that have ever held a line
+        self._sets: Dict[int, Dict[int, LineState]] = {}
 
     def lookup(self, block: int) -> Optional[LineState]:
         """State of ``block`` if present; refreshes LRU position."""
-        s = self._sets[block % self.num_sets]
+        s = self._sets.get(block % self.num_sets)
+        if s is None:
+            return None
         state = s.pop(block, None)
         if state is not None:
             s[block] = state  # re-insert at the MRU end
@@ -54,13 +63,18 @@ class CacheLevel:
 
     def peek(self, block: int) -> Optional[LineState]:
         """State without touching LRU (for snoops and invariant checks)."""
-        return self._sets[block % self.num_sets].get(block)
+        s = self._sets.get(block % self.num_sets)
+        return None if s is None else s.get(block)
 
     def install(
         self, block: int, state: LineState
     ) -> Optional[Tuple[int, LineState]]:
         """Fill ``block``; returns the evicted ``(block, state)`` if any."""
-        s = self._sets[block % self.num_sets]
+        index = block % self.num_sets
+        s = self._sets.get(index)
+        if s is None:
+            self._sets[index] = {block: state}
+            return None
         if s.pop(block, None) is not None:
             s[block] = state  # refresh state and LRU position
             return None
@@ -73,41 +87,51 @@ class CacheLevel:
 
     def set_state(self, block: int, state: LineState) -> None:
         """Change an existing line's state (no LRU side effects)."""
-        s = self._sets[block % self.num_sets]
-        if block in s:
+        s = self._sets.get(block % self.num_sets)
+        if s is not None and block in s:
             s[block] = state
 
     def invalidate(self, block: int) -> Optional[LineState]:
         """Drop ``block``; returns its state if it was present."""
-        return self._sets[block % self.num_sets].pop(block, None)
+        s = self._sets.get(block % self.num_sets)
+        return None if s is None else s.pop(block, None)
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
         """Iterate over all (block, state) pairs currently cached."""
-        for s in self._sets:
-            yield from s.items()
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index].items()
 
     def occupancy(self) -> int:
         """Number of valid lines held."""
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets.values()))
 
-    def to_state(self) -> List[List[Tuple[int, int]]]:
-        """Per-set ``(block, state)`` pairs in LRU→MRU insertion order."""
+    def to_state(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
+        """``(set index, [(block, state), ...])`` per non-empty set, in
+        ascending set order; pairs are in LRU→MRU insertion order."""
+        sets = self._sets
         return [
-            [(block, int(state)) for block, state in s.items()]
-            for s in self._sets
+            (index, [(block, int(state)) for block, state in sets[index].items()])
+            for index in sorted(sets)
+            if sets[index]
         ]
 
-    def load_state(self, sets: List[List[Tuple[int, int]]]) -> None:
+    def load_state(self, sets: List[Tuple[int, List[Tuple[int, int]]]]) -> None:
         """Restore :meth:`to_state` (same geometry); order is the LRU stack."""
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"cache geometry mismatch: snapshot has {len(sets)} sets, "
-                f"cache has {self.num_sets}"
-            )
-        self._sets = [
-            {block: LineState(state) for block, state in pairs}
-            for pairs in sets
-        ]
+        restored: Dict[int, Dict[int, LineState]] = {}
+        for index, pairs in sets:
+            if (
+                not 0 <= index < self.num_sets
+                or len(pairs) > self.assoc
+                or any(block % self.num_sets != index for block, _ in pairs)
+            ):
+                raise ValueError(
+                    f"cache geometry mismatch: snapshot set {index} with "
+                    f"{len(pairs)} lines does not fit {self.num_sets} sets "
+                    f"of {self.assoc} ways"
+                )
+            restored[index] = {block: LineState(state) for block, state in pairs}
+        self._sets = restored
 
 
 class ProcessorCache:
@@ -143,16 +167,19 @@ class ProcessorCache:
         skip the per-level call overhead on the hot path.
         """
         l1 = self.l1
-        s1 = l1._sets[block % l1.num_sets]
-        state = s1.pop(block, None)
         l2 = self.l2
-        s2 = l2._sets[block % l2.num_sets]
-        state2 = s2.pop(block, None)
-        if state2 is not None:
-            s2[block] = state2  # refresh L2 LRU (inclusion backing line)
-        if state is not None:
-            s1[block] = state
-            return "l1"
+        s2 = l2._sets.get(block % l2.num_sets)
+        state2 = None
+        if s2 is not None:
+            state2 = s2.pop(block, None)
+            if state2 is not None:
+                s2[block] = state2  # refresh L2 LRU (inclusion backing line)
+        s1 = l1._sets.get(block % l1.num_sets)
+        if s1 is not None:
+            state = s1.pop(block, None)
+            if state is not None:
+                s1[block] = state
+                return "l1"
         if state2 is not None:
             return "l2"
         return None
@@ -160,7 +187,9 @@ class ProcessorCache:
     def probe_write(self, block: int) -> Optional[str]:
         """``"hit"`` if writable (L2 DIRTY), ``"upgrade"`` if L2 SHARED."""
         l2 = self.l2
-        s2 = l2._sets[block % l2.num_sets]
+        s2 = l2._sets.get(block % l2.num_sets)
+        if s2 is None:
+            return None
         state = s2.pop(block, None)
         if state is not None:
             s2[block] = state

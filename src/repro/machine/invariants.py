@@ -97,7 +97,7 @@ def machine_state_violations(
             continue
         dirty_clusters = {c for c, d in copies if d}
         all_clusters = {c for c, _ in copies}
-        line = controller.store.lookup(block)
+        line = controller.store.peek(block)
         if dirty_clusters:
             if len(dirty_clusters) > 1:
                 yield CoherenceViolation(

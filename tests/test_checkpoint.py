@@ -286,6 +286,90 @@ def test_unknown_schema_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
+    """Schema 1 carried one row per possible set; schema 2 carries occupied
+    sets only.  An old file stops at the schema gate, before its payload
+    is even read."""
+    assert CKPT_SCHEMA == 2
+    _, path = _write_checkpoint(tmp_path)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    header["schema"] = 1
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
+    for gate in (read_header, load_checkpoint, verify_checkpoint):
+        with pytest.raises(CheckpointSchemaError, match="schema 1 is not readable"):
+            gate(path)
+
+
+def _sparse_lru_machine(max_events=300):
+    system = DashSystem(
+        _config(sparse_size_factor=1.0, sparse_policy="lru",
+                l1_bytes=128, l2_bytes=256),
+        _workload(),
+    )
+    if max_events:
+        system.run(max_events=max_events)
+    return system
+
+
+def _l2(state):
+    return state["caches"][0][0]["l2"]  # [(set, [(block, state), ...])]
+
+
+def _dir(state):
+    return state["dirs"][0]["store"]["sets"]  # [(set, [slot per way])]
+
+
+def _stamps(state):
+    return state["dirs"][0]["store"]["policy"]["stamps"]  # [(set, [stamps])]
+
+
+def _rewrite_first(entries, index=lambda s: s, row=lambda r: r):
+    """Corrupt the first ``(set index, row)`` pair of a sparse state list."""
+    old_index, old_row = entries[0]
+    entries[0] = (index(old_index), row(old_row))
+
+
+CORRUPTIONS = {
+    "cache-set-out-of-range": lambda st: _rewrite_first(_l2(st), index=lambda s: 10**9),
+    "cache-too-many-ways": lambda st: _rewrite_first(_l2(st), row=lambda r: r * 5),
+    "cache-wrong-set": lambda st: _rewrite_first(
+        _l2(st), row=lambda r: [(r[0][0] + 1, r[0][1])]),
+    "dir-set-out-of-range": lambda st: _rewrite_first(_dir(st), index=lambda s: -1),
+    "dir-too-many-ways": lambda st: _rewrite_first(_dir(st), row=lambda r: r + [None]),
+    "dir-wrong-set": lambda st: _rewrite_first(_dir(st), index=lambda s: s + 1),
+    "stamps-set-out-of-range": lambda st: _rewrite_first(
+        _stamps(st), index=lambda s: 10**9),
+    "stamps-too-many-ways": lambda st: _rewrite_first(
+        _stamps(st), row=lambda r: r + [0]),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupted_sparse_payload_fails_geometry_check(corrupt):
+    ckpt = _sparse_lru_machine().checkpoint()
+    corrupt(ckpt.state)
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        _sparse_lru_machine(max_events=0).restore(ckpt)
+
+
+def test_payload_is_proportional_to_occupancy():
+    """A just-built paper-size machine (32 clusters, 64 KB / 256 KB caches)
+    has nothing cached, so its snapshot is a few KB — not one row per
+    possible set.  With a size-factor-4 LRU sparse directory what remains
+    is the 32 per-store policy RNG states (~3.7 KB each)."""
+    workload = MP3DWorkload(32, num_particles=120, seed=3)
+    full_map = DashSystem(MachineConfig(num_clusters=32), workload)
+    assert len(SimCheckpoint.capture(full_map).payload()) < 64 * 1024
+    sparse = DashSystem(
+        MachineConfig(num_clusters=32, scheme="Dir3CV2",
+                      sparse_size_factor=4.0, sparse_policy="lru"),
+        workload,
+    )
+    assert len(SimCheckpoint.capture(sparse).payload()) < 256 * 1024
+
+
 def test_config_mismatch_names_differing_fields(tmp_path):
     _, path = _write_checkpoint(tmp_path)
     other = DashSystem(_config(seed=6), _workload())

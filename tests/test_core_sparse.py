@@ -20,6 +20,11 @@ def make_sparse(entries=8, assoc=2, policy="lru", nodes=8):
     )
 
 
+def scanned_occupancy(store):
+    """What the O(1) ``occupancy()`` counter must equal: a walk of the lines."""
+    return sum(1 for _ in store.lines())
+
+
 class TestFullMapDirectory:
     def test_lookup_before_allocate_is_none(self):
         d = FullMapDirectory(FullBitVectorScheme(8))
@@ -58,7 +63,7 @@ class TestSparseDirectory:
         _, ev0 = d.get_or_allocate(0)
         _, ev1 = d.get_or_allocate(4)
         assert ev0 == [] and ev1 == []
-        assert d.occupancy() == 2
+        assert d.occupancy() == scanned_occupancy(d) == 2
 
     def test_conflict_evicts_victim_with_targets(self):
         d = make_sparse(entries=8, assoc=2, policy="lru")
@@ -90,7 +95,7 @@ class TestSparseDirectory:
         d.get_or_allocate(4)
         d.get_or_allocate(8)
         assert d.lookup(0) is None or d.lookup(4) is None or d.lookup(8) is None
-        assert d.occupancy() == 2
+        assert d.occupancy() == scanned_occupancy(d) == 2
 
     def test_release_frees_empty_slot(self):
         d = make_sparse(entries=8, assoc=2)
@@ -101,7 +106,7 @@ class TestSparseDirectory:
         line.reset()
         d.release(0)
         assert d.lookup(0) is None
-        assert d.occupancy() == 0
+        assert d.occupancy() == scanned_occupancy(d) == 0
 
     def test_direct_mapped(self):
         d = make_sparse(entries=4, assoc=1)

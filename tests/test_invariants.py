@@ -6,9 +6,12 @@ invariant is violated by hand-tampering a finished machine, and the
 checker must name it.
 """
 
+import json
+
 import pytest
 
-from repro.apps import MP3DWorkload
+from repro.apps import DWFWorkload, MP3DWorkload
+from repro.core import FullBitVectorScheme, SparseDirectory
 from repro.core.registry import SCHEME_FACTORIES, make_scheme
 from repro.machine import DashSystem, MachineConfig
 from repro.machine.cache import LineState
@@ -232,3 +235,40 @@ class TestChecker:
         _uncover(system)
         with pytest.raises(AssertionError):
             system.check_coherence()
+
+
+# -- the checker observes; it must not steer ----------------------------------
+
+
+@pytest.mark.parametrize("policy", ["lru", "lra", "random"])
+def test_checking_does_not_change_the_result(policy):
+    """Scanning reads directory lines with ``peek``: on a sparse LRU
+    directory a ``lookup`` would count as a use of the entry and reorder
+    later victims, so the checked run would not be the run it checks."""
+    def stats_json(mode):
+        cfg = MachineConfig(
+            num_clusters=NUM_CLUSTERS, scheme="Dir3CV2", l1_bytes=128,
+            l2_bytes=256, sparse_size_factor=1.0, sparse_policy=policy,
+        )
+        wl = DWFWorkload(NUM_CLUSTERS, pattern_len=16, library_len=64, col_block=8)
+        stats = DashSystem(cfg, wl, invariants=mode).run()
+        assert stats.sparse_replacements > 100 and not stats.invariant_violations
+        return json.dumps(stats.to_dict(), sort_keys=True)
+
+    off = stats_json("off")
+    assert stats_json("sampled") == off
+    assert stats_json("strict") == off
+
+
+def test_peek_has_no_replacement_side_effect():
+    store = SparseDirectory(FullBitVectorScheme(4), 2, 2, policy="lru")
+    store.get_or_allocate(0)
+    store.get_or_allocate(1)
+    before = store.policy.to_state()
+    assert store.peek(0) is store.lookup(0) and store.peek(2) is None
+    assert store.policy.to_state() != before  # lookup touched ...
+    before = store.policy.to_state()
+    store.peek(0)
+    assert store.policy.to_state() == before  # ... peek does not
+    _, evictions = store.get_or_allocate(2)
+    assert [ev.block for ev in evictions] == [1]

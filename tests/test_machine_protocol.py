@@ -306,7 +306,8 @@ class TestSparseDirectory:
         scripts = [[], [Read(addr(b)) for b in range(0, 32, 4)], [], []]
         system, stats = run_scripts(scripts, **self.sparse_cfg())
         store = system.directories[0].store
-        assert store.occupancy() <= store.num_entries
+        assert 0 < store.occupancy() <= store.num_entries
+        assert store.occupancy() == sum(1 for _ in store.lines())
 
 
 class TestDeterminism:
