@@ -58,12 +58,16 @@ results:
 	        $(if $(CACHE_DIR),--cache-dir $(CACHE_DIR),) || exit 1; \
 	done
 
-# net src/ size is a tracked number (ROADMAP): lines per package, then total
+# net src/ size is a tracked number (ROADMAP): lines per package, the
+# total, then the five largest modules
 loc:
 	@for d in src/repro src/repro/*/; do \
 	    printf '%-26s %6d\n' "$${d%/}/*.py" $$(cat $$d/*.py | wc -l); \
 	done
 	@printf '%-26s %6d\n' total $$(find src/repro -name '*.py' | xargs cat | wc -l)
+	@echo 'largest modules:'
+	@find src/repro -name '*.py' | xargs wc -l | grep -v ' total$$' | sort -rn \
+	    | head -5 | awk '{ printf "  %-36s %6d\n", $$2, $$1 }'
 
 examples:
 	for e in examples/*.py; do echo "== $$e =="; python $$e || exit 1; done

@@ -132,12 +132,26 @@ class Transaction:
         self.resume: Optional[Callable[[float, bool], None]] = None
         self.t_issue = 0.0
 
+    def to_state(self, codec) -> dict:
+        """Every slot (a transaction has no construction-time bindings);
+        ``on_complete``/``resume`` become continuation descriptors."""
+        return codec.fields(self, self.__slots__)
+
+    def load_state(self, state: dict, codec) -> None:
+        """Fill a blank transaction from :meth:`to_state`."""
+        codec.load_fields(self, self.__slots__, state)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Txn {self.kind} block={self.block} from={self.requester}>"
 
 
 class DirectoryController:
     """Coherence controller for one cluster's slice of memory."""
+
+    #: in-flight bookkeeping snapshotted through the checkpoint codec
+    #: (everything else ``__init__`` sets is a construction-time binding)
+    _STATE = ("_busy", "_pending", "_ctrl_free", "_cancelled_wb",
+              "_wb_inflight", "_deferred_writes")
 
     def __init__(
         self, machine: "DashSystem", cluster_id: int, store: DirectoryStore
@@ -198,6 +212,20 @@ class DirectoryController:
         #: grouped writes currently in NAK-retry because a group-mate's
         #: transaction is in flight (see _execute_write's tie-break)
         self._deferred_writes: Set[int] = set()
+
+    # -- checkpoint state ---------------------------------------------------
+
+    def to_state(self, codec) -> dict:
+        """The store's contents plus ``_STATE``."""
+        state = codec.fields(self, self._STATE)
+        state["store"] = self.store.to_state()
+        return state
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state`; pending queues resolve to the
+        transactions the codec has already materialised."""
+        self.store.load_state(state["store"])
+        codec.load_fields(self, self._STATE, state)
 
     # -- submission (requester side) ----------------------------------------
 

@@ -72,6 +72,16 @@ class EventQueue:
         finally:
             self.events_run += ran
 
+    def to_state(self, codec) -> dict:
+        """Every slot, the heap's continuations encoded by ``codec``."""
+        return codec.fields(self, self.__slots__)
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state`.  The saved heap list is a valid heap
+        (``seq`` is unique, so tuple comparison never reaches the
+        callbacks) and is taken as is."""
+        codec.load_fields(self, self.__slots__, state)
+
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -97,6 +97,14 @@ class FaultPlan:
     raises :class:`FaultBudgetExceeded`.
     """
 
+    #: construction parameters a checkpoint's restore target must share
+    #: (the RNG stream and the retry schedule depend on them)
+    MUST_MATCH = (
+        "seed", "drop_prob", "dup_prob", "delay_prob", "nak_prob",
+        "corrupt_prob", "delay_max_legs", "retry_timeout_cycles",
+        "max_retries", "max_faults",
+    )
+
     def __init__(
         self,
         seed: int = 0,
@@ -146,6 +154,17 @@ class FaultPlan:
         self.rng = random.Random(seed)
         #: total faults injected so far (all kinds)
         self.injected = 0
+
+    # -- checkpoint state ----------------------------------------------------
+
+    def to_state(self) -> dict:
+        """RNG stream position and the spent budget."""
+        return {"rng": self.rng.getstate(), "injected": self.injected}
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`to_state` onto a plan built with equal parameters."""
+        self.rng.setstate(state["rng"])
+        self.injected = state["injected"]
 
     # -- budget ------------------------------------------------------------
 

@@ -56,6 +56,7 @@ class CoherenceViolation(AssertionError):
     ) -> None:
         super().__init__(f"[{invariant}] {message}")
         self.invariant = invariant
+        self.message = message
         self.block = block
 
 
@@ -176,6 +177,11 @@ class InvariantChecker:
     ``SimStats.invariant_violations``) for post-run inspection.
     """
 
+    #: construction parameter a checkpoint's restore target must share
+    MUST_MATCH = ("mode",)
+    #: counters snapshotted verbatim through the checkpoint codec
+    _STATE = ("_finished", "inval_rounds", "checks_run")
+
     def __init__(
         self,
         system: "DashSystem",
@@ -203,6 +209,32 @@ class InvariantChecker:
         self.inval_rounds = 0
         self.checks_run = 0
         self.violations: List[CoherenceViolation] = []
+
+    # -- checkpoint state ---------------------------------------------------
+
+    def to_state(self, codec) -> dict:
+        """``_STATE`` plus the two tables the codec cannot walk: the
+        outstanding map (keyed by ``id``, so only its values travel) and
+        the recorded violations (exceptions, saved by constructor args)."""
+        state = codec.fields(self, self._STATE)
+        state["outstanding"] = codec.encode(list(self._outstanding.values()))
+        state["violations"] = [
+            (v.invariant, v.message, v.block) for v in self.violations
+        ]
+        return state
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state`; outstanding entries resolve to the
+        transactions the codec has already materialised."""
+        codec.load_fields(self, self._STATE, state)
+        self._outstanding = {
+            id(txn): (txn, t0)
+            for txn, t0 in codec.decode(state["outstanding"])
+        }
+        self.violations = [
+            CoherenceViolation(invariant, message, block=block)
+            for invariant, message, block in state["violations"]
+        ]
 
     # -- violation handling -------------------------------------------------
 

@@ -25,12 +25,15 @@ method (or a ``functools.partial`` over one carrying the block number),
 never a closure, and ``ops_consumed`` counts how far the trace stream
 has advanced so a restored processor can fast-forward a fresh stream to
 the same cursor (workload streams are restartable and oblivious by the
-:class:`~repro.trace.workload.Workload` contract).
+:class:`~repro.trace.workload.Workload` contract).  Every slot is
+either a construction-time binding (``_BINDINGS``) or snapshotted state
+(``_STATE`` plus the hand-encoded fence slot).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.machine.stats import ProcessorStats
@@ -46,12 +49,17 @@ WRITE_ISSUE_CYCLES = 1.0
 class Processor:
     """One simulated processor bound to a trace stream."""
 
-    __slots__ = ("machine", "proc_id", "cluster_id", "proc_idx", "_stream",
-                 "stats", "done", "_outstanding_writes", "_fence",
-                 "_fence_start", "_pending_blocks", "_events", "_sync",
-                 "_block_bytes", "_release_consistency", "_t0", "_addr",
-                 "_is_write", "_issue_write", "_obs", "_trace_hook",
-                 "_sync_t0", "ops_consumed")
+    #: bound by ``__init__`` for the life of the run; never snapshotted
+    #: (``_stream`` is re-created and fast-forwarded to ``ops_consumed``)
+    _BINDINGS = ("machine", "proc_id", "cluster_id", "proc_idx", "_stream",
+                 "stats", "_events", "_sync", "_block_bytes",
+                 "_release_consistency", "_issue_write", "_obs",
+                 "_trace_hook")
+    #: snapshotted verbatim through the checkpoint codec
+    _STATE = ("done", "_outstanding_writes", "_fence_start",
+              "_pending_blocks", "_t0", "_addr", "_is_write", "_sync_t0",
+              "ops_consumed")
+    __slots__ = _BINDINGS + _STATE + ("_fence",)
 
     def __init__(
         self, machine: "DashSystem", proc_id: int, stream: Iterator[TraceOp]
@@ -223,9 +231,42 @@ class Processor:
             obs.metrics.histogram("sync_cycles").observe(t - t0)
         self._next()
 
+    # -- checkpoint state ------------------------------------------------------
+
+    def to_state(self, codec) -> dict:
+        """``_STATE`` plus the fence slot, encoded by hand: its op is a
+        NamedTuple (or the end-of-stream sentinel), which the codec
+        refuses rather than flatten to a bare tuple."""
+        state = codec.fields(self, self._STATE)
+        op = self._fence
+        if op is not None:
+            op = "end" if op is _END else (type(op).__name__, *op)
+        state["_fence"] = op
+        return state
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state` onto a processor built on a *fresh*
+        stream, which is fast-forwarded to the saved cursor (the Workload
+        contract guarantees ``stream(p)`` replays identically)."""
+        codec.load_fields(self, self._STATE, state)
+        fence = state["_fence"]
+        if fence == "end":
+            self._fence = _END
+        elif fence is not None:
+            name, *fields = fence
+            if name not in _FENCE_OPS:
+                raise ValueError(f"unknown trace op {name!r} in fence slot")
+            self._fence = _FENCE_OPS[name](*fields)
+        consumed = self.ops_consumed
+        if consumed:
+            next(islice(self._stream, consumed - 1, consumed), None)
+
 
 class _EndSentinel:
     """Marks 'end of stream' inside a pending fence slot."""
 
 
 _END = _EndSentinel()
+
+#: the ops a fence slot can hold, by class name (see ``Processor._next``)
+_FENCE_OPS = {cls.__name__: cls for cls in (Lock, Unlock, Barrier)}

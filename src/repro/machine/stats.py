@@ -268,31 +268,45 @@ class SimStats:
             state[name] = getattr(self, name)
         return state
 
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Apply a :meth:`to_state` snapshot *in place*.
+
+        Directory controllers bind this object and its ``messages``
+        counter at construction, and processors bind their
+        ``ProcessorStats`` rows, so a checkpoint restore must mutate
+        those objects, never rebind them.  Raises ``KeyError``/
+        ``ValueError``/``TypeError`` on malformed input.
+        """
+        procs_state = state["procs"]
+        if len(procs_state) != len(self.procs):  # type: ignore[arg-type]
+            raise ValueError("processor count mismatch in stats state")
+        self.messages.clear()
+        for label, count in state["messages"].items():  # type: ignore[union-attr]
+            self.messages[MsgClass[label]] = int(count)
+        for counter in self.inval_hist.values():
+            counter.clear()
+        for cause_value, hist in state.get("inval_hist", {}).items():  # type: ignore[union-attr]
+            counter = self.inval_hist[InvalCause(cause_value)]
+            for size, n in hist.items():
+                counter[int(size)] = int(n)
+        self.fault_counts.clear()
+        for kind_value, n in state.get("fault_counts", {}).items():  # type: ignore[union-attr]
+            self.fault_counts[FaultKind(kind_value)] = int(n)
+        for proc, pstate in zip(self.procs, procs_state):  # type: ignore[arg-type]
+            for field_name in vars(proc):
+                setattr(proc, field_name, pstate[field_name])
+        for name in self._SCALAR_FIELDS:
+            setattr(self, name, state[name])
+
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "SimStats":
         """Rebuild a ``SimStats`` from a :meth:`to_state` snapshot.
 
-        Raises ``KeyError``/``ValueError``/``TypeError`` on malformed
-        input — the result cache treats any such failure as a corrupted
-        entry and falls back to simulation.
+        The result cache treats any :meth:`load_state` failure as a
+        corrupted entry and falls back to simulation.
         """
         stats = cls(int(state["num_processors"]))  # type: ignore[arg-type]
-        for label, count in state["messages"].items():  # type: ignore[union-attr]
-            stats.messages[MsgClass[label]] = int(count)
-        for cause_value, hist in state.get("inval_hist", {}).items():  # type: ignore[union-attr]
-            counter = stats.inval_hist[InvalCause(cause_value)]
-            for size, n in hist.items():
-                counter[int(size)] = int(n)
-        for kind_value, n in state.get("fault_counts", {}).items():  # type: ignore[union-attr]
-            stats.fault_counts[FaultKind(kind_value)] = int(n)
-        procs_state = state["procs"]
-        if len(procs_state) != len(stats.procs):  # type: ignore[arg-type]
-            raise ValueError("processor count mismatch in stats state")
-        for proc, pstate in zip(stats.procs, procs_state):  # type: ignore[arg-type]
-            for field_name in vars(proc):
-                setattr(proc, field_name, pstate[field_name])
-        for name in cls._SCALAR_FIELDS:
-            setattr(stats, name, state[name])
+        stats.load_state(state)
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -210,6 +210,27 @@ class SyncManager:
             # defensively so a reused id behaves like a fresh barrier.
             del self._barriers[barrier_id]
 
+    # -- checkpoint state ------------------------------------------------------
+
+    #: the record tables and the dataclass each one holds
+    _STATE = (("_locks", _LockState), ("_barriers", _BarrierState))
+
+    def to_state(self, codec) -> dict:
+        """Every lock/barrier record by field; parked waiters' resumes
+        become continuation descriptors."""
+        return {
+            table: codec.encode(
+                {i: vars(record) for i, record in getattr(self, table).items()}
+            )
+            for table, _ in self._STATE
+        }
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state`."""
+        for table, record in self._STATE:
+            decoded = codec.decode(state[table])
+            setattr(self, table, {i: record(**st) for i, st in decoded.items()})
+
     # -- diagnostics ---------------------------------------------------------
 
     def pending_waiters(self) -> int:

@@ -40,6 +40,9 @@ from repro.trace.workload import Workload
 class DashSystem:
     """A simulated DASH machine bound to one workload."""
 
+    #: run-loop bookkeeping snapshotted through the checkpoint codec
+    _STATE = ("_finished", "_txn_seq")
+
     def __init__(
         self,
         config: MachineConfig,
@@ -320,6 +323,23 @@ class DashSystem:
             obs.metrics.counter("ckpt_bytes").inc(nbytes)
         return ckpt
 
+    def to_state(self, codec) -> dict:
+        """``_STATE`` plus every processor's state.  The other components
+        are walked by :mod:`repro.machine.checkpoint`, in its order."""
+        state = codec.fields(self, self._STATE)
+        state["procs"] = [proc.to_state(codec) for proc in self.processors]
+        return state
+
+    def load_state(self, state: dict, codec) -> None:
+        """Restore :meth:`to_state` onto a never-run system: rebuild the
+        processors on fresh streams and flag :meth:`run` to continue the
+        restored event queue rather than start them."""
+        codec.load_fields(self, self._STATE, state)
+        self._build_processors()
+        for proc, proc_state in zip(self.processors, state["procs"]):
+            proc.load_state(proc_state, codec)
+        self._restored = True
+
     def restore(self, ckpt) -> None:
         """Restore a checkpoint onto this freshly constructed system.
 
@@ -338,6 +358,12 @@ class DashSystem:
             obs.metrics.counter("ckpt_resumes").inc()
 
     # -- run loop -------------------------------------------------------------------
+
+    def _build_processors(self) -> None:
+        self.processors = [
+            Processor(self, p, self.workload.stream(p))
+            for p in range(self.config.num_processors)
+        ]
 
     def proc_finished(self, proc: Processor) -> None:
         """A processor drained its stream (run-loop bookkeeping)."""
@@ -366,10 +392,7 @@ class DashSystem:
         if self._restored:
             self._restored = False
         else:
-            self.processors = [
-                Processor(self, p, self.workload.stream(p))
-                for p in range(self.config.num_processors)
-            ]
+            self._build_processors()
             for proc in self.processors:
                 proc.start()
         if checkpoint_interval is not None:

@@ -11,7 +11,7 @@ separate series.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Any, Dict, Iterator, Mapping, Tuple
 
 from repro.obs.registry import METRICS, METRICS_SCHEMA
 
@@ -146,6 +146,39 @@ class MetricsRegistry:
     def empty(self) -> bool:
         """True when no instrument has been created."""
         return not (self.counters or self.gauges or self.histograms)
+
+    def to_state(self) -> Dict[str, Any]:
+        """Lossless snapshot for checkpoints (:meth:`to_dict` rounds).
+
+        ``ckpt_*`` counters are harness activity, not simulation state,
+        and are left out (see ``Tracer.to_state``).
+        """
+        return {
+            "counters": {
+                name: c.value for name, c in self.counters.items()
+                if not name.startswith("ckpt_")
+            },
+            "gauges": {name: g.value for name, g in self.gauges.items()},
+            "histograms": {
+                name: (dict(h.buckets), h.count, h.total)
+                for name, h in self.histograms.items()
+            },
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`to_state`, replacing every instrument."""
+        self.counters.clear()
+        for name, value in state["counters"].items():
+            self.counter(name).value = value
+        self.gauges.clear()
+        for name, value in state["gauges"].items():
+            self.gauge(name).value = value
+        self.histograms.clear()
+        for name, (buckets, count, total) in state["histograms"].items():
+            hist = self.histogram(name)
+            hist.buckets = dict(buckets)
+            hist.count = count
+            hist.total = total
 
     def to_dict(self) -> Dict[str, object]:
         """Versioned JSON form (the ``metrics`` key of stats output)."""

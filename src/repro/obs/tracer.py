@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.registry import EVENTS
@@ -71,6 +71,9 @@ class Tracer:
     """Enabled tracer: bounded ring buffer plus exact tallies."""
 
     enabled = True
+
+    #: construction parameter a checkpoint's restore target must share
+    MUST_MATCH = ("capacity",)
 
     def __init__(
         self,
@@ -155,6 +158,47 @@ class Tracer:
             name, ts=ts, kind=COUNTER, comp=comp, tid=tid,
             args={"value": value},
         )
+
+    # -- checkpoint state ---------------------------------------------------
+
+    def to_state(self) -> Dict[str, Any]:
+        """Ring, tallies and metrics — minus checkpoint instrumentation.
+
+        ``ckpt.*`` events, the ``ckpt`` component tally and ``ckpt_*``
+        counters record *harness* activity (how many times this process
+        saved or restored), not simulation state; excluding them keeps a
+        checkpoint's payload independent of how many checkpoints
+        preceded it.  ``emitted`` is the sum of ``counts`` and is not
+        stored.
+        """
+        return {
+            "buf": [
+                (e.name, e.ts, e.kind, e.dur, e.comp, e.tid,
+                 dict(e.args) if e.args else None)
+                for e in self._buf
+                if not e.name.startswith("ckpt.")
+            ],
+            "counts": {
+                name: n for name, n in self.counts.items()
+                if not name.startswith("ckpt.")
+            },
+            "comp_counts": {
+                comp: n for comp, n in self.comp_counts.items()
+                if comp != "ckpt"
+            },
+            "metrics": self.metrics.to_state(),
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`to_state` onto a tracer of equal capacity."""
+        self._buf.clear()
+        self._buf.extend(TraceEvent(*row) for row in state["buf"])
+        self.counts.clear()
+        self.counts.update(state["counts"])
+        self.emitted = sum(self.counts.values())
+        self.comp_counts.clear()
+        self.comp_counts.update(state["comp_counts"])
+        self.metrics.load_state(state["metrics"])
 
     # -- inspection ---------------------------------------------------------
 

@@ -6,15 +6,20 @@ finishes with byte-identical statistics to the uninterrupted run, for
 every directory-scheme family.  Alongside the end-to-end guarantees,
 this file holds the integrity gates (torn files, corruption, schema and
 config mismatches), the zero-cost and instrumentation-exclusion checks,
-the supervised-sweep mid-run resume path, and the hypothesis property
-that every scheme's directory-entry state round-trips through
-``to_state``/``entry_from_state`` — including overflow-cache eviction
-order and linked-list chain order.
+the supervised-sweep mid-run resume path, and the state contract itself:
+the hypothesis properties that every scheme's directory-entry state
+round-trips through ``to_state``/``entry_from_state`` (including
+overflow-cache eviction order and linked-list chain order) and that
+every machine component's ``to_state`` survives a restore, plus the
+structural checks that no slot escapes the contract and that
+``checkpoint.py`` reads no other class's private state.
 """
 
+import ast
 import json
 import os
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +35,7 @@ from repro.analysis.supervisor import (
 )
 from repro.analysis.sweeps import Sweep
 from repro.apps import MP3DWorkload
+from repro.apps.patterns import FrequentReadWritePattern
 from repro.core import (
     CoarseVectorScheme,
     FullBitVectorScheme,
@@ -39,19 +45,26 @@ from repro.core import (
     OverflowCacheScheme,
     SupersetScheme,
 )
-from repro.machine import DashSystem, MachineConfig
+from repro.machine import DashSystem, MachineConfig, checkpoint
 from repro.machine.checkpoint import (
     CKPT_SCHEMA,
+    CONTINUATIONS,
     CheckpointError,
     CheckpointIntegrityError,
     CheckpointSchemaError,
     SimCheckpoint,
+    StateCodec,
     UnregisteredContinuationError,
     load_checkpoint,
     read_header,
     verify_checkpoint,
 )
+from repro.machine.directory import Transaction
+from repro.machine.events import EventQueue
+from repro.machine.invariants import CoherenceViolation
+from repro.machine.processor import _END, Processor
 from repro.obs.tracer import Tracer
+from repro.trace.event import Write
 
 P = 8
 
@@ -168,6 +181,207 @@ def test_sigkill_resume_matches_uninterrupted(tmp_path):
     system = DashSystem(config, _workload())
     system.restore(ckpt)
     assert _stats_json(system.run()) == _baseline(config)
+
+
+# -- every restore branch ---------------------------------------------------
+
+
+class _HotLockThenWrite(FrequentReadWritePattern):
+    """Everyone contends for one lock, and each stream ends on a write
+    miss: under release consistency that parks the end-of-stream
+    sentinel in the fence slot until the write retires."""
+
+    def build(self):
+        super().build()
+        self.tail = self.space.alloc("tail", self.num_processors, 8)
+
+    def stream(self, proc_id):
+        yield from super().stream(proc_id)
+        yield Write(self.tail.addr(proc_id))
+
+
+def _hot_lock():
+    return _HotLockThenWrite(P)
+
+
+_SMALL_CACHES = {"l1_bytes": 128, "l2_bytes": 256}
+
+#: name -> (config overrides, DashSystem kwargs, workload factory, the
+#: conditions (see `_conditions`) some cut point has to catch the machine in)
+RESTORE_BRANCHES = {
+    "release-consistency": (
+        {"release_consistency": True}, {}, _workload,
+        {"outstanding-writes", "fence:Barrier", "barrier-waiters", "pending"},
+    ),
+    "rc-hot-lock": (
+        {"release_consistency": True}, {}, _hot_lock,
+        {"fence:Unlock", "fence:end", "lock-waiters"},
+    ),
+    "faults": ({}, {"faults": 11}, _workload, {"faults-injected", "retried"}),
+    "strict": (
+        {}, {"invariants": "strict"}, _workload, {"checker-outstanding"},
+    ),
+    "sampled": (
+        {}, {"invariants": "sampled"}, _workload, {"checker-outstanding"},
+    ),
+    "rc+faults+sampled+writebacks": (
+        {"release_consistency": True, "scheme": "Dir2OF8",
+         "sparse_size_factor": 1.0, **_SMALL_CACHES},
+        {"faults": 11}, _workload,
+        {"outstanding-writes", "fence:Barrier", "faults-injected", "retried",
+         "checker-outstanding", "wb-inflight", "cancelled-wb"},
+    ),
+    "coarse-lock-grant": (
+        {"coarse_lock_grant": True, "scheme": "Dir4CV4"}, {}, _hot_lock,
+        {"lock-waiters"},
+    ),
+    "shared-entry": (
+        {"shared_entry_group": 4, **_SMALL_CACHES}, {}, _workload,
+        {"deferred-writes", "wb-inflight", "pending"},
+    ),
+}
+
+
+def _conditions(system):
+    """Which rarely-reached pieces of state the machine holds right now."""
+    found = set()
+    for proc in system.processors:
+        if proc._outstanding_writes:
+            found.add("outstanding-writes")
+        if proc._fence is not None:
+            op = proc._fence
+            found.add("fence:" + ("end" if op is _END else type(op).__name__))
+    if any(st.waiters for st in system.sync._locks.values()):
+        found.add("lock-waiters")
+    if any(st.waiters for st in system.sync._barriers.values()):
+        found.add("barrier-waiters")
+    for ctrl in system.directories:
+        if any(ctrl._pending.values()):
+            found.add("pending")
+        if ctrl._wb_inflight:
+            found.add("wb-inflight")
+        if ctrl._cancelled_wb:
+            found.add("cancelled-wb")
+        if ctrl._deferred_writes:
+            found.add("deferred-writes")
+    if system.fault_plan is not None and system.fault_plan.injected:
+        found.add("faults-injected")
+    if system.stats.fault_retries:
+        found.add("retried")
+    if system.invariants is not None and system.invariants._outstanding:
+        found.add("checker-outstanding")
+    return found
+
+
+@pytest.mark.parametrize(
+    "overrides, kwargs, workload, required",
+    RESTORE_BRANCHES.values(), ids=RESTORE_BRANCHES.keys(),
+)
+def test_split_run_covers_every_restore_branch(
+    overrides, kwargs, workload, required
+):
+    """Release consistency, fault plans, invariant checkers, coarse lock
+    grants and in-flight writebacks each add state a restore has to carry.
+    Cut at event 1, at fixed points, and at the first event each required
+    condition holds: the resumed run's stats — the lossless form, with
+    the per-processor cycle breakdown `to_dict` leaves out — equal the
+    uninterrupted run's and the restored machine re-captures the same
+    payload."""
+    config = _config(**overrides)
+
+    def build():
+        return DashSystem(config, workload(), **kwargs)
+
+    def finish(system):
+        return json.dumps(system.run().to_state(), sort_keys=True)
+
+    baseline = finish(build())
+
+    scout = build()
+    scout.run(max_events=1)
+    first_seen = {}
+    while scout.events:
+        for condition in _conditions(scout) - first_seen.keys():
+            first_seen[condition] = scout.events.events_run
+        scout.events.run(max_events=1)
+    assert required <= first_seen.keys()
+
+    for cut in sorted({1, 150, 2500} | {first_seen[c] for c in required}):
+        first = build()
+        first.run(max_events=cut)
+        ckpt = first.checkpoint()
+        second = build()
+        second.restore(ckpt)
+        assert second.checkpoint().payload() == ckpt.payload(), cut
+        assert finish(second) == baseline, cut
+
+
+def test_recorded_violations_survive_a_restore():
+    """The checker's violation list is snapshotted by constructor
+    arguments: invariant name, bare message and block all come back."""
+    config = _config()
+    first = DashSystem(config, _workload(), invariants="sampled")
+    first.run(max_events=150)
+    planted = CoherenceViolation("watchdog", "planted for the test", block=7)
+    assert str(planted) == "[watchdog] planted for the test"
+    assert planted.message == "planted for the test"
+    first.invariants._report(planted)
+
+    ckpt = first.checkpoint()
+    second = DashSystem(config, _workload(), invariants="sampled")
+    second.restore(ckpt)
+    (restored,) = second.invariants.violations
+    assert (restored.invariant, restored.message, restored.block) == (
+        "watchdog", "planted for the test", 7,
+    )
+    assert str(restored) == str(planted)
+    assert second.stats.invariant_violations == 1
+    assert second.checkpoint().payload() == ckpt.payload()
+
+
+@pytest.mark.parametrize(
+    "writer, target, message",
+    [
+        ({"faults": 3}, {}, "fault plan mismatch"),
+        ({}, {"faults": 3}, "fault plan mismatch"),
+        ({"faults": 3}, {"faults": 4}, "fault plan parameter seed differs"),
+        ({"invariants": "strict"}, {}, "invariant checker mismatch"),
+        ({"invariants": "strict"}, {"invariants": "sampled"},
+         "invariant checker parameter mode differs"),
+        ({"obs": 1 << 10}, {}, "tracer mismatch"),
+        ({}, {"obs": 1 << 10}, "tracer mismatch"),
+        ({"obs": 1 << 10}, {"obs": 1 << 11},
+         "tracer parameter capacity differs"),
+    ],
+)
+def test_optional_component_mismatch_refused(writer, target, message):
+    """A restore target must be built with the same fault plan, invariant
+    mode and tracing setup as the run that wrote the checkpoint."""
+
+    def build(kwargs):
+        kwargs = dict(kwargs)
+        if "obs" in kwargs:
+            kwargs["obs"] = Tracer(kwargs["obs"])
+        return DashSystem(_config(), _workload(), **kwargs)
+
+    first = build(writer)
+    first.run(max_events=100)
+    with pytest.raises(CheckpointError, match=message):
+        build(target).restore(first.checkpoint())
+
+
+def test_used_or_hooked_restore_target_refused():
+    first = DashSystem(_config(), _workload())
+    first.run(max_events=100)
+    ckpt = first.checkpoint()
+    with pytest.raises(CheckpointError, match="freshly constructed"):
+        first.restore(ckpt)
+    hooked = DashSystem(_config(), _workload())
+    hooked.trace_hook = lambda proc_id, op, now: None
+    with pytest.raises(CheckpointError, match="trace hook"):
+        hooked.restore(ckpt)
+    with pytest.raises(CheckpointError, match="trace hook"):
+        hooked.checkpoint()
 
 
 # -- zero cost and instrumentation exclusion -------------------------------
@@ -287,19 +501,23 @@ def test_unknown_schema_rejected(tmp_path):
 
 
 def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
-    """Schema 1 carried one row per possible set; schema 2 carries occupied
-    sets only.  An old file stops at the schema gate, before its payload
-    is even read."""
-    assert CKPT_SCHEMA == 2
+    """Schema 1 carried one row per possible set; schema 2 carried occupied
+    sets only, encoded by one central walker; schema 3 is written by the
+    components themselves.  An old file stops at the schema gate, before
+    its payload is even read."""
+    assert CKPT_SCHEMA == 3
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    header["schema"] = 1
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
-    for gate in (read_header, load_checkpoint, verify_checkpoint):
-        with pytest.raises(CheckpointSchemaError, match="schema 1 is not readable"):
-            gate(path)
+    for old in (1, 2):
+        header["schema"] = old
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
+        for gate in (read_header, load_checkpoint, verify_checkpoint):
+            with pytest.raises(
+                CheckpointSchemaError, match=f"schema {old} is not readable"
+            ):
+                gate(path)
 
 
 def _sparse_lru_machine(max_events=300):
@@ -579,7 +797,7 @@ def test_entry_state_round_trips(history, extra, builder_idx):
 
     clone_scheme = SCHEME_BUILDERS[builder_idx]()
     clone = clone_scheme.entry_from_state(entry_state)
-    # scheme state is applied after entries, as restore_state does: the
+    # scheme state is applied after entries, as restore_machine does: the
     # overflow wide store then holds exactly the saved LRU order
     clone_scheme.load_state(scheme_state)
 
@@ -608,3 +826,126 @@ def test_entry_state_round_trips(history, extra, builder_idx):
                 clone.remove_sharer(node)
     assert clone.to_state() == entry.to_state()
     assert clone.invalidation_targets() == entry.invalidation_targets()
+
+
+# -- the state contract: every component, every slot, no reaching in --------
+
+
+def _component_states(system):
+    """Each component's own ``to_state``, called the way the walker does."""
+    codec = StateCodec(system)
+    plan, checker, obs = system.fault_plan, system.invariants, system.obs
+    states = {
+        "stats": system.stats.to_state(),
+        "caches": [
+            cache.to_state()
+            for cluster in system.clusters for cache in cluster.caches
+        ],
+        "system": system.to_state(codec),
+        "dirs": [ctrl.to_state(codec) for ctrl in system.directories],
+        "scheme": system.scheme.to_state(),
+        "events": system.events.to_state(codec),
+        "sync": system.sync.to_state(codec),
+        "faults": plan.to_state() if plan is not None else None,
+        "invariants": checker.to_state(codec) if checker is not None else None,
+        "obs": obs.to_state() if obs.enabled else None,
+    }
+    states["txns"] = codec.txns
+    return states
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(sorted(SCHEME_FAMILIES)),
+    release_consistency=st.booleans(),
+    faults=st.one_of(st.none(), st.integers(0, 50)),
+    invariants=st.sampled_from(["off", "sampled", "strict"]),
+    traced=st.booleans(),
+    cut=st.integers(1, 3000),
+    more=st.integers(1, 400),
+)
+def test_component_state_round_trips(
+    family, release_consistency, faults, invariants, traced, cut, more
+):
+    """The entry round trip, generalised to the machine: pause anywhere
+    under any configuration, restore into a clone — every component's
+    ``to_state`` equals its clone's, and still does after both have run
+    on (so nothing that steers the simulation was left behind)."""
+    config = _config(
+        release_consistency=release_consistency, **SCHEME_FAMILIES[family]
+    )
+
+    def build():
+        return DashSystem(
+            config, _workload(), faults=faults, invariants=invariants,
+            obs=Tracer(1 << 17) if traced else None,
+        )
+
+    original = build()
+    original.run(max_events=cut)
+    clone = build()
+    clone.restore(original.checkpoint())
+    for advance in (more, 0):
+        restored = _component_states(clone)
+        for name, state in _component_states(original).items():
+            assert restored[name] == state, name
+        for system in (original, clone):
+            system.events.run(max_events=advance)
+
+
+def test_every_slot_is_snapshotted_or_a_declared_binding():
+    """A slot added to `Processor`, `Transaction` or `EventQueue` must
+    either show up in ``to_state`` or be declared a construction-time
+    binding — it cannot be silently dropped from snapshots."""
+    system = DashSystem(
+        _config(release_consistency=True), _workload(), invariants="sampled"
+    )
+    system.run(max_events=150)
+    codec = StateCodec(system)
+    (txn, _t0), *_ = system.invariants._outstanding.values()
+    for obj in (system.events, system.processors[0], txn):
+        cls = type(obj)
+        assert cls in (EventQueue, Processor, Transaction)
+        snapshotted = set(obj.to_state(codec))
+        bindings = set(getattr(cls, "_BINDINGS", ()))
+        assert snapshotted | bindings == set(cls.__slots__), cls.__name__
+        assert not snapshotted & bindings, cls.__name__
+        assert not hasattr(obj, "__dict__"), cls.__name__
+
+
+def test_every_continuation_owner_is_addressable():
+    assert {kind for kind, _ in CONTINUATIONS} == set(checkpoint._ADDRESS)
+
+
+def test_checkpoint_module_reads_no_foreign_private_state():
+    """`checkpoint.py` is codec + walker + file gates: it may touch its
+    own underscore attributes (``self._x``), never another object's, and
+    it does not import the classes whose fields it used to spell out."""
+    tree = ast.parse(Path(checkpoint.__file__).read_text())
+    reached_into = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (
+            isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        )
+    ]
+    assert reached_into == []
+
+    banned_names = {
+        "Processor", "_END", "_LockState", "_BarrierState", "TraceEvent",
+        "InvalCause",
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "repro.trace.event"
+            assert not banned_names & {a.name for a in node.names}
+            assert not (
+                node.module == "repro.trace"
+                and "event" in {a.name for a in node.names}
+            )
+        elif isinstance(node, ast.Import):
+            assert "repro.trace.event" not in {a.name for a in node.names}
