@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-selftest bench-perf bench-perf-quick chaos chaos-ckpt examples results loc clean
+.PHONY: install test bench bench-selftest bench-perf bench-perf-quick chaos chaos-ckpt strict-smoke examples results loc clean
 
 # parallel workers for the `results` regeneration (see docs/parallelism.md)
 JOBS ?= 1
@@ -47,6 +47,14 @@ chaos-ckpt:
 	    --jobs 2 --cache-dir .chaos-ckpt-cache --chaos 7 --chaos-midkill 1.0 \
 	    --ckpt-interval 400 --timeout 20 --report sweep_ckpt_report.json
 	PYTHONPATH=src python -c "import json; c = json.load(open('sweep_ckpt_report.json'))['counts']; assert c['resumed_from_checkpoint'] >= 1 and c['events_saved'] > 0, c; print('chaos-ckpt:', c['resumed_from_checkpoint'], 'points resumed,', c['events_saved'], 'events saved')"
+
+# strict-invariant smoke: the four paper apps on the 32-cluster machine,
+# every transaction's disturbed blocks audited, first violation raises
+strict-smoke:
+	for app in MP3D LU DWF LocusRoute; do \
+	    PYTHONPATH=src python -m repro run --app $$app --procs 32 \
+	        --strict --check || exit 1; \
+	done
 
 # regenerate every table/figure report (and results/*.json);
 # e.g.  make results JOBS=4 CACHE_DIR=.repro-cache

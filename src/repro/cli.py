@@ -33,7 +33,7 @@ from repro.analysis import (
 from repro.apps import DWFWorkload, LocusRouteWorkload, LUWorkload, MP3DWorkload
 from repro.core import make_scheme
 from repro.core.overhead import directory_overhead, savings_factor
-from repro.machine import MachineConfig, run_workload
+from repro.machine import DashSystem, MachineConfig, run_workload
 from repro.trace import Workload, characterize
 from repro.trace.recorder import ReplayWorkload, dump_trace
 
@@ -86,7 +86,7 @@ def _machine(args, scheme: Optional[str] = None) -> MachineConfig:
     )
 
 
-def _print_stats(stats) -> None:
+def _print_stats(stats, checker=None) -> None:
     print(f"execution time      : {stats.exec_time:,.0f} cycles")
     print(f"total messages      : {stats.total_messages:,}")
     for kind, count in stats.traffic_breakdown().items():
@@ -103,6 +103,12 @@ def _print_stats(stats) -> None:
         print(f"request retries     : {stats.fault_retries:,}")
     if stats.invariant_violations:
         print(f"invariant violations: {stats.invariant_violations:,}")
+    if checker is not None:
+        print(f"invariant checker   : {checker.mode}, "
+              f"blocks_checked={checker.blocks_checked:,} "
+              f"checks_run={checker.checks_run:,} "
+              f"inval_rounds={checker.inval_rounds:,} "
+              f"violations={len(checker.violations):,}")
 
 
 def cmd_run(args) -> int:
@@ -119,19 +125,22 @@ def cmd_run(args) -> int:
         }
     elif args.checkpoint_interval is not None:
         raise SystemExit("--checkpoint-interval needs --checkpoint-to PATH")
-    stats = run_workload(
+    system = DashSystem(
         _machine(args),
         workload,
-        check=args.check,
         strict=args.strict,
         faults=args.faults,
         invariants="strict" if args.strict else None,
+    )
+    stats = system.run(
         checkpoint_path=args.checkpoint_to,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_meta=checkpoint_meta,
     )
+    if args.check:
+        system.check_coherence()
     print(f"{workload.name} on {args.procs} processors, scheme {args.scheme}")
-    _print_stats(stats)
+    _print_stats(stats, system.invariants)
     if args.histogram:
         print("\ninvalidation distribution:")
         print(format_histogram(stats.inval_distribution()))
@@ -384,8 +393,6 @@ def cmd_ckpt(args) -> int:
 
     # resume: rebuild the machine recorded in the header and run to
     # completion, continuing the restored event queue mid-run
-    from repro.machine.system import DashSystem
-
     try:
         ckpt = load_checkpoint(args.path)
     except CheckpointError as exc:
@@ -426,7 +433,7 @@ def cmd_ckpt(args) -> int:
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_meta=(meta if args.checkpoint_to else None),
     )
-    _print_stats(stats)
+    _print_stats(stats, system.invariants)
     return 0
 
 
@@ -540,8 +547,6 @@ def cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    from repro.machine.system import DashSystem
-
     workload = _app_factory(args.app, args.procs, args.scale, args.seed)
     system = DashSystem(_machine(args), workload)
     profiler = cProfile.Profile()
@@ -602,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="verify coherence invariants after the run")
     p.add_argument("--strict", action="store_true",
-                   help="check invariants after every transaction and "
-                        "raise on the first violation")
+                   help="audit the blocks each transaction disturbed as "
+                        "it completes (plus a final whole-machine sweep) "
+                        "and raise on the first violation")
     p.add_argument("--faults", type=int, default=None, metavar="SEED",
                    help="inject seeded network/directory faults "
                         "(deterministic per seed)")

@@ -300,7 +300,8 @@ class ProcessorCache:
         The L2 is the coherence point: an L1 line the L2 does not back
         would survive invalidations addressed to the L2.  Returns the
         offending blocks (empty when the hierarchy is consistent); the
-        runtime invariant checker audits this on every machine scan.
+        runtime invariant checker audits this on every machine sweep
+        (and block by block, with two ``peek`` calls, in strict mode).
         """
         return [
             block

@@ -619,6 +619,8 @@ class DirectoryController:
                 targets=victims,
                 invals=inval_msgs,
                 acks=inval_msgs,
+                # a pooled entry forgot the victims for the whole group
+                blocks=self.store.blocks_invalidated_with(block),
             )
 
     # -- writes -----------------------------------------------------------------
@@ -771,15 +773,6 @@ class DirectoryController:
             self._trace_inval_round(
                 InvalCause.WRITE, txn.block, inval_msgs, txn.txn_id
             )
-        if machine.invariants is not None:
-            # the writer collects one ack per target (targets exclude req)
-            machine.invariants.on_inval_round(
-                home=home,
-                recipient=req,
-                targets=targets,
-                invals=inval_msgs,
-                acks=len(targets),
-            )
         if home != req:
             self._messages[MsgClass.REPLY] += 1  # ownership (+inval count)
 
@@ -791,6 +784,18 @@ class DirectoryController:
             # the group-mates (which were not invalidated); keep the writer
             # recorded so the directory stays conservative for them.
             line.entry.record_sharer(req)
+        if machine.invariants is not None:
+            # the writer collects one ack per target (targets exclude req);
+            # reported after the reset so the group-mates are audited
+            # against the entry that must still cover their copies
+            machine.invariants.on_inval_round(
+                home=home,
+                recipient=req,
+                targets=targets,
+                invals=inval_msgs,
+                acks=len(targets),
+                blocks=(txn.block, *group_mates),
+            )
 
         reply_path = cfg.bus_cycles + self._legs[home][req]
         ack_path = (cfg.dir_service_cycles + worst_ack) if targets else 0.0
@@ -939,6 +944,7 @@ class DirectoryController:
                     targets=ev.targets,
                     invals=inval_msgs,
                     acks=inval_msgs,
+                    blocks=(ev.block,),
                 )
             penalty = max(penalty, worst)
         # The RAC entry tracking this recall holds the *slot* until every

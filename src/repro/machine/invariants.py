@@ -23,19 +23,41 @@ guarantees (§2, §4):
   (backoff-scaled) horizon, and none is still outstanding when the event
   queue drains.
 
-The checker runs ``"strict"`` (a full machine scan after every completed
-transaction) or ``"sampled"`` (every ``sample_interval``-th completion
-plus a final scan).  Violations are recorded and counted in
-:class:`~repro.machine.stats.SimStats`; with ``DashSystem(strict=True)``
-the first violation raises a structured :class:`CoherenceViolation`
-instead, so a faulty run can never silently corrupt statistics.
+The three state invariants are stated once, per block, in
+:func:`block_violations`; the whole-machine sweep here, the online
+checker's per-block audit and the model checker
+(:func:`repro.verify.model.state_violations`) only build the block view
+it reads.
+
+The checker runs ``"strict"`` (an audit of every block a transaction
+disturbed — the block it was for when it finishes, the blocks an
+invalidation round killed when the round is issued — plus a final
+whole-machine sweep) or ``"sampled"`` (a whole-machine sweep every
+``sample_interval``-th completion plus the final one).  Violations are
+recorded and counted in :class:`~repro.machine.stats.SimStats`; with
+``DashSystem(strict=True)`` the first violation raises a structured
+:class:`CoherenceViolation` instead, so a faulty run can never silently
+corrupt statistics.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
+
+from repro.machine.cache import LineState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.sparse import DirLine
     from repro.machine.directory import Transaction
     from repro.machine.system import DashSystem
 
@@ -60,6 +82,101 @@ class CoherenceViolation(AssertionError):
         self.block = block
 
 
+def block_violations(
+    block: int,
+    dirty: Collection[int],
+    clean: Collection[int],
+    line: Optional["DirLine"],
+    precision: str,
+) -> Iterator[Tuple[str, str]]:
+    """Yield ``(invariant, message)`` for every state invariant one block
+    breaks — the only statement of single-writer, directory-coverage and
+    the precision contract.
+
+    The view is what the protocol guarantees between transactions on the
+    block: ``dirty`` / ``clean`` are the clusters (nodes, in the model)
+    whose coherence-point cache holds it DIRTY / clean, ``line`` is the
+    home's directory line or ``None``, ``precision`` the scheme's
+    declared contract.  A cluster may appear in both sets (two caches on
+    one bus); a block nobody caches can only break the precision
+    contract.
+    """
+    if len(dirty) > 1:
+        yield "single-writer", f"block {block} dirty in clusters {sorted(dirty)}"
+        return
+    if dirty:
+        (owner,) = dirty
+        others = [c for c in clean if c != owner]
+        if others:
+            yield (
+                "single-writer",
+                f"block {block} dirty in cluster {owner} but also cached "
+                f"in {sorted(others)}",
+            )
+            return
+        if line is None or not line.dirty or line.owner != owner:
+            # an in-flight writeback leaves no dirty *cache* line (the
+            # copy is a writeback-buffer ghost), so this is never that
+            yield (
+                "directory-coverage",
+                f"directory does not record cluster {owner} as owner of "
+                f"dirty block {block} (line={line})",
+            )
+    elif clean:
+        # only a clean line's entry covers anyone: while a line is dirty
+        # its entry records no sharers of the block
+        if line is None or line.dirty:
+            covered: Collection[int] = ()
+        else:
+            covered = line.entry.invalidation_targets()
+        missed = [c for c in clean if c not in covered]
+        if missed:
+            yield (
+                "directory-coverage",
+                f"clean block {block} cached in {sorted(missed)} but the "
+                f"directory covers only {sorted(covered)} (line={line})",
+            )
+    if precision == "exact" and line is not None and not line.entry.is_exact():
+        yield (
+            "precision-contract",
+            f"the scheme declares itself exact but block {block}'s entry "
+            f"degraded to an inexact representation",
+        )
+
+
+def _inclusion_violation(block: int, cluster_id: int) -> CoherenceViolation:
+    return CoherenceViolation(
+        "cache-inclusion",
+        f"block {block} present in an L1 of cluster {cluster_id} without "
+        f"an L2 backing line",
+        block=block,
+    )
+
+
+def _view_violations(
+    system: "DashSystem",
+    block: int,
+    dirty: Collection[int],
+    clean: Collection[int],
+    line: Optional["DirLine"],
+) -> Iterator[CoherenceViolation]:
+    """:func:`block_violations` on the machine's view of one block.
+
+    One thing the L2 probes that built ``dirty`` cannot show: an evicted
+    dirty line lives in its cluster's writeback buffer until the home
+    absorbs the writeback, and a sibling cache may re-read it over the bus
+    meanwhile.  While the home still records that cluster as owner, the
+    buffered copy *is* the dirty copy (the model's in-flight ``wb``).
+    """
+    if not dirty and line is not None and line.dirty and line.owner is not None:
+        if system.clusters[line.owner].holds_dirty(block):
+            dirty = (line.owner,)
+    for invariant, message in block_violations(
+        block, dirty, clean, line, system.scheme.precision
+    ):
+        yield CoherenceViolation(invariant, message, block=block)
+
+
 def machine_state_violations(
     system: "DashSystem", *, skip_busy: bool = False
 ) -> Iterator[CoherenceViolation]:
@@ -75,112 +192,56 @@ def machine_state_violations(
     for cluster in system.clusters:
         for cache in cluster.caches:
             for block in cache.check_inclusion():
-                yield CoherenceViolation(
-                    "cache-inclusion",
-                    f"block {block} present in an L1 of cluster "
-                    f"{cluster.cluster_id} without an L2 backing line",
-                    block=block,
-                )
+                yield _inclusion_violation(block, cluster.cluster_id)
 
-    # -- who caches what ----------------------------------------------------
-    holders: Dict[int, List[Tuple[int, bool]]] = {}
+    # -- who caches what: block -> (dirty clusters, clean clusters) --------
+    # lists, not sets: two sets per cached block would triple the sweep's
+    # memory; clusters are visited in order, so a repeat is always last
+    holders: Dict[int, Tuple[List[int], List[int]]] = {}
     for cluster in system.clusters:
+        cluster_id = cluster.cluster_id
         for cache in cluster.caches:
             for block, state in cache.l2.blocks():
-                holders.setdefault(block, []).append(
-                    (cluster.cluster_id, state.name == "DIRTY")
-                )
+                lists = holders.get(block)
+                if lists is None:
+                    lists = holders[block] = ([], [])
+                ids = lists[0 if state is LineState.DIRTY else 1]
+                if not ids or ids[-1] != cluster_id:
+                    ids.append(cluster_id)
+    directories = system.directories
+    if system.scheme.precision == "exact":
+        # a line nobody caches can still break the precision contract
+        for controller in directories:
+            for block, _line in controller.store.lines():
+                if block not in holders:
+                    holders[block] = ([], [])
 
-    for block, copies in holders.items():
-        home = system.home_of(block)
-        controller = system.directories[home]
+    home_of = system.config.home_of
+    for block, (dirty, clean) in holders.items():
+        controller = directories[home_of(block)]
         if skip_busy and block in controller._busy:
             continue
-        dirty_clusters = {c for c, d in copies if d}
-        all_clusters = {c for c, _ in copies}
-        line = controller.store.peek(block)
-        if dirty_clusters:
-            if len(dirty_clusters) > 1:
-                yield CoherenceViolation(
-                    "single-writer",
-                    f"block {block} dirty in clusters {sorted(dirty_clusters)}",
-                    block=block,
-                )
-                continue
-            (owner,) = dirty_clusters
-            if len(all_clusters) > 1:
-                # other copies must be in the same cluster as the owner
-                yield CoherenceViolation(
-                    "single-writer",
-                    f"dirty block {block} also cached in {sorted(all_clusters)}",
-                    block=block,
-                )
-                continue
-            if line is None or not line.dirty or line.owner != owner:
-                # a writeback may be in flight; then the cache line is a
-                # wb-buffer ghost, not an L2 line, so reaching here is a
-                # real violation
-                yield CoherenceViolation(
-                    "directory-coverage",
-                    f"directory does not record cluster {owner} as owner "
-                    f"of dirty block {block} (line={line})",
-                    block=block,
-                )
-        else:
-            if line is None:
-                yield CoherenceViolation(
-                    "directory-coverage",
-                    f"clean block {block} cached in {sorted(all_clusters)} "
-                    f"but home has no directory line",
-                    block=block,
-                )
-                continue
-            if line.dirty:
-                yield CoherenceViolation(
-                    "directory-coverage",
-                    f"directory marks block {block} dirty (owner "
-                    f"{line.owner}) but only clean copies exist in "
-                    f"{sorted(all_clusters)}",
-                    block=block,
-                )
-                continue
-            covered = set(line.entry.invalidation_targets())
-            if not all_clusters <= covered:
-                yield CoherenceViolation(
-                    "directory-coverage",
-                    f"clean block {block} cached in {sorted(all_clusters)} "
-                    f"but directory only covers {sorted(covered)}",
-                    block=block,
-                )
-
-    # -- the scheme's precise-vs-coarse contract ---------------------------
-    if system.scheme.precision == "exact":
-        for controller in system.directories:
-            for block, line in controller.store.lines():
-                if not line.entry.is_exact():
-                    yield CoherenceViolation(
-                        "precision-contract",
-                        f"scheme {system.scheme.name} declares itself exact "
-                        f"but block {block}'s entry degraded to an inexact "
-                        f"representation",
-                        block=block,
-                    )
+        yield from _view_violations(
+            system, block, dirty, clean, controller.store.peek(block)
+        )
 
 
 class InvariantChecker:
     """Online invariant monitor attached to one :class:`DashSystem`.
 
     The directory controllers report transaction lifecycle events and
-    invalidation rounds; the checker cross-checks them and periodically
-    scans the whole machine.  ``system.strict`` decides whether a
-    violation raises immediately or is recorded (and counted in
+    invalidation rounds; the checker cross-checks them and audits the
+    machine's state — in ``"strict"`` mode the blocks each report names,
+    in ``"sampled"`` mode the whole machine every ``sample_interval``-th
+    completion.  ``system.strict`` decides whether a violation raises
+    immediately or is recorded (and counted in
     ``SimStats.invariant_violations``) for post-run inspection.
     """
 
     #: construction parameter a checkpoint's restore target must share
     MUST_MATCH = ("mode",)
     #: counters snapshotted verbatim through the checkpoint codec
-    _STATE = ("_finished", "inval_rounds", "checks_run")
+    _STATE = ("_finished", "inval_rounds", "checks_run", "blocks_checked")
 
     def __init__(
         self,
@@ -207,7 +268,9 @@ class InvariantChecker:
         self._outstanding: Dict[int, Tuple["Transaction", float]] = {}
         self._finished = 0
         self.inval_rounds = 0
+        #: whole-machine sweeps / per-block audits performed
         self.checks_run = 0
+        self.blocks_checked = 0
         self.violations: List[CoherenceViolation] = []
 
     # -- checkpoint state ---------------------------------------------------
@@ -255,7 +318,8 @@ class InvariantChecker:
         self._outstanding.pop(id(txn), None)
 
     def on_finish(self, txn: "Transaction", now: float) -> None:
-        """A transaction's last effect landed; watchdog + periodic scan."""
+        """A transaction's last effect landed: watchdog, then audit its
+        block (strict) or, periodically, the whole machine (sampled)."""
         entry = self._outstanding.pop(id(txn), None)
         if entry is not None:
             _, t0 = entry
@@ -273,7 +337,9 @@ class InvariantChecker:
                     )
                 )
         self._finished += 1
-        if self.mode == "strict" or self._finished % self.sample_interval == 0:
+        if self.mode == "strict":
+            self.check_block(txn.block)
+        elif self._finished % self.sample_interval == 0:
             self.check_machine()
 
     # -- invalidation accounting --------------------------------------------
@@ -283,9 +349,10 @@ class InvariantChecker:
         *,
         home: int,
         recipient: int,
-        targets: Iterable[int],
+        targets: Collection[int],
         invals: int,
         acks: int,
+        blocks: Iterable[int] = (),
     ) -> None:
         """One invalidation round's message accounting.
 
@@ -293,11 +360,14 @@ class InvariantChecker:
         controller actually counted; conservation requires one
         invalidation per target other than the home (which invalidates
         over its own bus) and one acknowledgement per target other than
-        the awaiting ``recipient``.
+        the awaiting ``recipient``.  ``blocks`` are the blocks whose
+        copies the round killed; strict mode audits them now — the round
+        was not necessarily issued by a transaction *on* them (sparse
+        replacement victims, pooled group-mates), so no later
+        ``on_finish`` would.
         """
-        targets = tuple(targets)
-        expect_invals = sum(1 for t in targets if t != home)
-        expect_acks = sum(1 for t in targets if t != recipient)
+        expect_invals = len(targets) - (home in targets)
+        expect_acks = len(targets) - (recipient in targets)
         self.inval_rounds += 1
         if invals != expect_invals or acks != expect_acks:
             self._report(
@@ -309,11 +379,45 @@ class InvariantChecker:
                     f"{expect_acks}",
                 )
             )
+        if self.mode == "strict":
+            for block in blocks:
+                self.check_block(block)
 
-    # -- machine scans -------------------------------------------------------
+    # -- state audits -------------------------------------------------------
+
+    def check_block(self, block: int) -> None:
+        """Audit one block against the state invariants and inclusion.
+
+        A block in flight at its home is skipped, as ``skip_busy`` skips
+        it in the sweep: its own ``on_finish`` audits the settled state.
+        """
+        system = self.system
+        controller = system.directories[system.config.home_of(block)]
+        if block in controller._busy:
+            return
+        self.blocks_checked += 1
+        dirty: Set[int] = set()
+        clean: Set[int] = set()
+        dirty_state = LineState.DIRTY
+        for cluster in system.clusters:
+            for cache in cluster.caches:
+                state = cache.l2.peek(block)
+                if state is None:  # the common case first: 2 probes a cache
+                    if cache.l1.peek(block) is not None:
+                        self._report(
+                            _inclusion_violation(block, cluster.cluster_id)
+                        )
+                elif state is dirty_state:
+                    dirty.add(cluster.cluster_id)
+                else:
+                    clean.add(cluster.cluster_id)
+        for violation in _view_violations(
+            system, block, dirty, clean, controller.store.peek(block)
+        ):
+            self._report(violation)
 
     def check_machine(self, *, skip_busy: bool = True) -> None:
-        """Scan caches and directories; report every violation found."""
+        """Sweep every cache and directory; report every violation found."""
         self.checks_run += 1
         for violation in machine_state_violations(
             self.system, skip_busy=skip_busy

@@ -429,17 +429,9 @@ class DashSystem:
     # -- invariant checking (used heavily in tests) ------------------------------------
 
     def check_coherence(self) -> None:
-        """Verify machine-wide coherence invariants; raises on violation.
-
-        * a DIRTY block lives in exactly one cluster, and the home
-          directory records that cluster as the owner;
-        * every cluster holding a clean copy is covered by the home
-          directory's (possibly conservative) sharer set;
-        * every L1 line has an L2 backing line, and schemes declaring
-          themselves precise have not degraded any presence entry.
-
-        The full invariant definitions live in
-        :mod:`repro.machine.invariants`; this raises the first
+        """Sweep the machine for the state invariants of
+        :mod:`repro.machine.invariants` (single-writer, directory
+        coverage, precision contract, cache inclusion) and raise the first
         :class:`~repro.machine.invariants.CoherenceViolation` found (a
         subclass of :class:`AssertionError`, so historical callers keep
         working).

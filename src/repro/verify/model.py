@@ -53,6 +53,7 @@ from repro.core.sparse import (
     FullMapDirectory,
     SparseDirectory,
 )
+from repro.machine.invariants import block_violations
 from repro.trace.event import Read, TraceOp, Work, Write
 from repro.trace.scripted import ScriptedWorkload
 
@@ -309,7 +310,7 @@ def _deliver(
     # victim block first).  Deliveries are atomic, so nothing is busy and
     # AllWaysBusy is unreachable (avoid=frozenset()).
     line, evictions = store.get_or_allocate(block)
-    violations.extend(_apply_sparse_evictions(ns, cfg, evictions))
+    _apply_sparse_evictions(ns, cfg, evictions)
 
     req = node
     if kind == MSG_READ:
@@ -402,29 +403,17 @@ def _cancel_writeback(ns: ModelState, l: int, node: int) -> None:
 
 def _apply_sparse_evictions(
     ns: ModelState, cfg: ModelConfig, evictions: Sequence[Eviction]
-) -> List[ModelViolation]:
-    """Mirror of ``_process_sparse_evictions``: recall every covered copy."""
-    violations: List[ModelViolation] = []
+) -> None:
+    """Mirror of ``_process_sparse_evictions``: recall every covered copy.
+
+    A copy the recall misses is left with no directory line, which the
+    successor state's directory-coverage check reports.
+    """
     for ev in evictions:
-        if ev.block not in cfg.blocks:  # pragma: no cover - defensive
-            continue
-        l = cfg.blocks.index(ev.block)
-        live = [
-            q
-            for q in range(cfg.num_nodes)
-            if ns.caches[q][l] != INVALID and q not in ev.targets
-        ]
-        if live:
-            violations.append(
-                ModelViolation(
-                    "directory-coverage",
-                    f"sparse replacement of block {ev.block} recalled "
-                    f"targets {sorted(ev.targets)} but copies live at {live}",
-                )
-            )
-        for t in ev.targets:
-            ns.caches[t][l] = INVALID
-    return violations
+        if ev.block in cfg.blocks:
+            l = cfg.blocks.index(ev.block)
+            for t in ev.targets:
+                ns.caches[t][l] = INVALID
 
 
 # -- per-state invariants ---------------------------------------------------
@@ -433,92 +422,41 @@ def _apply_sparse_evictions(
 def state_violations(
     state: ModelState, cfg: ModelConfig
 ) -> List[ModelViolation]:
-    """The PR 1 invariant predicates, evaluated on one model state.
+    """The state invariants, evaluated on one model state.
 
-    Mirrors :func:`repro.machine.invariants.machine_state_violations`:
-    single-writer, directory coverage, and the precision contract — plus
-    the dirty-owner rule phrased over in-flight writebacks (the model's
-    stand-in for the writeback buffer).
+    Single-writer, directory coverage and the precision contract are
+    :func:`repro.machine.invariants.block_violations` applied to each
+    modeled line's view (nodes MODIFIED / SHARED, the home's line).  The
+    one rule stated here needs the message multiset that view does not
+    carry: a line the home marks dirty must have a MODIFIED copy or its
+    owner's writeback in flight (the model's stand-in for the writeback
+    buffer).
     """
     out: List[ModelViolation] = []
-    exact_scheme = state.stores[0].scheme.precision == "exact"
+    precision = state.stores[0].scheme.precision
     for l, block in enumerate(cfg.blocks):
-        home = cfg.home(l)
-        line = dict(state.stores[home].lines()).get(block)
-        modified = [
-            p for p in range(cfg.num_nodes) if state.caches[p][l] == MODIFIED
-        ]
-        shared = [
-            p for p in range(cfg.num_nodes) if state.caches[p][l] == SHARED
-        ]
-        if len(modified) > 1:
+        line = state.stores[cfg.home(l)].peek(block)
+        modified = [p for p, row in enumerate(state.caches) if row[l] == MODIFIED]
+        shared = [p for p, row in enumerate(state.caches) if row[l] == SHARED]
+        if (
+            not modified
+            and line is not None
+            and line.dirty
+            and (MSG_WB, l, line.owner) not in state.msgs
+        ):
             out.append(
                 ModelViolation(
-                    "single-writer",
-                    f"block {block} is MODIFIED at nodes {modified}",
+                    "directory-coverage",
+                    f"home marks block {block} dirty (owner {line.owner}) "
+                    f"but no MODIFIED copy or in-flight writeback exists",
                 )
             )
-            continue
-        if modified:
-            m = modified[0]
-            if shared:
-                out.append(
-                    ModelViolation(
-                        "single-writer",
-                        f"block {block} is MODIFIED at node {m} but also "
-                        f"SHARED at {shared}",
-                    )
-                )
-            if line is None or not line.dirty or line.owner != m:
-                out.append(
-                    ModelViolation(
-                        "directory-coverage",
-                        f"block {block} is MODIFIED at node {m} but the "
-                        f"home directory says dirty="
-                        f"{line.dirty if line else None} owner="
-                        f"{line.owner if line else None}",
-                    )
-                )
-            continue
-        if line is not None and line.dirty:
-            owner = line.owner
-            wb_pending = owner is not None and (MSG_WB, l, owner) in state.msgs
-            if not wb_pending:
-                out.append(
-                    ModelViolation(
-                        "directory-coverage",
-                        f"home marks block {block} dirty (owner {owner}) but "
-                        f"no MODIFIED copy or in-flight writeback exists",
-                    )
-                )
-        if shared:
-            if line is None:
-                out.append(
-                    ModelViolation(
-                        "directory-coverage",
-                        f"block {block} is SHARED at {shared} but the home "
-                        f"holds no directory line",
-                    )
-                )
-            else:
-                covered = line.entry.invalidation_targets()
-                missed = [p for p in shared if p not in covered]
-                if missed:
-                    out.append(
-                        ModelViolation(
-                            "directory-coverage",
-                            f"block {block} is SHARED at {missed} but the "
-                            f"directory covers only {sorted(covered)}",
-                        )
-                    )
-        if exact_scheme and line is not None and not line.entry.is_exact():
-            out.append(
-                ModelViolation(
-                    "precision-contract",
-                    f"scheme {state.stores[0].scheme.name} declares "
-                    f'precision="exact" but block {block}\'s entry degraded',
-                )
+        out.extend(
+            ModelViolation(invariant, message)
+            for invariant, message in block_violations(
+                block, modified, shared, line, precision
             )
+        )
     return out
 
 

@@ -219,7 +219,8 @@ RESTORE_BRANCHES = {
     ),
     "faults": ({}, {"faults": 11}, _workload, {"faults-injected", "retried"}),
     "strict": (
-        {}, {"invariants": "strict"}, _workload, {"checker-outstanding"},
+        {}, {"invariants": "strict"}, _workload,
+        {"checker-outstanding", "checker-audited"},
     ),
     "sampled": (
         {}, {"invariants": "sampled"}, _workload, {"checker-outstanding"},
@@ -270,6 +271,8 @@ def _conditions(system):
         found.add("retried")
     if system.invariants is not None and system.invariants._outstanding:
         found.add("checker-outstanding")
+    if system.invariants is not None and system.invariants.blocks_checked:
+        found.add("checker-audited")
     return found
 
 
@@ -285,15 +288,19 @@ def test_split_run_covers_every_restore_branch(
     Cut at event 1, at fixed points, and at the first event each required
     condition holds: the resumed run's stats — the lossless form, with
     the per-processor cycle breakdown `to_dict` leaves out — equal the
-    uninterrupted run's and the restored machine re-captures the same
-    payload."""
+    uninterrupted run's, a checker ends with the same counters, and the
+    restored machine re-captures the same payload."""
     config = _config(**overrides)
 
     def build():
         return DashSystem(config, workload(), **kwargs)
 
     def finish(system):
-        return json.dumps(system.run().to_state(), sort_keys=True)
+        stats = json.dumps(system.run().to_state(), sort_keys=True)
+        checker = system.invariants
+        return stats, checker and (
+            checker.blocks_checked, checker.checks_run, checker.inval_rounds
+        )
 
     baseline = finish(build())
 
@@ -503,13 +510,14 @@ def test_unknown_schema_rejected(tmp_path):
 def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     """Schema 1 carried one row per possible set; schema 2 carried occupied
     sets only, encoded by one central walker; schema 3 is written by the
-    components themselves.  An old file stops at the schema gate, before
-    its payload is even read."""
-    assert CKPT_SCHEMA == 3
+    components themselves; schema 4 adds the invariant checker's
+    ``blocks_checked``.  An old file stops at the schema gate, before its
+    payload is even read."""
+    assert CKPT_SCHEMA == 4
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    for old in (1, 2):
+    for old in (1, 2, 3):
         header["schema"] = old
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
