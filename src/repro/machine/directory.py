@@ -6,7 +6,11 @@ are serialized per block: a block stays *busy* from service until the
 transaction's last effect lands, and later arrivals queue — the same
 global ordering DASH enforces with busy-retry NAKs, but deterministic.
 
-State effects are applied atomically at service time; latency is
+State effects are applied atomically at service time, by the transition
+functions of :mod:`repro.core.protocol` (the one statement of the
+protocol, which the model checker executes too); this module adds what
+only the engine has — allocation retry, message counts, occupancy,
+tracing, checker hooks, faults — and prices what they return.  Latency is
 composed from the §5 constants (network legs, memory/bus service,
 directory lookup, remote-cache service, invalidation service) plus FIFO
 queueing on the controller itself, so heavier message traffic slows
@@ -36,10 +40,13 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
+from repro.core import protocol
+from repro.core.protocol import HINT, READ, WRITE, WRITEBACK
 from repro.core.sparse import AllWaysBusy, DirectoryStore, DirLine, Eviction
 from repro.machine.faults import FaultBudgetExceeded, FaultKind
 from repro.machine.messages import MsgClass
@@ -47,11 +54,6 @@ from repro.machine.stats import InvalCause
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
-
-READ = "read"
-WRITE = "write"
-WRITEBACK = "writeback"
-HINT = "hint"
 
 
 def _nonzero_phases(**phases: float) -> Dict[str, float]:
@@ -173,7 +175,6 @@ class DirectoryController:
         self._stats = machine.stats
         self._obs = machine.obs
         self._fault_plan = machine.fault_plan
-        self._count_msg = machine.count_msg
         #: the raw message counter — hot sites bump it directly (inlined
         #: machine.count_msg, whose src != dst guard the sites keep)
         self._messages = machine.stats.messages
@@ -188,11 +189,13 @@ class DirectoryController:
         #: bounded stores (sparse) victimize on allocation and need the
         #: in-flight pin set; unbounded stores never look at ``avoid``
         self._needs_pins = store.capacity_entries() is not None
-        #: pooled stores (shared-entry) group several blocks per entry;
-        #: per-block stores always report group_mates == []
-        self._pooled = (
-            type(store).blocks_invalidated_with
+        #: the store itself when it pools several blocks per presence entry
+        #: (shared-entry), else None: the kernel then skips the group logic
+        self._group_store = (
+            store
+            if type(store).blocks_invalidated_with
             is not DirectoryStore.blocks_invalidated_with
+            else None
         )
         self._serial = getattr(machine.scheme, "serial_invalidations", False)
         self._execute_kind = {
@@ -292,21 +295,20 @@ class DirectoryController:
     def _trace_msg(self, txn: Transaction, sent: float, arrival: float) -> None:
         """Record one wire message (inject -> deliver) when tracing."""
         obs = self.machine.obs
-        if obs.enabled:
-            args: Dict[str, object] = {
-                "kind": txn.kind, "block": txn.block, "dst": self.cluster_id,
-            }
-            if txn.txn_id is not None:
-                args["txn_id"] = txn.txn_id
-            obs.emit(
-                "net.msg",
-                ts=sent,
-                dur=arrival - sent,
-                comp="network",
-                tid=txn.requester,
-                args=args,
-            )
-            obs.metrics.histogram("msg_latency").observe(arrival - sent)
+        args: Dict[str, object] = {
+            "kind": txn.kind, "block": txn.block, "dst": self.cluster_id,
+        }
+        if txn.txn_id is not None:
+            args["txn_id"] = txn.txn_id
+        obs.emit(
+            "net.msg",
+            ts=sent,
+            dur=arrival - sent,
+            comp="network",
+            tid=txn.requester,
+            args=args,
+        )
+        obs.metrics.histogram("msg_latency").observe(arrival - sent)
 
     def _abandon(self, txn: Transaction) -> None:
         """Drop a best-effort request for good (hints are optimizations)."""
@@ -510,12 +512,10 @@ class DirectoryController:
             obs.metrics.histogram("dir_occupancy").observe(occ)
             obs.metrics.gauge("dir_occupancy_peak").set_max(occ)
 
-    # -- reads ------------------------------------------------------------------
+    # -- allocation and the pricing the read and write rows share ---------------
 
-    def _execute_read(self, txn: Transaction) -> float:
-        cfg = self._cfg
-        home = self.cluster_id
-        req = txn.requester
+    def _allocate(self, txn: Transaction) -> Tuple[DirLine, float]:
+        """The block's line plus the recall penalty its allocation cost."""
         if self._needs_pins:
             line, evictions = self.store.get_or_allocate(
                 txn.block, avoid=self._pinned_blocks(txn.block)
@@ -524,59 +524,58 @@ class DirectoryController:
             line, evictions = self.store.get_or_allocate(txn.block)
         if self._obs.enabled:
             self._sample_occupancy()
-        delta = (
-            self._process_sparse_evictions(evictions, txn.txn_id)
-            if evictions else 0.0
+        if evictions:
+            return line, self._process_sparse_evictions(evictions, txn.txn_id)
+        return line, 0.0
+
+    def _price_forward(self, txn: Transaction, delta: float, owner: int) -> float:
+        """Home forwards to the dirty ``owner``, which replies to the
+        requester and notifies home (sharing writeback / transfer notice)."""
+        cfg = self._cfg
+        home = self.cluster_id
+        req = txn.requester
+        messages = self._messages
+        if home != owner:
+            messages[MsgClass.REQUEST] += 2  # forward + notice
+        if owner != req:
+            messages[MsgClass.REPLY] += 1  # data (+ownership)
+        forward_leg = self._legs[home][owner]
+        reply_leg = self._legs[owner][req]
+        if self._obs.enabled:
+            txn.phases = _nonzero_phases(
+                sparse_recall=delta,
+                dir_lookup=cfg.dir_service_cycles,
+                net_forward=forward_leg,
+                remote_cache=cfg.cache_service_cycles,
+                net_reply=reply_leg,
+            )
+        return (
+            delta
+            + cfg.dir_service_cycles
+            + forward_leg
+            + cfg.cache_service_cycles
+            + reply_leg
         )
 
-        if line.dirty and line.owner is not None and line.owner != req:
-            # Forward to the owning cluster: it downgrades to SHARED,
-            # supplies the data, and sends a sharing writeback home.
-            owner = line.owner
-            found = self._clusters[owner].downgrade_block(txn.block)
+    # -- reads ------------------------------------------------------------------
+
+    def _execute_read(self, txn: Transaction) -> float:
+        cfg = self._cfg
+        home = self.cluster_id
+        req = txn.requester
+        line, delta = self._allocate(txn)
+        forwarded = protocol.read(
+            line, txn.block, req, self._clusters,
+            self._cancel_inflight_writeback, self._record_sharer, txn.txn_id,
+        )
+        if forwarded is not None:
+            owner, found = forwarded
             if not found and self._strict:  # pragma: no cover
                 raise RuntimeError(
                     f"coherence bug: forward for block {txn.block} found no "
                     f"copy at owner cluster {owner}"
                 )
-            line.dirty = False
-            line.owner = None
-            # no entry.reset(): while a block is dirty its presence entry
-            # records no sharers of it (at most the pooled group-mates of
-            # a SharedEntryDirectory, which must be preserved)
-            self._record_sharer(line, owner, txn.block, txn.txn_id)
-            self._record_sharer(line, req, txn.block, txn.txn_id)
-            messages = self._messages
-            if home != owner:
-                messages[MsgClass.REQUEST] += 2  # forward + sharing wb
-            if owner != req:
-                messages[MsgClass.REPLY] += 1  # data
-            forward_leg = self._legs[home][owner]
-            reply_leg = self._legs[owner][req]
-            if self._obs.enabled:
-                txn.phases = _nonzero_phases(
-                    sparse_recall=delta,
-                    dir_lookup=cfg.dir_service_cycles,
-                    net_forward=forward_leg,
-                    remote_cache=cfg.cache_service_cycles,
-                    net_reply=reply_leg,
-                )
-            return (
-                delta
-                + cfg.dir_service_cycles
-                + forward_leg
-                + cfg.cache_service_cycles
-                + reply_leg
-            )
-
-        if line.dirty and line.owner == req:
-            # The requester evicted its dirty copy and is re-reading while
-            # its writeback is still in flight: serve from the (logically
-            # written-back) data and cancel the obsolete writeback.
-            self._cancel_inflight_writeback(txn.block, req)
-            line.dirty = False
-            line.owner = None
-        self._record_sharer(line, req, txn.block, txn.txn_id)
+            return self._price_forward(txn, delta, owner)
         if home != req:
             self._messages[MsgClass.REPLY] += 1
         reply_leg = self._legs[home][req]
@@ -592,28 +591,24 @@ class DirectoryController:
         self, line: DirLine, node: int, block: int,
         txn_id: Optional[int] = None,
     ) -> None:
-        """Add a sharer, handling Dir_iNB's forced evictions."""
-        victims = line.entry.record_sharer(node)
+        """Add a sharer; price a Dir_iNB forced eviction's round."""
+        victims = protocol.record_sharer(
+            line, node, block, self._clusters, txn_id
+        )
         if not victims:
             return
-        machine = self.machine
-        stats = self._stats
-        messages = self._messages
         home = self.cluster_id
-        inval_msgs = 0
-        for victim in victims:
-            self._clusters[victim].invalidate_block(block, txn_id=txn_id)
-            if victim != home:
-                messages[MsgClass.INVALIDATION] += 1
-                messages[MsgClass.ACKNOWLEDGEMENT] += 1
-                inval_msgs += 1
-        stats.nb_evictions += len(victims)
-        stats.record_inval_event(InvalCause.NB_EVICT, inval_msgs)
+        inval_msgs = sum(1 for victim in victims if victim != home)
+        self._messages[MsgClass.INVALIDATION] += inval_msgs
+        self._messages[MsgClass.ACKNOWLEDGEMENT] += inval_msgs
+        self._stats.nb_evictions += len(victims)
+        self._stats.record_inval_event(InvalCause.NB_EVICT, inval_msgs)
         if self._obs.enabled:
             self._trace_inval_round(InvalCause.NB_EVICT, block, inval_msgs, txn_id)
-        if machine.invariants is not None:
+        invariants = self.machine.invariants
+        if invariants is not None:
             # acks return to the home's RAC, so recipient == home
-            machine.invariants.on_inval_round(
+            invariants.on_inval_round(
                 home=home,
                 recipient=home,
                 targets=victims,
@@ -625,118 +620,48 @@ class DirectoryController:
 
     # -- writes -----------------------------------------------------------------
 
+    def _defer_if_group_busy(self, block: int, group_mates: Sequence[int]) -> None:
+        """The kernel's ``in_flight`` guard for a pooled store's write.
+
+        A group-mate's transaction is still in flight: its requester
+        installs a copy only at completion, after our entry reset would
+        have forgotten it.  NAK-retry until the group is quiet.
+        Mutually-deferred grouped writes would livelock, so the lowest
+        block id among deferred writers wins the tie.
+        """
+        blockers = [b for b in group_mates if b in self._busy]
+        if blockers and not all(
+            b in self._deferred_writes and block < b for b in blockers
+        ):
+            self._deferred_writes.add(block)
+            raise AllWaysBusy(f"group-mate of block {block} busy")
+        self._deferred_writes.discard(block)
+
     def _execute_write(self, txn: Transaction) -> float:
         cfg = self._cfg
         machine = self.machine
         home = self.cluster_id
         req = txn.requester
-        if self._needs_pins:
-            line, evictions = self.store.get_or_allocate(
-                txn.block, avoid=self._pinned_blocks(txn.block)
-            )
-        else:
-            line, evictions = self.store.get_or_allocate(txn.block)
-        if self._obs.enabled:
-            self._sample_occupancy()
-        delta = (
-            self._process_sparse_evictions(evictions, txn.txn_id)
-            if evictions else 0.0
+        line, delta = self._allocate(txn)
+        old_owner, targets, group_mates = protocol.write(
+            line, txn.block, req, self._clusters,
+            self._cancel_inflight_writeback, self._group_store,
+            self._defer_if_group_busy, self._serial, txn.txn_id,
         )
+        if targets is None:
+            # ownership transfer: the old owner hands data+ownership over
+            return self._price_forward(txn, delta, old_owner)
 
-        if line.dirty and line.owner is not None and line.owner != req:
-            # Ownership transfer: forward to owner, which invalidates its
-            # copy, sends data+ownership to the requester, and notifies us.
-            owner = line.owner
-            self._clusters[owner].invalidate_block(
-                txn.block, txn_id=txn.txn_id
-            )
-            line.owner = req  # stays dirty
-            # ownership grant: req's earlier writebacks (if any are still
-            # in flight) predate this grant and must never match
-            self._cancel_inflight_writeback(txn.block, req)
-            messages = self._messages
-            if home != owner:
-                messages[MsgClass.REQUEST] += 2  # forward + transfer notice
-            if owner != req:
-                messages[MsgClass.REPLY] += 1  # data+ownership
-            forward_leg = self._legs[home][owner]
-            reply_leg = self._legs[owner][req]
-            if self._obs.enabled:
-                txn.phases = _nonzero_phases(
-                    sparse_recall=delta,
-                    dir_lookup=cfg.dir_service_cycles,
-                    net_forward=forward_leg,
-                    remote_cache=cfg.cache_service_cycles,
-                    net_reply=reply_leg,
-                )
-            return (
-                delta
-                + cfg.dir_service_cycles
-                + forward_leg
-                + cfg.cache_service_cycles
-                + reply_leg
-            )
-
-        if line.dirty and line.owner == req:
-            # Re-granting ownership to a cluster whose writeback is still
-            # in flight: the writeback is obsolete, drop it on arrival.
-            self._cancel_inflight_writeback(txn.block, req)
-            line.dirty = False
-            line.owner = None
-            # the entry holds no sharers of this block while dirty; any
-            # pooled group-mate sharers it holds fall through to the
-            # normal target collection below (conservative)
-        else:
-            # The requester can still have an *obsolete* writeback in
-            # flight even though the line is clean: it evicted its dirty
-            # copy, then a forwarded read consumed the writeback-buffer
-            # ghost and cleaned the line.  Re-dirtying the line for the
-            # same owner below would make that stale writeback match on
-            # arrival and wrongly clean the directory (found by the
-            # repro.verify model checker under message reordering), so
-            # obsolete it now.
-            self._cancel_inflight_writeback(txn.block, req)
-
-        # Clean/shared (the paper's "invalidation event"): collect targets,
-        # invalidate them, count invals and the acks the requester awaits.
-        # Invalidations leave the directory back to back — the memory-based
-        # directory "can send invalidation messages as fast as the network
-        # can accept them" (§3.3), i.e. one per issue slot, so a broadcast
-        # both occupies the controller longer and delays its last ack.
-        serial = self._serial
-        if serial and hasattr(line.entry, "invalidation_chain"):
-            # SCI order: unravel the list head-first (§3.3)
-            targets = list(line.entry.invalidation_chain(exclude=(req,)))
-        else:
-            targets = line.entry.targets_sorted((req,))
-        # A store that pools several blocks' presence into one entry
-        # (SharedEntryDirectory) resets the whole group's knowledge below,
-        # so clean copies of every group-mate must also die now.
-        if self._pooled:
-            group_mates = [
-                b
-                for b in self.store.blocks_invalidated_with(txn.block)
-                if b != txn.block
-            ]
-            blockers = [b for b in group_mates if b in self._busy]
-            if blockers and not all(
-                b in self._deferred_writes and txn.block < b for b in blockers
-            ):
-                # A group-mate's transaction is still in flight: its
-                # requester installs a copy only at completion, after our
-                # entry reset would have forgotten it.  NAK-retry until the
-                # group is quiet.  Mutually-deferred grouped writes would
-                # livelock, so the lowest block id among deferred writers
-                # wins the tie.
-                self._deferred_writes.add(txn.block)
-                raise AllWaysBusy(f"group-mate of block {txn.block} busy")
-            self._deferred_writes.discard(txn.block)
-        else:
-            group_mates = []
+        # Clean/shared (the paper's "invalidation event"): count invals and
+        # the acks the requester awaits.  Invalidations leave the directory
+        # back to back — the memory-based directory "can send invalidation
+        # messages as fast as the network can accept them" (§3.3), i.e. one
+        # per issue slot, so a broadcast both occupies the controller
+        # longer and delays its last ack.
         inval_msgs = 0
         worst_ack = 0.0
         if targets:
-            clusters = self._clusters
+            serial = self._serial
             messages = self._messages
             legs = self._legs
             legs_home = legs[home]
@@ -744,9 +669,6 @@ class DirectoryController:
             service = cfg.inval_service_cycles
             serial_path = 0.0
             for i, t in enumerate(targets):
-                clusters[t].invalidate_block(txn.block, txn_id=txn.txn_id)
-                for mate in group_mates:
-                    clusters[t].invalidate_if_clean(mate, txn_id=txn.txn_id)
                 if t != home:
                     messages[MsgClass.INVALIDATION] += 1
                     inval_msgs += 1
@@ -761,8 +683,6 @@ class DirectoryController:
                     serial_path += legs[prev][t] + service
                     worst_ack = max(worst_ack, serial_path + legs[t][req])
                 else:
-                    # memory-based directory: invalidations leave back to
-                    # back, "as fast as the network can accept them" (§3.3)
                     ack = (i + 1) * issue + legs_home[t] + service + legs[t][req]
                     if ack > worst_ack:
                         worst_ack = ack
@@ -775,18 +695,9 @@ class DirectoryController:
             )
         if home != req:
             self._messages[MsgClass.REPLY] += 1  # ownership (+inval count)
-
-        line.dirty = True
-        line.owner = req
-        line.entry.reset()
-        if group_mates:
-            # The pooled entry also covered the writer's possible copies of
-            # the group-mates (which were not invalidated); keep the writer
-            # recorded so the directory stays conservative for them.
-            line.entry.record_sharer(req)
         if machine.invariants is not None:
             # the writer collects one ack per target (targets exclude req);
-            # reported after the reset so the group-mates are audited
+            # the entry is already reset, so the group-mates are audited
             # against the entry that must still cover their copies
             machine.invariants.on_inval_round(
                 home=home,
@@ -816,7 +727,7 @@ class DirectoryController:
     def _cancel_inflight_writeback(self, block: int, cluster: int) -> None:
         """Mark the cluster's pending writeback for this block obsolete.
 
-        Called at every point the directory (re-)grants ownership of
+        The kernel calls this at every point it (re-)grants ownership of
         ``block`` to ``cluster``: any writeback the cluster issued *before*
         this grant belongs to a dead generation of the line and must never
         be accepted — under message reordering it could otherwise arrive
@@ -849,53 +760,31 @@ class DirectoryController:
             else:
                 self._cancelled_wb[key] = pending_cancels - 1
             return cfg.dir_service_cycles
-        line = self.store.lookup(txn.block)
-        if line is not None and line.dirty and line.owner == req:
-            line.dirty = False
-            line.owner = None
-            # no entry.reset(): empty for per-block stores while dirty, and
-            # a pooled (shared-entry) store must keep its group-mates
-            # A local bus read may have re-filled a cache from the
-            # writeback buffer after this writeback left, so consult the
-            # cluster's *current* state, not just the captured flag.
-            still_shared = txn.still_shared or self._clusters[
-                req
-            ].copies_besides_wb(txn.block)
+        still_shared = protocol.writeback(
+            self.store, txn.block, req, txn.still_shared, self._clusters
+        )
+        if still_shared is not None:
             # record the *resolved* flag so the traced dir.service event
             # tells conformance whether the cluster kept a clean copy
             txn.still_shared = still_shared
-            if still_shared:
-                # Another cache in the evicting cluster still holds the
-                # block: keep the cluster recorded as a (clean) sharer.
-                line.entry.record_sharer(req)
-            else:
-                self.store.release(txn.block)
-        # else: stale writeback (ownership already moved on) — drop it.
         self._clusters[req].writeback_done(txn.block)
         return cfg.bus_cycles
 
     def _execute_hint(self, txn: Transaction) -> float:
-        cfg = self._cfg
-        line = self.store.lookup(txn.block)
-        if line is not None and not line.dirty:
-            line.entry.remove_sharer(txn.requester)
-            if line.is_empty():
-                self.store.release(txn.block)
-        return cfg.dir_service_cycles
+        protocol.hint(self.store, txn.block, txn.requester)
+        return self._cfg.dir_service_cycles
 
     # -- sparse replacement ----------------------------------------------------------
 
     def _process_sparse_evictions(
         self, evictions: List[Eviction], txn_id: Optional[int] = None
     ) -> float:
-        """Invalidate all copies of replaced entries' blocks (RAC duty).
+        """Recall replaced entries' blocks and price the rounds (RAC duty).
 
         Returns the latency penalty charged to the triggering transaction:
         the slot is only reusable once every acknowledgement has returned
         to the home's Remote Access Cache (§7).
         """
-        if not evictions:
-            return 0.0
         machine = self.machine
         cfg = self._cfg
         legs = self._legs
@@ -903,11 +792,11 @@ class DirectoryController:
         home = self.cluster_id
         penalty = 0.0
         for ev in evictions:
+            protocol.recall(ev, self._clusters, txn_id)
             self._stats.sparse_replacements += 1
             inval_msgs = 0
             worst = 0.0
             for i, t in enumerate(ev.targets):
-                self._clusters[t].invalidate_block(ev.block, txn_id=txn_id)
                 if t != home:
                     self._messages[MsgClass.INVALIDATION] += 1
                     self._messages[MsgClass.ACKNOWLEDGEMENT] += 1

@@ -33,11 +33,11 @@ Engine/model gap repairs (each counted in the result):
 * **still-shared writebacks** — a multi-processor cluster can keep a
   clean copy while writing back (``still_shared`` on the traced
   service); the model's caches are per-cluster, so the evicting node is
-  restored to ``SHARED`` before the delivery, mirroring
-  ``_execute_writeback``'s ``record_sharer`` branch;
+  restored to ``SHARED`` before the delivery, so the kernel's writeback
+  row re-records it;
 * **replacement hints** — pure optimizations outside the model's action
   set; ``hint.issue`` maps to a clean ``drop`` and the hint's service
-  mirrors ``_execute_hint`` directly (remove the sharer if clean);
+  calls :func:`repro.core.protocol.hint`, as the engine does;
 * **sparse recalls** — ``dir.sparse_evict`` events are applied as
   trusted state surgery (invalidate the recorded victim nodes, release
   the line), since a single-line model cannot reproduce cross-block
@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core import protocol
 from repro.core.registry import make_scheme
-from repro.core.sparse import DirLine
 from repro.obs.export import read_trace
 from repro.obs.tracer import TraceEvent
 from repro.verify.explorer import describe_action
@@ -87,8 +87,14 @@ RELEVANT_EVENTS = (
     "dir.sparse_evict",
 )
 
-#: dir.service kinds, as emitted by machine.directory (READ/WRITE/...)
-_SERVICE_KINDS = ("read", "write", "writeback", "hint")
+#: dir.service kind -> the model message its delivery consumes
+_MSG_OF = {
+    protocol.READ: MSG_READ, protocol.WRITE: MSG_WRITE,
+    protocol.WRITEBACK: MSG_WB,
+}
+#: every dir.service kind machine.directory emits (hints have no message:
+#: they are outside the model's action set)
+_SERVICE_KINDS = (*_MSG_OF, protocol.HINT)
 
 
 @dataclass(frozen=True)
@@ -204,14 +210,11 @@ def project_by_block(
 
 
 def _matches_issue(ev: TraceEvent, kind: str, req: int) -> bool:
-    """Is ``ev`` the issue event a ``kind`` service from ``req`` consumes?"""
-    if kind == "read":
-        return ev.name == "txn.read" and (ev.args or {}).get("requester") == req
-    if kind == "write":
-        return ev.name == "txn.write" and (ev.args or {}).get("requester") == req
-    if kind == "writeback":
+    """Is ``ev`` the issue event a ``kind`` (in ``_MSG_OF``) service from
+    ``req`` consumes?"""
+    if kind == protocol.WRITEBACK:
         return ev.name == "wb.issue" and ev.tid == req
-    return False
+    return ev.name == f"txn.{kind}" and (ev.args or {}).get("requester") == req
 
 
 class _BlockChecker:
@@ -256,21 +259,10 @@ class _BlockChecker:
 
     def _try(self, action: Action, idx: int, seq: int, ev: TraceEvent) -> bool:
         """Apply ``action`` if enabled; record a divergence otherwise."""
-        allowed = enabled_actions(self.state, self.cfg)
-        if action in allowed:
+        if action in enabled_actions(self.state, self.cfg):
             self._apply(action, idx, ev)
             return True
-        self.result.divergences.append(
-            Divergence(
-                block=self.block,
-                index=idx,
-                seq=seq,
-                name=ev.name,
-                ts=_sort_ts(ev),
-                wanted=describe_action(action),
-                allowed=tuple(describe_action(a) for a in allowed),
-            )
-        )
+        self._diverge(idx, seq, ev, describe_action(action))
         return False
 
     def _diverge(self, idx: int, seq: int, ev: TraceEvent, wanted: str) -> None:
@@ -288,11 +280,6 @@ class _BlockChecker:
                 ),
             )
         )
-
-    def _line(self) -> Optional[DirLine]:
-        """The single modeled line's directory state, if allocated."""
-        home = self.cfg.home(0)
-        return self.state.stores[home].lookup(self.block)
 
     # -- the block's sequence ------------------------------------------------
 
@@ -315,8 +302,8 @@ class _BlockChecker:
                 if (
                     isinstance(req, int)
                     and isinstance(kind, str)
-                    and kind in ("read", "write", "writeback")
-                    and self._service_msg(kind, req) not in self.state.msgs
+                    and kind in _MSG_OF
+                    and (_MSG_OF[kind], 0, req) not in self.state.msgs
                 ):
                     ts = _sort_ts(ev)
                     for ahead in range(pos + 1, len(items)):
@@ -332,14 +319,6 @@ class _BlockChecker:
                             break
             if not self.feed(idx, pos, ev):
                 return
-
-    @staticmethod
-    def _service_msg(kind: str, req: int) -> Message:
-        if kind == "read":
-            return (MSG_READ, 0, req)
-        if kind == "write":
-            return (MSG_WRITE, 0, req)
-        return (MSG_WB, 0, req)
 
     # -- one event ----------------------------------------------------------
 
@@ -383,16 +362,15 @@ class _BlockChecker:
                     f"event {idx}: dir.sparse_evict lacks the 'nodes' victim "
                     f"list — regenerate the trace with this build"
                 )
-            line = self._line()
+            store = self.state.stores[self.cfg.home(0)]
+            line = store.lookup(self.block)
             for t in nodes:
                 self.state.caches[int(t)][0] = INVALID
             if line is not None:
-                # mirror SparseDirectory._evict: the slot is torn down
-                # whole — release() alone would no-op on a non-empty line
-                line.dirty = False
-                line.owner = None
-                line.entry.reset()
-                self.state.stores[self.cfg.home(0)].release(self.block)
+                # as SparseDirectory._evict: the slot is torn down whole —
+                # release() alone would no-op on a non-empty line
+                line.reset()
+                store.release(self.block)
             self.result.sparse_recalls += 1
             return True
 
@@ -402,12 +380,9 @@ class _BlockChecker:
         if kind not in _SERVICE_KINDS or not isinstance(req, int):
             self._diverge(idx, seq, ev, f"service kind={kind!r} from {req!r}")
             return False
-        if kind in ("read", "write"):
-            msg: Message = (
-                MSG_READ if kind == "read" else MSG_WRITE, 0, req,
-            )
-            return self._try(("deliver",) + msg, idx, seq, ev)
-        if kind == "writeback":
+        if kind in (protocol.READ, protocol.WRITE):
+            return self._try(("deliver", _MSG_OF[kind], 0, req), idx, seq, ev)
+        if kind == protocol.WRITEBACK:
             wb: Message = (MSG_WB, 0, req)
             if wb not in self.state.msgs:
                 if self.cancelled[req] > 0:
@@ -419,17 +394,13 @@ class _BlockChecker:
                 return False
             if args.get("still_shared") and self.state.caches[req][0] == INVALID:
                 # the evicting cluster kept a clean copy (multi-processor
-                # cluster); restore it so delivery takes the
-                # record_sharer branch, as _execute_writeback does
+                # cluster); restore it so the delivery re-records the
+                # node (protocol.writeback's still_shared branch)
                 self.state.caches[req][0] = SHARED
                 self.result.still_shared_wbs += 1
             return self._try(("deliver",) + wb, idx, seq, ev)
-        # hint service: mirror _execute_hint (outside the model's actions)
-        line = self._line()
-        if line is not None and not line.dirty:
-            line.entry.remove_sharer(req)
-            if line.is_empty():
-                self.state.stores[self.cfg.home(0)].release(self.block)
+        # hint service: outside the model's actions, so call the kernel
+        protocol.hint(self.state.stores[self.cfg.home(0)], self.block, req)
         self.result.hints_applied += 1
         return True
 

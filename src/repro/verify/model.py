@@ -29,10 +29,10 @@ Actions (one atomic step each):
     ``p`` silently drops a clean copy (no message, like the simulator
     without replacement hints);
 ``("deliver", kind, l, p)``
-    the home services one in-flight message, mirroring
-    ``DirectoryController._execute_read/_execute_write/_execute_writeback``
-    exactly — including writeback cancellation on re-read/re-write and
-    stale-writeback drops.
+    the home services one in-flight message by *executing*
+    :mod:`repro.core.protocol` — the same transition functions
+    ``DirectoryController`` calls — over the ``I``/``S``/``M`` rows; a
+    cancelled writeback is the removal of its ``wb`` message.
 
 Timing, NAK-retries, and fault injection are deliberately outside the
 model: they affect *when* transitions happen, not *which* directory state
@@ -45,14 +45,9 @@ import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import protocol
 from repro.core.base import DirectoryScheme
-from repro.core.sparse import (
-    DirectoryStore,
-    DirLine,
-    Eviction,
-    FullMapDirectory,
-    SparseDirectory,
-)
+from repro.core.sparse import DirectoryStore, FullMapDirectory, SparseDirectory
 from repro.machine.invariants import block_violations
 from repro.trace.event import Read, TraceOp, Work, Write
 from repro.trace.scripted import ScriptedWorkload
@@ -279,141 +274,95 @@ def apply_action(
     return ns, violations
 
 
-# -- delivery: the mirror of DirectoryController._execute_* ----------------
+# -- delivery: repro.core.protocol, executed over I/S/M rows ----------------
+
+
+class _Row:
+    """One node's cache row behind the kernel's ``Node`` interface.
+
+    A block outside the modeled set (a sparse recall's victim) is a no-op.
+    """
+
+    __slots__ = ("row", "index")
+
+    def __init__(self, row: List[str], index: Dict[int, int]) -> None:
+        self.row = row
+        self.index = index
+
+    def invalidate_block(self, block: int, txn_id: Optional[int] = None) -> bool:
+        i = self.index.get(block)
+        if i is None or self.row[i] == INVALID:
+            return False
+        self.row[i] = INVALID
+        return True
+
+    def invalidate_if_clean(self, block: int, txn_id: Optional[int] = None) -> bool:
+        i = self.index.get(block)
+        return (
+            i is not None and self.row[i] == SHARED
+            and self.invalidate_block(block)
+        )
+
+    def downgrade_block(self, block: int) -> bool:
+        # an INVALID owner evicted: its in-flight wb message is the ghost
+        # the forward is served from, and nothing changes here
+        i = self.index[block]
+        found = self.row[i] == MODIFIED
+        if found:
+            self.row[i] = SHARED
+        return found
+
+    def copies_besides_wb(self, block: int) -> bool:
+        return self.row[self.index[block]] != INVALID
 
 
 def _deliver(
     ns: ModelState, cfg: ModelConfig, kind: str, l: int, node: int
 ) -> List[ModelViolation]:
+    """The home services one message: allocate, kernel call, requester fill."""
     block = cfg.blocks[l]
-    home = cfg.home(l)
-    store = ns.stores[home]
-    violations: List[ModelViolation] = []
-
+    store = ns.stores[cfg.home(l)]
+    index = {b: i for i, b in enumerate(cfg.blocks)}
+    nodes = [_Row(row, index) for row in ns.caches]
     if kind == MSG_WB:
-        # DirectoryController._execute_writeback: accept iff still the
-        # recorded dirty owner; otherwise the writeback is stale (ownership
-        # moved on, or a sparse replacement recalled the line) and drops.
-        line = store.lookup(block)
-        if line is not None and line.dirty and line.owner == node:
-            line.dirty = False
-            line.owner = None
-            if ns.caches[node][l] != INVALID:
-                # copies_besides_wb analogue: the evicting node re-fetched
-                # the block while its writeback was in flight
-                line.entry.record_sharer(node)
-            else:
-                store.release(block)
-        return violations
+        protocol.writeback(store, block, node, False, nodes)
+        return []
 
-    # READ / WRITE requests allocate (sparse replacement may recall a
-    # victim block first).  Deliveries are atomic, so nothing is busy and
-    # AllWaysBusy is unreachable (avoid=frozenset()).
+    def cancel_wb(block: int, owner: int) -> None:
+        # the wb message is the writeback buffer: cancelling removes it
+        if (MSG_WB, l, owner) in ns.msgs:
+            ns.msgs.remove((MSG_WB, l, owner))
+
+    # Deliveries are atomic, so nothing is busy and AllWaysBusy is
+    # unreachable (avoid=frozenset()).
     line, evictions = store.get_or_allocate(block)
-    _apply_sparse_evictions(ns, cfg, evictions)
-
-    req = node
-    if kind == MSG_READ:
-        if line.dirty and line.owner is not None and line.owner != req:
-            # forward to the owner: downgrade (or serve from the writeback
-            # ghost, in which case the owner's cache is already INVALID and
-            # its in-flight wb message is the ghost), record owner + req
-            owner = line.owner
-            if ns.caches[owner][l] == MODIFIED:
-                ns.caches[owner][l] = SHARED
-            line.dirty = False
-            line.owner = None
-            _record_sharer(ns, cfg, line, owner, l)
-            _record_sharer(ns, cfg, line, req, l)
-        else:
-            if line.dirty and line.owner == req:
-                # re-read while own writeback is in flight: cancel it
-                _cancel_writeback(ns, l, req)
-                line.dirty = False
-                line.owner = None
-            _record_sharer(ns, cfg, line, req, l)
-        ns.caches[req][l] = SHARED
-        return violations
-
-    # WRITE
-    if line.dirty and line.owner is not None and line.owner != req:
-        # ownership transfer: the old owner's copy dies, dirty stays set;
-        # any writeback req issued before this grant is obsolete (mirror
-        # of the engine's grant-time cancellation)
-        owner = line.owner
-        ns.caches[owner][l] = INVALID
-        line.owner = req
-        _cancel_writeback(ns, l, req)
-        ns.caches[req][l] = MODIFIED
-        return violations
-    if line.dirty and line.owner == req:
-        # re-granting ownership while the requester's writeback is in
-        # flight: the writeback is obsolete
-        _cancel_writeback(ns, l, req)
-        line.dirty = False
-        line.owner = None
-    else:
-        # mirror of the engine's stale-writeback fix: a clean line can
-        # still have the requester's obsolete writeback in flight (ghost
-        # consumed by a forwarded read); re-dirtying for the same owner
-        # must not let it match later
-        _cancel_writeback(ns, l, req)
-    targets = sorted(line.entry.invalidation_targets(exclude=(req,)))
-    # inval/ack conservation: every *live* copy other than the writer must
-    # receive an invalidation (and answer with exactly one ack) — checked
-    # here, at the one point the controller collects targets
-    missed = [
-        q
-        for q in range(cfg.num_nodes)
-        if q != req and ns.caches[q][l] != INVALID and q not in targets
-    ]
-    if missed:
-        violations.append(
-            ModelViolation(
-                "inval-ack-conservation",
-                f"write by node {req} on block {block}: live copies at "
-                f"{missed} got no invalidation (targets={targets})",
-            )
-        )
-    for t in targets:
-        ns.caches[t][l] = INVALID
-    line.entry.reset()
-    line.dirty = True
-    line.owner = req
-    ns.caches[req][l] = MODIFIED
-    return violations
-
-
-def _record_sharer(
-    ns: ModelState, cfg: ModelConfig, line: "DirLine", node: int, l: int
-) -> None:
-    """Mirror of ``DirectoryController._record_sharer`` (Dir_iNB evictions)."""
-    victims = line.entry.record_sharer(node)
-    for victim in victims:
-        ns.caches[victim][l] = INVALID
-
-
-def _cancel_writeback(ns: ModelState, l: int, node: int) -> None:
-    """Drop ``node``'s in-flight writeback of line ``l`` (obsoleted)."""
-    try:
-        ns.msgs.remove((MSG_WB, l, node))
-    except ValueError:  # pragma: no cover - model-internal consistency
-        pass
-
-
-def _apply_sparse_evictions(
-    ns: ModelState, cfg: ModelConfig, evictions: Sequence[Eviction]
-) -> None:
-    """Mirror of ``_process_sparse_evictions``: recall every covered copy.
-
-    A copy the recall misses is left with no directory line, which the
-    successor state's directory-coverage check reports.
-    """
     for ev in evictions:
-        if ev.block in cfg.blocks:
-            l = cfg.blocks.index(ev.block)
-            for t in ev.targets:
-                ns.caches[t][l] = INVALID
+        # a copy the recall misses is left with no directory line, which
+        # the successor state's directory-coverage check reports
+        protocol.recall(ev, nodes)
+    if kind == MSG_READ:
+        protocol.read(
+            line, block, node, nodes, cancel_wb,
+            lambda line, n, b, _txn: protocol.record_sharer(line, n, b, nodes),
+        )
+        ns.caches[node][l] = SHARED
+        return []
+    _owner, targets, _mates = protocol.write(line, block, node, nodes, cancel_wb)
+    ns.caches[node][l] = MODIFIED
+    # inval/ack conservation: a live copy other than the writer's survived
+    # the round, i.e. it received no invalidation (and will send no ack)
+    missed = [
+        q for q, row in enumerate(ns.caches) if q != node and row[l] != INVALID
+    ]
+    if not missed:
+        return []
+    return [
+        ModelViolation(
+            "inval-ack-conservation",
+            f"write by node {node} on block {block}: live copies at "
+            f"{missed} got no invalidation (targets={targets})",
+        )
+    ]
 
 
 # -- per-state invariants ---------------------------------------------------

@@ -1,0 +1,353 @@
+"""``repro.core.protocol``: the one statement of the directory protocol.
+
+(a) every row of the kernel's docstring table, driven with recording fake
+nodes: next line state, exact effect sequence, return value; (b) a bug
+planted once in the kernel is seen by the model checker *and* by the
+simulator; (c) PR 2's stale-writeback bug, re-planted, is found again;
+(d) nothing outside the kernel writes directory protocol state.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import SharedEntryDirectory, protocol
+from repro.core.registry import make_scheme
+from repro.core.sparse import AllWaysBusy, Eviction, FullMapDirectory
+from repro.machine.invariants import CoherenceViolation
+from repro.verify.explorer import explore
+from repro.verify.model import ModelConfig, replay_counterexample
+
+N = 4
+BLOCK = 8  # homed at node 0, in group {8, 12} of the pooled store below
+
+
+class Bench:
+    """One line of scheme ``name`` plus fakes recording every effect."""
+
+    def __init__(self, name="full", *, pooled=False, found=True, kept=False):
+        self.log = []
+        scheme = make_scheme(name, N)
+        self.store = (
+            SharedEntryDirectory(scheme, 2, stride=N, offset=0)
+            if pooled else FullMapDirectory(scheme)
+        )
+        self.line, _ = self.store.get_or_allocate(BLOCK)
+        self.nodes = [_FakeNode(i, self.log, found, kept) for i in range(N)]
+
+    def cancel_wb(self, block, node):
+        self.log.append(("cancel_wb", block, node))
+
+    def record(self, line, node, block, txn_id):
+        self.log.append(("record", node))
+        protocol.record_sharer(line, node, block, self.nodes, txn_id)
+
+    def in_flight(self, block, mates):
+        self.log.append(("in_flight", block, tuple(mates)))
+
+    def state(self):
+        line = self.store.peek(BLOCK)
+        if line is None:
+            return "gone"
+        return line.dirty, line.owner, sorted(line.entry.invalidation_targets())
+
+    def read(self, req):
+        return protocol.read(
+            self.line, BLOCK, req, self.nodes, self.cancel_wb, self.record, 7
+        )
+
+    def write(self, req, *, pooled=False, serial=False, in_flight=None):
+        return protocol.write(
+            self.line, BLOCK, req, self.nodes, self.cancel_wb,
+            self.store if pooled else None,
+            (in_flight or self.in_flight) if pooled else None, serial, 7,
+        )
+
+
+class _FakeNode:
+    def __init__(self, node, log, found, kept):
+        self.node, self.log, self.found, self.kept = node, log, found, kept
+
+    def invalidate_block(self, block, txn_id=None):
+        self.log.append(("inval", self.node, block, txn_id))
+        return True
+
+    def invalidate_if_clean(self, block, txn_id=None):
+        self.log.append(("inval_if_clean", self.node, block, txn_id))
+        return True
+
+    def downgrade_block(self, block):
+        self.log.append(("downgrade", self.node, block))
+        return self.found
+
+    def copies_besides_wb(self, block):
+        self.log.append(("copies?", self.node, block))
+        return self.kept
+
+
+def _dirty(bench, owner):
+    bench.line.dirty, bench.line.owner = True, owner
+
+
+ROWS = {}
+
+
+def row(label):
+    def register(case):
+        ROWS[label] = case
+        return case
+    return register
+
+
+@row("R1")
+def _read_clean():
+    b = Bench("Dir2CV2")
+    b.line.entry.record_sharer(3)
+    assert b.read(1) is None
+    assert b.log == [("record", 1)]
+    assert b.state() == (False, None, [1, 3])
+
+
+@row("R2")
+def _read_forwarded_with_a_pointer_eviction_inside():
+    b = Bench("Dir1NB", found=False)
+    _dirty(b, 2)
+    assert b.read(1) == (2, False)
+    # one pointer: recording the requester evicts the just-recorded owner
+    assert b.log == [
+        ("downgrade", 2, BLOCK), ("record", 2), ("record", 1),
+        ("inval", 2, BLOCK, 7),
+    ]
+    assert b.state() == (False, None, [1])
+
+
+@row("R3")
+def _reread_during_own_writeback():
+    b = Bench()
+    _dirty(b, 1)
+    assert b.read(1) is None
+    assert b.log == [("cancel_wb", BLOCK, 1), ("record", 1)]
+    assert b.state() == (False, None, [1])
+
+
+@row("W1")
+def _write_clean_unravels_the_sci_chain_head_first():
+    b = Bench("DirLL")
+    for sharer in (2, 1, 3):
+        b.line.entry.record_sharer(sharer)
+    assert b.write(1, serial=True) == (None, [3, 2], ())
+    assert b.log == [
+        ("cancel_wb", BLOCK, 1), ("inval", 3, BLOCK, 7), ("inval", 2, BLOCK, 7),
+    ]
+    assert b.state() == (True, 1, [])
+    # without serial the same entry is walked in ascending node order
+    b = Bench("DirLL")
+    for sharer in (2, 1, 3):
+        b.line.entry.record_sharer(sharer)
+    assert b.write(1) == (None, [2, 3], ())
+
+
+@row("W2")
+def _ownership_transfer():
+    b = Bench()
+    _dirty(b, 3)
+    assert b.write(1) == (3, None, ())
+    assert b.log == [("inval", 3, BLOCK, 7), ("cancel_wb", BLOCK, 1)]
+    assert b.state() == (True, 1, [])
+
+
+@row("W3")
+def _regrant_on_a_pooled_store():
+    b = Bench(pooled=True)
+    _dirty(b, 1)
+    b.line.entry.record_sharer(2)  # a sharer of group-mate 12
+    assert b.write(1, pooled=True) == (None, [2], [12])
+    assert b.log == [
+        ("cancel_wb", BLOCK, 1), ("in_flight", BLOCK, (12,)),
+        ("inval", 2, BLOCK, 7), ("inval_if_clean", 2, 12, 7),
+    ]
+    # the writer is re-recorded after the reset: its mate copies survive
+    assert b.state() == (True, 1, [1])
+
+
+@row("B1")
+def _writeback_accepted():
+    b = Bench()
+    _dirty(b, 2)
+    assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is False
+    assert b.log == [("copies?", 2, BLOCK)]
+    assert b.state() == "gone"
+    b = Bench(kept=True)  # a sibling cache re-filled from the buffer
+    _dirty(b, 2)
+    assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is True
+    assert b.state() == (False, None, [2])
+    b = Bench()
+    _dirty(b, 2)
+    assert protocol.writeback(b.store, BLOCK, 2, True, b.nodes) is True
+    assert b.log == []  # the captured flag short-circuits the probe
+
+
+@row("B2")
+def _writeback_stale():
+    b = Bench()
+    _dirty(b, 3)
+    assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is None
+    assert b.log == [] and b.state() == (True, 3, [])
+    b.line.reset()
+    b.line.entry.record_sharer(2)
+    assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is None
+    assert b.state() == (False, None, [2])
+
+
+@row("H1")
+def _hint_clean():
+    b = Bench()
+    b.line.entry.record_sharer(1)
+    b.line.entry.record_sharer(2)
+    protocol.hint(b.store, BLOCK, 1)
+    assert b.state() == (False, None, [2])
+    protocol.hint(b.store, BLOCK, 2)
+    assert b.state() == "gone" and b.log == []
+
+
+@row("H2")
+def _hint_dirty():
+    b = Bench()
+    _dirty(b, 1)
+    protocol.hint(b.store, BLOCK, 1)
+    assert b.state() == (True, 1, []) and b.log == []
+
+
+@row("NB")
+def _pointer_overflow():
+    b = Bench("Dir1NB")
+    assert protocol.record_sharer(b.line, 2, BLOCK, b.nodes, 7) == ()
+    assert protocol.record_sharer(b.line, 3, BLOCK, b.nodes, 7) == (2,)
+    assert b.log == [("inval", 2, BLOCK, 7)]
+    assert b.state() == (False, None, [3])
+
+
+@row("RC")
+def _sparse_recall():
+    b = Bench()
+    ev = Eviction(block=40, targets=(1, 3), was_dirty=False, owner=None)
+    assert protocol.recall(ev, b.nodes, 7) is None
+    assert b.log == [("inval", 1, 40, 7), ("inval", 3, 40, 7)]
+
+
+TABLE_ROWS = re.findall(r"^([A-Z][A-Z0-9])\s{2,}\w", protocol.__doc__, re.M)
+
+
+def test_every_row_of_the_docstring_table_has_a_case():
+    assert len(TABLE_ROWS) == 12 and set(TABLE_ROWS) == set(ROWS)
+
+
+@pytest.mark.parametrize("label", TABLE_ROWS)
+def test_row(label):
+    ROWS[label]()
+
+
+def test_docs_carry_the_same_rows():
+    doc = (Path(repro.__file__).parents[2] / "docs" / "protocol.md").read_text()
+    assert re.findall(r"^\| ([A-Z][A-Z0-9]) \|", doc, re.M) == TABLE_ROWS
+
+
+def test_in_flight_nak_leaves_every_cache_untouched():
+    b = Bench(pooled=True)
+    b.line.entry.record_sharer(2)
+
+    def busy(block, mates):
+        raise AllWaysBusy("group-mate busy")
+
+    with pytest.raises(AllWaysBusy):
+        b.write(1, pooled=True, in_flight=busy)
+    assert b.log == [("cancel_wb", BLOCK, 1)]
+    assert b.state() == (False, None, [2])
+
+
+def _model(max_inflight=2):
+    return ModelConfig(
+        scheme=make_scheme("full", 3), num_nodes=3, max_inflight=max_inflight
+    )
+
+
+def test_one_planted_bug_is_seen_by_both_engines(monkeypatch):
+    real = protocol.read
+
+    def forgets_the_old_owner(line, block, req, nodes, cancel_wb, record, txn_id=None):
+        def record_requester_only(line, node, block, txn_id):
+            if node == req:
+                record(line, node, block, txn_id)
+        return real(
+            line, block, req, nodes, cancel_wb, record_requester_only, txn_id
+        )
+
+    monkeypatch.setattr(protocol, "read", forgets_the_old_owner)
+    # one message at a time: replay serialises issues, so the trace must
+    # not depend on the home servicing two requests out of issue order
+    cfg = _model(max_inflight=1)
+    violation = explore(cfg).violation
+    assert violation is not None and violation.invariant == "directory-coverage"
+    caught = replay_counterexample(violation.actions, cfg, make_scheme("full", 3))
+    assert isinstance(caught, CoherenceViolation)
+    assert caught.invariant == "directory-coverage"
+
+
+def test_pr2_stale_writeback_bug_is_found_when_replanted(monkeypatch):
+    assert explore(_model()).ok
+    real = protocol.write
+
+    def no_clean_row_cancel(line, block, req, nodes, cancel_wb, *rest):
+        if not line.dirty:
+            cancel_wb = lambda block, node: None  # noqa: E731
+        return real(line, block, req, nodes, cancel_wb, *rest)
+
+    monkeypatch.setattr(protocol, "write", no_clean_row_cancel)
+    violation = explore(_model()).violation
+    # evict; forwarded read eats the ghost; re-write; the stale wb lands
+    assert violation is not None and len(violation.actions) == 8
+    assert violation.invariant == "directory-coverage"
+    assert ("evict", 1, 0) in violation.actions
+    assert violation.actions[-1] == ("deliver", "wb", 0, 1)
+
+
+SRC = Path(repro.__file__).parent
+
+
+def test_only_the_kernel_writes_directory_protocol_state():
+    offenders = []
+    for path in sorted([*SRC.glob("machine/*.py"), *SRC.glob("verify/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Attribute) and leaf.attr in ("dirty", "owner"):
+                        offenders.append(f"{path.name}:{leaf.lineno} .{leaf.attr} =")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("reset", "record_sharer", "remove_sharer")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "entry"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} entry.{node.func.attr}()")
+    assert not offenders, offenders
+
+
+def test_the_kernel_imports_no_engine():
+    tree = ast.parse((SRC / "core" / "protocol.py").read_text())
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and not [
+        m for m in imported
+        if m.startswith(("repro.machine", "repro.obs", "repro.verify"))
+    ]
