@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.machine.stats import SimStats
     from repro.obs.causal import ChainSet
-    from repro.verify.conformance import ConformanceResult
     from repro.verify.explorer import ExploreResult
     from repro.verify.liveness import LivenessResult
 
@@ -139,25 +138,6 @@ def format_liveness_report(results: Iterable["LivenessResult"]) -> str:
         )
     return format_table(
         ["scheme", "nodes", "states", "transitions", "sccs", "fair",
-         "verdict"],
-        rows,
-    )
-
-
-def format_conformance_table(results: Iterable["ConformanceResult"]) -> str:
-    """One row per conformance-checked trace (``repro verify conform``)."""
-    rows: List[Sequence[object]] = []
-    for r in results:
-        repairs = (
-            r.drops_inserted + r.cancelled_wb_skipped + r.still_shared_wbs
-            + r.hints_applied + r.sparse_recalls
-        )
-        rows.append(
-            [r.trace, r.scheme, r.num_nodes, r.blocks, r.events, repairs,
-             "ok" if r.ok else "DIVERGED"]
-        )
-    return format_table(
-        ["trace", "scheme", "nodes", "blocks", "events", "repairs",
          "verdict"],
         rows,
     )

@@ -244,9 +244,8 @@ class PointLedger:
             self.manifest.mark(i, status)
 
     def _span(self, i: int, wall: float, cached: bool) -> None:
-        self.obs.emit(
-            "sweep.point", ts=self.obs.now(), dur=wall, comp="sweep",
-            args={"index": i, "cached": cached, "label": self.label(i)},
+        self.obs.record(
+            "sweep.point", self.obs.now(), wall, 0, i, cached, self.label(i)
         )
 
     def _deliver_prefix(self) -> None:
@@ -311,10 +310,9 @@ class PointLedger:
         """Failed attempt number ``attempt`` of point ``i`` was rescheduled."""
         self.report.mark_retry(i, kind, self.label(i))
         self.obs.metrics.counter("sweep_retries").inc()
-        self.obs.emit_now(
-            "sweep.retry", comp="sweep",
-            args={"index": i, "kind": kind, "attempt": attempt,
-                  "label": self.label(i)},
+        self.obs.record(
+            "sweep.retry", self.obs.now(), None, 0,
+            i, kind, attempt, self.label(i),
         )
         self.monitor.point_retry(i, self.label(i), kind)
 

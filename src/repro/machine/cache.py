@@ -230,10 +230,9 @@ class ProcessorCache:
                 self.wb_buffer.add(vblock)
             evictions.append((vblock, vstate))
             if self.tracer.enabled:
-                self.tracer.emit_now(
-                    "cache.evict", comp="cache", tid=self.tid,
-                    args={"block": vblock,
-                          "dirty": vstate is LineState.DIRTY},
+                self.tracer.record(
+                    "cache.evict", self.tracer.now(), None, self.tid,
+                    vblock, vstate is LineState.DIRTY,
                 )
         self.l1.install(block, LineState.SHARED)  # L1 is write-through/clean
         return evictions
@@ -263,11 +262,8 @@ class ProcessorCache:
         had_wb = block in self.wb_buffer
         self.wb_buffer.discard(block)
         if (had or had_wb) and self.tracer.enabled:
-            args: Dict[str, object] = {"block": block}
-            if txn_id is not None:
-                args["txn_id"] = txn_id
-            self.tracer.emit_now(
-                "cache.inval", comp="cache", tid=self.tid, args=args,
+            self.tracer.record(
+                "cache.inval", self.tracer.now(), None, self.tid, block, txn_id
             )
         return had or had_wb
 

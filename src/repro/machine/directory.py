@@ -56,9 +56,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
 
 
-def _nonzero_phases(**phases: float) -> Dict[str, float]:
-    """Keep only the nonzero phase legs (sums are unaffected)."""
-    return {name: cycles for name, cycles in phases.items() if cycles}
+def _phases(
+    sparse_recall: float = 0.0, dir_lookup: float = 0.0,
+    net_forward: float = 0.0, remote_cache: float = 0.0,
+    memory: float = 0.0, net_reply: float = 0.0, inval_fanout: float = 0.0,
+) -> Tuple[float, ...]:
+    """A service's latency legs, flat, in ``registry.SERVICE_PHASES``
+    order (the tracer names the nonzero ones when the trace is read)."""
+    return (sparse_recall, dir_lookup, net_forward, remote_cache, memory,
+            net_reply, inval_fanout)
 
 
 class _LegRowProxy:
@@ -127,8 +133,8 @@ class Transaction:
         #: repro.obs.causal for the chain reconstruction it enables)
         self.txn_id = txn_id
         #: exact service-latency decomposition recorded at execute time
-        #: (cycles per phase; the values sum to the execution delta)
-        self.phases: Optional[Dict[str, float]] = None
+        #: (cycles per ``_phases`` leg; they sum to the execution delta)
+        self.phases: Optional[Tuple[float, ...]] = None
         #: processor continuation + issue time, carried for the system's
         #: shared miss-completion handler (None/0.0 for writebacks, hints)
         self.resume: Optional[Callable[[float, bool], None]] = None
@@ -294,21 +300,10 @@ class DirectoryController:
 
     def _trace_msg(self, txn: Transaction, sent: float, arrival: float) -> None:
         """Record one wire message (inject -> deliver) when tracing."""
-        obs = self.machine.obs
-        args: Dict[str, object] = {
-            "kind": txn.kind, "block": txn.block, "dst": self.cluster_id,
-        }
-        if txn.txn_id is not None:
-            args["txn_id"] = txn.txn_id
-        obs.emit(
-            "net.msg",
-            ts=sent,
-            dur=arrival - sent,
-            comp="network",
-            tid=txn.requester,
-            args=args,
+        self._obs.record(
+            "net.msg", sent, arrival - sent, txn.requester,
+            txn.kind, txn.block, self.cluster_id, txn.txn_id,
         )
-        obs.metrics.histogram("msg_latency").observe(arrival - sent)
 
     def _abandon(self, txn: Transaction) -> None:
         """Drop a best-effort request for good (hints are optimizations)."""
@@ -334,15 +329,9 @@ class DirectoryController:
         delay = extra_delay + plan.backoff(txn.attempts)
         obs = machine.obs
         if obs.enabled:
-            retry_args: Dict[str, object] = {
-                "kind": txn.kind, "block": txn.block,
-                "attempt": txn.attempts,
-            }
-            if txn.txn_id is not None:
-                retry_args["txn_id"] = txn.txn_id
-            obs.emit_now(
-                "txn.retry", comp="directory", tid=self.cluster_id,
-                args=retry_args,
+            obs.record(
+                "txn.retry", machine.events.now, None, self.cluster_id,
+                txn.kind, txn.block, txn.attempts, txn.txn_id,
             )
             obs.metrics.counter("retries").inc()
             obs.metrics.histogram("retry_wait").observe(delay)
@@ -441,23 +430,12 @@ class DirectoryController:
             # t_start (and, for writebacks, the resolved still_shared flag)
             # lets repro.verify.conformance order and interpret services by
             # the instant the directory state actually changed
-            args: Dict[str, object] = {
-                "kind": txn.kind, "block": txn.block,
-                "requester": txn.requester, "t_start": txn.t_start,
-            }
-            if txn.kind == WRITEBACK:
-                args["still_shared"] = txn.still_shared
-            if txn.txn_id is not None:
-                args["txn_id"] = txn.txn_id
-            if txn.phases is not None:
-                args["phases"] = dict(txn.phases)
-            obs.emit(
-                "dir.service",
-                ts=txn.t_arrive,
-                dur=now - txn.t_arrive,
-                comp="directory",
-                tid=self.cluster_id,
-                args=args,
+            kind = txn.kind
+            obs.record(
+                "dir.service", txn.t_arrive, now - txn.t_arrive,
+                self.cluster_id, kind, txn.block, txn.requester, txn.t_start,
+                txn.still_shared if kind == WRITEBACK else None,
+                txn.txn_id, txn.phases,
             )
         if txn.on_complete is not None:
             # Completion effects (requester fill, processor resume) must be
@@ -484,33 +462,12 @@ class DirectoryController:
         self, cause: InvalCause, block: int, inval_msgs: int,
         txn_id: Optional[int] = None,
     ) -> None:
-        """Record one invalidation round (event + per-cause histogram)."""
-        obs = self.machine.obs
-        if obs.enabled:
-            round_args: Dict[str, object] = {
-                "cause": cause.value, "block": block, "invals": inval_msgs,
-            }
-            if txn_id is not None:
-                round_args["txn_id"] = txn_id
-            obs.emit_now(
-                "dir.inval_round", comp="directory", tid=self.cluster_id,
-                args=round_args,
-            )
-            obs.metrics.histogram(
-                f"invals_per_event.{cause.value}"
-            ).observe(inval_msgs)
-
-    def _sample_occupancy(self) -> None:
-        """Sample this home's directory occupancy (entries in use)."""
-        obs = self.machine.obs
-        if obs.enabled:
-            occ = self.store.occupancy()
-            obs.emit_counter(
-                "dir.occupancy", ts=self.machine.events.now, value=occ,
-                comp="directory", tid=self.cluster_id,
-            )
-            obs.metrics.histogram("dir_occupancy").observe(occ)
-            obs.metrics.gauge("dir_occupancy_peak").set_max(occ)
+        """Record one invalidation round, when tracing (the event feeds
+        its cause's histogram)."""
+        self._obs.record(
+            "dir.inval_round", self._events.now, None, self.cluster_id,
+            cause.value, block, inval_msgs, txn_id,
+        )
 
     # -- allocation and the pricing the read and write rows share ---------------
 
@@ -522,8 +479,13 @@ class DirectoryController:
             )
         else:
             line, evictions = self.store.get_or_allocate(txn.block)
-        if self._obs.enabled:
-            self._sample_occupancy()
+        obs = self._obs
+        if obs.enabled:  # sample this home's occupancy (entries in use)
+            occ = self.store.occupancy()
+            obs.record(
+                "dir.occupancy", self._events.now, None, self.cluster_id, occ
+            )
+            obs.metrics.gauge("dir_occupancy_peak").set_max(occ)
         if evictions:
             return line, self._process_sparse_evictions(evictions, txn.txn_id)
         return line, 0.0
@@ -542,7 +504,7 @@ class DirectoryController:
         forward_leg = self._legs[home][owner]
         reply_leg = self._legs[owner][req]
         if self._obs.enabled:
-            txn.phases = _nonzero_phases(
+            txn.phases = _phases(
                 sparse_recall=delta,
                 dir_lookup=cfg.dir_service_cycles,
                 net_forward=forward_leg,
@@ -580,7 +542,7 @@ class DirectoryController:
             self._messages[MsgClass.REPLY] += 1
         reply_leg = self._legs[home][req]
         if self._obs.enabled:
-            txn.phases = _nonzero_phases(
+            txn.phases = _phases(
                 sparse_recall=delta,
                 memory=cfg.bus_cycles,
                 net_reply=reply_leg,
@@ -714,7 +676,7 @@ class DirectoryController:
             # inval_fanout is the latency the ack collection adds *beyond*
             # the direct ownership reply — the §6.2 overhead a coarse
             # vector's extra invalidations inflate
-            txn.phases = _nonzero_phases(
+            txn.phases = _phases(
                 sparse_recall=delta,
                 memory=cfg.bus_cycles,
                 net_reply=self._legs[home][req],
@@ -810,21 +772,16 @@ class DirectoryController:
                 )
             self._ctrl_free += len(ev.targets) * cfg.inval_issue_cycles
             if machine.obs.enabled:
-                evict_args: Dict[str, object] = {
-                    "block": ev.block, "targets": len(ev.targets),
-                    "nodes": sorted(ev.targets),
-                }
-                if txn_id is not None:
-                    evict_args["txn_id"] = txn_id
-                machine.obs.emit_now(
-                    "dir.sparse_evict", comp="directory", tid=home,
-                    args=evict_args,
+                machine.obs.record(
+                    "dir.sparse_evict", machine.events.now, None, home,
+                    ev.block, len(ev.targets), sorted(ev.targets), txn_id,
                 )
             if ev.targets:
                 machine.stats.record_inval_event(InvalCause.SPARSE_REPL, inval_msgs)
-                self._trace_inval_round(
-                    InvalCause.SPARSE_REPL, ev.block, inval_msgs, txn_id
-                )
+                if machine.obs.enabled:
+                    self._trace_inval_round(
+                        InvalCause.SPARSE_REPL, ev.block, inval_msgs, txn_id
+                    )
             if machine.invariants is not None:
                 # replacement acks also return to the home's RAC (§7)
                 machine.invariants.on_inval_round(

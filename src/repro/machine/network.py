@@ -148,13 +148,8 @@ class FaultyNetwork(Network):
         if kind is None:
             return Delivery(arrivals=(now + leg,))
         if self.tracer.enabled:
-            args: dict[str, object] = {
-                "kind": kind.value, "src": src, "dst": dst,
-            }
-            if txn_id is not None:
-                args["txn_id"] = txn_id
-            self.tracer.emit(
-                "net.fault", ts=now, comp="network", tid=src, args=args,
+            self.tracer.record(
+                "net.fault", now, None, src, kind.value, src, dst, txn_id
             )
         if kind is FaultKind.DROP:
             return Delivery(arrivals=(), fault=kind)

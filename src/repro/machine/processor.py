@@ -185,12 +185,10 @@ class Processor:
             self.stats.stall += elapsed
             obs = self._obs
             if obs.enabled:
-                obs.emit(
-                    "proc.stall", ts=t0, dur=elapsed, comp="proc",
-                    tid=self.proc_id,
-                    args={"addr": self._addr, "write": self._is_write},
+                obs.record(
+                    "proc.stall", t0, elapsed, self.proc_id,
+                    self._addr, self._is_write,
                 )
-                obs.metrics.histogram("stall_cycles").observe(elapsed)
         self._next()
 
     def _issue_buffered_write(self, addr: int) -> None:
@@ -224,11 +222,7 @@ class Processor:
         self.stats.sync += t - t0
         obs = self._obs
         if obs.enabled and t > t0:
-            obs.emit(
-                "proc.sync", ts=t0, dur=t - t0, comp="proc",
-                tid=self.proc_id,
-            )
-            obs.metrics.histogram("sync_cycles").observe(t - t0)
+            obs.record("proc.sync", t0, t - t0, self.proc_id)
         self._next()
 
     # -- checkpoint state ------------------------------------------------------

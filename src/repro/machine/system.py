@@ -247,18 +247,12 @@ class DashSystem:
         cluster_id = txn.requester
         obs = self.obs
         if obs.enabled:
-            kind = "write" if is_write else "read"
             t_issue = txn.t_issue
-            obs.emit(
-                f"txn.{kind}",
-                ts=t_issue,
-                dur=t - t_issue,
-                comp="directory",
-                tid=self._home_of(block),
-                args={"block": block, "requester": cluster_id,
-                      "txn_id": txn.txn_id},
+            obs.record(
+                "txn.write" if is_write else "txn.read", t_issue,
+                t - t_issue, self._home_of(block),
+                block, cluster_id, txn.txn_id,
             )
-            obs.metrics.histogram(f"txn_latency.{kind}").observe(t - t_issue)
         evictions = self.clusters[cluster_id].install_from_directory(
             txn.proc_idx, block, dirty=is_write
         )
@@ -275,9 +269,8 @@ class DashSystem:
             if was_dirty:
                 self.stats.writebacks += 1
                 if self.obs.enabled:
-                    self.obs.emit_now(
-                        "wb.issue", comp="cluster", tid=cluster_id,
-                        args={"block": vblock},
+                    self.obs.record(
+                        "wb.issue", self.events.now, None, cluster_id, vblock
                     )
                 still_shared = cluster.copies_besides_wb(vblock)
                 directories[home_of(vblock)].submit(
@@ -288,9 +281,9 @@ class DashSystem:
             elif self.config.replacement_hints:
                 if not cluster.copies_besides_wb(vblock):
                     if self.obs.enabled:
-                        self.obs.emit_now(
-                            "hint.issue", comp="cluster", tid=cluster_id,
-                            args={"block": vblock},
+                        self.obs.record(
+                            "hint.issue", self.events.now, None, cluster_id,
+                            vblock,
                         )
                     directories[home_of(vblock)].submit(
                         Transaction(HINT, vblock, cluster_id)
@@ -315,9 +308,9 @@ class DashSystem:
             nbytes = ckpt.save(path)
         obs = self.obs
         if obs.enabled:
-            obs.emit(
-                "ckpt.save", ts=self.events.now, comp="ckpt",
-                args={"bytes": nbytes, "events_run": self.events.events_run},
+            obs.record(
+                "ckpt.save", self.events.now, None, 0,
+                nbytes, self.events.events_run,
             )
             obs.metrics.counter("ckpt_saves").inc()
             obs.metrics.counter("ckpt_bytes").inc(nbytes)
@@ -351,9 +344,9 @@ class DashSystem:
         ckpt.restore_into(self)
         obs = self.obs
         if obs.enabled:
-            obs.emit(
-                "ckpt.restore", ts=self.events.now, comp="ckpt",
-                args={"events_run": self.events.events_run},
+            obs.record(
+                "ckpt.restore", self.events.now, None, 0,
+                self.events.events_run,
             )
             obs.metrics.counter("ckpt_resumes").inc()
 

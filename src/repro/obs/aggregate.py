@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Set, Tuple, Union
 
-from repro.obs.export import _PHASE_OF_KIND
+from repro.obs.export import chrome_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import TRACE_SCHEMA
-from repro.obs.tracer import INSTANT, SPAN, TraceEvent, Tracer
+from repro.obs.tracer import TraceEvent, Tracer
 
 #: version of the aggregate summary.json envelope
 AGGREGATE_SCHEMA = 1
@@ -287,18 +287,6 @@ class SweepAggregator:
                         "tid": tid,
                         "args": {"name": comp},
                     })
-                record: Dict[str, object] = {
-                    "name": ev.name,
-                    "ph": _PHASE_OF_KIND[ev.kind],
-                    "ts": base + ev.ts,
-                    "pid": lane.pid,
-                    "tid": tid,
-                    "cat": comp,
-                }
-                if ev.kind == SPAN:
-                    record["dur"] = 0.0 if ev.dur is None else ev.dur
-                elif ev.kind == INSTANT:
-                    record["s"] = "t"
                 args = ev.args
                 if args and "txn_id" in args:
                     # txn_ids restart at 1 in every point; qualify them
@@ -311,9 +299,9 @@ class SweepAggregator:
                         # like ts does, keeping the causal phase
                         # identity exact on merged traces
                         args["t_start"] = t_start + base
-                if args:
-                    record["args"] = args
-                records.append(record)
+                records.append(
+                    chrome_record(ev, base + ev.ts, lane.pid, tid, comp, args)
+                )
         return {
             "traceEvents": records,
             "displayTimeUnit": "ms",

@@ -30,7 +30,7 @@ import gzip
 import io
 import json
 from pathlib import Path
-from typing import Dict, IO, Iterable, List, Union
+from typing import Dict, IO, Iterable, List, Optional, Union
 
 from repro.obs.registry import TRACE_SCHEMA
 from repro.obs.tracer import BEGIN, COUNTER, END, INSTANT, SPAN, TraceEvent, Tracer
@@ -150,6 +150,28 @@ _PHASE_OF_KIND = {SPAN: "X", INSTANT: "i", COUNTER: "C", BEGIN: "B", END: "E"}
 _KIND_OF_PHASE = {ph: kind for kind, ph in _PHASE_OF_KIND.items()}
 
 
+def chrome_record(
+    ev: TraceEvent, ts: float, pid: int, tid: int, comp: str,
+    args: Optional[Dict[str, object]],
+) -> Dict[str, object]:
+    """One event's ``traceEvents`` record, placed at ``ts``/``pid``/``tid``."""
+    record: Dict[str, object] = {
+        "name": ev.name,
+        "ph": _PHASE_OF_KIND[ev.kind],
+        "ts": ts,
+        "pid": pid,
+        "tid": tid,
+        "cat": comp,
+    }
+    if ev.kind == SPAN:
+        record["dur"] = 0.0 if ev.dur is None else ev.dur
+    elif ev.kind == INSTANT:
+        record["s"] = "t"  # thread-scoped instant
+    if args:
+        record["args"] = args
+    return record
+
+
 def to_chrome_trace(
     events: Iterable[TraceEvent], *, meta: Dict[str, object] = {}
 ) -> Dict[str, object]:
@@ -168,21 +190,9 @@ def to_chrome_trace(
                 "tid": 0,
                 "args": {"name": comp},
             })
-        record: Dict[str, object] = {
-            "name": ev.name,
-            "ph": _PHASE_OF_KIND[ev.kind],
-            "ts": ev.ts,
-            "pid": pid,
-            "tid": ev.tid,
-            "cat": comp,
-        }
-        if ev.kind == SPAN:
-            record["dur"] = 0.0 if ev.dur is None else ev.dur
-        elif ev.kind == INSTANT:
-            record["s"] = "t"  # thread-scoped instant
-        if ev.args:
-            record["args"] = ev.args
-        trace_events.append(record)
+        trace_events.append(
+            chrome_record(ev, ev.ts, pid, ev.tid, comp, ev.args)
+        )
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

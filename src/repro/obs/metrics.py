@@ -75,12 +75,16 @@ class Log2Histogram:
 
     def observe(self, v: float) -> None:
         """Record one observation (negative values clamp to bucket 0)."""
-        idx = 0
         if v >= 1:
             idx = int(v).bit_length()
-        self.buckets[idx] = self.buckets.get(idx, 0) + 1
+            self.total += v
+        else:
+            idx = 0
+            if v > 0:
+                self.total += v
+        buckets = self.buckets
+        buckets[idx] = buckets.get(idx, 0) + 1
         self.count += 1
-        self.total += max(v, 0.0)
 
     @property
     def mean(self) -> float:
@@ -111,36 +115,28 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Log2Histogram] = {}
 
-    def _check(self, name: str) -> None:
-        if self.strict and name not in METRICS:
-            raise ValueError(
-                f"metric {name!r} is not declared in repro.obs.registry."
-                f"METRICS; add it there (with a description) first"
-            )
+    def _get(self, table: Dict[str, Any], name: str, make: Any) -> Any:
+        instrument = table.get(name)
+        if instrument is None:
+            if self.strict and name not in METRICS:
+                raise ValueError(
+                    f"metric {name!r} is not declared in repro.obs.registry."
+                    f"METRICS; add it there (with a description) first"
+                )
+            instrument = table[name] = make()
+        return instrument
 
     def counter(self, name: str) -> Counter:
         """Get or create the named counter."""
-        c = self.counters.get(name)
-        if c is None:
-            self._check(name)
-            c = self.counters[name] = Counter()
-        return c
+        return self._get(self.counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the named gauge."""
-        g = self.gauges.get(name)
-        if g is None:
-            self._check(name)
-            g = self.gauges[name] = Gauge()
-        return g
+        return self._get(self.gauges, name, Gauge)
 
     def histogram(self, name: str) -> Log2Histogram:
         """Get or create the named log2 histogram."""
-        h = self.histograms.get(name)
-        if h is None:
-            self._check(name)
-            h = self.histograms[name] = Log2Histogram()
-        return h
+        return self._get(self.histograms, name, Log2Histogram)
 
     @property
     def empty(self) -> bool:
@@ -245,17 +241,10 @@ def load_metrics_dict(data: Mapping[str, object]) -> Dict[str, object]:
 class _NullInstrument:
     """Accepts every recording call and keeps nothing."""
 
-    def inc(self, n: int = 1) -> None:
+    def inc(self, v: float = 1) -> None:
         """Discard."""
 
-    def set(self, v: float) -> None:
-        """Discard."""
-
-    def set_max(self, v: float) -> None:
-        """Discard."""
-
-    def observe(self, v: float) -> None:
-        """Discard."""
+    set = set_max = observe = inc
 
 
 class NullMetrics:
@@ -272,16 +261,10 @@ class NullMetrics:
     empty = True
 
     def counter(self, name: str) -> _NullInstrument:
-        """No-op counter."""
+        """The shared no-op instrument."""
         return self._instrument
 
-    def gauge(self, name: str) -> _NullInstrument:
-        """No-op gauge."""
-        return self._instrument
-
-    def histogram(self, name: str) -> _NullInstrument:
-        """No-op histogram."""
-        return self._instrument
+    gauge = histogram = counter
 
     def to_dict(self) -> Dict[str, object]:
         """Empty versioned block."""
@@ -293,11 +276,6 @@ class NullMetrics:
         }
 
 
-def make_metrics(strict: bool = True) -> MetricsRegistry:
-    """Convenience constructor (keeps call sites import-light)."""
-    return MetricsRegistry(strict=strict)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -306,5 +284,4 @@ __all__ = [
     "NullMetrics",
     "histogram_delta",
     "load_metrics_dict",
-    "make_metrics",
 ]

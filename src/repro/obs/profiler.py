@@ -112,10 +112,6 @@ class PhaseProfiler:
             for r in self.records()
         }
 
-    def total_wall_s(self) -> float:
-        """Sum of all phases' wall time."""
-        return sum(r.wall_s for r in self.records())
-
 
 def profile_run(
     build: Callable[[], Any],

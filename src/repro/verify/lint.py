@@ -35,14 +35,14 @@ Rules (see ``docs/verification.md`` for the full rationale):
     it on the fly on one code path and crash or silently read 0 on
     another.
 ``undeclared-obs-name``
-    Every literal event name passed to ``.emit(...)`` / ``.emit_now(...)``
-    / ``.emit_counter(...)`` must be declared in ``obs/registry.py``'s
-    ``EVENTS``, and every literal metric name passed to a metrics
-    registry's ``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)``
-    must be in ``METRICS`` — an unregistered name would silently fork the
-    taxonomy that exporters, reports, and ``repro obs diff`` agree on.
-    (Dynamically built names are validated at runtime by the strict
-    tracer instead.)
+    Every literal event name passed to ``.record(...)`` / ``.emit(...)``
+    / ``.emit_now(...)`` / ``.emit_counter(...)`` must be declared in
+    ``obs/registry.py``'s ``EVENTS``, and every literal metric name passed
+    to a metrics registry's ``.counter(...)`` / ``.gauge(...)`` /
+    ``.histogram(...)`` must be in ``METRICS`` — an unregistered name
+    would silently fork the taxonomy that exporters, reports, and
+    ``repro obs diff`` agree on.  (Dynamically built names are validated
+    at runtime by the strict tracer instead.)
 ``dead-metric``
     The inverse direction: every metric declared in ``obs/registry.py``'s
     ``METRICS`` must be incremented somewhere — a declared-but-dead name
@@ -51,10 +51,12 @@ Rules (see ``docs/verification.md`` for the full rationale):
     ``.counter(...)``/``.gauge(...)``/``.histogram(...)`` call names it
     literally or via an f-string whose literal prefix covers it
     (``f"txn_latency.{kind}"`` keeps every ``txn_latency.*`` metric
-    alive).  Only checked on tree-wide runs — the lint set must include
-    both ``obs/registry.py`` and the ``machine/`` layer, else a partial
-    run could not see the increment sites and everything would look
-    dead.
+    alive), or when an event declaration feeds it (``feeds=("msg_latency",
+    "dur")``; the keyed ``feeds=("invals_per_event.", "invals", "cause")``
+    keeps the whole prefix alive).  Only checked on tree-wide runs — the
+    lint set must include both ``obs/registry.py`` and the ``machine/``
+    layer, else a partial run could not see the increment sites and
+    everything would look dead.
 ``unpicklable-continuation``
     Callbacks scheduled into the event queue (``events.at(...)`` /
     ``events.after(...)``) under ``machine/`` must be bound methods of
@@ -600,48 +602,54 @@ def _check_undeclared_stat(
 # -- rule: undeclared-obs-name ----------------------------------------------
 
 #: tracer methods whose first positional argument is an event name
-_EMIT_METHODS = frozenset({"emit", "emit_now", "emit_counter"})
+_EMIT_METHODS = frozenset({"record", "emit", "emit_now", "emit_counter"})
 #: metrics-registry factory methods keyed by metric name
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
+
+
+def _obs_registry(modules: List[_Module]) -> Optional[_Module]:
+    """``obs/registry.py``, when it is part of this run."""
+    return next(
+        (m for m in modules if Path(m.rel).name == "registry.py"
+         and "obs" in Path(m.rel).parts),
+        None,
+    )
+
+
+def _registry_keys(registry: _Module, table: str) -> List[ast.Constant]:
+    """The literal string keys of ``table = {...}`` (plain or annotated
+    assignment) in the registry, whatever the values are."""
+    keys: List[ast.Constant] = []
+    for node in ast.walk(registry.tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, ast.Dict) and any(
+            isinstance(t, ast.Name) and t.id == table for t in targets
+        ):
+            keys.extend(
+                k for k in node.value.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+    return keys
 
 
 def _declared_obs_names(
     modules: List[_Module],
 ) -> Optional[Tuple[FrozenSet[str], FrozenSet[str]]]:
-    """(event names, metric names) from ``obs/registry.py``, if linted.
-
-    Returns ``None`` when the registry module is not part of this run
-    (partial lint), in which case the rule is skipped entirely.
-    """
-    registry = next(
-        (m for m in modules if Path(m.rel).name == "registry.py"
-         and "obs" in Path(m.rel).parts),
-        None,
-    )
+    """(event names, metric names) from ``obs/registry.py``; ``None``
+    (rule skipped) when the registry is not part of this run."""
+    registry = _obs_registry(modules)
     if registry is None:
         return None
-    names: Dict[str, Set[str]] = {"EVENTS": set(), "METRICS": set()}
-    for node in ast.walk(registry.tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id in names
-                and isinstance(value, ast.Dict)
-            ):
-                for key in value.keys:
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        names[target.id].add(key.value)
-    return frozenset(names["EVENTS"]), frozenset(names["METRICS"])
+    events, metrics = (
+        frozenset(k.value for k in _registry_keys(registry, table))
+        for table in ("EVENTS", "METRICS")
+    )
+    return events, metrics
 
 
 def _literal_first_arg(node: ast.Call) -> Optional[str]:
@@ -649,6 +657,16 @@ def _literal_first_arg(node: ast.Call) -> Optional[str]:
         node.args[0].value, str
     ):
         return node.args[0].value
+    return None
+
+
+def _fed_metric(node: ast.Call) -> Optional[Tuple[str, bool]]:
+    """``(metric, is a prefix)`` of an event declaration's literal
+    ``feeds=(metric, field[, key field])``, else ``None``."""
+    for kw in node.keywords:
+        elts = getattr(kw.value, "elts", None)
+        if kw.arg == "feeds" and elts and isinstance(elts[0], ast.Constant):
+            return str(elts[0].value), len(elts) > 2
     return None
 
 
@@ -675,29 +693,19 @@ def _check_undeclared_obs_name(
         if name is None:
             continue
         if func.attr in _EMIT_METHODS:
-            if name not in events and not _suppressed(
-                module, node.lineno, "undeclared-obs-name"
-            ):
-                yield Finding(
-                    str(module.path),
-                    node.lineno,
-                    node.col_offset,
-                    "undeclared-obs-name",
-                    f"trace event {name!r} is not declared in "
-                    f"obs/registry.py EVENTS",
-                )
+            what, table, declared = "trace event", "EVENTS", events
         elif func.attr in _METRIC_METHODS and _is_metrics_receiver(func):
-            if name not in metrics and not _suppressed(
-                module, node.lineno, "undeclared-obs-name"
-            ):
-                yield Finding(
-                    str(module.path),
-                    node.lineno,
-                    node.col_offset,
-                    "undeclared-obs-name",
-                    f"metric {name!r} is not declared in "
-                    f"obs/registry.py METRICS",
-                )
+            what, table, declared = "metric", "METRICS", metrics
+        else:
+            continue
+        if name not in declared and not _suppressed(
+            module, node.lineno, "undeclared-obs-name"
+        ):
+            yield Finding(
+                str(module.path), node.lineno, node.col_offset,
+                "undeclared-obs-name",
+                f"{what} {name!r} is not declared in obs/registry.py {table}",
+            )
 
 
 # -- rule: span-leak ---------------------------------------------------------
@@ -862,15 +870,20 @@ def _check_unpicklable_continuation(module: _Module) -> Iterator[Finding]:
 def _metric_name_uses(
     modules: List[_Module],
 ) -> Tuple[Set[str], Set[str]]:
-    """(exact literal names, f-string literal prefixes) passed to the
-    metrics factory methods anywhere in the linted tree."""
+    """(exact literal names, literal prefixes) passed to the metrics
+    factory methods, or fed by an event declaration, anywhere in the
+    linted tree."""
     exact: Set[str] = set()
     prefixes: Set[str] = set()
     for module in modules:
         for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fed = _fed_metric(node)
+            if fed is not None:
+                (prefixes if fed[1] else exact).add(fed[0])
             if (
-                not isinstance(node, ast.Call)
-                or not isinstance(node.func, ast.Attribute)
+                not isinstance(node.func, ast.Attribute)
                 or node.func.attr not in _METRIC_METHODS
                 or not _is_metrics_receiver(node.func)
                 or not node.args
@@ -898,47 +911,24 @@ def _dead_metric_findings(modules: List[_Module]) -> Iterator[Finding]:
     partial run cannot see every increment site, so everything would
     read as dead.
     """
-    registry = next(
-        (m for m in modules if Path(m.rel).name == "registry.py"
-         and "obs" in Path(m.rel).parts),
-        None,
-    )
+    registry = _obs_registry(modules)
     if registry is None or not any(
         "machine" in Path(m.rel).parts for m in modules
     ):
         return
     exact, prefixes = _metric_name_uses(modules)
-    for node in ast.walk(registry.tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-        else:
+    for key in _registry_keys(registry, "METRICS"):
+        name = key.value
+        if name in exact or any(name.startswith(p) for p in prefixes):
             continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "METRICS" for t in targets
-        ) or not isinstance(value, ast.Dict):
+        if _suppressed(registry, key.lineno, "dead-metric"):
             continue
-        for key in value.keys:
-            if not (
-                isinstance(key, ast.Constant) and isinstance(key.value, str)
-            ):
-                continue
-            name = key.value
-            if name in exact or any(name.startswith(p) for p in prefixes):
-                continue
-            if _suppressed(registry, key.lineno, "dead-metric"):
-                continue
-            yield Finding(
-                str(registry.path),
-                key.lineno,
-                key.col_offset,
-                "dead-metric",
-                f"metric {name!r} is declared in METRICS but never "
-                f"passed to .counter()/.gauge()/.histogram() anywhere",
-            )
+        yield Finding(
+            str(registry.path), key.lineno, key.col_offset, "dead-metric",
+            f"metric {name!r} is declared in METRICS but never "
+            f"passed to .counter()/.gauge()/.histogram() or fed by "
+            f"an event declaration anywhere",
+        )
 
 
 # -- driver -----------------------------------------------------------------

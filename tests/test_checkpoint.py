@@ -511,13 +511,14 @@ def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     """Schema 1 carried one row per possible set; schema 2 carried occupied
     sets only, encoded by one central walker; schema 3 is written by the
     components themselves; schema 4 adds the invariant checker's
-    ``blocks_checked``.  An old file stops at the schema gate, before its
+    ``blocks_checked``; schema 5 stores a traced run's ring as the
+    tracer's flat rows.  An old file stops at the schema gate, before its
     payload is even read."""
-    assert CKPT_SCHEMA == 4
+    assert CKPT_SCHEMA == 5
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    for old in (1, 2, 3):
+    for old in (1, 2, 3, 4):
         header["schema"] = old
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")

@@ -71,3 +71,22 @@ def test_repo_docs_exist():
         path = root / doc
         assert path.exists(), doc
         assert len(path.read_text()) > 500, f"{doc} looks stubby"
+
+
+def test_observability_doc_event_table_matches_the_registry():
+    """docs/observability.md's event table carries exactly the declared
+    events, in declaration order, with their kind and component."""
+    import re
+    from pathlib import Path
+
+    from repro.obs.registry import EVENTS
+
+    doc = (Path(repro.__file__).parents[2] / "docs" / "observability.md")
+    rows = re.findall(
+        r"^\| `([a-z_.]+)` \| (span|instant|counter) \| (\w+) \|",
+        doc.read_text(), re.M,
+    )
+    assert rows == [
+        (name, spec.kind, spec.comp) for name, spec in EVENTS.items()
+    ]
+

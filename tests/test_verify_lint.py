@@ -336,6 +336,49 @@ def test_annotated_registry_declarations_count(tmp_path):
     assert findings == []
 
 
+#: the shipped registry's shape since the tracer records flat rows: the
+#: values are ``EventSpec(...)`` calls (``feeds=`` naming the histogram)
+_SPEC_REGISTRY = (
+    "from typing import Dict\n"
+    "EVENTS: Dict[str, EventSpec] = {\n"
+    "    'txn.read': EventSpec(SPAN, 'directory', ('block',), 'read span',\n"
+    "                          feeds=('txn_latency.read', 'dur')),\n"
+    "    'dir.inval_round': _E(INSTANT, 'directory', ('cause', 'invals'),\n"
+    "                          'round', feeds=('invals_per_event.',\n"
+    "                                          'invals', 'cause')),\n"
+    "    'wb.issue': EventSpec(INSTANT, 'cluster', ('block',), 'writeback'),\n"
+    "}\n"
+    "METRICS = {'txn_latency.read': 'r', 'invals_per_event.write': 'w',\n"
+    "           'invals_per_event.nb_evict': 'n'}\n"
+)
+
+
+def test_record_call_names_are_checked_against_spec_registry(tmp_path):
+    findings = _lint_tree(tmp_path, {
+        "obs/registry.py": _SPEC_REGISTRY,
+        "machine/hooks.py": (
+            "def f(obs, now, home, block):\n"
+            "    obs.record('txn.read', now, 5.0, home, block)\n"
+            "    obs.record('wb.issue', now, None, home, block)\n"
+            "    obs.record('wb.isue', now, None, home, block)\n"
+            "    obs.emit_now('dir.inval_rnd')\n"
+            "    scheme.record(block)\n"  # not a tracer call: no literal name
+        ),
+    })
+    assert _rules(findings) == ["undeclared-obs-name"] * 2
+    assert "wb.isue" in findings[0].message
+    assert "dir.inval_rnd" in findings[1].message
+
+
+def test_event_declarations_keep_the_metrics_they_feed_alive(tmp_path):
+    hooks = {"machine/hooks.py": "def f():\n    pass\n"}
+    assert _lint_tree(tmp_path, {"obs/registry.py": _SPEC_REGISTRY, **hooks}) == []
+    unfed = _SPEC_REGISTRY.replace("feeds=('txn_latency.read', 'dur')", "feeds=None")
+    findings = _lint_tree(tmp_path, {"obs/registry.py": unfed, **hooks})
+    assert _rules(findings) == ["dead-metric"]
+    assert "txn_latency.read" in findings[0].message
+
+
 def test_undeclared_metric_name_is_flagged(tmp_path):
     findings = _lint_tree(tmp_path, {
         "obs/registry.py": _OBS_REGISTRY,
