@@ -6,8 +6,8 @@ grid point is persisted under a key that is a stable hash of
 
 * the **machine configuration** — every :class:`MachineConfig` field,
   via :meth:`~repro.machine.config.MachineConfig.cache_key_fields`;
-* the **workload identity** — class, name, and every scalar constructor
-  state attribute (processors, seeds, problem sizes, shared bytes);
+* the **workload identity** — ``Workload.fingerprint()``: class, name,
+  every instance attribute; the identity compiled streams are shared by;
 * a **simulator code fingerprint** — a digest over every ``.py`` file in
   the installed ``repro`` package, so *any* source change invalidates
   *every* entry (sound, if blunt: simulation outputs can depend on any
@@ -40,8 +40,9 @@ from repro.machine.stats import SimStats
 from repro.trace.workload import Workload
 
 #: version of the on-disk cache-entry format; bump on shape changes
-#: (old entries then miss by schema, not by key)
-CACHE_SCHEMA = 1
+#: (old entries then miss by schema, not by key).  2: the workload
+#: fingerprint keeps op classes and shared arrays, so every key moved
+CACHE_SCHEMA = 2
 
 #: environment variable consulted for a default cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -51,8 +52,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: ``os.replace`` — is garbage-collected on cache startup.  The TTL
 #: keeps a *live* concurrent writer's in-flight temp file safe.
 ORPHAN_TTL = 3600.0
-
-_SCALARS = (str, int, float, bool, type(None))
 
 _code_fingerprint: Optional[str] = None
 
@@ -78,39 +77,6 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
-def _scalarize(value: Any) -> Any:
-    """JSON-safe copy of scalars and (nested) scalar sequences; None otherwise."""
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, (list, tuple)):
-        items = [_scalarize(v) for v in value]
-        return items if all(v is not None for v in items) else None
-    return None
-
-
-def workload_fingerprint(workload: Workload) -> Dict[str, Any]:
-    """Stable identity of a built workload for cache keying.
-
-    Captures the class (module + qualname), the declared name, and every
-    scalar instance attribute — which includes ``num_processors``,
-    ``block_bytes``, ``seed``, and the subclass's problem-size
-    parameters — plus the shared footprint actually allocated.  Code
-    changes inside :meth:`~repro.trace.workload.Workload.stream` are
-    covered by :func:`code_fingerprint`, not here.
-    """
-    attrs = {
-        name: scalar
-        for name, value in sorted(vars(workload).items())
-        if (scalar := _scalarize(value)) is not None or value is None
-    }
-    return {
-        "class": f"{type(workload).__module__}.{type(workload).__qualname__}",
-        "name": workload.name,
-        "attrs": attrs,
-        "shared_bytes": workload.shared_bytes,
-    }
-
-
 def point_key(
     config: MachineConfig,
     workload: Workload,
@@ -127,7 +93,7 @@ def point_key(
         "cache_schema": CACHE_SCHEMA,
         "code": code_fingerprint(),
         "config": config.cache_key_fields(),
-        "workload": workload_fingerprint(workload),
+        "workload": workload.fingerprint(),
         "check": bool(check),
         "extra": dict(sorted(extra.items())) if extra else {},
     }

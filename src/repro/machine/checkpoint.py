@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
 
 #: checkpoint file format version; restores are refused across versions
-CKPT_SCHEMA = 5
+CKPT_SCHEMA = 6
 
 #: first bytes of every checkpoint header line
 MAGIC = "repro-ckpt"
@@ -96,10 +96,8 @@ CONTINUATIONS = frozenset(
     {
         ("DashSystem", "_complete_miss"),
         ("Processor", "_next"),
-        ("Processor", "_mem_resume"),
         ("Processor", "_write_retired"),
         ("Processor", "_sync_resume"),
-        ("Processor", "_fence_released"),
         ("DirectoryController", "_arrive"),
         ("DirectoryController", "_resend"),
         ("DirectoryController", "_execute"),
@@ -397,8 +395,9 @@ def restore_machine(system: "DashSystem", state: Dict[str, Any]) -> None:
         for cache, cache_state in _paired("cache", cluster.caches, saved):
             cache.load_state(cache_state)
 
-    # 3. Processors, rebuilt on fast-forwarded streams — before any
-    #    callback is decoded, since most continuations resolve to one.
+    # 3. Processors, rebuilt on the compiled streams with their cursors
+    #    set — before any callback is decoded, since most continuations
+    #    resolve to one.
     _paired(
         "processor", range(system.config.num_processors),
         state["system"]["procs"],

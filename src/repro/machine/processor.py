@@ -1,4 +1,4 @@
-"""Trace-driven processor: advances its op stream with timing feedback.
+"""Trace-driven processor: walks its compiled op stream with timing feedback.
 
 Each processor executes one op at a time and only fetches the next when
 the previous completes, so the global interleaving of shared references
@@ -6,38 +6,42 @@ is determined by simulated time — the coupled Tango mode of §5.  All
 continuations go through the event queue (never direct recursion), so
 arbitrarily long streams cannot overflow the Python stack.
 
+The stream is data: an array of packed words (``operand << 3 | opcode``,
+:meth:`repro.trace.workload.Workload.compile`) shared read-only with
+every machine running the same workload; ``ops_consumed`` is the cursor
+into it, and an op object exists only when a ``trace_hook`` asks for one.
+
 Consistency models: under the default sequential consistency a write
 stalls the processor until every acknowledgement has arrived ("when all
 acknowledgements are received by the local cluster, the write is
 complete", §2).  With ``MachineConfig.release_consistency`` — DASH's
 actual model — writes retire in the background while the processor
 continues; synchronization operations and the end of the stream act as
-fences that drain outstanding writes first.
+fences that drain outstanding writes first — the cursor rests on the
+fencing op (or at the end) until the last write retires.
 
-Hot-path note: the blocking-access continuation is the bound method
-:meth:`Processor._mem_resume` (legal because a processor has at most one
-blocking reference outstanding), and frequently chased attributes
-(event queue, per-processor stats, block geometry) are bound once at
+Hot-path note: :meth:`Processor._next` is one frame per op — it books
+the blocking reference that resumed it (a processor has at most one
+outstanding, so its issue time lives in a slot), then fetches, decodes
+and issues the next op; frequently chased attributes are bound once at
 construction — this loop dominates simulation wall time.
 
 Checkpointability: every continuation a processor hands out is a bound
 method (or a ``functools.partial`` over one carrying the block number),
-never a closure, and ``ops_consumed`` counts how far the trace stream
-has advanced so a restored processor can fast-forward a fresh stream to
-the same cursor (workload streams are restartable and oblivious by the
-:class:`~repro.trace.workload.Workload` contract).  Every slot is
-either a construction-time binding (``_BINDINGS``) or snapshotted state
-(``_STATE`` plus the hand-encoded fence slot).
+never a closure, and the stream position is the integer
+``ops_consumed``, so restoring a processor is setting its fields.  Every
+slot is either a construction-time binding (``_BINDINGS``) or
+snapshotted state (``_STATE``).
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.machine.stats import ProcessorStats
-from repro.trace.event import Barrier, Lock, Read, TraceOp, Unlock, Work, Write
+from repro.trace.event import END, LOCK, READ, UNLOCK, WORK, WRITE, unpack
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
@@ -47,34 +51,30 @@ WRITE_ISSUE_CYCLES = 1.0
 
 
 class Processor:
-    """One simulated processor bound to a trace stream."""
+    """One simulated processor bound to a compiled trace stream."""
 
     #: bound by ``__init__`` for the life of the run; never snapshotted
-    #: (``_stream`` is re-created and fast-forwarded to ``ops_consumed``)
-    _BINDINGS = ("machine", "proc_id", "cluster_id", "proc_idx", "_stream",
+    _BINDINGS = ("machine", "proc_id", "cluster_id", "proc_idx", "_ops",
                  "stats", "_events", "_sync", "_block_bytes",
-                 "_release_consistency", "_issue_write", "_obs",
-                 "_trace_hook")
+                 "_release_consistency", "_obs", "_trace_hook")
     #: snapshotted verbatim through the checkpoint codec
-    _STATE = ("done", "_outstanding_writes", "_fence_start",
+    _STATE = ("done", "_outstanding_writes", "_fence", "_fence_start",
               "_pending_blocks", "_t0", "_addr", "_is_write", "_sync_t0",
               "ops_consumed")
-    __slots__ = _BINDINGS + _STATE + ("_fence",)
+    __slots__ = _BINDINGS + _STATE
 
-    def __init__(
-        self, machine: "DashSystem", proc_id: int, stream: Iterator[TraceOp]
-    ) -> None:
+    def __init__(self, machine: "DashSystem", proc_id: int, ops: array) -> None:
         self.machine = machine
         self.proc_id = proc_id
         self.cluster_id = machine.cluster_of_proc(proc_id)
         self.proc_idx = proc_id % machine.config.procs_per_cluster
-        self._stream = stream
+        self._ops = ops
         self.stats: ProcessorStats = machine.stats.procs[proc_id]
         self.done = False
         #: release consistency: writes issued but not yet acknowledged
         self._outstanding_writes = 0
-        #: deferred continuation waiting for the write buffer to drain
-        self._fence: Optional[TraceOp] = None
+        #: waiting for the write buffer to drain before the op at the cursor
+        self._fence = False
         self._fence_start = 0.0
         #: blocks with an in-flight buffered write (for store forwarding)
         self._pending_blocks: dict = {}
@@ -89,13 +89,8 @@ class Processor:
         self._is_write = False
         #: issue time of the one outstanding synchronization op
         self._sync_t0 = 0.0
-        #: trace-stream cursor: ops fetched so far (checkpoint resume)
+        #: cursor into ``_ops``: ops issued so far
         self.ops_consumed = 0
-        self._issue_write = (
-            self._issue_buffered_write
-            if self._release_consistency
-            else self._issue_blocking_write
-        )
         # Processors are built inside run(), after any recorder has set
         # machine.trace_hook, so both hooks can be bound once here.
         self._obs = machine.obs
@@ -105,91 +100,77 @@ class Processor:
         """Schedule this processor's first op at the current time."""
         self._events.at(self._events.now, self._next)
 
-    def _next(self) -> None:
-        op = next(self._stream, None)
-        if op is not None:
-            self.ops_consumed += 1
-        if self._outstanding_writes and (
-            op is None or type(op) in (Lock, Unlock, Barrier)
-        ):
-            # drain outstanding writes before sync ops / retirement
-            self._fence = op if op is not None else _END
-            self._fence_start = self._events.now
-            return
-        self._dispatch(op)
-
-    def _fence_released(self) -> None:
-        op = self._fence
-        self._fence = None
-        self.stats.sync += self._events.now - self._fence_start
-        self._dispatch(None if op is _END else op)
-
-    def _dispatch(self, op) -> None:
-        if op is None:
-            self.done = True
-            self.stats.finish_time = self._events.now
-            self.machine.proc_finished(self)
-            return
+    def _next(self, t: Optional[float] = None, local_hit: bool = False) -> None:
+        """Issue the op at the cursor — first booking the blocking
+        reference that just completed at ``t``, when resumed by one."""
+        if t is not None:
+            t0 = self._t0
+            if local_hit:
+                self.stats.busy += t - t0
+            else:
+                self.stats.stall += t - t0
+                obs = self._obs
+                if obs.enabled:
+                    obs.record(
+                        "proc.stall", t0, t - t0, self.proc_id,
+                        self._addr, self._is_write,
+                    )
+        cursor = self.ops_consumed
+        try:
+            word = self._ops[cursor]
+        except IndexError:
+            word = END
+        code = word & 7
+        if code > WORK:
+            if self._outstanding_writes:
+                # sync ops and retirement drain outstanding writes first:
+                # the cursor stays put and _write_retired comes back here
+                self._fence = True
+                self._fence_start = self._events.now
+                return
+            if code == END:
+                self.done = True
+                self.stats.finish_time = self._events.now
+                self.machine.proc_finished(self)
+                return
+        self.ops_consumed = cursor + 1
+        operand = word >> 3
         if self._trace_hook is not None:
-            self._trace_hook(self.proc_id, op, self._events.now)
-        kind = type(op)
-        # branch order matches op frequency in the workloads: reads,
-        # then writes, then work, then the rare synchronization ops
-        if kind is Read:
+            self._trace_hook(self.proc_id, unpack(word), self._events.now)
+        if code == READ:
             self.stats.reads += 1
-            addr = op.addr
             if self._pending_blocks and (
-                addr // self._block_bytes in self._pending_blocks
+                operand // self._block_bytes in self._pending_blocks
             ):
                 # store-buffer forwarding: the read sees our own
                 # outstanding write without touching the memory system
                 self.stats.busy += WRITE_ISSUE_CYCLES
                 self._events.after(WRITE_ISSUE_CYCLES, self._next)
-            else:
-                self._t0 = self._events.now
-                self._addr = addr
-                self._is_write = False
-                self.machine.access(self, addr, False, self._mem_resume)
-        elif kind is Write:
+                return
+        elif code == WRITE:
             self.stats.writes += 1
-            self._issue_write(op.addr)
-        elif kind is Work:
-            self.stats.busy += op.cycles
-            self._events.after(op.cycles, self._next)
-        elif kind is Lock:
-            self._sync_t0 = self._events.now
-            self._sync.lock(self.proc_id, op.lock_id, self._sync_resume)
-        elif kind is Unlock:
-            self._sync_t0 = self._events.now
-            self._sync.unlock(self.proc_id, op.lock_id, self._sync_resume)
-        elif kind is Barrier:
-            self._sync_t0 = self._events.now
-            self._sync.barrier(self.proc_id, op.barrier_id, self._sync_resume)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown trace op {op!r}")
-
-    def _issue_blocking_write(self, addr: int) -> None:
-        """Sequential consistency: stall until every ack has arrived."""
-        self._t0 = self._events.now
-        self._addr = addr
-        self._is_write = True
-        self.machine.access(self, addr, True, self._mem_resume)
-
-    def _mem_resume(self, t: float, local_hit: bool) -> None:
-        """Continuation of the one outstanding blocking reference."""
-        t0 = self._t0
-        elapsed = t - t0
-        if local_hit:
-            self.stats.busy += elapsed
+            if self._release_consistency:
+                self._issue_buffered_write(operand)
+                return
+        elif code == WORK:
+            self.stats.busy += operand
+            self._events.after(operand, self._next)
+            return
         else:
-            self.stats.stall += elapsed
-            obs = self._obs
-            if obs.enabled:
-                obs.record(
-                    "proc.stall", t0, elapsed, self.proc_id,
-                    self._addr, self._is_write,
-                )
-        self._next()
+            self._sync_t0 = self._events.now
+            sync = self._sync
+            issue = (
+                sync.lock if code == LOCK
+                else sync.unlock if code == UNLOCK else sync.barrier
+            )
+            issue(self.proc_id, operand, self._sync_resume)
+            return
+        # a blocking reference (under sequential consistency a write stalls
+        # until every ack has arrived): the machine resumes _next itself
+        self._t0 = self._events.now
+        self._addr = operand
+        self._is_write = is_write = code == WRITE
+        self.machine.access(self, operand, is_write, self._next)
 
     def _issue_buffered_write(self, addr: int) -> None:
         """Release consistency: issue the write and keep going.
@@ -213,8 +194,10 @@ class Processor:
         """Background completion of one buffered write."""
         self._outstanding_writes -= 1
         self._pending_blocks.pop(block, None)
-        if self._outstanding_writes == 0 and self._fence is not None:
-            self._fence_released()
+        if self._outstanding_writes == 0 and self._fence:
+            self._fence = False
+            self.stats.sync += self._events.now - self._fence_start
+            self._next()
 
     def _sync_resume(self, t: float) -> None:
         """Continuation of the one outstanding synchronization op."""
@@ -228,39 +211,10 @@ class Processor:
     # -- checkpoint state ------------------------------------------------------
 
     def to_state(self, codec) -> dict:
-        """``_STATE`` plus the fence slot, encoded by hand: its op is a
-        NamedTuple (or the end-of-stream sentinel), which the codec
-        refuses rather than flatten to a bare tuple."""
-        state = codec.fields(self, self._STATE)
-        op = self._fence
-        if op is not None:
-            op = "end" if op is _END else (type(op).__name__, *op)
-        state["_fence"] = op
-        return state
+        """``_STATE``, the cursor among it."""
+        return codec.fields(self, self._STATE)
 
     def load_state(self, state: dict, codec) -> None:
-        """Restore :meth:`to_state` onto a processor built on a *fresh*
-        stream, which is fast-forwarded to the saved cursor (the Workload
-        contract guarantees ``stream(p)`` replays identically)."""
+        """Restore :meth:`to_state` onto a processor built on the same
+        workload's compiled stream."""
         codec.load_fields(self, self._STATE, state)
-        fence = state["_fence"]
-        if fence == "end":
-            self._fence = _END
-        elif fence is not None:
-            name, *fields = fence
-            if name not in _FENCE_OPS:
-                raise ValueError(f"unknown trace op {name!r} in fence slot")
-            self._fence = _FENCE_OPS[name](*fields)
-        consumed = self.ops_consumed
-        if consumed:
-            next(islice(self._stream, consumed - 1, consumed), None)
-
-
-class _EndSentinel:
-    """Marks 'end of stream' inside a pending fence slot."""
-
-
-_END = _EndSentinel()
-
-#: the ops a fence slot can hold, by class name (see ``Processor._next``)
-_FENCE_OPS = {cls.__name__: cls for cls in (Lock, Unlock, Barrier)}

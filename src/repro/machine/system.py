@@ -3,8 +3,8 @@
 Construction builds the clusters, the interconnect, one directory
 controller per cluster (full-map or sparse, any scheme from
 :mod:`repro.core`), and the synchronization manager.  :meth:`run`
-attaches a workload's streams to processors and drains the event queue;
-the result is a :class:`~repro.machine.stats.SimStats`.
+attaches a workload's compiled streams to processors and drains the
+event queue; the result is a :class:`~repro.machine.stats.SimStats`.
 
 ``run_workload`` is the one-call convenience used by examples and every
 benchmark.
@@ -325,7 +325,7 @@ class DashSystem:
 
     def load_state(self, state: dict, codec) -> None:
         """Restore :meth:`to_state` onto a never-run system: rebuild the
-        processors on fresh streams and flag :meth:`run` to continue the
+        processors, set their cursors and flag :meth:`run` to continue the
         restored event queue rather than start them."""
         codec.load_fields(self, self._STATE, state)
         self._build_processors()
@@ -354,8 +354,8 @@ class DashSystem:
 
     def _build_processors(self) -> None:
         self.processors = [
-            Processor(self, p, self.workload.stream(p))
-            for p in range(self.config.num_processors)
+            Processor(self, p, ops)
+            for p, ops in enumerate(self.workload.compile())
         ]
 
     def proc_finished(self, proc: Processor) -> None:

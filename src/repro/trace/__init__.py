@@ -4,9 +4,10 @@ The paper drove its DASH simulator with Tango, which runs a parallel
 application on one host and feeds its global events (shared references
 and synchronization) to a memory-system simulator that returns timing, so
 the interleaving stays valid.  We reproduce the same coupled-mode
-semantics with per-processor Python generators: each processor's stream
-is advanced only when the simulated memory system completes its previous
-reference, so the global order is determined by simulated time.
+semantics with per-processor streams — written as Python generators,
+compiled once into packed arrays — whose cursor advances only when the
+simulated memory system completes the processor's previous reference, so
+the global order is determined by simulated time.
 """
 
 from repro.trace.event import Barrier, Lock, Read, TraceOp, Unlock, Work, Write

@@ -69,10 +69,6 @@ class AddressSpace:
         """Footprint of all shared segments (the Table 2 'shared space')."""
         return sum(a.nbytes for a in self.arrays.values())
 
-    def blocks_spanned(self) -> int:
-        """Cache blocks covered by all allocations so far."""
-        return (self._next + self.block_bytes - 1) // self.block_bytes
-
 
 def scaled_cache_bytes(
     dataset_bytes: int, dataset_to_cache_ratio: float, num_processors: int

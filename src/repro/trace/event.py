@@ -6,8 +6,10 @@ computation between them (private references hit local caches and never
 reach the directory, so we charge them as busy cycles instead of
 simulating each one).
 
-Ops are plain tuples (via NamedTuple) — millions are created per run, so
-they must be cheap.
+The six classes are the *authoring* vocabulary: applications yield them
+from ``stream()``; hooks, trace files and tests see them.  The machine
+runs the packed form (:meth:`~repro.trace.workload.Workload.compile`):
+one word per op, ``operand << 3 | opcode``, numbered here and only here.
 """
 
 from __future__ import annotations
@@ -53,4 +55,19 @@ class Barrier(NamedTuple):
 
 TraceOp = Union[Read, Write, Work, Lock, Unlock, Barrier]
 
-__all__ = ["Read", "Write", "Work", "Lock", "Unlock", "Barrier", "TraceOp"]
+#: the opcode of a packed word is its class's index here; references and
+#: work come first so ``opcode > WORK`` means "synchronization"
+OP_CLASSES = (Read, Write, Work, Lock, Unlock, Barrier)
+READ, WRITE, WORK, LOCK, UNLOCK, BARRIER = range(6)
+#: what a cursor past the last op reads: no class, and a fence like them
+END = 7
+OPCODE = {cls: code for code, cls in enumerate(OP_CLASSES)}
+
+
+def unpack(word: int) -> TraceOp:
+    """The op a packed word stands for."""
+    return OP_CLASSES[word & 7](word >> 3)
+
+
+__all__ = ["Read", "Write", "Work", "Lock", "Unlock", "Barrier", "TraceOp",
+           "OP_CLASSES", "OPCODE", "unpack"]

@@ -18,36 +18,23 @@ with ``P <n>`` section headers per processor and a ``#``-comment header.
 
 from __future__ import annotations
 
-import io
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterator, List, Sequence, TextIO, Tuple, Union
+from typing import ContextManager, List, Sequence, TextIO, Tuple, Union
 
-from repro.trace.event import Barrier, Lock, Read, TraceOp, Unlock, Work, Write
+from repro.trace.event import OP_CLASSES, OPCODE, TraceOp
+from repro.trace.scripted import ScriptedWorkload
 from repro.trace.workload import Workload
 
-_ENCODE = {
-    Read: "R",
-    Write: "W",
-    Work: "K",
-    Lock: "L",
-    Unlock: "U",
-    Barrier: "B",
-}
-
-_DECODE = {
-    "R": lambda arg: Read(arg),
-    "W": lambda arg: Write(arg),
-    "K": lambda arg: Work(arg),
-    "L": lambda arg: Lock(arg),
-    "U": lambda arg: Unlock(arg),
-    "B": lambda arg: Barrier(arg),
-}
+#: the trace file's letter for each opcode, in ``OP_CLASSES`` order
+_LETTERS = "RWKLUB"
+_DECODE = dict(zip(_LETTERS, OP_CLASSES))
 
 
 def encode_op(op: TraceOp) -> str:
     """One-line encoding of a trace op."""
     try:
-        letter = _ENCODE[type(op)]
+        letter = _LETTERS[OPCODE[type(op)]]
     except KeyError:
         raise TypeError(f"cannot encode {op!r}") from None
     return f"{letter} {op[0]}"
@@ -61,39 +48,35 @@ def decode_op(line: str) -> TraceOp:
     return _DECODE[parts[0]](int(parts[1]))
 
 
-def dump_trace(
-    workload: Workload, target: Union[str, Path, TextIO]
-) -> int:
+def _opened(target: Union[str, Path, TextIO], mode: str) -> ContextManager[TextIO]:
+    """A path is opened here and closed on exit; a file object is the caller's."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode)
+    return nullcontext(target)
+
+
+def dump_trace(workload: Workload, target: Union[str, Path, TextIO]) -> int:
     """Write every processor's stream to ``target``; returns ops written."""
-    own = isinstance(target, (str, Path))
-    fh: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-    count = 0
-    try:
+    streams = workload.compile()
+    with _opened(target, "w") as fh:
         fh.write(f"# repro trace: {workload.name}\n")
         fh.write(f"# processors: {workload.num_processors}\n")
         fh.write(f"# block_bytes: {workload.block_bytes}\n")
         fh.write(f"# shared_bytes: {workload.shared_bytes}\n")
-        for p in range(workload.num_processors):
+        for p, words in enumerate(streams):
             fh.write(f"P {p}\n")
-            for op in workload.stream(p):
-                fh.write(encode_op(op) + "\n")
-                count += 1
-    finally:
-        if own:
-            fh.close()
-    return count
+            fh.writelines(f"{_LETTERS[w & 7]} {w >> 3}\n" for w in words)
+    return sum(map(len, streams))
 
 
 def load_trace(
     source: Union[str, Path, TextIO]
 ) -> Tuple[List[List[TraceOp]], dict]:
     """Read a trace file; returns (per-processor op lists, header metadata)."""
-    own = isinstance(source, (str, Path))
-    fh: TextIO = open(source) if own else source  # type: ignore[arg-type]
     meta: dict = {}
     scripts: List[List[TraceOp]] = []
     current: List[TraceOp] | None = None
-    try:
+    with _opened(source, "r") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -116,13 +99,10 @@ def load_trace(
             if current is None:
                 raise ValueError("trace op before any 'P <n>' section")
             current.append(decode_op(line))
-    finally:
-        if own:
-            fh.close()
     return scripts, meta
 
 
-class ReplayWorkload(Workload):
+class ReplayWorkload(ScriptedWorkload):
     """A workload replayed from a trace file or pre-loaded scripts."""
 
     name = "replay"
@@ -134,27 +114,20 @@ class ReplayWorkload(Workload):
         block_bytes: int | None = None,
         seed: int = 0,
     ) -> None:
+        shared_hint = 0
         if isinstance(source, (str, Path)) or hasattr(source, "read"):
-            scripts, meta = load_trace(source)  # type: ignore[arg-type]
+            source, meta = load_trace(source)  # type: ignore[arg-type]
             if block_bytes is None and "block_bytes" in meta:
                 block_bytes = int(meta["block_bytes"])
-            self._shared_hint = int(meta.get("shared_bytes", 0))
+            shared_hint = int(meta.get("shared_bytes", 0))
             if "repro trace" in meta:
                 self.name = f"replay:{meta['repro trace']}"
-        else:
-            scripts = [list(s) for s in source]  # type: ignore[union-attr]
-            self._shared_hint = 0
-        self._scripts = scripts
         super().__init__(
-            len(scripts), block_bytes=block_bytes or 16, seed=seed
+            source,  # type: ignore[arg-type]
+            block_bytes=block_bytes or 16,
+            shared_bytes_hint=shared_hint,
+            seed=seed,
         )
-
-    def build(self) -> None:
-        if self._shared_hint:
-            self.space.alloc("replayed", self._shared_hint, 1)
-
-    def stream(self, proc_id: int) -> Iterator[TraceOp]:
-        return iter(self._scripts[proc_id])
 
 
 class InterleavingRecorder:
@@ -185,13 +158,8 @@ class InterleavingRecorder:
 
     def write(self, target: Union[str, Path, TextIO]) -> int:
         """Dump ``time proc op`` lines; returns events written."""
-        own = isinstance(target, (str, Path))
-        fh: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
+        with _opened(target, "w") as fh:
             fh.write("# repro interleaved trace\n")
             for time, proc, op in self.events:
                 fh.write(f"{time:.0f} {proc} {encode_op(op)}\n")
-        finally:
-            if own:
-                fh.close()
         return len(self.events)

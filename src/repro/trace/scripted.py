@@ -41,3 +41,7 @@ class ScriptedWorkload(Workload):
 
     def stream(self, proc_id: int) -> Iterator[TraceOp]:
         return iter(self._scripts[proc_id])
+
+    def compile(self):
+        """From the scripts held, every time: mutable lists share nothing."""
+        return self._compile_privately()

@@ -1,15 +1,16 @@
 """Static workload characterization — the Table 2 columns.
 
 Streams are timing-oblivious (see :class:`~repro.trace.workload.Workload`),
-so the totals can be computed by draining each processor's stream without
-a machine behind it.
+so the totals are counted off the compiled streams without a machine
+behind them — and a simulation of the same workload reuses the compile.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.trace.event import Barrier, Lock, Read, Unlock, Work, Write
+from repro.trace.event import READ, WORK, WRITE
 from repro.trace.workload import Workload
 
 
@@ -27,29 +28,19 @@ class TraceStats:
     shared_bytes: int
 
     @property
-    def shared_mbytes(self) -> float:
-        return self.shared_bytes / (1024 * 1024)
-
-    @property
     def read_fraction(self) -> float:
         return self.shared_reads / self.shared_refs if self.shared_refs else 0.0
 
 
 def characterize(workload: Workload) -> TraceStats:
-    """Drain every processor's stream and count (Table 2)."""
-    reads = writes = sync = work = 0
-    for proc in range(workload.num_processors):
-        for op in workload.stream(proc):
-            if type(op) is Read:
-                reads += 1
-            elif type(op) is Write:
-                writes += 1
-            elif type(op) is Work:
-                work += op.cycles
-            elif type(op) in (Lock, Unlock, Barrier):
-                sync += 1
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown trace op {op!r}")
+    """Count every processor's compiled stream (Table 2)."""
+    ops: Counter = Counter()
+    work = 0
+    for words in workload.compile():
+        ops.update(word & 7 for word in words)
+        work += sum(word >> 3 for word in words if word & 7 == WORK)
+    reads, writes = ops[READ], ops[WRITE]
+    sync = sum(ops.values()) - reads - writes - ops[WORK]
     return TraceStats(
         name=workload.name,
         num_processors=workload.num_processors,

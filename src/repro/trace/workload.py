@@ -2,12 +2,61 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from abc import ABC, abstractmethod
-from typing import Iterator
+from array import array
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.trace.address_space import AddressSpace
-from repro.trace.event import TraceOp
+from repro.trace.event import OPCODE, TraceOp
+
+#: most ops the memo keeps resident (4 bytes each, normally); the newest
+#: identity stays whatever its size
+MEMO_MAX_OPS = 2_000_000
+
+#: (workload class, canonical fingerprint) -> compiled streams, oldest first;
+#: an entry is never written after its fill, so forked workers share them
+_MEMO: Dict[Tuple[type, str], Tuple[array, ...]] = {}
+
+
+def _canonical(value: Any) -> Any:
+    """JSON-safe form of ``value`` that keeps what a stream could depend
+    on — a trace op or dataclass keeps its class name, so ``Read(16)``
+    and ``Write(16)`` differ; ``TypeError`` for what it cannot express."""
+    if value is None or type(value) in (str, int, float, bool):
+        return value
+    if isinstance(value, (list, tuple)):
+        items = [_canonical(v) for v in value]
+        return [type(value).__name__, *items] if hasattr(value, "_fields") else items
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        return [type(value).__name__, *_canonical(fields)]
+    raise TypeError(f"cannot fingerprint {type(value).__name__}")
+
+
+def compile_stream(workload: "Workload", proc_id: int) -> array:
+    """Drain ``stream(proc_id)`` into packed words, ``operand << 3 |
+    opcode``: 32-bit until one does not fit, 64-bit from then on.  Streams
+    enter the machine here, so the trace format's contract — six op
+    classes, non-negative ``int`` operands — is enforced here."""
+    words = array("I")
+    for op in workload.stream(proc_id):
+        try:
+            word = op[0] << 3 | OPCODE[type(op)]
+            try:
+                words.append(word)
+            except OverflowError:  # too wide — or negative, which "Q" refuses too
+                words = array("Q", words)
+                words.append(word)
+        except (TypeError, KeyError, IndexError, OverflowError) as exc:
+            kind = ValueError if isinstance(exc, OverflowError) else TypeError
+            raise kind(
+                f"processor {proc_id} op {len(words)}: {op!r} is not a trace "
+                f"op with a non-negative int operand"
+            ) from None
+    return array(words.typecode, words)  # trimmed: memo entries are long-lived
 
 
 class Workload(ABC):
@@ -25,6 +74,10 @@ class Workload(ABC):
     simulator enforces them in simulated time exactly as Tango's coupled
     mode did.  Non-deterministic applications (the paper's LocusRoute and
     MP3D) get their nondeterminism from the seed.
+
+    Together they make a stream a *value*, a pure function of the class
+    and the instance attributes — which is what lets :meth:`compile` drain
+    it once and share the result by :meth:`fingerprint`.
     """
 
     name: str = "workload"
@@ -49,6 +102,57 @@ class Workload(ABC):
     @abstractmethod
     def stream(self, proc_id: int) -> Iterator[TraceOp]:
         """The op stream for processor ``proc_id`` (restartable)."""
+
+    # -- identity and the compiled form ----------------------------------
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """Stable identity of this built workload: equal fingerprints mean
+        "same simulation" to the result cache and "same streams" to
+        :meth:`compile`.  Class, declared name, every instance attribute
+        in canonical form (sizes, seed, shared arrays, plans, scripts) and
+        the shared footprint; ``space`` is left out (its arrays are
+        attributes already, its size is ``shared_bytes``).  An attribute
+        with no canonical form is named under ``opaque`` — the identity is
+        then lossy.  Code changes inside :meth:`stream` are the cache's
+        code fingerprint's to cover, not this one's."""
+        attrs, opaque = {}, []
+        for name, value in sorted(vars(self).items()):
+            if name == "space":
+                continue
+            try:
+                attrs[name] = _canonical(value)
+            except TypeError:
+                opaque.append(name)
+        return {
+            "class": f"{type(self).__module__}.{type(self).__qualname__}",
+            "name": self.name,
+            "attrs": attrs,
+            "opaque": opaque,
+            "shared_bytes": self.shared_bytes,
+        }
+
+    def compile(self) -> Tuple[array, ...]:
+        """Every processor's stream as packed words (:func:`compile_stream`)
+        — what the machine, ``characterize`` and ``dump_trace`` read.  Shared,
+        read-only, by fingerprint; a lossy fingerprint compiles privately."""
+        identity = self.fingerprint()
+        if identity["opaque"]:
+            return self._compile_privately()
+        key = (type(self), json.dumps(identity, sort_keys=True))
+        streams = _MEMO.get(key)
+        if streams is None:
+            streams = _MEMO[key] = self._compile_privately()
+            resident = sum(len(s) for entry in _MEMO.values() for s in entry)
+            while resident > MEMO_MAX_OPS and len(_MEMO) > 1:
+                resident -= sum(len(s) for s in _MEMO.pop(next(iter(_MEMO))))
+        return streams
+
+    def _compile_privately(self) -> Tuple[array, ...]:
+        return tuple(compile_stream(self, p) for p in range(self.num_processors))
+
+    def compiled(self, proc_id: int) -> array:
+        """Processor ``proc_id``'s compiled stream."""
+        return self.compile()[proc_id]
 
     # -- resource allocation helpers -------------------------------------
 

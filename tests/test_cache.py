@@ -10,11 +10,13 @@ from repro.analysis.cache import (
     ResultCache,
     code_fingerprint,
     point_key,
-    workload_fingerprint,
 )
+from repro.analysis.sweeps import PointSpec, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig, run_workload
 from repro.machine.stats import SimStats
+from repro.trace.event import Lock, Read, Work, Write
+from repro.trace.scripted import ScriptedWorkload
 
 
 def small_config(**overrides):
@@ -44,7 +46,7 @@ class TestFingerprints:
         json.dumps(fields)
 
     def test_workload_fingerprint_captures_params(self):
-        fp = workload_fingerprint(small_workload())
+        fp = small_workload().fingerprint()
         assert "UniformRandomWorkload" in fp["class"]
         assert fp["attrs"]["seed"] == 0
         assert fp["attrs"]["num_processors"] == 4
@@ -67,6 +69,32 @@ class TestFingerprints:
     def test_key_changes_with_check_flag(self):
         base = point_key(small_config(), small_workload())
         assert point_key(small_config(), small_workload(), check=True) != base
+
+    def test_scripts_differing_only_in_op_class_get_their_own_entries(
+        self, tmp_path
+    ):
+        """The fingerprint used to flatten ``Read(16)`` and ``Write(16)``
+        both to ``[16]``: one key, so the cache served the first script's
+        stats for the second."""
+        cfg = MachineConfig(num_clusters=2)
+        scripts = (
+            [[Read(16)], [Work(16)]],
+            [[Write(16)], [Lock(16)]],
+        )
+        keys = [point_key(cfg, ScriptedWorkload(s)) for s in scripts]
+        assert keys[0] != keys[1]
+        specs = [
+            PointSpec(cfg, lambda s=s: ScriptedWorkload(s)) for s in scripts
+        ]
+        cache = ResultCache(tmp_path)
+        cold = [run_points([spec], cache=cache)[0] for spec in specs]
+        warm = [run_points([spec], cache=cache)[0] for spec in specs]
+        assert (cache.stores, cache.hits) == (2, 2)
+        assert cold[0].to_dict() != cold[1].to_dict()
+        assert [s.to_dict() for s in warm] == [s.to_dict() for s in cold]
+        assert cold[1].to_dict() == run_workload(
+            cfg, ScriptedWorkload(scripts[1])
+        ).to_dict()
 
 
 class TestStatsStateRoundTrip:

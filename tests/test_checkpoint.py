@@ -62,9 +62,9 @@ from repro.machine.checkpoint import (
 from repro.machine.directory import Transaction
 from repro.machine.events import EventQueue
 from repro.machine.invariants import CoherenceViolation
-from repro.machine.processor import _END, Processor
+from repro.machine.processor import Processor
 from repro.obs.tracer import Tracer
-from repro.trace.event import Write
+from repro.trace.event import Write, unpack
 
 P = 8
 
@@ -188,8 +188,8 @@ def test_sigkill_resume_matches_uninterrupted(tmp_path):
 
 class _HotLockThenWrite(FrequentReadWritePattern):
     """Everyone contends for one lock, and each stream ends on a write
-    miss: under release consistency that parks the end-of-stream
-    sentinel in the fence slot until the write retires."""
+    miss: under release consistency that parks the processor at the end
+    of its stream, fenced, until the write retires."""
 
     def build(self):
         super().build()
@@ -249,9 +249,13 @@ def _conditions(system):
     for proc in system.processors:
         if proc._outstanding_writes:
             found.add("outstanding-writes")
-        if proc._fence is not None:
-            op = proc._fence
-            found.add("fence:" + ("end" if op is _END else type(op).__name__))
+        if proc._fence:
+            # the cursor rests on the op the fence holds back (or at the end)
+            at = proc.ops_consumed
+            found.add("fence:" + (
+                "end" if at == len(proc._ops)
+                else type(unpack(proc._ops[at])).__name__
+            ))
     if any(st.waiters for st in system.sync._locks.values()):
         found.add("lock-waiters")
     if any(st.waiters for st in system.sync._barriers.values()):
@@ -321,6 +325,38 @@ def test_split_run_covers_every_restore_branch(
         second.restore(ckpt)
         assert second.checkpoint().payload() == ckpt.payload(), cut
         assert finish(second) == baseline, cut
+
+
+def test_restore_at_every_event_of_a_release_consistency_run():
+    """Restore is "set the cursor": cut a short release-consistency run
+    after every single event — so with a processor fenced on a sync op,
+    fenced at the end of its stream, and everywhere between — and each
+    restored machine re-captures the payload and finishes with the
+    uninterrupted run's stats."""
+    config = _config(num_clusters=4, release_consistency=True)
+
+    def build():
+        return DashSystem(config, _HotLockThenWrite(4, updates_per_proc=2))
+
+    def finish(system):
+        return json.dumps(system.run().to_state(), sort_keys=True)
+
+    baseline = finish(build())
+    live = build()
+    live.run(max_events=1)
+    seen = set()
+    while live.events:
+        seen |= _conditions(live)
+        ckpt = live.checkpoint()
+        cursors = [proc.ops_consumed for proc in live.processors]
+        restored = build()
+        restored.restore(ckpt)
+        assert [p.ops_consumed for p in restored.processors] == cursors
+        assert restored.checkpoint().payload() == ckpt.payload()
+        assert finish(restored) == baseline, live.events.events_run
+        live.events.run(max_events=1)
+    assert {"fence:Unlock", "fence:end", "outstanding-writes"} <= seen
+    assert live.events.events_run > 100
 
 
 def test_recorded_violations_survive_a_restore():
@@ -512,13 +548,14 @@ def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     sets only, encoded by one central walker; schema 3 is written by the
     components themselves; schema 4 adds the invariant checker's
     ``blocks_checked``; schema 5 stores a traced run's ring as the
-    tracer's flat rows.  An old file stops at the schema gate, before its
-    payload is even read."""
-    assert CKPT_SCHEMA == 5
+    tracer's flat rows; schema 6 drops the processor's encoded fence op
+    (a flag; the cursor rests on the op).  An old file stops at the schema
+    gate, before its payload is even read."""
+    assert CKPT_SCHEMA == 6
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    for old in (1, 2, 3, 4):
+    for old in (1, 2, 3, 4, 5):
         header["schema"] = old
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
