@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-selftest bench-perf bench-perf-quick chaos chaos-ckpt strict-smoke examples results loc clean
+.PHONY: install test bench bench-selftest chaos chaos-ckpt strict-smoke examples results loc clean
 
 # parallel workers for the `results` regeneration (see docs/parallelism.md)
 JOBS ?= 1
@@ -21,14 +21,6 @@ bench:
 # breaks the benchmark is caught here rather than by the benchmark driver
 bench-selftest:
 	python3 -m pytest bench -q
-
-# perf telemetry: writes the schema-versioned BENCH_throughput.json
-bench-perf:
-	PYTHONPATH=src python benchmarks/bench_simulator_throughput.py
-
-# CI perf-regression gate input: smaller workload, same envelope
-bench-perf-quick:
-	PYTHONPATH=src python benchmarks/bench_simulator_throughput.py --quick
 
 # resilience smoke: a sweep under seeded fault injection (killed/hung/
 # failing workers) must complete with results identical to a clean run

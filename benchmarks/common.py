@@ -30,19 +30,13 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.cache import ResultCache, default_cache_dir
 from repro.analysis.supervisor import SupervisorPolicy
-from repro.analysis.sweeps import PointSpec, run_points
+from repro.analysis.sweeps import RESULTS_SCHEMA, PointSpec, run_points
 from repro.machine.config import MachineConfig
 from repro.machine.stats import SimStats
 from repro.obs.aggregate import SweepAggregator
 from repro.trace.workload import Workload
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: version of the results/*.json file format.  1 was the original
-#: unversioned shape; 2 adds the top-level "schema" header (figure
-#: numbers are unchanged).  repro.analysis.sweeps.load_results_dict
-#: accepts both.
-RESULTS_SCHEMA = 2
 
 
 # -- runner options (process-wide, set once by bench_entry) -------------------

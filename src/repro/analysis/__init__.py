@@ -28,7 +28,6 @@ from repro.analysis.supervisor import (
     SupervisedRunner,
     SupervisorPolicy,
     SweepInterrupted,
-    SweepManifest,
     SweepReport,
 )
 from repro.analysis.sweeps import (
@@ -65,7 +64,6 @@ __all__ = [
     "SupervisorPolicy",
     "Sweep",
     "SweepInterrupted",
-    "SweepManifest",
     "SweepReport",
     "SweepResults",
     "code_fingerprint",

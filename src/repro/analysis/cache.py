@@ -160,6 +160,11 @@ class ResultCache:
         self.orphans += removed
         return removed
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry for ``key`` is on disk (read by nothing, so
+        no hit or miss is counted)."""
+        return self._path(key).exists()
+
     def get(self, key: str) -> Optional[SimStats]:
         """The cached stats for ``key``, or None on miss/corruption."""
         path = self._path(key)

@@ -10,8 +10,8 @@ not the sweep.  This module is the one engine behind
   attempt of one point, called by forked workers and by the in-process
   driver alike;
 * :class:`~repro.analysis.sweeps.PointLedger` (next door) — the single
-  completion record: every resolved point reaches the cache, manifest,
-  report, monitor, ``obs`` tracer and ``progress`` prefix through it;
+  completion record: every resolved point reaches the cache, report,
+  monitor, ``obs`` tracer and ``progress`` prefix through it;
 * :class:`SupervisedRunner` — one failure policy over two drivers: a
   supervisor loop that dispatches points to forked workers over
   per-worker pipes, monitors liveness through process sentinels, exit
@@ -29,9 +29,6 @@ not the sweep.  This module is the one engine behind
   of the sweep still completes;
 * :class:`SweepReport` — the structured per-point outcome record
   (completed / cached / retried / quarantined / timed-out);
-* :class:`SweepManifest` — a per-sweep file (keyed by the existing
-  content-addressed ``point_key``) that lets ``repro sweep --resume``
-  execute only the points a previous interrupted run did not finish;
 * graceful **SIGINT/SIGTERM** handling — in-flight results are drained
   (and therefore flushed to the :class:`~repro.analysis.cache.
   ResultCache` by the ledger) before :class:`SweepInterrupted` is
@@ -86,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
     from repro.analysis.sweeps import PointLedger, PointSpec
 
-#: version of the SweepReport / SweepManifest on-disk shapes
+#: version of the SweepReport on-disk shape
 REPORT_SCHEMA = 1
 
 
@@ -409,103 +406,15 @@ class SweepReport:
         return "sweep report: " + ", ".join(parts)
 
 
-class SweepManifest:
-    """Per-sweep progress file enabling ``repro sweep --resume``.
-
-    A sweep's identity is the hash of its ordered content-addressed
-    point keys (the same ``point_key`` the result cache uses), so the
-    manifest lives beside the cache (``<cache-root>/manifests/``) and a
-    rerun of the *same* grid maps to the same file.  The runner marks
-    each point as it resolves and rewrites the file atomically, so an
-    interrupted sweep leaves an accurate record; on resume, points whose
-    status is ``completed``/``cached`` are exactly the ones the cache
-    will serve without simulation.
-    """
-
-    def __init__(
-        self, path: Path, sweep_key: str,
-        keys: Sequence[str], labels: Sequence[str],
-        statuses: Optional[Dict[int, str]] = None,
-    ) -> None:
-        self.path = Path(path)
-        self.sweep_key = sweep_key
-        self.keys = list(keys)
-        self.labels = list(labels)
-        self.statuses: Dict[int, str] = dict(statuses or {})
-
-    @staticmethod
-    def key_for(keys: Sequence[str]) -> str:
-        """The sweep identity: a digest over the ordered point keys."""
-        digest = hashlib.sha256()
-        for key in keys:
-            digest.update(key.encode())
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-    @classmethod
-    def for_sweep(
-        cls, root: Path | str, keys: Sequence[str], labels: Sequence[str]
-    ) -> "SweepManifest":
-        """The manifest for this grid under ``root``, loading any prior state.
-
-        A prior file (from an interrupted run of the identical grid)
-        contributes its per-point statuses; a fresh grid starts all
-        ``pending``.
-        """
-        sweep_key = cls.key_for(keys)
-        path = Path(root) / "manifests" / f"{sweep_key}.json"
-        statuses: Dict[int, str] = {}
-        try:
-            record = json.loads(path.read_text())
-            if (record.get("schema") == REPORT_SCHEMA
-                    and record.get("sweep_key") == sweep_key):
-                for entry in record.get("points", []):
-                    statuses[int(entry["index"])] = str(entry["status"])
-        except (OSError, ValueError, KeyError, TypeError):
-            statuses = {}
-        return cls(path, sweep_key, keys, labels, statuses)
-
-    def done_indices(self) -> List[int]:
-        """Points a previous run resolved (completed or cache-served)."""
-        return sorted(
-            i for i, s in self.statuses.items() if s in ("completed", "cached")
-        )
-
-    def partial_indices(self) -> List[int]:
-        """Points whose worker died/timed out with a checkpoint on disk.
-
-        These re-execute on resume, but the worker restores the saved
-        snapshot and continues mid-run instead of restarting the point.
-        """
-        return sorted(
-            i for i, s in self.statuses.items() if s == "partial"
-        )
-
-    def mark(self, index: int, status: str) -> None:
-        """Record one point's status and persist the manifest atomically."""
-        self.statuses[index] = status
-        self.save()
-
-    def save(self) -> Path:
-        """Atomically rewrite the manifest file; returns its path."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "schema": REPORT_SCHEMA,
-            "sweep_key": self.sweep_key,
-            "points": [
-                {
-                    "index": i,
-                    "label": self.labels[i] if i < len(self.labels) else "",
-                    "key": self.keys[i],
-                    "status": self.statuses.get(i, "pending"),
-                }
-                for i in range(len(self.keys))
-            ],
-        }
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
-        return self.path
+def sweep_key(keys: Sequence[str]) -> str:
+    """A sweep's identity: a digest over its ordered point keys (the
+    ``point_key`` the result cache uses), so a rerun of the same grid
+    finds the same checkpoint directory."""
+    digest = hashlib.sha256()
+    for key in keys:
+        digest.update(key.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def checkpoint_file(checkpoint_dir: Path | str, index: int) -> Path:
@@ -743,9 +652,7 @@ class SupervisedRunner:
         ``fork`` picks the driver: supervised forked workers, or this
         process.  Either way every resolution reaches ``ledger`` (in
         completion order — grid-order delivery is the ledger's job) and
-        every failed attempt the one policy below.  With checkpointing
-        on, an attempt that died or timed out leaving a resumable
-        snapshot behind marks the point ``partial`` in the manifest.
+        every failed attempt the one policy below.
 
         Fail-fast mode (``keep_going=False``): the first point that
         exhausts its retries stops new dispatch; in-flight points are
@@ -797,12 +704,6 @@ class SupervisedRunner:
             failures[idx] = attempt = failures.get(idx, 0) + 1
             if kind == "timeout":
                 ledger.obs.metrics.counter("sweep_timeouts").inc()
-            if (kind != "error" and self.checkpoint_dir is not None
-                    and checkpoint_file(self.checkpoint_dir, idx).exists()):
-                # the dead attempt left a resumable snapshot: the next
-                # attempt (this sweep or a --resume rerun) continues
-                # from it instead of restarting
-                ledger.mark(idx, "partial")
             if (policy.retryable(kind) or isinstance(exc, ChaosError)) \
                     and attempt <= policy.max_retries and not errors:
                 due = time.monotonic() + policy.backoff * 2 ** (attempt - 1)
@@ -1018,10 +919,10 @@ __all__ = [
     "SupervisedRunner",
     "SupervisorPolicy",
     "SweepInterrupted",
-    "SweepManifest",
     "SweepReport",
     "WorkerDied",
     "checkpoint_file",
     "execute_point",
     "fork_context",
+    "sweep_key",
 ]

@@ -28,8 +28,8 @@ point-for-point identical results:
   point whose content-addressed key (config + workload identity + code
   fingerprint) already has a stored result.
 
-Resilience knobs (``policy``, ``report``, ``manifest``) are documented
-on :func:`run_points`.
+Resilience knobs (``policy``, ``report``) are documented on
+:func:`run_points`.
 
 The ``progress`` callback contract holds on every path: it is invoked
 exactly once per *completed* point (simulated or cache-loaded), in
@@ -61,7 +61,6 @@ from repro.analysis.report import format_table
 from repro.analysis.supervisor import (
     SupervisedRunner,
     SupervisorPolicy,
-    SweepManifest,
     SweepReport,
     fork_context,
 )
@@ -92,6 +91,12 @@ def load_stats_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+#: version of the ``results/*.json`` file format, independent of
+#: ``STATS_SCHEMA``.  1 was the original unversioned shape; 2 adds the
+#: top-level "schema" header (figure numbers are unchanged).
+RESULTS_SCHEMA = 2
+
+
 def load_results_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
     """Normalize a ``results/*.json`` file body (schema 1 or 2).
 
@@ -100,10 +105,10 @@ def load_results_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
     payload is returned unchanged either way, without the header.
     """
     schema = data.get("schema", 1)
-    if not isinstance(schema, int) or schema < 1 or schema > STATS_SCHEMA:
+    if not isinstance(schema, int) or schema < 1 or schema > RESULTS_SCHEMA:
         raise ValueError(
             f"unsupported results schema {schema!r} "
-            f"(this build reads <= {STATS_SCHEMA})"
+            f"(this build reads <= {RESULTS_SCHEMA})"
         )
     return {k: v for k, v in data.items() if k != "schema"}
 
@@ -199,13 +204,12 @@ class PointLedger:
     """The one place a sweep point's fate is written down.
 
     Every resolution — cache hit, completion, retry, quarantine — lands
-    here exactly once and fans out to the result cache, the resume
-    manifest, the report, the monitor, the ``obs`` tracer and the
-    grid-order ``progress`` prefix, identically for the in-process and
-    the forked driver.  Sinks the caller left out are replaced by inert
-    stand-ins (a throwaway report, the no-op base monitor,
-    ``NULL_TRACER``), so neither this class nor the runner guards on
-    None; the manifest has no inert form and goes through :meth:`mark`.
+    here exactly once and fans out to the result cache, the report, the
+    monitor, the ``obs`` tracer and the grid-order ``progress`` prefix,
+    identically for the in-process and the forked driver.  Sinks the
+    caller left out are replaced by inert stand-ins (a throwaway report,
+    the no-op base monitor, ``NULL_TRACER``), so neither this class nor
+    the runner guards on None.
     """
 
     def __init__(
@@ -217,7 +221,6 @@ class PointLedger:
         progress: Optional[Callable[[int, SimStats], None]],
         obs: Optional[Tracer],
         report: Optional[SweepReport],
-        manifest: Optional[SweepManifest],
         aggregate: Optional[SweepAggregator],
         monitor: Optional[SweepMonitor],
     ) -> None:
@@ -227,7 +230,6 @@ class PointLedger:
         self.progress = progress
         self.obs = obs if obs is not None else NULL_TRACER
         self.report = report if report is not None else SweepReport()
-        self.manifest = manifest
         self.aggregate = aggregate
         self.monitor = monitor if monitor is not None else SweepMonitor()
         #: every resolved point: its final stats, or None if quarantined
@@ -237,11 +239,6 @@ class PointLedger:
     def label(self, i: int) -> str:
         """The observability label of grid point ``i``."""
         return self.specs[i].label
-
-    def mark(self, i: int, status: str) -> None:
-        """Persist one point's manifest status (no manifest: nothing to do)."""
-        if self.manifest is not None:
-            self.manifest.mark(i, status)
 
     def _span(self, i: int, wall: float, cached: bool) -> None:
         self.obs.record(
@@ -272,10 +269,6 @@ class PointLedger:
                 self.report.mark_cached(i, self.label(i))
                 self.monitor.point_cached(i, self.label(i))
                 self._span(i, 0.0, cached=True)
-            if self.manifest is not None:
-                self.manifest.statuses[i] = "pending" if hit is None else "cached"
-        if self.manifest is not None:
-            self.manifest.save()
         self.obs.metrics.counter("sweep_cache_hits").inc(len(self.stats))
         self.obs.metrics.counter("sweep_cache_misses").inc(len(misses))
         self._deliver_prefix()
@@ -302,7 +295,6 @@ class PointLedger:
         self.monitor.point_done(i, self.label(i), wall)
         if self.cache is not None:
             self.cache.put(self.keys[i], stats)
-        self.mark(i, "completed")
         self._span(i, wall, cached=False)
         self._deliver_prefix()
 
@@ -326,7 +318,6 @@ class PointLedger:
         )
         self.obs.metrics.counter("sweep_quarantined").inc()
         self.monitor.point_quarantined(i, self.label(i))
-        self.mark(i, "quarantined")
         self._deliver_prefix()
 
 
@@ -339,7 +330,6 @@ def run_points(
     obs: Optional[Tracer] = None,
     policy: Optional[SupervisorPolicy] = None,
     report: Optional[SweepReport] = None,
-    manifest: Optional[SweepManifest] = None,
     aggregate: Optional[SweepAggregator] = None,
     monitor: Optional[SweepMonitor] = None,
     checkpoint_dir: Optional[Path | str] = None,
@@ -380,36 +370,27 @@ def run_points(
     quarantined point's slot in the returned list is ``None`` (and
     ``progress`` never fires for it; later points still deliver in
     order).  ``report`` accumulates per-point
-    :class:`~repro.analysis.supervisor.PointOutcome` records;
-    ``manifest`` persists per-point status for ``repro sweep --resume``
-    (and its ``keys`` serve as the point keys, so they are hashed once).
+    :class:`~repro.analysis.supervisor.PointOutcome` records.
 
     ``checkpoint_dir`` + ``checkpoint_interval`` turn on crash-
     consistent per-point snapshots: each executing point writes
     ``<dir>/pointNNNNN.ckpt`` every ``checkpoint_interval`` simulated
-    events, a killed or timed-out point *resumes* from its last
-    snapshot instead of restarting, and the manifest records such
-    points as ``partial`` so a later ``--resume`` continues them
-    mid-run too.  Results stay byte-identical either way
-    (``docs/robustness.md``).
+    events, and a killed or timed-out point *resumes* from its last
+    snapshot instead of restarting — in this sweep's retry, or in a
+    later run given the same directory (a point's snapshot is deleted
+    only once its result is recorded).  Results stay byte-identical
+    either way (``docs/robustness.md``).
     """
     n = len(specs)
     keys: Sequence[str] = ()
-    if manifest is not None:
-        if len(manifest.keys) != n:
-            raise ValueError(
-                f"manifest describes {len(manifest.keys)} points, "
-                f"the sweep has {n}"
-            )
-        keys = manifest.keys
-    elif cache is not None:
+    if cache is not None:
         keys = [
             point_key(s.config, s.workload_factory(), check=s.check)
             for s in specs
         ]
     ledger = PointLedger(
         specs, keys, cache=cache, progress=progress, obs=obs, report=report,
-        manifest=manifest, aggregate=aggregate, monitor=monitor,
+        aggregate=aggregate, monitor=monitor,
     )
     ledger.monitor.begin(total=n, jobs=max(1, jobs))
     try:
@@ -488,8 +469,8 @@ class Sweep:
     def specs(self) -> List[PointSpec]:
         """One :class:`PointSpec` per grid point, in deterministic order.
 
-        Exposed so callers (the CLI's resume manifest, tests) can derive
-        content-addressed point keys without running the sweep.
+        Exposed so callers (the CLI's ``--resume`` summary, tests) can
+        derive content-addressed point keys without running the sweep.
         """
         return [
             PointSpec(
@@ -510,7 +491,6 @@ class Sweep:
         obs: Optional[Tracer] = None,
         policy: Optional[SupervisorPolicy] = None,
         report: Optional[SweepReport] = None,
-        manifest: Optional[SweepManifest] = None,
         aggregate: Optional[SweepAggregator] = None,
         monitor: Optional[SweepMonitor] = None,
         checkpoint_dir: Optional[Path | str] = None,
@@ -526,7 +506,7 @@ class Sweep:
         holds under ``jobs > 1`` and, on failure, covers exactly the
         points before the first grid-order error.  ``obs`` — a tracer
         receiving per-point ``sweep.point`` spans and cache counters.
-        ``policy``/``report``/``manifest`` — supervision knobs, see
+        ``policy``/``report`` — supervision knobs, see
         :func:`run_points`; under ``policy.keep_going`` quarantined
         points are simply absent from the returned results (the
         ``report`` records why).  ``aggregate``/``monitor`` — sweep
@@ -542,7 +522,7 @@ class Sweep:
             wrapped = lambda i, stats: progress(grid[i], stats)  # noqa: E731
         stats_list = run_points(
             specs, jobs=jobs, cache=cache, progress=wrapped, obs=obs,
-            policy=policy, report=report, manifest=manifest,
+            policy=policy, report=report,
             aggregate=aggregate, monitor=monitor,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,

@@ -169,8 +169,9 @@ def cmd_sweep(args) -> int:
         ChaosPlan,
         SupervisorPolicy,
         SweepInterrupted,
-        SweepManifest,
         SweepReport,
+        checkpoint_file,
+        sweep_key,
     )
     from repro.analysis.sweeps import Sweep
 
@@ -221,51 +222,46 @@ def cmd_sweep(args) -> int:
         )
     report = SweepReport() if (supervise or args.report) else None
 
-    manifest = None
     if args.resume and cache is None:
         raise SystemExit(
             "--resume needs a result cache; pass --cache-dir DIR "
             "(or set $REPRO_CACHE_DIR) and drop --no-cache"
         )
-    if cache is not None:
-        specs = sweep.specs()
+    # per-point crash-consistent snapshots live in --ckpt-dir, or under
+    # the cache in a directory named by the sweep's identity, so a rerun
+    # of the same grid finds the ones an interrupted run left behind
+    snapshots = args.ckpt_dir
+    if cache is not None and (
+        args.resume or (args.ckpt_interval is not None and not snapshots)
+    ):
         keys = [
             point_key(s.config, s.workload_factory(), check=s.check)
-            for s in specs
+            for s in sweep.specs()
         ]
-        manifest = SweepManifest.for_sweep(
-            cache.root, keys, [s.label for s in specs]
-        )
+        grid_key = sweep_key(keys)
+        if not snapshots:
+            snapshots = str(cache.root / "checkpoints" / grid_key[:24])
         if args.resume:
-            done = manifest.done_indices()
-            partial = manifest.partial_indices()
-            pending = len(keys) - len(done)
-            ncached = sum(
-                1 for s in manifest.statuses.values() if s == "cached"
+            # what is already durable says how far the sweep got
+            pending = [i for i, key in enumerate(keys) if key not in cache]
+            resumable = sum(
+                checkpoint_file(snapshots, i).exists() for i in pending
             )
-            line = (f"resuming sweep {manifest.sweep_key[:12]}: "
-                    f"{len(done)}/{len(keys)} points done "
-                    f"({len(done) - ncached} simulated, {ncached} cached), "
-                    f"{pending} pending")
-            if partial:
-                line += (f" ({len(partial)} resumable from mid-run "
+            line = (f"resuming sweep {grid_key[:12]}: "
+                    f"{len(keys) - len(pending)}/{len(keys)} points done, "
+                    f"{len(pending)} pending")
+            if resumable:
+                line += (f" ({resumable} resumable from mid-run "
                          f"checkpoints)")
             print(line)
-
-    # per-point crash-consistent snapshots
     checkpoint_dir = None
     if args.ckpt_interval is not None:
-        if args.ckpt_dir:
-            checkpoint_dir = args.ckpt_dir
-        elif cache is not None and manifest is not None:
-            checkpoint_dir = str(
-                cache.root / "checkpoints" / manifest.sweep_key[:24]
-            )
-        else:
+        if not snapshots:
             raise SystemExit(
                 "--ckpt-interval needs --ckpt-dir DIR (or an enabled "
                 "result cache to place checkpoints under)"
             )
+        checkpoint_dir = snapshots
     elif args.ckpt_dir:
         raise SystemExit("--ckpt-dir needs --ckpt-interval N")
     if chaos is not None and chaos.midkill and checkpoint_dir is None:
@@ -309,7 +305,7 @@ def cmd_sweep(args) -> int:
     try:
         results = sweep.run(
             jobs=args.jobs, cache=cache, progress=progress,
-            policy=policy, report=report, manifest=manifest,
+            policy=policy, report=report,
             aggregate=aggregate, monitor=monitor,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=args.ckpt_interval,
@@ -659,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "finish the sweep instead of raising")
     p.add_argument("--resume", action="store_true",
                    help="rerun an interrupted sweep, executing only points "
-                        "the manifest/cache does not already hold "
+                        "the cache does not already hold "
                         "(requires a cache)")
     p.add_argument("--ckpt-interval", type=int, default=None, metavar="N",
                    help="per-point crash-consistent snapshots every N "

@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
 
 #: checkpoint file format version; restores are refused across versions
-CKPT_SCHEMA = 6
+CKPT_SCHEMA = 7
 
 #: first bytes of every checkpoint header line
 MAGIC = "repro-ckpt"

@@ -67,31 +67,6 @@ def _phases(
             net_reply, inval_fanout)
 
 
-class _LegRowProxy:
-    """Row view over ``Network.leg`` for machines too large to tabulate."""
-
-    __slots__ = ("_net", "_src")
-
-    def __init__(self, net, src: int) -> None:
-        self._net = net
-        self._src = src
-
-    def __getitem__(self, dst: int) -> float:
-        return self._net.leg(self._src, dst)
-
-
-class _LegTableFallback:
-    """``legs[src][dst]`` facade that defers to ``Network.leg`` directly."""
-
-    __slots__ = ("_net",)
-
-    def __init__(self, net) -> None:
-        self._net = net
-
-    def __getitem__(self, src: int) -> _LegRowProxy:
-        return _LegRowProxy(self._net, src)
-
-
 class Transaction:
     """One memory transaction travelling to a home directory."""
 
@@ -184,12 +159,7 @@ class DirectoryController:
         #: the raw message counter — hot sites bump it directly (inlined
         #: machine.count_msg, whose src != dst guard the sites keep)
         self._messages = machine.stats.messages
-        #: ``legs[src][dst]`` == network.leg(src, dst) without the call
-        self._legs = (
-            machine._leg_table
-            if machine._leg_table is not None
-            else _LegTableFallback(machine.network)
-        )
+        self._legs = machine.legs
         self._strict = machine.strict
         self._occupancy = machine.config.ctrl_occupancy_cycles
         #: bounded stores (sparse) victimize on allocation and need the

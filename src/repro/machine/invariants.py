@@ -29,15 +29,13 @@ checker's per-block audit and the model checker
 (:func:`repro.verify.model.state_violations`) only build the block view
 it reads.
 
-The checker runs ``"strict"`` (an audit of every block a transaction
-disturbed — the block it was for when it finishes, the blocks an
-invalidation round killed when the round is issued — plus a final
-whole-machine sweep) or ``"sampled"`` (a whole-machine sweep every
-``sample_interval``-th completion plus the final one).  Violations are
-recorded and counted in :class:`~repro.machine.stats.SimStats`; with
-``DashSystem(strict=True)`` the first violation raises a structured
-:class:`CoherenceViolation` instead, so a faulty run can never silently
-corrupt statistics.
+The checker audits every block a transaction disturbed — the block it
+was for when it finishes, the blocks an invalidation round killed when
+the round is issued — and ends the run with one whole-machine sweep.
+Violations are recorded and counted in
+:class:`~repro.machine.stats.SimStats`; with ``DashSystem(strict=True)``
+the first violation raises a structured :class:`CoherenceViolation`
+instead, so a faulty run can never silently corrupt statistics.
 """
 
 from __future__ import annotations
@@ -60,9 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sparse import DirLine
     from repro.machine.directory import Transaction
     from repro.machine.system import DashSystem
-
-#: recognised checker modes
-MODES = ("strict", "sampled")
 
 
 class CoherenceViolation(AssertionError):
@@ -231,33 +226,28 @@ class InvariantChecker:
 
     The directory controllers report transaction lifecycle events and
     invalidation rounds; the checker cross-checks them and audits the
-    machine's state — in ``"strict"`` mode the blocks each report names,
-    in ``"sampled"`` mode the whole machine every ``sample_interval``-th
-    completion.  ``system.strict`` decides whether a violation raises
-    immediately or is recorded (and counted in
-    ``SimStats.invariant_violations``) for post-run inspection.
+    machine's state, block by block as each report names them.
+    ``system.strict`` decides whether a violation raises immediately or
+    is recorded (and counted in ``SimStats.invariant_violations``) for
+    post-run inspection.
     """
 
-    #: construction parameter a checkpoint's restore target must share
-    MUST_MATCH = ("mode",)
+    #: nothing a checkpoint's restore target must share beyond presence
+    MUST_MATCH = ()
     #: counters snapshotted verbatim through the checkpoint codec
     _STATE = ("_finished", "inval_rounds", "checks_run", "blocks_checked")
 
     def __init__(
         self,
         system: "DashSystem",
-        mode: str = "sampled",
+        mode: str = "strict",
         *,
-        sample_interval: int = 64,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
+        if mode != "strict":
+            raise ValueError(f'mode must be "strict", got {mode!r}')
         self.system = system
         self.mode = mode
-        self.sample_interval = sample_interval
         self.watchdog_cycles = (
             system.config.watchdog_cycles
             if watchdog_cycles is None
@@ -319,7 +309,7 @@ class InvariantChecker:
 
     def on_finish(self, txn: "Transaction", now: float) -> None:
         """A transaction's last effect landed: watchdog, then audit its
-        block (strict) or, periodically, the whole machine (sampled)."""
+        block."""
         entry = self._outstanding.pop(id(txn), None)
         if entry is not None:
             _, t0 = entry
@@ -337,10 +327,7 @@ class InvariantChecker:
                     )
                 )
         self._finished += 1
-        if self.mode == "strict":
-            self.check_block(txn.block)
-        elif self._finished % self.sample_interval == 0:
-            self.check_machine()
+        self.check_block(txn.block)
 
     # -- invalidation accounting --------------------------------------------
 
@@ -361,7 +348,7 @@ class InvariantChecker:
         invalidation per target other than the home (which invalidates
         over its own bus) and one acknowledgement per target other than
         the awaiting ``recipient``.  ``blocks`` are the blocks whose
-        copies the round killed; strict mode audits them now — the round
+        copies the round killed, audited now — the round
         was not necessarily issued by a transaction *on* them (sparse
         replacement victims, pooled group-mates), so no later
         ``on_finish`` would.
@@ -379,9 +366,8 @@ class InvariantChecker:
                     f"{expect_acks}",
                 )
             )
-        if self.mode == "strict":
-            for block in blocks:
-                self.check_block(block)
+        for block in blocks:
+            self.check_block(block)
 
     # -- state audits -------------------------------------------------------
 

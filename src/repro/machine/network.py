@@ -163,6 +163,26 @@ class FaultyNetwork(Network):
         return Delivery(arrivals=(now + leg,), nak=True, fault=kind)
 
 
+class LegTable(dict):
+    """``legs[src][dst] == network.leg(src, dst)`` without the call.
+
+    Latency models are pure, so a row is exact once built.  A source's
+    row is filled on its first use: construction is O(1) at any machine
+    size, and only clusters that send ever cost a row.
+    """
+
+    __slots__ = ("_leg", "_dsts")
+
+    def __init__(self, network: Network) -> None:
+        self._leg = network.leg
+        self._dsts = range(network.num_clusters)
+
+    def __missing__(self, src: int) -> list[float]:
+        leg = self._leg
+        row = self[src] = [leg(src, dst) for dst in self._dsts]
+        return row
+
+
 def make_network(kind: str, num_clusters: int, **kwargs) -> Network:
     """Build a network by name (``"uniform"`` or ``"mesh"``)."""
     kind = kind.lower()

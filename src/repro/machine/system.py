@@ -29,7 +29,7 @@ from repro.machine.events import EventQueue
 from repro.machine.faults import FaultPlan
 from repro.machine.invariants import InvariantChecker, machine_state_violations
 from repro.machine.messages import MsgClass
-from repro.machine.network import FaultyNetwork, make_network
+from repro.machine.network import FaultyNetwork, LegTable, make_network
 from repro.machine.processor import Processor
 from repro.machine.stats import SimStats
 from repro.machine.sync import SyncManager
@@ -86,20 +86,18 @@ class DashSystem:
             self.fault_plan = plan
             self.network = FaultyNetwork(self.network, plan)
         self.network.tracer = self.obs
-        #: dense ``leg`` table: ``_leg_table[src][dst]`` == network.leg —
-        #: latency models are pure, so the table is exact.  Directory
+        #: ``legs[src][dst]`` == network.leg(src, dst): directory
         #: controllers index it instead of calling ``leg`` per message leg
-        #: (None for very large machines, where controllers fall back).
-        self._leg_table: Optional[List[List[float]]] = None
-        if config.num_clusters <= 256:
-            leg = self.network.leg
-            rng = range(config.num_clusters)
-            self._leg_table = [[leg(s, d) for d in rng] for s in rng]
+        self.legs = LegTable(self.network)
         #: runtime invariant checker, or None when checking is off
         self.invariants: Optional[InvariantChecker] = None
         if invariants is None:
-            # default: watch faulty runs (sampled), stay out of clean runs
-            invariants = "sampled" if faults is not None else "off"
+            # default: watch faulty runs, stay out of clean runs
+            invariants = "strict" if faults is not None else "off"
+        if invariants not in ("strict", "off"):
+            raise ValueError(
+                f'invariants must be "strict" or "off", got {invariants!r}'
+            )
         if invariants != "off":
             self.invariants = InvariantChecker(self, invariants)
         self.scheme = scheme if scheme is not None else make_scheme(
@@ -450,8 +448,8 @@ def run_workload(
     """Build a machine, run the workload, optionally verify coherence.
 
     ``faults`` — an int seed or a :class:`FaultPlan` enables fault
-    injection; ``invariants`` — ``"strict"`` / ``"sampled"`` / ``"off"``
-    (default: sampled when faults are enabled, off otherwise);
+    injection; ``invariants`` — ``"strict"`` / ``"off"``
+    (default: strict when faults are enabled, off otherwise);
     ``strict`` makes the first invariant violation raise immediately;
     ``obs`` — attach a :class:`~repro.obs.tracer.Tracer` to record
     structured events and metrics (off by default, and free when off);

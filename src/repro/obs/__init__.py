@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, profiling, telemetry.
+"""Observability: structured tracing, metrics, profiling, sweep telemetry.
 
 The simulator's measurement substrate (see ``docs/observability.md``):
 
@@ -12,8 +12,6 @@ The simulator's measurement substrate (see ``docs/observability.md``):
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event``
   (Perfetto-loadable) trace exporters and loaders;
 * :mod:`repro.obs.profiler` — wall-time sim-phase profiler;
-* :mod:`repro.obs.telemetry` — schema-versioned ``BENCH_*.json`` writer
-  for the perf-regression pipeline;
 * :mod:`repro.obs.aggregate` — cross-worker sweep telemetry: per-point
   capture in workers, exact parent-side merge, one Perfetto trace with
   worker ``pid`` lanes;
@@ -63,13 +61,6 @@ from repro.obs.registry import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
 )
-from repro.obs.telemetry import (
-    BENCH_SCHEMA,
-    load_bench,
-    peak_rss_bytes,
-    usable_cpus,
-    write_bench,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
@@ -96,11 +87,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "BENCH_SCHEMA",
-    "write_bench",
-    "load_bench",
-    "peak_rss_bytes",
-    "usable_cpus",
     "is_gzipped",
     "AGGREGATE_SCHEMA",
     "PointTelemetry",

@@ -1,78 +1,8 @@
 """Simulator-specific AST lint rules the type checker cannot express.
 
-Rules (see ``docs/verification.md`` for the full rationale):
-
-``enum-dispatch``
-    Dict literals keyed by two or more members of a protocol enum
-    (``MsgClass``, ``FaultKind``, ``InvalCause``, ``LineState``) and
-    ``if/elif`` chains comparing against them must cover every member —
-    a silently unhandled message class is how protocols rot.
-``unseeded-random``
-    ``machine/`` and ``core/`` must not call the module-level ``random``
-    functions, ``uuid``, or ``secrets``: simulations must be
-    deterministic per seed.  Constructing a seeded
-    ``random.Random(...)`` is allowed.
-``wall-clock``
-    ``machine/`` and ``core/`` must not read the wall clock
-    (``time.time()``, ``time.perf_counter()``, ``datetime.now()``, ...)
-    or OS entropy (``os.urandom``) — the same determinism hazard as
-    unseeded randomness, but routinely smuggled in as "just timing".
-    Simulated time lives on the event queue; host time belongs in
-    ``obs``/``analysis`` (profiling, timeouts), which are out of scope.
-``unordered-iteration``
-    ``machine/`` and ``core/`` must not iterate directly over set
-    displays, ``set()``/``frozenset()`` calls, or the (frozen-set
-    valued) ``invalidation_targets()`` — Python set iteration order
-    varies across runs for non-int elements and hides ordering bugs
-    either way.  Wrap in ``sorted(...)``.
-``unregistered-scheme``
-    Every concrete ``DirectoryScheme`` subclass defined under ``core/``
-    must be referenced by ``core/registry.py`` so name-based lookup
-    (CLI, benchmarks, docs) can reach it.
-``undeclared-stat``
-    ``stats.X += ...`` requires ``X`` to be declared on ``SimStats`` or
-    ``ProcessorStats`` — incrementing an undeclared counter would create
-    it on the fly on one code path and crash or silently read 0 on
-    another.
-``undeclared-obs-name``
-    Every literal event name passed to ``.record(...)`` / ``.emit(...)``
-    / ``.emit_now(...)`` / ``.emit_counter(...)`` must be declared in
-    ``obs/registry.py``'s ``EVENTS``, and every literal metric name passed
-    to a metrics registry's ``.counter(...)`` / ``.gauge(...)`` /
-    ``.histogram(...)`` must be in ``METRICS`` — an unregistered name
-    would silently fork the taxonomy that exporters, reports, and
-    ``repro obs diff`` agree on.  (Dynamically built names are validated
-    at runtime by the strict tracer instead.)
-``dead-metric``
-    The inverse direction: every metric declared in ``obs/registry.py``'s
-    ``METRICS`` must be incremented somewhere — a declared-but-dead name
-    keeps showing up in the glossary and diff baselines while silently
-    recording nothing.  A metric counts as live when some
-    ``.counter(...)``/``.gauge(...)``/``.histogram(...)`` call names it
-    literally or via an f-string whose literal prefix covers it
-    (``f"txn_latency.{kind}"`` keeps every ``txn_latency.*`` metric
-    alive), or when an event declaration feeds it (``feeds=("msg_latency",
-    "dur")``; the keyed ``feeds=("invals_per_event.", "invals", "cause")``
-    keeps the whole prefix alive).  Only checked on tree-wide runs — the
-    lint set must include both ``obs/registry.py`` and the ``machine/``
-    layer, else a partial run could not see the increment sites and
-    everything would look dead.
-``unpicklable-continuation``
-    Callbacks scheduled into the event queue (``events.at(...)`` /
-    ``events.after(...)``) under ``machine/`` must be bound methods of
-    machine components, not lambdas, closures, or nested functions —
-    the checkpoint serializer (``machine/checkpoint.py``) encodes heap
-    continuations as ``(component, method)`` descriptors, and an
-    anonymous callable would make the machine state unsnapshottable
-    (the encoder raises ``UnregisteredContinuationError`` at capture
-    time; this rule catches it at review time).
-``span-leak``
-    A split span opened in ``machine/`` (``.emit(..., kind=BEGIN)``)
-    must have a matching close (``kind=END`` with the same literal event
-    name) somewhere in the same module — an unclosed ``"B"`` record
-    renders as a span running to the end of time in Perfetto and skews
-    every duration aggregate built from the trace.  Complete-span
-    emits (``kind=SPAN`` / a ``dur=``) are exempt: they cannot leak.
+The rules are catalogued once, in :data:`LINT_RULES` (``python -m
+repro.verify lint --list-rules`` prints it); the rule table in
+``docs/verification.md`` says what each one matches and why it exists.
 
 Suppressions are **line-targeted**: ``# lint: ignore[rule-name]`` (or a
 bare ``# lint: ignore`` for all rules) silences findings anchored to the
@@ -86,8 +16,14 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+
+from repro.machine.cache import LineState
+from repro.machine.faults import FaultKind
+from repro.machine.messages import MsgClass
+from repro.machine.stats import InvalCause
 
 #: rule name -> one-line description (the catalog, also used by the CLI)
 LINT_RULES: Dict[str, str] = {
@@ -113,13 +49,9 @@ LINT_RULES: Dict[str, str] = {
 }
 
 #: enums whose dispatch must be exhaustive, with their member names
+_ENUMS: tuple[type[Enum], ...] = (MsgClass, FaultKind, InvalCause, LineState)
 _DISPATCH_ENUMS: Dict[str, FrozenSet[str]] = {
-    "MsgClass": frozenset(
-        {"REQUEST", "REPLY", "INVALIDATION", "ACKNOWLEDGEMENT"}
-    ),
-    "FaultKind": frozenset({"DROP", "DUPLICATE", "DELAY", "NAK", "CORRUPT"}),
-    "InvalCause": frozenset({"WRITE", "NB_EVICT", "SPARSE_REPL"}),
-    "LineState": frozenset({"SHARED", "DIRTY"}),
+    enum.__name__: frozenset(enum.__members__) for enum in _ENUMS
 }
 
 _BANNED_TIME = frozenset(
@@ -213,14 +145,16 @@ class _Module:
         return "machine" in parts or "core" in parts
 
 
-def _suppressed(module: _Module, lineno: int, rule: str) -> bool:
-    """True when the finding is silenced by a line or file annotation."""
+def _finding(
+    module: _Module, line: int, col: int, rule: str, message: str
+) -> Iterator[Finding]:
+    """The finding, unless a line or file annotation silences it."""
     ig = module.ignores
     if ig.file_all or rule in ig.file_rules:
-        return True
-    if lineno in ig.line_all:
-        return True
-    return rule in ig.line_rules.get(lineno, frozenset())
+        return
+    if line in ig.line_all or rule in ig.line_rules.get(line, frozenset()):
+        return
+    yield Finding(str(module.path), line, col, rule, message)
 
 
 # -- rule: enum-dispatch ----------------------------------------------------
@@ -268,11 +202,8 @@ def _check_enum_dict(module: _Module, node: ast.Dict) -> Iterator[Finding]:
         return
     missing = _DISPATCH_ENUMS[enum_name] - members
     if missing:
-        yield Finding(
-            str(module.path),
-            node.lineno,
-            node.col_offset,
-            "enum-dispatch",
+        yield from _finding(
+            module, node.lineno, node.col_offset, "enum-dispatch",
             f"dict keyed by {enum_name} misses "
             f"{', '.join(sorted(missing))}",
         )
@@ -309,11 +240,8 @@ def _check_enum_chain(module: _Module, node: ast.If) -> Iterator[Finding]:
         return
     missing = _DISPATCH_ENUMS[enum_name] - members
     if missing:
-        yield Finding(
-            str(module.path),
-            first_line,
-            node.col_offset,
-            "enum-dispatch",
+        yield from _finding(
+            module, first_line, node.col_offset, "enum-dispatch",
             f"if/elif chain over {enum_name} misses "
             f"{', '.join(sorted(missing))} and has no else",
         )
@@ -406,18 +334,15 @@ def _check_nondeterminism(module: _Module) -> Iterator[Finding]:
             origin = f"datetime.{func.value.attr}.{func.attr}"
         elif isinstance(func, ast.Name) and func.id in banned_names:
             rule, origin = banned_names[func.id]
-        if rule is None or _suppressed(module, node.lineno, rule):
+        if rule is None:
             continue
         hint = (
             "draw from a seeded random.Random instance instead"
             if rule == "unseeded-random"
             else "simulated time lives on the event queue"
         )
-        yield Finding(
-            str(module.path),
-            node.lineno,
-            node.col_offset,
-            rule,
+        yield from _finding(
+            module, node.lineno, node.col_offset, rule,
             f"call to {origin} is nondeterministic; {hint}",
         )
 
@@ -460,14 +385,9 @@ def _check_unordered_iteration(module: _Module) -> Iterator[Finding]:
                 )
     for lineno, col, iter_node in sources:
         reason = _unordered_reason(iter_node)
-        if reason is not None and not _suppressed(
-            module, lineno, "unordered-iteration"
-        ):
-            yield Finding(
-                str(module.path),
-                lineno,
-                col,
-                "unordered-iteration",
+        if reason is not None:
+            yield from _finding(
+                module, lineno, col, "unordered-iteration",
                 f"iterating over {reason} has no deterministic order; "
                 f"wrap in sorted(...)",
             )
@@ -517,14 +437,9 @@ def _scheme_findings(modules: List[_Module]) -> Iterator[Finding]:
         module, lineno, col, _bases = class_sites[name]
         if name.startswith("_"):
             continue  # private helper base, not a user-facing scheme
-        if name not in referenced and not _suppressed(
-            module, lineno, "unregistered-scheme"
-        ):
-            yield Finding(
-                str(module.path),
-                lineno,
-                col,
-                "unregistered-scheme",
+        if name not in referenced:
+            yield from _finding(
+                module, lineno, col, "unregistered-scheme",
                 f"{name} subclasses DirectoryScheme but core/registry.py "
                 f"never references it; add an alias or pattern",
             )
@@ -586,14 +501,9 @@ def _check_undeclared_stat(
         )
         if not is_stats:
             continue
-        if target.attr not in declared and not _suppressed(
-            module, node.lineno, "undeclared-stat"
-        ):
-            yield Finding(
-                str(module.path),
-                node.lineno,
-                node.col_offset,
-                "undeclared-stat",
+        if target.attr not in declared:
+            yield from _finding(
+                module, node.lineno, node.col_offset, "undeclared-stat",
                 f"stats.{target.attr} is incremented but not declared on "
                 f"SimStats/ProcessorStats",
             )
@@ -698,12 +608,9 @@ def _check_undeclared_obs_name(
             what, table, declared = "metric", "METRICS", metrics
         else:
             continue
-        if name not in declared and not _suppressed(
-            module, node.lineno, "undeclared-obs-name"
-        ):
-            yield Finding(
-                str(module.path), node.lineno, node.col_offset,
-                "undeclared-obs-name",
+        if name not in declared:
+            yield from _finding(
+                module, node.lineno, node.col_offset, "undeclared-obs-name",
                 f"{what} {name!r} is not declared in obs/registry.py {table}",
             )
 
@@ -753,13 +660,10 @@ def _check_span_leak(module: _Module) -> Iterator[Finding]:
         elif half == "end":
             ends.add(name)
     for name, lineno, col in begins:
-        if name in ends or _suppressed(module, lineno, "span-leak"):
+        if name in ends:
             continue
-        yield Finding(
-            str(module.path),
-            lineno,
-            col,
-            "span-leak",
+        yield from _finding(
+            module, lineno, col, "span-leak",
             f"split span {name!r} is opened with kind=BEGIN but this "
             f"module never emits a matching kind=END close",
         )
@@ -849,15 +753,10 @@ def _check_unpicklable_continuation(module: _Module) -> Iterator[Finding]:
             kind = "a lambda"
         elif isinstance(callback, ast.Name) and callback.id in nested:
             kind = f"nested function {callback.id!r}"
-        if kind is None or _suppressed(
-            module, node.lineno, "unpicklable-continuation"
-        ):
+        if kind is None:
             continue
-        yield Finding(
-            str(module.path),
-            node.lineno,
-            node.col_offset,
-            "unpicklable-continuation",
+        yield from _finding(
+            module, node.lineno, node.col_offset, "unpicklable-continuation",
             f"{kind} scheduled into the event queue cannot be "
             f"checkpointed; use a bound method of a machine component "
             f"(registered in machine/checkpoint.py CONTINUATIONS)",
@@ -921,10 +820,8 @@ def _dead_metric_findings(modules: List[_Module]) -> Iterator[Finding]:
         name = key.value
         if name in exact or any(name.startswith(p) for p in prefixes):
             continue
-        if _suppressed(registry, key.lineno, "dead-metric"):
-            continue
-        yield Finding(
-            str(registry.path), key.lineno, key.col_offset, "dead-metric",
+        yield from _finding(
+            registry, key.lineno, key.col_offset, "dead-metric",
             f"metric {name!r} is declared in METRICS but never "
             f"passed to .counter()/.gauge()/.histogram() or fed by "
             f"an event declaration anywhere",
@@ -985,9 +882,7 @@ def run_lint(paths: Iterable[str]) -> List[Finding]:
     declared = _declared_stats(modules)
     obs_names = _declared_obs_names(modules)
     for module in modules:
-        for finding in _check_enum_dispatch(module):
-            if not _suppressed(module, finding.line, finding.rule):
-                findings.append(finding)
+        findings.extend(_check_enum_dispatch(module))
         findings.extend(_check_nondeterminism(module))
         findings.extend(_check_unordered_iteration(module))
         findings.extend(_check_span_leak(module))

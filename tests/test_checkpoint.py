@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.analysis.supervisor import (
     ChaosPlan,
     SupervisorPolicy,
-    SweepManifest,
     SweepReport,
     checkpoint_file,
     fork_context,
@@ -222,15 +221,13 @@ RESTORE_BRANCHES = {
         {}, {"invariants": "strict"}, _workload,
         {"checker-outstanding", "checker-audited"},
     ),
-    "sampled": (
-        {}, {"invariants": "sampled"}, _workload, {"checker-outstanding"},
-    ),
-    "rc+faults+sampled+writebacks": (
+    "rc+faults+strict+writebacks": (
         {"release_consistency": True, "scheme": "Dir2OF8",
          "sparse_size_factor": 1.0, **_SMALL_CACHES},
         {"faults": 11}, _workload,
         {"outstanding-writes", "fence:Barrier", "faults-injected", "retried",
-         "checker-outstanding", "wb-inflight", "cancelled-wb"},
+         "checker-outstanding", "checker-audited", "wb-inflight",
+         "cancelled-wb"},
     ),
     "coarse-lock-grant": (
         {"coarse_lock_grant": True, "scheme": "Dir4CV4"}, {}, _hot_lock,
@@ -363,7 +360,7 @@ def test_recorded_violations_survive_a_restore():
     """The checker's violation list is snapshotted by constructor
     arguments: invariant name, bare message and block all come back."""
     config = _config()
-    first = DashSystem(config, _workload(), invariants="sampled")
+    first = DashSystem(config, _workload(), invariants="strict")
     first.run(max_events=150)
     planted = CoherenceViolation("watchdog", "planted for the test", block=7)
     assert str(planted) == "[watchdog] planted for the test"
@@ -371,7 +368,7 @@ def test_recorded_violations_survive_a_restore():
     first.invariants._report(planted)
 
     ckpt = first.checkpoint()
-    second = DashSystem(config, _workload(), invariants="sampled")
+    second = DashSystem(config, _workload(), invariants="strict")
     second.restore(ckpt)
     (restored,) = second.invariants.violations
     assert (restored.invariant, restored.message, restored.block) == (
@@ -389,8 +386,7 @@ def test_recorded_violations_survive_a_restore():
         ({}, {"faults": 3}, "fault plan mismatch"),
         ({"faults": 3}, {"faults": 4}, "fault plan parameter seed differs"),
         ({"invariants": "strict"}, {}, "invariant checker mismatch"),
-        ({"invariants": "strict"}, {"invariants": "sampled"},
-         "invariant checker parameter mode differs"),
+        ({}, {"invariants": "strict"}, "invariant checker mismatch"),
         ({"obs": 1 << 10}, {}, "tracer mismatch"),
         ({}, {"obs": 1 << 10}, "tracer mismatch"),
         ({"obs": 1 << 10}, {"obs": 1 << 11},
@@ -399,7 +395,7 @@ def test_recorded_violations_survive_a_restore():
 )
 def test_optional_component_mismatch_refused(writer, target, message):
     """A restore target must be built with the same fault plan, invariant
-    mode and tracing setup as the run that wrote the checkpoint."""
+    checking and tracing setup as the run that wrote the checkpoint."""
 
     def build(kwargs):
         kwargs = dict(kwargs)
@@ -549,13 +545,15 @@ def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     components themselves; schema 4 adds the invariant checker's
     ``blocks_checked``; schema 5 stores a traced run's ring as the
     tracer's flat rows; schema 6 drops the processor's encoded fence op
-    (a flag; the cursor rests on the op).  An old file stops at the schema
-    gate, before its payload is even read."""
-    assert CKPT_SCHEMA == 6
+    (a flag; the cursor rests on the op); schema 7 drops the invariant
+    checker's ``mode`` (``"sampled"`` is gone, so every schema-6 file that
+    named it stops here).  An old file stops at the schema gate, before its
+    payload is even read."""
+    assert CKPT_SCHEMA == 7
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    for old in (1, 2, 3, 4, 5):
+    for old in (1, 2, 3, 4, 5, 6):
         header["schema"] = old
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
@@ -773,19 +771,10 @@ def test_in_process_sweep_checkpoints_resumes_and_cleans_up(
     assert list(tmp_path.glob("*.ckpt")) == []
 
 
-def test_checkpoint_file_naming_and_partial_manifest(tmp_path):
-    """`checkpoint_file` yields stable per-point names, and a manifest
-    distinguishes mid-run-resumable points from done/pending ones."""
+def test_checkpoint_file_naming(tmp_path):
+    """`checkpoint_file` yields stable per-point names."""
     assert checkpoint_file(tmp_path, 7).name == "point00007.ckpt"
     assert checkpoint_file(str(tmp_path), 12345).name == "point12345.ckpt"
-
-    manifest = SweepManifest(
-        tmp_path / "m.json", "k" * 64,
-        ["a", "b", "c"], ["p0", "p1", "p2"],
-        statuses={0: "completed", 1: "partial", 2: "pending"},
-    )
-    assert manifest.done_indices() == [0]
-    assert manifest.partial_indices() == [1]
 
 
 # -- scheme-entry state round trips (hypothesis) ---------------------------
@@ -905,7 +894,7 @@ def _component_states(system):
     family=st.sampled_from(sorted(SCHEME_FAMILIES)),
     release_consistency=st.booleans(),
     faults=st.one_of(st.none(), st.integers(0, 50)),
-    invariants=st.sampled_from(["off", "sampled", "strict"]),
+    invariants=st.sampled_from(["off", "strict"]),
     traced=st.booleans(),
     cut=st.integers(1, 3000),
     more=st.integers(1, 400),
@@ -944,7 +933,7 @@ def test_every_slot_is_snapshotted_or_a_declared_binding():
     either show up in ``to_state`` or be declared a construction-time
     binding — it cannot be silently dropped from snapshots."""
     system = DashSystem(
-        _config(release_consistency=True), _workload(), invariants="sampled"
+        _config(release_consistency=True), _workload(), invariants="strict"
     )
     system.run(max_events=150)
     codec = StateCodec(system)

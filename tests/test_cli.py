@@ -208,8 +208,43 @@ class TestSweep:
         code, out = run_cli(capsys, *argv, "--resume")
         assert code == 0
         assert "resuming sweep" in out
-        assert "2/2 points done (2 simulated, 0 cached), 0 pending" in out
+        assert "2/2 points done, 0 pending" in out
         assert "2 hits" in out
+
+    def test_resume_summary_is_what_cache_and_checkpoints_hold(
+        self, capsys, tmp_path
+    ):
+        """An interrupted, checkpointed sweep leaves results in the cache
+        and snapshots in its checkpoint directory; `--resume` reads its
+        summary off those two and nothing else is written."""
+        from repro.analysis.supervisor import ChaosPlan
+
+        # chaos seed 48 at midkill 0.3: point 0 clean, point 1 SIGKILLed
+        # after its first snapshot, point 2 fails before simulating
+        plan = ChaosPlan(seed=48, midkill=0.3)
+        assert [plan.action(i) for i in range(3)] == [None, "midkill", "fail"]
+        argv = ["sweep", "--app", "MP3D", *SMALL, "--jobs", "2",
+                "--axis", "scheme=full,Dir2B,Dir1NB",
+                "--cache-dir", str(tmp_path), "--ckpt-interval", "100"]
+        code, out = run_cli(capsys, *argv, "--chaos", "48",
+                            "--chaos-midkill", "0.3", "--retries", "0",
+                            "--keep-going")
+        assert code == 0 and "1 completed, 2 quarantined" in out
+
+        def held():
+            snapshots = sorted(
+                p.name for p in tmp_path.glob("checkpoints/*/*.ckpt")
+            )
+            return len(list(tmp_path.glob("??/*.json"))), snapshots
+
+        assert held() == (1, ["point00001.ckpt"])
+        code, out = run_cli(capsys, *argv, "--resume")
+        assert code == 0
+        assert ("1/3 points done, 2 pending "
+                "(1 resumable from mid-run checkpoints)") in out
+        assert "1 resumed from checkpoint (100 events saved)" in out
+        assert held() == (3, [])
+        assert not (tmp_path / "manifests").exists()
 
     def test_bad_axis_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -281,6 +316,22 @@ class TestCkpt:
         code, out = run_cli(capsys, "ckpt", "verify", path)
         assert code == 1
         assert out.startswith("FAIL:")
+
+    def test_schema_6_snapshot_refused_cleanly(self, capsys, tmp_path):
+        """A snapshot from before the ``"sampled"`` checker mode was
+        retired (schema 6) ends in a message, not a traceback."""
+        import json
+
+        path, _ = self._write(capsys, tmp_path)
+        head, payload = open(path, "rb").read().split(b"\n", 1)
+        header = json.loads(head)
+        header["schema"] = 6
+        open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
+        code, out = run_cli(capsys, "ckpt", "verify", path)
+        assert code == 1
+        assert out.startswith("FAIL:") and "schema 6 is not readable" in out
+        with pytest.raises(SystemExit, match="cannot resume: .*schema 6"):
+            run_cli(capsys, "ckpt", "resume", path)
 
     def test_resume_reproduces_the_full_run(self, capsys, tmp_path):
         """`ckpt resume` rebuilds the machine from header metadata and

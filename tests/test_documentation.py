@@ -90,3 +90,15 @@ def test_observability_doc_event_table_matches_the_registry():
         (name, spec.kind, spec.comp) for name, spec in EVENTS.items()
     ]
 
+
+def test_verification_doc_rule_table_matches_lint_rules():
+    """docs/verification.md's lint rule table lists exactly
+    ``LINT_RULES``' keys, in order (``LINT_RULES`` is the catalogue)."""
+    import re
+    from pathlib import Path
+
+    from repro.verify.lint import LINT_RULES
+
+    doc = (Path(repro.__file__).parents[2] / "docs" / "verification.md")
+    table = doc.read_text().split("## Lint rule catalog")[1].split("\n## ")[0]
+    assert re.findall(r"^\| `([a-z-]+)` \|", table, re.M) == list(LINT_RULES)

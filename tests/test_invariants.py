@@ -140,8 +140,13 @@ class TestChecker:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             InvariantChecker(_system(), "paranoid")
-        with pytest.raises(ValueError):
-            InvariantChecker(_system(), "sampled", sample_interval=0)
+        # the retired mode is refused by name, with what is accepted
+        with pytest.raises(ValueError, match='"strict"'):
+            InvariantChecker(_system(), "sampled")
+        cfg = MachineConfig(num_clusters=NUM_CLUSTERS)
+        wl = MP3DWorkload(NUM_CLUSTERS, num_particles=24, steps=2, seed=3)
+        with pytest.raises(ValueError, match='"strict" or "off".*sampled'):
+            DashSystem(cfg, wl, invariants="sampled")
 
     def test_strict_machine_raises_on_first_violation(self):
         system = _ran_system()
@@ -159,19 +164,11 @@ class TestChecker:
         assert checker.violations
         assert system.stats.invariant_violations == len(checker.violations)
 
-    def test_sampled_mode_runs_scans(self):
-        system = _system()
-        system.invariants = InvariantChecker(system, "sampled", sample_interval=8)
-        system.run()
-        system.invariants.finalize(system.events.now)
-        assert system.invariants.checks_run > 0
-        assert system.invariants.violations == []
-
     def test_finalize_reports_lost_transactions(self):
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "sampled")
+        checker = InvariantChecker(system, "strict")
         txn = Transaction(READ, 0, 1)
         checker.on_submit(txn, 10.0)
         checker.finalize(500.0)
@@ -183,7 +180,7 @@ class TestChecker:
         from repro.machine.directory import HINT, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "sampled")
+        checker = InvariantChecker(system, "strict")
         txn = Transaction(HINT, 0, 1)
         checker.on_submit(txn, 10.0)
         checker.on_abandon(txn)
@@ -194,7 +191,7 @@ class TestChecker:
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "sampled", watchdog_cycles=100.0)
+        checker = InvariantChecker(system, "strict", watchdog_cycles=100.0)
         txn = Transaction(READ, 0, 1)
         checker.on_submit(txn, 0.0)
         checker.on_finish(txn, 99.0)
@@ -208,7 +205,7 @@ class TestChecker:
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "sampled", watchdog_cycles=100.0)
+        checker = InvariantChecker(system, "strict", watchdog_cycles=100.0)
         retried = Transaction(READ, 2, 1)
         retried.attempts = 2  # horizon: 100 * 2**2 = 400
         checker.on_submit(retried, 0.0)
@@ -217,7 +214,7 @@ class TestChecker:
 
     def test_inval_round_conservation(self):
         system = _system()
-        checker = InvariantChecker(system, "sampled")
+        checker = InvariantChecker(system, "strict")
         checker.on_inval_round(
             home=0, recipient=1, targets=(0, 2, 3), invals=2, acks=3
         )
@@ -256,7 +253,6 @@ def test_checking_does_not_change_the_result(policy):
         return json.dumps(stats.to_dict(), sort_keys=True)
 
     off = stats_json("off")
-    assert stats_json("sampled") == off
     assert stats_json("strict") == off
 
 

@@ -107,3 +107,35 @@ class TestNetworks:
         assert isinstance(make_network("mesh", 4), MeshNetwork)
         with pytest.raises(ValueError):
             make_network("torus", 4)
+
+
+class TestLegTable:
+    """``system.legs`` — the one leg lookup, at every machine size."""
+
+    @pytest.mark.parametrize("network", ["uniform", "mesh"])
+    @pytest.mark.parametrize("faults", [None, 7])
+    def test_1024_clusters_build_fast_and_rows_fill_on_use(
+        self, network, faults
+    ):
+        import random
+        import time
+
+        from repro.apps import UniformRandomWorkload
+        from repro.machine import DashSystem, MachineConfig
+
+        n = 1024
+        config = MachineConfig(num_clusters=n, network=network)
+        workload = UniformRandomWorkload(n, refs_per_proc=1, heap_blocks=8)
+        t0 = time.perf_counter()
+        system = DashSystem(config, workload, faults=faults)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(system.legs) == 0  # no row until a source sends
+        rng = random.Random(5)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        pairs += [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0)]
+        for src, dst in pairs:
+            assert system.legs[src][dst] == system.network.leg(src, dst)
+        assert len(system.legs) == len({src for src, _ in pairs})
+        assert all(len(row) == n for row in system.legs.values())
+        with pytest.raises(ValueError):
+            system.legs[n]

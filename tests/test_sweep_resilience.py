@@ -32,9 +32,9 @@ from repro.analysis.supervisor import (
     PointTimeout,
     SupervisorPolicy,
     SweepInterrupted,
-    SweepManifest,
     SweepReport,
     WorkerDied,
+    sweep_key,
 )
 from repro.analysis.sweeps import PointSpec, Sweep, run_points
 from repro.apps import UniformRandomWorkload
@@ -367,11 +367,14 @@ class TestEngineParity:
         """One pass over the grid (a poison point, a factory failing
         once, three good points) with every sink attached."""
         root.mkdir(exist_ok=True)
-        fired = root / "flaky-fired"  # on disk: visible to forked workers
 
         def flaky_factory():
-            if not fired.exists():
-                fired.touch()
+            # counted on disk, so forked workers see it: a pass's first
+            # call hashes the point for the cache (in the parent), the
+            # very first attempt to simulate it fails
+            calls = len(list(root.glob("flaky-call-*")))
+            (root / f"flaky-call-{calls}").touch()
+            if calls == 1:
                 raise RuntimeError("transient")
             return small_factory()
 
@@ -382,7 +385,6 @@ class TestEngineParity:
         )
         keys = [point_key(s.config, small_factory(), check=s.check) for s in specs]
         cache = ResultCache(root)
-        manifest = SweepManifest.for_sweep(root, keys, [s.label for s in specs])
         report, tracer, monitor = SweepReport(), Tracer(), RecordingMonitor()
         seen = []
         error = None
@@ -392,7 +394,7 @@ class TestEngineParity:
             try:
                 stats = run_points(
                     specs, cache=cache, policy=policy, report=report,
-                    manifest=manifest, obs=tracer, monitor=monitor,
+                    obs=tracer, monitor=monitor,
                     progress=lambda i, s: seen.append(i),
                 )
             except Exception as exc:
@@ -405,7 +407,7 @@ class TestEngineParity:
             "error": error,
             "progress": seen,
             "report": outcomes,
-            "manifest": dict(manifest.statuses),
+            "done": [key in cache for key in keys],
             "cache": cache.counters(),
             "events": {
                 name: tracer.counts[name]
@@ -431,10 +433,7 @@ class TestEngineParity:
         assert inproc["report"]["counts"]["completed"] == 4
         assert inproc["report"]["counts"]["quarantined"] == 1
         assert inproc["report"]["counts"]["retries"] == 2  # flaky + poison
-        assert inproc["manifest"] == {
-            0: "completed", 1: "quarantined", 2: "completed",
-            3: "completed", 4: "completed",
-        }
+        assert inproc["done"] == [True, False, True, True, True]
         assert inproc["events"] == {"sweep.point": 4, "sweep.retry": 2}
         assert inproc["counters"]["sweep_cache_misses"] == 5
         assert inproc["monitor"][:3] == [
@@ -475,10 +474,8 @@ class TestInterruptAndResume:
             point_key(s.config, s.workload_factory(), check=s.check)
             for s in specs
         ]
-        labels = [s.label for s in specs]
 
         cache = ResultCache(tmp_path)
-        manifest = SweepManifest.for_sweep(tmp_path, keys, labels)
 
         def interrupt_after_first(i, stats):
             if i == 0:
@@ -486,19 +483,19 @@ class TestInterruptAndResume:
 
         with pytest.raises(SweepInterrupted):
             run_points(
-                specs, jobs=2, cache=cache, manifest=manifest,
+                specs, jobs=2, cache=cache,
                 policy=SupervisorPolicy(), progress=interrupt_after_first,
             )
         flushed = cache.counters()["stores"]
         assert flushed >= 1  # in-flight results were drained to the cache
 
-        reloaded = SweepManifest.for_sweep(tmp_path, keys, labels)
-        assert len(reloaded.done_indices()) == flushed
-
+        # the cache is the record of progress: nothing else is written
         warm = ResultCache(tmp_path)
+        assert sum(key in warm for key in keys) == flushed
+        assert not (tmp_path / "manifests").exists()
+
         stats = run_points(
-            specs, jobs=2, cache=warm, manifest=reloaded,
-            policy=SupervisorPolicy(),
+            specs, jobs=2, cache=warm, policy=SupervisorPolicy(),
         )
         assert all(s is not None for s in stats)
         assert warm.counters()["hits"] == flushed
@@ -506,20 +503,7 @@ class TestInterruptAndResume:
         # the combined (cached + resumed) results match a plain serial run
         assert stats_dicts(stats) == stats_dicts(run_points(specs))
 
-    def test_completed_sweep_manifest_records_all_points(self, tmp_path):
-        specs = make_sweep().specs()
-        keys = [
-            point_key(s.config, s.workload_factory(), check=s.check)
-            for s in specs
-        ]
-        labels = [s.label for s in specs]
-        manifest = SweepManifest.for_sweep(tmp_path, keys, labels)
-        run_points(specs, cache=ResultCache(tmp_path), manifest=manifest)
-        reloaded = SweepManifest.for_sweep(tmp_path, keys, labels)
-        assert reloaded.done_indices() == list(range(len(specs)))
-
-
-class TestReportAndManifest:
+class TestReport:
     def test_report_round_trips_as_json(self, tmp_path):
         report = SweepReport()
         report.mark_cached(0, "a")
@@ -538,25 +522,11 @@ class TestReportAndManifest:
         assert "1 retries" in report.summary()
         assert "1 quarantined" in report.summary()
 
-    def test_manifest_identity_is_the_ordered_keys(self, tmp_path):
+    def test_sweep_key_is_the_ordered_keys(self):
         keys = ["a" * 64, "b" * 64]
-        m1 = SweepManifest.for_sweep(tmp_path, keys, ["p0", "p1"])
-        m1.mark(0, "completed")
-        same = SweepManifest.for_sweep(tmp_path, keys, ["p0", "p1"])
-        assert same.done_indices() == [0]
-        other = SweepManifest.for_sweep(
-            tmp_path, list(reversed(keys)), ["p1", "p0"]
-        )
-        assert other.sweep_key != m1.sweep_key
-        assert other.done_indices() == []
-
-    def test_manifest_survives_garbage_file(self, tmp_path):
-        keys = ["c" * 64]
-        manifest = SweepManifest.for_sweep(tmp_path, keys, ["p0"])
-        manifest.path.parent.mkdir(parents=True, exist_ok=True)
-        manifest.path.write_text("{ not json")
-        fresh = SweepManifest.for_sweep(tmp_path, keys, ["p0"])
-        assert fresh.done_indices() == []
+        assert sweep_key(keys) == sweep_key(list(keys))
+        assert sweep_key(list(reversed(keys))) != sweep_key(keys)
+        assert sweep_key(keys[:1]) != sweep_key(keys)
 
 
 class TestPolicy:

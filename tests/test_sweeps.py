@@ -131,6 +131,20 @@ class TestSchemaLoaders:
         with pytest.raises(ValueError, match="unsupported results schema"):
             load_results_dict({"schema": 99})
 
+    def test_results_schema_versions_apart_from_stats(self, monkeypatch):
+        """``results/*.json`` headers are read against the results
+        schema (one constant, next to the loader, which the writer in
+        ``benchmarks/common.py`` imports), whatever ``STATS_SCHEMA`` is."""
+        from repro.analysis import sweeps
+
+        monkeypatch.setattr(sweeps, "STATS_SCHEMA", sweeps.RESULTS_SCHEMA + 5)
+        with pytest.raises(ValueError, match="unsupported results schema"):
+            load_results_dict({"schema": sweeps.RESULTS_SCHEMA + 1})
+        monkeypatch.setattr(sweeps, "STATS_SCHEMA", 1)
+        assert load_results_dict(
+            {"schema": sweeps.RESULTS_SCHEMA, "rows": [1]}
+        ) == {"rows": [1]}
+
     def test_results_on_disk_files_load(self):
         import json
         from pathlib import Path
