@@ -38,7 +38,7 @@ from repro.trace import Workload, characterize
 from repro.trace.recorder import ReplayWorkload, dump_trace
 
 
-def _app_factory(name: str, procs: int, scale: float, seed: int) -> Workload:
+def app_factory(name: str, procs: int, scale: float, seed: int) -> Workload:
     """Build a named application scaled around its default size."""
     key = name.lower()
     if key == "lu":
@@ -73,7 +73,9 @@ def _app_factory(name: str, procs: int, scale: float, seed: int) -> Workload:
     )
 
 
-def _machine(args, scheme: Optional[str] = None) -> MachineConfig:
+def machine_from_args(args, scheme: Optional[str] = None) -> MachineConfig:
+    """The machine :func:`add_machine_args`' flags describe (``scheme``
+    overrides ``--scheme``)."""
     return MachineConfig(
         num_clusters=args.procs,
         scheme=scheme or args.scheme,
@@ -104,7 +106,7 @@ def _print_stats(stats, checker=None) -> None:
     if stats.invariant_violations:
         print(f"invariant violations: {stats.invariant_violations:,}")
     if checker is not None:
-        print(f"invariant checker   : {checker.mode}, "
+        print("invariant checker   : "
               f"blocks_checked={checker.blocks_checked:,} "
               f"checks_run={checker.checks_run:,} "
               f"inval_rounds={checker.inval_rounds:,} "
@@ -113,7 +115,7 @@ def _print_stats(stats, checker=None) -> None:
 
 def cmd_run(args) -> int:
     """``repro run``: one app under one scheme, stats printed."""
-    workload = _app_factory(args.app, args.procs, args.scale, args.seed)
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
     checkpoint_meta = None
     if args.checkpoint_to is not None:
         if args.checkpoint_interval is None:
@@ -126,7 +128,7 @@ def cmd_run(args) -> int:
     elif args.checkpoint_interval is not None:
         raise SystemExit("--checkpoint-interval needs --checkpoint-to PATH")
     system = DashSystem(
-        _machine(args),
+        machine_from_args(args),
         workload,
         strict=args.strict,
         faults=args.faults,
@@ -176,8 +178,8 @@ def cmd_sweep(args) -> int:
     from repro.analysis.sweeps import Sweep
 
     sweep = Sweep(
-        _machine(args),
-        lambda: _app_factory(args.app, args.procs, args.scale, args.seed),
+        machine_from_args(args),
+        lambda: app_factory(args.app, args.procs, args.scale, args.seed),
         check_coherence=args.check,
     )
     for spec in args.axis:
@@ -402,7 +404,7 @@ def cmd_ckpt(args) -> int:
             "it programmatically with repro.machine.checkpoint instead"
         )
     config = MachineConfig(**header["config"])
-    workload = _app_factory(
+    workload = app_factory(
         meta["app"], meta["procs"], meta["scale"], meta["seed"]
     )
     strict = bool(meta.get("strict"))
@@ -439,8 +441,8 @@ def cmd_compare(args) -> int:
     rows = []
     base = None
     for scheme in schemes:
-        workload = _app_factory(args.app, args.procs, args.scale, args.seed)
-        stats = run_workload(_machine(args, scheme), workload)
+        workload = app_factory(args.app, args.procs, args.scale, args.seed)
+        stats = run_workload(machine_from_args(args, scheme), workload)
         if base is None:
             base = stats
         rows.append([
@@ -462,7 +464,7 @@ def cmd_compare(args) -> int:
 
 def cmd_characterize(args) -> int:
     """``repro characterize``: Table 2 columns for one app."""
-    workload = _app_factory(args.app, args.procs, args.scale, args.seed)
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
     st = characterize(workload)
     print(format_table(
         ["app", "shared refs", "reads", "writes", "sync ops", "shared KB"],
@@ -511,7 +513,7 @@ def cmd_fig2(args) -> int:
 
 def cmd_dump_trace(args) -> int:
     """``repro dump-trace``: write an app's reference trace to a file."""
-    workload = _app_factory(args.app, args.procs, args.scale, args.seed)
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
     ops = dump_trace(workload, args.out)
     print(f"wrote {ops:,} ops for {workload.num_processors} processors "
           f"to {args.out}")
@@ -543,8 +545,8 @@ def cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    workload = _app_factory(args.app, args.procs, args.scale, args.seed)
-    system = DashSystem(_machine(args), workload)
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
+    system = DashSystem(machine_from_args(args), workload)
     profiler = cProfile.Profile()
     profiler.enable()
     system.run(max_events=args.events)
@@ -575,7 +577,9 @@ def cmd_obs(args) -> int:
     return obs_main(args.obs_args)
 
 
-def _add_machine_args(p: argparse.ArgumentParser) -> None:
+def add_machine_args(p: argparse.ArgumentParser) -> None:
+    """The flags every simulating subcommand shares (``repro obs trace``
+    included); :func:`machine_from_args` reads them back."""
     p.add_argument("--procs", type=int, default=32, help="processors (= clusters)")
     p.add_argument("--scheme", default="full", help="directory scheme name")
     p.add_argument("--scale", type=float, default=1.0, help="problem-size scale")
@@ -598,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate one app under one scheme")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.add_argument("--check", action="store_true",
                    help="verify coherence invariants after the run")
@@ -623,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="run a config-axis grid, optionally parallel and cached"
     )
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.add_argument(
         "--axis", action="append", required=True, metavar="FIELD=V1,V2,...",
@@ -710,13 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ckpt)
 
     p = sub.add_parser("compare", help="one app across several schemes")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.add_argument("--schemes", default="full,Dir3CV2,Dir3B,Dir3NB")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("characterize", help="Table 2 columns for one app")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.set_defaults(func=cmd_characterize)
 
@@ -740,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("dump-trace", help="write an app's trace to a file")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_trace)
@@ -754,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile", help="cProfile one simulation's hot loop (pstats report)"
     )
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--app", required=True)
     p.add_argument("--events", type=int, default=None, metavar="N",
                    help="stop after N events (default: run to completion)")

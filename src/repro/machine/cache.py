@@ -214,28 +214,30 @@ class ProcessorCache:
 
     # -- state transitions -------------------------------------------------
 
-    def install(self, block: int, state: LineState) -> List[Tuple[int, LineState]]:
-        """Fill both levels; returns evicted ``(block, old_state)`` pairs.
+    def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
+        """Fill both levels; returns the evicted ``(block, was_dirty)`` —
+        a fill evicts at most one line — or ``None``.
 
-        DIRTY victims are parked in the writeback buffer (the caller must
-        issue the writeback); SHARED victims are reported so the caller
+        A DIRTY victim is parked in the writeback buffer (the caller must
+        issue the writeback); a SHARED victim is reported so the caller
         can send a replacement hint when that option is enabled.
         """
-        evictions: List[Tuple[int, LineState]] = []
+        eviction = None
         victim = self.l2.install(block, state)
         if victim is not None:
             vblock, vstate = victim
+            was_dirty = vstate is LineState.DIRTY
             self.l1.invalidate(vblock)  # inclusion
-            if vstate is LineState.DIRTY:
+            if was_dirty:
                 self.wb_buffer.add(vblock)
-            evictions.append((vblock, vstate))
             if self.tracer.enabled:
                 self.tracer.record(
                     "cache.evict", self.tracer.now(), None, self.tid,
-                    vblock, vstate is LineState.DIRTY,
+                    vblock, was_dirty,
                 )
+            eviction = (vblock, was_dirty)
         self.l1.install(block, LineState.SHARED)  # L1 is write-through/clean
-        return evictions
+        return eviction
 
     def upgrade(self, block: int) -> None:
         """SHARED -> DIRTY after an ownership grant."""

@@ -35,25 +35,25 @@ from repro.obs.tracer import NULL_TRACER
 class LocalResult:
     """Outcome of attempting to satisfy a reference inside the cluster."""
 
-    __slots__ = ("satisfied", "latency", "evictions", "where")
+    __slots__ = ("satisfied", "latency", "eviction", "where")
 
     def __init__(
         self,
         satisfied: bool,
         latency: float = 0.0,
-        evictions: Tuple[Tuple[int, bool], ...] = (),
+        eviction: Optional[Tuple[int, bool]] = None,
         where: str = "",  # "l1" | "l2" | "bus" for stats
     ) -> None:
         self.satisfied = satisfied
         self.latency = latency
-        #: evicted (block, was_dirty) pairs from any fills performed
-        self.evictions = evictions
+        #: the (block, was_dirty) victim of the fill performed, if any
+        self.eviction = eviction
         self.where = where
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalResult(satisfied={self.satisfied}, "
-            f"latency={self.latency}, evictions={self.evictions}, "
+            f"latency={self.latency}, eviction={self.eviction}, "
             f"where={self.where!r})"
         )
 
@@ -101,9 +101,9 @@ class Cluster:
             if self._single:
                 return self._miss
             if self._sibling_with_copy(block, proc_idx) is not None:
-                evictions = self._install(proc_idx, block, LineState.SHARED)
+                eviction = cache.install(block, LineState.SHARED)
                 return LocalResult(
-                    True, self.config.bus_transfer_cycles, evictions,
+                    True, self.config.bus_transfer_cycles, eviction,
                     where="bus",
                 )
             return self._miss
@@ -120,9 +120,9 @@ class Cluster:
             for i, c in enumerate(self.caches):
                 if i != proc_idx:
                     c.invalidate(block)
-            evictions = self._install(proc_idx, block, LineState.DIRTY)
+            eviction = cache.install(block, LineState.DIRTY)
             return LocalResult(
-                True, self.config.bus_transfer_cycles, evictions, where="bus"
+                True, self.config.bus_transfer_cycles, eviction, where="bus"
             )
         return self._miss
 
@@ -145,24 +145,15 @@ class Cluster:
                 return True
         return False
 
-    def _install(
-        self, proc_idx: int, block: int, state: LineState
-    ) -> Tuple[Tuple[int, bool], ...]:
-        evictions = self.caches[proc_idx].install(block, state)
-        if not evictions:
-            return ()
-        return tuple(
-            (vblock, vstate is LineState.DIRTY) for vblock, vstate in evictions
-        )
-
     # -- effects applied by directories ----------------------------------------
 
     def install_from_directory(
         self, proc_idx: int, block: int, dirty: bool
-    ) -> Tuple[Tuple[int, bool], ...]:
-        """Fill after a directory transaction completed."""
+    ) -> Optional[Tuple[int, bool]]:
+        """Fill after a directory transaction completed; returns the
+        evicted ``(block, was_dirty)``, if any."""
         state = LineState.DIRTY if dirty else LineState.SHARED
-        return self._install(proc_idx, block, state)
+        return self.caches[proc_idx].install(block, state)
 
     def invalidate_block(
         self, block: int, txn_id: Optional[int] = None

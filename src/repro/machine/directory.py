@@ -14,19 +14,8 @@ tracing, checker hooks, faults — and prices what they return.  Latency is
 composed from the §5 constants (network legs, memory/bus service,
 directory lookup, remote-cache service, invalidation service) plus FIFO
 queueing on the controller itself, so heavier message traffic slows
-execution the way a busier real machine would.
-
-Invalidation accounting matches the paper's conventions:
-
-* only inter-cluster messages count (the home's own cache is invalidated
-  over its local bus — "the home cluster ... [does] not require an
-  invalidation");
-* every invalidation message is answered by exactly one acknowledgement
-  (to the *requester* for writes, to the home's RAC for sparse
-  replacements and Dir_iNB pointer evictions);
-* an *invalidation event* is a write serviced in a clean state, a
-  Dir_iNB pointer-overflow eviction, or a sparse-directory replacement,
-  histogrammed by how many invalidation messages it sent (Figures 3-6).
+execution the way a busier real machine would.  The paper's invalidation
+accounting is stated once, in :meth:`DirectoryController._book_round`.
 """
 
 from __future__ import annotations
@@ -426,19 +415,6 @@ class DirectoryController:
             self._busy.add(block)
             self._start(nxt)
 
-    # -- observability helpers ---------------------------------------------
-
-    def _trace_inval_round(
-        self, cause: InvalCause, block: int, inval_msgs: int,
-        txn_id: Optional[int] = None,
-    ) -> None:
-        """Record one invalidation round, when tracing (the event feeds
-        its cause's histogram)."""
-        self._obs.record(
-            "dir.inval_round", self._events.now, None, self.cluster_id,
-            cause.value, block, inval_msgs, txn_id,
-        )
-
     # -- allocation and the pricing the read and write rows share ---------------
 
     def _allocate(self, txn: Transaction) -> Tuple[DirLine, float]:
@@ -523,31 +499,16 @@ class DirectoryController:
         self, line: DirLine, node: int, block: int,
         txn_id: Optional[int] = None,
     ) -> None:
-        """Add a sharer; price a Dir_iNB forced eviction's round."""
-        victims = protocol.record_sharer(
-            line, node, block, self._clusters, txn_id
-        )
-        if not victims:
-            return
-        home = self.cluster_id
-        inval_msgs = sum(1 for victim in victims if victim != home)
-        self._messages[MsgClass.INVALIDATION] += inval_msgs
-        self._messages[MsgClass.ACKNOWLEDGEMENT] += inval_msgs
-        self._stats.nb_evictions += len(victims)
-        self._stats.record_inval_event(InvalCause.NB_EVICT, inval_msgs)
-        if self._obs.enabled:
-            self._trace_inval_round(InvalCause.NB_EVICT, block, inval_msgs, txn_id)
-        invariants = self.machine.invariants
-        if invariants is not None:
-            # acks return to the home's RAC, so recipient == home
-            invariants.on_inval_round(
-                home=home,
-                recipient=home,
-                targets=victims,
-                invals=inval_msgs,
-                acks=inval_msgs,
-                # a pooled entry forgot the victims for the whole group
-                blocks=self.store.blocks_invalidated_with(block),
+        """Add a sharer; book a Dir_iNB forced eviction's round — acked to
+        the home's RAC, audited over the whole group a pooled entry forgot
+        the victims for, and untimed: no latency, no controller occupancy
+        (a modelling choice, docs/protocol.md "Invalidation round")."""
+        victims = protocol.record_sharer(line, node, block, self._clusters, txn_id)
+        if victims:
+            self._stats.nb_evictions += len(victims)
+            self._book_round(
+                InvalCause.NB_EVICT, block, victims, self.cluster_id,
+                self.store.blocks_invalidated_with(block), txn_id,
             )
 
     # -- writes -----------------------------------------------------------------
@@ -571,7 +532,6 @@ class DirectoryController:
 
     def _execute_write(self, txn: Transaction) -> float:
         cfg = self._cfg
-        machine = self.machine
         home = self.cluster_id
         req = txn.requester
         line, delta = self._allocate(txn)
@@ -584,61 +544,31 @@ class DirectoryController:
             # ownership transfer: the old owner hands data+ownership over
             return self._price_forward(txn, delta, old_owner)
 
-        # Clean/shared (the paper's "invalidation event"): count invals and
-        # the acks the requester awaits.  Invalidations leave the directory
-        # back to back — the memory-based directory "can send invalidation
-        # messages as fast as the network can accept them" (§3.3), i.e. one
-        # per issue slot, so a broadcast both occupies the controller
-        # longer and delays its last ack.
-        inval_msgs = 0
-        worst_ack = 0.0
-        if targets:
-            serial = self._serial
-            messages = self._messages
-            legs = self._legs
-            legs_home = legs[home]
-            issue = cfg.inval_issue_cycles
-            service = cfg.inval_service_cycles
-            serial_path = 0.0
-            for i, t in enumerate(targets):
-                if t != home:
-                    messages[MsgClass.INVALIDATION] += 1
-                    inval_msgs += 1
-                if t != req:  # targets exclude req by contract
-                    messages[MsgClass.ACKNOWLEDGEMENT] += 1
-                if serial:
-                    # cache-based linked list: "each write produces a serial
-                    # string of invalidations ... having to walk through the
-                    # list, cache-by-cache" — one full hop+service per
-                    # sharer before the next can start (§3.3)
-                    prev = home if i == 0 else targets[i - 1]
-                    serial_path += legs[prev][t] + service
-                    worst_ack = max(worst_ack, serial_path + legs[t][req])
-                else:
-                    ack = (i + 1) * issue + legs_home[t] + service + legs[t][req]
-                    if ack > worst_ack:
-                        worst_ack = ack
-            if not serial:
-                self._ctrl_free += len(targets) * issue
-        self._stats.record_inval_event(InvalCause.WRITE, inval_msgs)
-        if self._obs.enabled:
-            self._trace_inval_round(
-                InvalCause.WRITE, txn.block, inval_msgs, txn.txn_id
-            )
+        # Clean/shared: the paper's "invalidation event", even with nobody to
+        # invalidate.  The writer collects the acks (targets exclude req by
+        # the kernel's contract); the entry is already reset, so group-mates
+        # are audited against the entry that must still cover their copies.
+        self._book_round(
+            InvalCause.WRITE, txn.block, targets, req,
+            (txn.block, *group_mates), txn.txn_id,
+        )
         if home != req:
             self._messages[MsgClass.REPLY] += 1  # ownership (+inval count)
-        if machine.invariants is not None:
-            # the writer collects one ack per target (targets exclude req);
-            # the entry is already reset, so the group-mates are audited
-            # against the entry that must still cover their copies
-            machine.invariants.on_inval_round(
-                home=home,
-                recipient=req,
-                targets=targets,
-                invals=inval_msgs,
-                acks=len(targets),
-                blocks=(txn.block, *group_mates),
-            )
+        worst_ack = 0.0
+        if self._serial:
+            # cache-based linked list: "each write produces a serial string
+            # of invalidations ... having to walk through the list, cache-by-
+            # cache" (§3.3): one full hop+service per sharer before the next
+            # can start, issued by the caches, so the controller is not held
+            legs = self._legs
+            service = cfg.inval_service_cycles
+            prev, serial_path = home, 0.0
+            for t in targets:
+                serial_path += legs[prev][t] + service
+                worst_ack = max(worst_ack, serial_path + legs[t][req])
+                prev = t
+        elif targets:
+            worst_ack = self._fanout_cycles(targets, req)
 
         reply_path = cfg.bus_cycles + self._legs[home][req]
         ack_path = (cfg.dir_service_cycles + worst_ack) if targets else 0.0
@@ -706,66 +636,90 @@ class DirectoryController:
         protocol.hint(self.store, txn.block, txn.requester)
         return self._cfg.dir_service_cycles
 
-    # -- sparse replacement ----------------------------------------------------------
+    # -- invalidation rounds: the sparse recall, and what every round shares --------
 
     def _process_sparse_evictions(
         self, evictions: List[Eviction], txn_id: Optional[int] = None
     ) -> float:
-        """Recall replaced entries' blocks and price the rounds (RAC duty).
-
-        Returns the latency penalty charged to the triggering transaction:
-        the slot is only reusable once every acknowledgement has returned
-        to the home's Remote Access Cache (§7).
-        """
-        machine = self.machine
-        cfg = self._cfg
-        legs = self._legs
-        legs_home = legs[self.cluster_id]
+        """Recall replaced entries' blocks and book the rounds (RAC duty);
+        returns the latency charged to the triggering transaction.  The RAC
+        entry tracking a recall holds the *slot* until every acknowledgement
+        is back (§7), so the transaction waits out the slowest round; the
+        controller stays available to other blocks (DASH has several RAC
+        entries) beyond the issue occupancy ``_fanout_cycles`` charges."""
         home = self.cluster_id
         penalty = 0.0
         for ev in evictions:
             protocol.recall(ev, self._clusters, txn_id)
             self._stats.sparse_replacements += 1
-            inval_msgs = 0
-            worst = 0.0
-            for i, t in enumerate(ev.targets):
-                if t != home:
-                    self._messages[MsgClass.INVALIDATION] += 1
-                    self._messages[MsgClass.ACKNOWLEDGEMENT] += 1
-                    inval_msgs += 1
-                worst = max(
-                    worst,
-                    (i + 1) * cfg.inval_issue_cycles
-                    + legs_home[t]
-                    + cfg.inval_service_cycles
-                    + legs[t][home],
-                )
-            self._ctrl_free += len(ev.targets) * cfg.inval_issue_cycles
-            if machine.obs.enabled:
-                machine.obs.record(
-                    "dir.sparse_evict", machine.events.now, None, home,
+            if self._obs.enabled:
+                self._obs.record(
+                    "dir.sparse_evict", self._events.now, None, home,
                     ev.block, len(ev.targets), sorted(ev.targets), txn_id,
                 )
             if ev.targets:
-                machine.stats.record_inval_event(InvalCause.SPARSE_REPL, inval_msgs)
-                if machine.obs.enabled:
-                    self._trace_inval_round(
-                        InvalCause.SPARSE_REPL, ev.block, inval_msgs, txn_id
-                    )
-            if machine.invariants is not None:
-                # replacement acks also return to the home's RAC (§7)
-                machine.invariants.on_inval_round(
-                    home=home,
-                    recipient=home,
-                    targets=ev.targets,
-                    invals=inval_msgs,
-                    acks=inval_msgs,
-                    blocks=(ev.block,),
+                self._book_round(
+                    InvalCause.SPARSE_REPL, ev.block, ev.targets, home,
+                    (ev.block,), txn_id,
                 )
-            penalty = max(penalty, worst)
-        # The RAC entry tracking this recall holds the *slot* until every
-        # acknowledgement has returned (§7): the triggering transaction
-        # waits out `penalty`, but the controller itself stays available
-        # to other blocks (DASH has multiple RAC entries), beyond the
-        # per-invalidation issue occupancy charged above.
+                penalty = max(penalty, self._fanout_cycles(ev.targets, home))
+            elif self.machine.invariants is not None:
+                # no round, no event — but no transaction on it will audit it
+                self.machine.invariants.check_block(ev.block)
         return penalty
+
+    def _book_round(
+        self, cause: InvalCause, block: int, targets: Sequence[int],
+        recipient: int, audited: Sequence[int], txn_id: Optional[int] = None,
+    ) -> int:
+        """Count, histogram, trace and audit one invalidation round — the
+        machine's only statement of the paper's accounting.
+
+        Only inter-cluster messages count.  The home invalidates its own
+        copy over its local bus ("the home cluster ... [does] not require
+        an invalidation"), so each target but the home costs one
+        invalidation; each is acknowledged to ``recipient`` (the writer for
+        a write, the home's RAC for a Dir_iNB eviction or a sparse recall),
+        so each target but the recipient costs one acknowledgement.  The
+        round is one *invalidation event*, histogrammed by the invalidations
+        it sent (Figures 3-6) and returned.  The checker re-derives both
+        counts and audits ``audited``, the blocks the round disturbed.
+        """
+        home = self.cluster_id
+        invals = acks = 0
+        for t in targets:
+            invals += t != home
+            acks += t != recipient
+        self._stats.count_msg(MsgClass.INVALIDATION, invals)
+        self._stats.count_msg(MsgClass.ACKNOWLEDGEMENT, acks)
+        self._stats.record_inval_event(cause, invals)
+        if self._obs.enabled:  # the event feeds its cause's histogram
+            self._obs.record(
+                "dir.inval_round", self._events.now, None, home,
+                cause.value, block, invals, txn_id,
+            )
+        invariants = self.machine.invariants
+        if invariants is not None:
+            invariants.on_inval_round(
+                home=home, recipient=recipient, targets=targets,
+                invals=invals, acks=acks, blocks=audited,
+            )
+        return invals
+
+    def _fanout_cycles(self, targets: Sequence[int], recipient: int) -> float:
+        """Price a round the home fans out itself: cycles until the last
+        acknowledgement reaches ``recipient``.  Invalidations leave back to
+        back — the memory-based directory "can send invalidation messages as
+        fast as the network can accept them" (§3.3), one per issue slot — so
+        a wide round delays its last ack and occupies the controller longer."""
+        issue = self._cfg.inval_issue_cycles
+        service = self._cfg.inval_service_cycles
+        legs = self._legs
+        legs_home = legs[self.cluster_id]
+        worst_ack = 0.0
+        for i, t in enumerate(targets):
+            ack = (i + 1) * issue + legs_home[t] + service + legs[t][recipient]
+            if ack > worst_ack:
+                worst_ack = ack
+        self._ctrl_free += len(targets) * issue
+        return worst_ack

@@ -240,14 +240,10 @@ class InvariantChecker:
     def __init__(
         self,
         system: "DashSystem",
-        mode: str = "strict",
         *,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
-        if mode != "strict":
-            raise ValueError(f'mode must be "strict", got {mode!r}')
         self.system = system
-        self.mode = mode
         self.watchdog_cycles = (
             system.config.watchdog_cycles
             if watchdog_cycles is None

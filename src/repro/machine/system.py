@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Union
 
 from repro.core.base import DirectoryScheme
+from repro.core.limited_pointer import LimitedPointerNoBroadcastScheme
 from repro.core.registry import make_scheme
 from repro.core.sparse import (
     DirectoryStore,
@@ -98,8 +99,8 @@ class DashSystem:
             raise ValueError(
                 f'invariants must be "strict" or "off", got {invariants!r}'
             )
-        if invariants != "off":
-            self.invariants = InvariantChecker(self, invariants)
+        if invariants == "strict":
+            self.invariants = InvariantChecker(self)
         self.scheme = scheme if scheme is not None else make_scheme(
             config.scheme, config.num_clusters, seed=config.seed
         )
@@ -134,6 +135,14 @@ class DashSystem:
         if cfg.shared_entry_group is not None:
             from repro.core.shared_entry import SharedEntryDirectory
 
+            if isinstance(self.scheme, LimitedPointerNoBroadcastScheme):
+                # a pointer eviction kills the victim's copy of one block,
+                # but the pooled entry forgets the victim for the whole group
+                raise ValueError(
+                    f"scheme {self.scheme.name} evicts sharers on pointer "
+                    f"overflow and cannot pool entries: shared_entry_group="
+                    f"{cfg.shared_entry_group} would be incoherent"
+                )
             return SharedEntryDirectory(
                 self.scheme,
                 cfg.shared_entry_group,
@@ -206,8 +215,8 @@ class DashSystem:
             else:
                 stats.local_misses += 1
                 hit = False
-            if local.evictions:
-                self._handle_evictions(cluster_id, local.evictions)
+            if local.eviction is not None:
+                self._handle_eviction(cluster_id, *local.eviction)
             done = events.now + local.latency
             events.at(done, resume, done, hit)
             return
@@ -251,41 +260,39 @@ class DashSystem:
                 t - t_issue, self._home_of(block),
                 block, cluster_id, txn.txn_id,
             )
-        evictions = self.clusters[cluster_id].install_from_directory(
+        eviction = self.clusters[cluster_id].install_from_directory(
             txn.proc_idx, block, dirty=is_write
         )
-        if evictions:
-            self._handle_evictions(cluster_id, evictions)
+        if eviction is not None:
+            self._handle_eviction(cluster_id, *eviction)
         txn.resume(t, False)
 
-    def _handle_evictions(self, cluster_id: int, evictions) -> None:
-        """Issue writebacks (and optional hints) for cache fills' victims."""
+    def _handle_eviction(
+        self, cluster_id: int, vblock: int, was_dirty: bool
+    ) -> None:
+        """Issue the writeback (or optional hint) for a cache fill's victim."""
         cluster = self.clusters[cluster_id]
-        directories = self.directories
-        home_of = self._home_of
-        for vblock, was_dirty in evictions:
-            if was_dirty:
-                self.stats.writebacks += 1
+        if was_dirty:
+            self.stats.writebacks += 1
+            if self.obs.enabled:
+                self.obs.record(
+                    "wb.issue", self.events.now, None, cluster_id, vblock
+                )
+            still_shared = cluster.copies_besides_wb(vblock)
+            self.directories[self._home_of(vblock)].submit(
+                Transaction(
+                    WRITEBACK, vblock, cluster_id, still_shared=still_shared
+                )
+            )
+        elif self.config.replacement_hints:
+            if not cluster.copies_besides_wb(vblock):
                 if self.obs.enabled:
                     self.obs.record(
-                        "wb.issue", self.events.now, None, cluster_id, vblock
+                        "hint.issue", self.events.now, None, cluster_id, vblock
                     )
-                still_shared = cluster.copies_besides_wb(vblock)
-                directories[home_of(vblock)].submit(
-                    Transaction(
-                        WRITEBACK, vblock, cluster_id, still_shared=still_shared
-                    )
+                self.directories[self._home_of(vblock)].submit(
+                    Transaction(HINT, vblock, cluster_id)
                 )
-            elif self.config.replacement_hints:
-                if not cluster.copies_besides_wb(vblock):
-                    if self.obs.enabled:
-                        self.obs.record(
-                            "hint.issue", self.events.now, None, cluster_id,
-                            vblock,
-                        )
-                    directories[home_of(vblock)].submit(
-                        Transaction(HINT, vblock, cluster_id)
-                    )
 
     # -- checkpointing --------------------------------------------------------------
 

@@ -31,6 +31,8 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_metrics_report, format_profile, format_table
+from repro.cli import add_machine_args, app_factory, machine_from_args
+from repro.machine.system import DashSystem
 from repro.obs.export import export_trace, read_trace
 from repro.obs.metrics import histogram_delta, load_metrics_dict
 from repro.obs.profiler import profile_run
@@ -40,18 +42,8 @@ from repro.obs.tracer import SPAN, Tracer
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one app with tracing enabled and export the trace."""
-    from repro.cli import _app_factory
-    from repro.machine.config import MachineConfig
-    from repro.machine.system import DashSystem
-
-    workload = _app_factory(args.app, args.procs, args.scale, args.seed)
-    cfg = MachineConfig(
-        num_clusters=args.procs,
-        scheme=args.scheme,
-        sparse_size_factor=args.sparse,
-        sparse_assoc=args.sparse_assoc,
-        seed=args.seed,
-    )
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
+    cfg = machine_from_args(args)
     tracer = Tracer(capacity=args.capacity)
     system, stats, prof = profile_run(
         lambda: DashSystem(cfg, workload, obs=tracer),
@@ -231,15 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="run one app with tracing enabled")
+    add_machine_args(p)
     p.add_argument("--app", required=True,
                    help="LU, DWF, MP3D, or LocusRoute")
-    p.add_argument("--procs", type=int, default=32)
-    p.add_argument("--scheme", default="full")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sparse", type=float, default=None,
-                   help="sparse directory size factor (omit for full map)")
-    p.add_argument("--sparse-assoc", type=int, default=4)
     p.add_argument("--out", required=True, help="trace file to write")
     p.add_argument("--format", choices=["chrome", "jsonl"], default="chrome")
     p.add_argument("--metrics-out", default=None,

@@ -171,6 +171,9 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", "--app", "MP3D", *SMALL,
                             "--axis", "scheme=full,Dir2B", "--jobs", "2",
                             "--no-cache", "--chaos", "3",
+                            # seed 3 draws one hang: don't wait out the 30 s
+                            # default for a point that simulates in well under 1 s
+                            "--timeout", "2",
                             "--report", str(report))
         assert code == 0
         assert "sweep report:" in out

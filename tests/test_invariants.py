@@ -138,11 +138,6 @@ class TestPrecisionContract:
 
 class TestChecker:
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            InvariantChecker(_system(), "paranoid")
-        # the retired mode is refused by name, with what is accepted
-        with pytest.raises(ValueError, match='"strict"'):
-            InvariantChecker(_system(), "sampled")
         cfg = MachineConfig(num_clusters=NUM_CLUSTERS)
         wl = MP3DWorkload(NUM_CLUSTERS, num_particles=24, steps=2, seed=3)
         with pytest.raises(ValueError, match='"strict" or "off".*sampled'):
@@ -151,14 +146,14 @@ class TestChecker:
     def test_strict_machine_raises_on_first_violation(self):
         system = _ran_system()
         system.strict = True
-        checker = InvariantChecker(system, "strict")
+        checker = InvariantChecker(system)
         _uncover(system)
         with pytest.raises(CoherenceViolation):
             checker.check_machine(skip_busy=False)
 
     def test_lenient_machine_records_and_counts(self):
         system = _ran_system()
-        checker = InvariantChecker(system, "strict")
+        checker = InvariantChecker(system)
         _uncover(system)
         checker.check_machine(skip_busy=False)
         assert checker.violations
@@ -168,7 +163,7 @@ class TestChecker:
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "strict")
+        checker = InvariantChecker(system)
         txn = Transaction(READ, 0, 1)
         checker.on_submit(txn, 10.0)
         checker.finalize(500.0)
@@ -180,7 +175,7 @@ class TestChecker:
         from repro.machine.directory import HINT, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "strict")
+        checker = InvariantChecker(system)
         txn = Transaction(HINT, 0, 1)
         checker.on_submit(txn, 10.0)
         checker.on_abandon(txn)
@@ -191,7 +186,7 @@ class TestChecker:
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "strict", watchdog_cycles=100.0)
+        checker = InvariantChecker(system, watchdog_cycles=100.0)
         txn = Transaction(READ, 0, 1)
         checker.on_submit(txn, 0.0)
         checker.on_finish(txn, 99.0)
@@ -205,7 +200,7 @@ class TestChecker:
         from repro.machine.directory import READ, Transaction
 
         system = _system()
-        checker = InvariantChecker(system, "strict", watchdog_cycles=100.0)
+        checker = InvariantChecker(system, watchdog_cycles=100.0)
         retried = Transaction(READ, 2, 1)
         retried.attempts = 2  # horizon: 100 * 2**2 = 400
         checker.on_submit(retried, 0.0)
@@ -214,7 +209,7 @@ class TestChecker:
 
     def test_inval_round_conservation(self):
         system = _system()
-        checker = InvariantChecker(system, "strict")
+        checker = InvariantChecker(system)
         checker.on_inval_round(
             home=0, recipient=1, targets=(0, 2, 3), invals=2, acks=3
         )

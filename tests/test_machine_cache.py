@@ -81,8 +81,7 @@ class TestProcessorCache:
     def test_dirty_eviction_parks_in_wb_buffer(self):
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.DIRTY)
-        evictions = pc.install(2, LineState.SHARED)
-        assert evictions == [(0, LineState.DIRTY)]
+        assert pc.install(2, LineState.SHARED) == (0, True)
         assert 0 in pc.wb_buffer
         assert pc.holds_dirty(0)  # ghost still serves forwards
         pc.writeback_done(0)
@@ -91,8 +90,7 @@ class TestProcessorCache:
     def test_clean_eviction_reported_not_buffered(self):
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.SHARED)
-        evictions = pc.install(2, LineState.SHARED)
-        assert evictions == [(0, LineState.SHARED)]
+        assert pc.install(2, LineState.SHARED) == (0, False)
         assert 0 not in pc.wb_buffer
 
     def test_downgrade_live_line(self):

@@ -51,6 +51,19 @@ class TestTrace:
         assert main(_trace_args(out, fmt="jsonl")) == 0
         assert read_trace(out)
 
+    def test_builds_the_machine_repro_run_builds(self):
+        from repro import cli
+        from repro.obs.cli import build_parser
+
+        flags = ["--app", "DWF", "--procs", "8", "--scheme", "Dir2B", "--seed", "5",
+                 "--l1-bytes", "256", "--l2-bytes", "512", "--sparse", "0.5",
+                 "--sparse-assoc", "2", "--sparse-policy", "lru"]
+        traced = build_parser().parse_args(["trace", "--out", "t.json", *flags])
+        run = cli.build_parser().parse_args(["run", *flags])
+        config = cli.machine_from_args(traced)
+        assert config == cli.machine_from_args(run)
+        assert (config.l2_bytes, config.sparse_policy) == (512, "lru")
+
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(_trace_args(a, fmt="jsonl", seed=3)) == 0

@@ -4,10 +4,13 @@
 nodes: next line state, exact effect sequence, return value; (b) a bug
 planted once in the kernel is seen by the model checker *and* by the
 simulator; (c) PR 2's stale-writeback bug, re-planted, is found again;
-(d) nothing outside the kernel writes directory protocol state.
+(d) nothing outside the kernel writes directory protocol state; (e) one
+function of the controller books an invalidation round, one times its
+fan-out, and what it books is what the checker independently expects.
 """
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -17,7 +20,12 @@ import repro
 from repro.core import SharedEntryDirectory, protocol
 from repro.core.registry import make_scheme
 from repro.core.sparse import AllWaysBusy, Eviction, FullMapDirectory
+from repro.apps import MP3DWorkload
+from repro.machine import DashSystem, MachineConfig
 from repro.machine.invariants import CoherenceViolation
+from repro.machine.messages import MsgClass
+from repro.machine.stats import InvalCause
+from repro.obs.tracer import Tracer
 from repro.verify.explorer import explore
 from repro.verify.model import ModelConfig, replay_counterexample
 
@@ -351,3 +359,91 @@ def test_the_kernel_imports_no_engine():
         m for m in imported
         if m.startswith(("repro.machine", "repro.obs", "repro.verify"))
     ]
+
+
+# -- the invalidation round is booked once ------------------------------------------
+
+#: what states the paper's accounting -> the one controller function naming it
+ROUND_SITES = {
+    "INVALIDATION": "_book_round",
+    "ACKNOWLEDGEMENT": "_book_round",
+    "record_inval_event": "_book_round",
+    "dir.inval_round": "_book_round",
+    "on_inval_round": "_book_round",
+    "inval_issue_cycles": "_fanout_cycles",
+}
+
+
+def _round_sites(source):
+    """marker -> the functions of ``source`` whose code names it."""
+    found = {marker: set() for marker in ROUND_SITES}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                name = (
+                    node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None
+                )
+                if isinstance(name, str) and name in found:
+                    found[name].add(func.name)
+    return found
+
+
+def test_one_function_books_a_round_and_one_times_its_fanout():
+    source = (SRC / "machine" / "directory.py").read_text()
+    expected = {marker: {func} for marker, func in ROUND_SITES.items()}
+    assert _round_sites(source) == expected
+    # the walk would see a second counting site
+    second = source + (
+        "\ndef _eager(self):\n"
+        "    self._messages[MsgClass.ACKNOWLEDGEMENT] += 1\n"
+        "    self._stats.record_inval_event(cause, 1)\n"
+    )
+    found = _round_sites(second)
+    assert found["ACKNOWLEDGEMENT"] == {"_book_round", "_eager"}
+    assert found["record_inval_event"] == {"_book_round", "_eager"}
+
+
+HOME = 0
+
+
+@pytest.mark.parametrize(
+    "cause, recipient, targets",
+    itertools.product(
+        InvalCause,
+        (HOME, 2),  # the home's RAC / a remote writer
+        ((), (1, 3), (HOME, 1, 3), (1, 2, 3), (HOME, 1, 2, 3)),
+    ),
+)
+def test_book_round_counts_what_the_checker_expects(cause, recipient, targets):
+    tracer = Tracer()
+    system = DashSystem(
+        MachineConfig(num_clusters=N), MP3DWorkload(N, num_particles=8, steps=1),
+        strict=True, invariants="strict", obs=tracer,
+    )
+    stats = system.stats
+    # the checker's own statement of conservation; strict, so a controller
+    # that counted anything else would raise out of _book_round
+    invals = len(targets) - (HOME in targets)
+    acks = len(targets) - (recipient in targets)
+    booked = system.directories[HOME]._book_round(
+        cause, BLOCK, targets, recipient, (BLOCK,), 7
+    )
+    assert booked == invals
+    assert stats.msg(MsgClass.INVALIDATION) == invals
+    assert stats.msg(MsgClass.ACKNOWLEDGEMENT) == acks
+    assert stats.total_messages == invals + acks
+    # one event, even an empty one: whether an empty round *is* an event is
+    # the calling handler's rule (a write's is, an empty sparse entry's not)
+    assert stats.inval_hist == {
+        c: ({invals: 1} if c is cause else {}) for c in InvalCause
+    }
+    (event,) = tracer.events()
+    assert event.name == "dir.inval_round"
+    assert event.args == {
+        "cause": cause.value, "block": BLOCK, "invals": invals, "txn_id": 7
+    }
+    checker = system.invariants
+    assert (checker.inval_rounds, checker.blocks_checked) == (1, 1)
+    assert checker.violations == []

@@ -55,13 +55,13 @@ def test_clean_trace_conforms_across_schemes(tmp_path, scheme):
 
 def test_sparse_trace_conforms_via_recall_repair(tmp_path):
     """Tiny caches + a tiny sparse directory force entry replacements."""
-    from repro.cli import _app_factory
+    from repro.cli import app_factory
     from repro.machine.config import MachineConfig
     from repro.machine.system import DashSystem
     from repro.obs.export import export_trace
     from repro.obs.tracer import Tracer
 
-    workload = _app_factory("MP3D", 8, 0.3, 5)
+    workload = app_factory("MP3D", 8, 0.3, 5)
     cfg = MachineConfig(
         num_clusters=8, scheme="Dir2CV2", seed=5,
         l1_bytes=256, l2_bytes=512,
