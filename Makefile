@@ -41,12 +41,22 @@ chaos-ckpt:
 	PYTHONPATH=src python -c "import json; c = json.load(open('sweep_ckpt_report.json'))['counts']; assert c['resumed_from_checkpoint'] >= 1 and c['events_saved'] > 0, c; print('chaos-ckpt:', c['resumed_from_checkpoint'], 'points resumed,', c['events_saved'], 'events saved')"
 
 # strict-invariant smoke: the four paper apps on the 32-cluster machine,
-# every transaction's disturbed blocks audited, first violation raises
+# every transaction's disturbed blocks audited, first violation raises;
+# then an overflow-cache run with and without --strict, which must agree
 strict-smoke:
 	for app in MP3D LU DWF LocusRoute; do \
 	    PYTHONPATH=src python -m repro run --app $$app --procs 32 \
 	        --strict --check || exit 1; \
 	done
+	# the checker observes, it does not steer: on a scheme whose reads once
+	# had side effects (the overflow cache's shared LRU) the strict run
+	# must report the plain run's result
+	run="python -m repro run --app MP3D --procs 32 --scheme Dir1OF2"; \
+	    pick="^(execution time|total messages)"; \
+	    plain=$$(PYTHONPATH=src $$run | grep -E "$$pick") && \
+	    strict=$$(PYTHONPATH=src $$run --strict | grep -E "$$pick") && \
+	    echo "Dir1OF2 plain:"; echo "$$plain"; echo "Dir1OF2 strict:"; \
+	    echo "$$strict"; [ -n "$$plain" ] && [ "$$plain" = "$$strict" ]
 
 # regenerate every table/figure report (and results/*.json);
 # e.g.  make results JOBS=4 CACHE_DIR=.repro-cache

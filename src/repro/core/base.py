@@ -10,10 +10,16 @@ only in how it represents that set:
   (the paper's coarse vector proposal), or
 * as a composite ternary pointer (the superset scheme).
 
-The contract is deliberately *conservative*: ``invalidation_targets`` may
-return a superset of the true sharers (extraneous invalidations are the
-price the cheap representations pay) but must never return a proper
-subset, because missing an invalidation would break coherence.  The single
+Each entry class states that set exactly once, as the side-effect-free
+bitmask :meth:`DirectoryEntry.covered`; every other view of it
+(``targets_sorted``, ``invalidation_targets``, ``is_empty``,
+``might_share``) is derived here, so a scheme cannot disagree with itself
+and reading an entry can never change a run.
+
+The contract is deliberately *conservative*: ``covered`` may be a
+superset of the true sharers (extraneous invalidations are the price the
+cheap representations pay) but must never be a proper subset, because
+missing an invalidation would break coherence.  The single
 exception is ``Dir_iNB``, which avoids supersets by forcibly evicting
 sharers at *record* time: ``record_sharer`` returns the nodes that must be
 invalidated immediately to keep the representation exact.
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 
 class DirectoryEntry(ABC):
@@ -57,17 +63,21 @@ class DirectoryEntry(ABC):
         """
 
     @abstractmethod
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        """Every node that must receive an invalidation, minus ``exclude``.
+    def covered(self) -> int:
+        """Bitmask of every node an invalidation of the block must reach.
 
-        Guaranteed to be a superset of the true sharers (minus
-        ``exclude``); equality holds only while the representation is
-        exact.
+        The one statement of who the entry covers: a superset of the true
+        sharers, equal to them only while the representation is exact.
+        Must be free of side effects — audits, the model checker and the
+        protocol all read it, and only ``record_sharer`` /
+        ``remove_sharer`` / ``reset`` may advance state shared between
+        entries (the overflow cache's LRU).
         """
 
     @abstractmethod
     def is_exact(self) -> bool:
-        """True while the representation still identifies sharers exactly."""
+        """True while the representation still identifies sharers exactly
+        (side-effect-free, like :meth:`covered`)."""
 
     @abstractmethod
     def reset(self) -> None:
@@ -92,25 +102,42 @@ class DirectoryEntry(ABC):
     def load_state(self, state: Tuple[Any, ...]) -> None:
         """Restore a snapshot produced by :meth:`to_state` (same scheme)."""
 
-    # -- conveniences shared by all implementations ---------------------
+    @abstractmethod
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        """Fingerprint of this entry with node ``n`` relabelled ``perm[n]``.
+
+        What the model checker keys states by: everything that shapes the
+        entry's future behaviour (mode flags, and pointer order where the
+        scheme's ``ordered_entries`` says it is state), nothing that does
+        not.  ``perm`` is drawn from the scheme's ``relabelling`` group.
+        """
+
+    # -- the views of covered(), derived once ---------------------------
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        """``sorted(invalidation_targets(exclude))``, the hot-path form.
+        """Covered nodes minus ``exclude``, ascending: the order the
+        directory controller walks an invalidation round in."""
+        mask = self.covered()
+        for n in exclude:
+            mask &= ~(1 << n)
+        return mask_nodes(mask)
 
-        The directory controller walks invalidation targets in ascending
-        node order; schemes with bitmask representations override this
-        with a bit-scan that yields the identical list without building
-        the intermediate frozenset.
-        """
-        return sorted(self.invalidation_targets(exclude))
+    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
+        """:meth:`targets_sorted` as a set."""
+        return frozenset(self.targets_sorted(exclude))
 
     def is_empty(self) -> bool:
         """True when no node is (conservatively) recorded as a sharer."""
-        return not self.invalidation_targets()
+        return not self.covered()
 
     def might_share(self, node: int) -> bool:
         """Conservatively: could ``node`` hold a copy?"""
-        return node in self.invalidation_targets()
+        return bool(self.covered() >> node & 1)
+
+    def _covered_as(self, perm: Sequence[int]) -> Tuple[int, ...]:
+        """The covered set relabelled by ``perm``, ascending: the whole
+        :meth:`encode` of an entry that is nothing but that set."""
+        return tuple(sorted(perm[n] for n in mask_nodes(self.covered())))
 
 
 class DirectoryScheme(ABC):
@@ -136,15 +163,42 @@ class DirectoryScheme(ABC):
     #:   on pointer overflow (Dir_iB's broadcast bit, Dir_iCV_r's region
     #:   vector, Dir_iX's composite pointer, the overflow cache).
     #:
-    #: Either way ``invalidation_targets`` must cover the true sharers —
-    #: the checker verifies coverage for all schemes and exactness only
-    #: for ``"exact"`` ones.
+    #: Either way ``covered()`` must cover the true sharers — the checker
+    #: verifies coverage for all schemes and exactness only for
+    #: ``"exact"`` ones.
     precision: str = "exact"
+
+    #: the directory controller sends one invalidation at a time, each
+    #: after the previous ack, in ``invalidation_chain`` order (SCI list)
+    serial_invalidations: bool = False
+
+    #: ``record_sharer`` may return victims to invalidate now (Dir_iNB);
+    #: such a scheme cannot pool entries and bounds its entries'
+    #: ``covered()`` to ``num_pointers`` nodes
+    evicts_on_overflow: bool = False
+    num_pointers: int  #: set by the limited-pointer families
+
+    #: Node relabellings that preserve what an entry means — the model
+    #: checker's symmetry group: ``"any"`` permutation, only those mapping
+    #: each block of ``region_size`` nodes onto one block (``"regions"``),
+    #: or ``"none"`` (bit-encoded node ids, state shared across entries).
+    relabelling: str = "none"
+    region_size: int  #: set by a ``"regions"`` scheme
+
+    #: the order of an entry's pointers is state (victim slots, SCI
+    #: chains), so nodes with equal covered-set membership are still not
+    #: interchangeable
+    ordered_entries: bool = False
+
+    #: entries share mutable scheme state (the overflow cache's wide
+    #: store), fingerprinted by :meth:`encode_shared`
+    couples_entries: bool = False
 
     def __init__(self, num_nodes: int, *, seed: int = 0) -> None:
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         self.num_nodes = num_nodes
+        self.all_nodes = (1 << num_nodes) - 1  # covered() of a broadcast
         self.rng = random.Random(seed)
 
     @abstractmethod
@@ -183,6 +237,13 @@ class DirectoryScheme(ABC):
         entry.load_state(state)
         return entry
 
+    def encode_shared(
+        self, lines: Iterable[Tuple[int, DirectoryEntry]]
+    ) -> Optional[Tuple[Any, ...]]:
+        """Fingerprint of the state entries share, given every live
+        ``(block, entry)``; ``None`` unless ``couples_entries``."""
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} nodes={self.num_nodes}>"
 
@@ -192,14 +253,6 @@ def pointer_bits(num_nodes: int) -> int:
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
     return max(1, (num_nodes - 1).bit_length())
-
-
-def expand_exclude(
-    targets: Iterable[int], exclude: Iterable[int]
-) -> FrozenSet[int]:
-    """Frozen target set minus the excluded nodes."""
-    excluded = set(exclude)
-    return frozenset(t for t in targets if t not in excluded)
 
 
 def check_node(node: int, num_nodes: int) -> None:
@@ -221,8 +274,8 @@ def check_state_tag(state: Tuple[Any, ...], tag: str, cls: type) -> None:
 class PointerListEntry(DirectoryEntry):
     """Shared plumbing for schemes that start life as a pointer list.
 
-    Subclasses define what happens on pointer overflow by overriding
-    :meth:`_overflow`.
+    ``scheme.num_pointers`` bounds the list; each subclass says what
+    happens on overflow when :meth:`_record_pointer` returns ``None``.
     """
 
     __slots__ = ("scheme", "pointers")
@@ -243,14 +296,10 @@ class PointerListEntry(DirectoryEntry):
         check_node(node, self.scheme.num_nodes)
         if node in self.pointers:
             return ()
-        limit = self._pointer_limit()
-        if len(self.pointers) < limit:
+        if len(self.pointers) < self.scheme.num_pointers:
             self.pointers.append(node)
             return ()
         return None
-
-    def _pointer_limit(self) -> int:
-        raise NotImplementedError
 
     def _remove_pointer(self, node: int) -> None:
         try:
@@ -258,38 +307,28 @@ class PointerListEntry(DirectoryEntry):
         except ValueError:
             pass
 
-    def _pointers_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        """Pointer-mode fast path for :meth:`targets_sorted`."""
-        excluded = set(exclude)
-        return sorted(p for p in self.pointers if p not in excluded)
+
+def nodes_mask(nodes: Iterable[int]) -> int:
+    """Bitmask with the bit of every node in ``nodes`` set."""
+    mask = 0
+    for n in nodes:
+        mask |= 1 << n
+    return mask
 
 
-def nodes_in_regions(region_mask: int, region_size: int, num_nodes: int) -> FrozenSet[int]:
-    """Expand a coarse region bitmask into the node ids it covers."""
-    covered = []
-    mask = region_mask
-    region = 0
-    while mask:
-        if mask & 1:
-            start = region * region_size
-            covered.extend(range(start, min(start + region_size, num_nodes)))
-        mask >>= 1
-        region += 1
-    return frozenset(covered)
+def mask_nodes(mask: int) -> "list[int]":
+    """Ascending node ids with their bit set in ``mask``.
 
-
-def popcount(value: int) -> int:
-    """Number of set bits (kept as a named helper for readability)."""
-    return value.bit_count()
-
-
-def bitmask_nodes(mask: int) -> FrozenSet[int]:
-    """Node ids with their bit set in ``mask``."""
+    Two scans, chosen by density: peeling the low bit costs one step per
+    *set* bit (the 1-2 target rounds that dominate the paper's figures),
+    walking ``bin(mask)`` one step per *bit* (a broadcast, a wide coarse
+    vector), so the string walk wins once about a quarter are set.
+    """
+    if 4 * mask.bit_count() > mask.bit_length():
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
     out = []
-    node = 0
     while mask:
-        if mask & 1:
-            out.append(node)
-        mask >>= 1
-        node += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

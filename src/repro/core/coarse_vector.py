@@ -15,15 +15,15 @@ never worse than ``Dir_iB`` for the same storage (the paper's key claim).
 from __future__ import annotations
 
 import math
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
     check_state_tag,
-    expand_exclude,
-    nodes_in_regions,
+    mask_nodes,
+    nodes_mask,
     pointer_bits,
 )
 
@@ -37,9 +37,6 @@ class CoarseVectorEntry(PointerListEntry):
         super().__init__(scheme)
         self.region_mask = 0
         self.coarse = False
-
-    def _pointer_limit(self) -> int:
-        return self.scheme.num_pointers
 
     def _region_of(self, node: int) -> int:
         return node // self.scheme.region_size
@@ -73,13 +70,14 @@ class CoarseVectorEntry(PointerListEntry):
         if self.scheme.region_size == 1:
             self.region_mask &= ~(1 << self._region_of(node))
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
+    def covered(self) -> int:
         if not self.coarse:
-            return expand_exclude(self.pointers, exclude)
-        covered = nodes_in_regions(
-            self.region_mask, self.scheme.region_size, self.scheme.num_nodes
-        )
-        return expand_exclude(covered, exclude)
+            return nodes_mask(self.pointers)
+        region_nodes = self.scheme.region_nodes
+        mask = 0
+        for region in mask_nodes(self.region_mask):
+            mask |= region_nodes[region]
+        return mask
 
     def is_exact(self) -> bool:
         return not self.coarse or self.scheme.region_size == 1
@@ -88,11 +86,6 @@ class CoarseVectorEntry(PointerListEntry):
         self.pointers.clear()
         self.region_mask = 0
         self.coarse = False
-
-    def is_empty(self) -> bool:
-        if self.coarse:
-            return self.region_mask == 0
-        return not self.pointers
 
     def to_state(self) -> Tuple[Any, ...]:
         return ("cv", tuple(self.pointers), self.region_mask, self.coarse)
@@ -103,30 +96,17 @@ class CoarseVectorEntry(PointerListEntry):
         self.region_mask = state[2]
         self.coarse = state[3]
 
-    def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        if not self.coarse:
-            return self._pointers_sorted(exclude)
-        # Ascending region scan expands each marked region in node order,
-        # so the concatenation is already sorted.
-        excluded = set(exclude)
-        region_size = self.scheme.region_size
-        num_nodes = self.scheme.num_nodes
-        mask = self.region_mask
-        out = []
-        while mask:
-            low = mask & -mask
-            start = (low.bit_length() - 1) * region_size
-            for n in range(start, min(start + region_size, num_nodes)):
-                if n not in excluded:
-                    out.append(n)
-            mask ^= low
-        return out
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        # a region-preserving perm carries marked regions onto whole
+        # regions, so the relabelled covered set still names them
+        return ("cv", self.coarse, self._covered_as(perm))
 
 
 class CoarseVectorScheme(DirectoryScheme):
     """``Dir_iCV_r``: ``i`` pointers, overflow to regions of ``r`` nodes."""
 
     precision = "coarse"  # region bits cover supersets after overflow
+    relabelling = "regions"  # region membership is semantic once coarse
 
     def __init__(
         self,
@@ -144,6 +124,11 @@ class CoarseVectorScheme(DirectoryScheme):
         self.num_pointers = num_pointers
         self.region_size = region_size
         self.num_regions = math.ceil(num_nodes / region_size)
+        #: covered() of each region bit (the last region may be ragged)
+        self.region_nodes = [
+            ((1 << region_size) - 1) << start & self.all_nodes
+            for start in range(0, num_nodes, region_size)
+        ]
         self.name = f"Dir{num_pointers}CV{region_size}"
 
     @classmethod

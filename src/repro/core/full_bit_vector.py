@@ -9,15 +9,13 @@ grows with the processor count, which is what motivates the paper.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.base import (
     DirectoryEntry,
     DirectoryScheme,
-    bitmask_nodes,
     check_node,
     check_state_tag,
-    expand_exclude,
 )
 
 
@@ -39,20 +37,14 @@ class FullBitVectorEntry(DirectoryEntry):
         check_node(node, self.num_nodes)
         self.mask &= ~(1 << node)
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        return expand_exclude(bitmask_nodes(self.mask), exclude)
+    def covered(self) -> int:
+        return self.mask
 
     def is_exact(self) -> bool:
         return True
 
     def reset(self) -> None:
         self.mask = 0
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def might_share(self, node: int) -> bool:
-        return bool(self.mask >> node & 1)
 
     def to_state(self) -> Tuple[Any, ...]:
         return ("fbv", self.mask)
@@ -61,22 +53,14 @@ class FullBitVectorEntry(DirectoryEntry):
         check_state_tag(state, "fbv", type(self))
         self.mask = state[1]
 
-    def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        # Ascending bit-scan over the presence mask; clearing the excluded
-        # bits first keeps the loop branch-free.
-        mask = self.mask
-        for n in exclude:
-            mask &= ~(1 << n)
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        return ("fbv", self._covered_as(perm))
 
 
 class FullBitVectorScheme(DirectoryScheme):
     """``Dir_N``: the exact baseline every other scheme is measured against."""
+
+    relabelling = "any"  # an entry is a plain set of node labels
 
     def __init__(self, num_nodes: int, *, seed: int = 0) -> None:
         super().__init__(num_nodes, seed=seed)

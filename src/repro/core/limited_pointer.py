@@ -13,14 +13,14 @@ they survive pointer overflow:
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
     check_state_tag,
-    expand_exclude,
+    nodes_mask,
     pointer_bits,
 )
 
@@ -33,9 +33,6 @@ class BroadcastEntry(PointerListEntry):
     def __init__(self, scheme: "LimitedPointerBroadcastScheme") -> None:
         super().__init__(scheme)
         self.broadcast = False
-
-    def _pointer_limit(self) -> int:
-        return self.scheme.num_pointers
 
     def record_sharer(self, node: int) -> Tuple[int, ...]:
         if self.broadcast:
@@ -56,10 +53,8 @@ class BroadcastEntry(PointerListEntry):
         # In broadcast mode individual removals are unrepresentable; the
         # broadcast bit stays conservative.
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        if self.broadcast:
-            return expand_exclude(range(self.scheme.num_nodes), exclude)
-        return expand_exclude(self.pointers, exclude)
+    def covered(self) -> int:
+        return self.scheme.all_nodes if self.broadcast else nodes_mask(self.pointers)
 
     def is_exact(self) -> bool:
         return not self.broadcast
@@ -67,9 +62,6 @@ class BroadcastEntry(PointerListEntry):
     def reset(self) -> None:
         self.pointers.clear()
         self.broadcast = False
-
-    def is_empty(self) -> bool:
-        return not self.broadcast and not self.pointers
 
     def to_state(self) -> Tuple[Any, ...]:
         return ("b", tuple(self.pointers), self.broadcast)
@@ -79,19 +71,15 @@ class BroadcastEntry(PointerListEntry):
         self.pointers = list(state[1])
         self.broadcast = state[2]
 
-    def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        if not self.broadcast:
-            return self._pointers_sorted(exclude)
-        excluded = set(exclude)
-        return [
-            n for n in range(self.scheme.num_nodes) if n not in excluded
-        ]
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        return ("b", self.broadcast, self._covered_as(perm))
 
 
 class LimitedPointerBroadcastScheme(DirectoryScheme):
     """``Dir_iB`` from Agarwal et al. [1], the paper's main strawman."""
 
     precision = "coarse"  # the broadcast bit covers everyone
+    relabelling = "any"  # pointers are a set of labels; order is not state
 
     def __init__(self, num_nodes: int, num_pointers: int = 3, *, seed: int = 0) -> None:
         super().__init__(num_nodes, seed=seed)
@@ -113,9 +101,6 @@ class NoBroadcastEntry(PointerListEntry):
 
     __slots__ = ()
 
-    def _pointer_limit(self) -> int:
-        return self.scheme.num_pointers
-
     def record_sharer(self, node: int) -> Tuple[int, ...]:
         handled = self._record_pointer(node)
         if handled is not None:
@@ -131,17 +116,14 @@ class NoBroadcastEntry(PointerListEntry):
     def remove_sharer(self, node: int) -> None:
         self._remove_pointer(node)
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        return expand_exclude(self.pointers, exclude)
+    def covered(self) -> int:
+        return nodes_mask(self.pointers)
 
     def is_exact(self) -> bool:
         return True
 
     def reset(self) -> None:
         self.pointers.clear()
-
-    def is_empty(self) -> bool:
-        return not self.pointers
 
     def to_state(self) -> Tuple[Any, ...]:
         # Pointer *order* matters: the overflow victim is picked by index,
@@ -152,12 +134,17 @@ class NoBroadcastEntry(PointerListEntry):
         check_state_tag(state, "nb", type(self))
         self.pointers = list(state[1])
 
-    def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        return self._pointers_sorted(exclude)
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        # positional, like to_state: the victim is a randrange over slots
+        return ("nb", tuple(perm[n] for n in self.pointers))
 
 
 class LimitedPointerNoBroadcastScheme(DirectoryScheme):
     """``Dir_iNB`` from Agarwal et al. [1]: overflow evicts a sharer."""
+
+    evicts_on_overflow = True
+    relabelling = "any"
+    ordered_entries = True  # the overflow victim is picked by slot index
 
     def __init__(self, num_nodes: int, num_pointers: int = 3, *, seed: int = 0) -> None:
         super().__init__(num_nodes, seed=seed)

@@ -18,14 +18,14 @@ honours when scheduling invalidation messages.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, List, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.core.base import (
     DirectoryEntry,
     DirectoryScheme,
     check_node,
     check_state_tag,
-    expand_exclude,
+    nodes_mask,
     pointer_bits,
 )
 
@@ -57,8 +57,8 @@ class LinkedListEntry(DirectoryEntry):
         except ValueError:
             pass
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        return expand_exclude(self.chain, exclude)
+    def covered(self) -> int:
+        return nodes_mask(self.chain)
 
     def invalidation_chain(self, exclude: Iterable[int] = ()) -> Tuple[int, ...]:
         """Sharers in unravel order (head first), minus ``exclude``."""
@@ -71,9 +71,6 @@ class LinkedListEntry(DirectoryEntry):
     def reset(self) -> None:
         self.chain.clear()
 
-    def is_empty(self) -> bool:
-        return not self.chain
-
     def to_state(self) -> Tuple[Any, ...]:
         # Chain order (head first) drives serial-invalidation unravel
         # order, so it must survive a round trip exactly.
@@ -83,13 +80,16 @@ class LinkedListEntry(DirectoryEntry):
         check_state_tag(state, "ll", type(self))
         self.chain = list(state[1])
 
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        return ("ll", tuple(perm[n] for n in self.chain))
+
 
 class LinkedListScheme(DirectoryScheme):
     """Cache-based doubly-linked list directory (SCI-flavoured)."""
 
-    #: the directory controller serializes invalidations for this scheme:
-    #: each invalidation may only be sent once the previous ack returned.
-    serial_invalidations = True
+    serial_invalidations = True  # the list is unravelled cache by cache
+    relabelling = "any"
+    ordered_entries = True  # chain order is the unravel order
 
     def __init__(self, num_nodes: int, *, seed: int = 0) -> None:
         super().__init__(num_nodes, seed=seed)

@@ -17,15 +17,15 @@ storage budget.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import (
+    DirectoryEntry,
     DirectoryScheme,
     PointerListEntry,
-    bitmask_nodes,
     check_node,
     check_state_tag,
-    expand_exclude,
+    nodes_mask,
     pointer_bits,
 )
 
@@ -37,11 +37,11 @@ class _WideStore:
         self.capacity = capacity
         self._masks: "OrderedDict[int, int]" = OrderedDict()
 
-    def get(self, key: int) -> int | None:
-        mask = self._masks.get(key)
-        if mask is not None:
-            self._masks.move_to_end(key)
-        return mask
+    def peek(self, key: int) -> int | None:
+        """The mask, without counting as a use: only :meth:`put` (a
+        ``record_sharer`` / ``remove_sharer``) advances the LRU, so no
+        read of an entry can reorder later victims."""
+        return self._masks.get(key)
 
     def put(self, key: int, mask: int) -> Tuple[int, int] | None:
         """Insert/update; returns an evicted (key, mask) pair if any."""
@@ -77,16 +77,13 @@ class OverflowCacheEntry(PointerListEntry):
         self.wide = False
         self.broadcast = False
 
-    def _pointer_limit(self) -> int:
-        return self.scheme.num_pointers
-
     def record_sharer(self, node: int) -> Tuple[int, ...]:
         check_node(node, self.scheme.num_nodes)
         if self.broadcast:
             return ()
         store = self.scheme.wide_store
         if self.wide:
-            mask = store.get(self.key)
+            mask = store.peek(self.key)
             if mask is None:
                 # Our wide entry was evicted behind our back; degrade.
                 self.wide = False
@@ -98,11 +95,9 @@ class OverflowCacheEntry(PointerListEntry):
         if handled is not None:
             return handled
         # Overflow into the wide store.
-        mask = 1 << node
-        for n in self.pointers:
-            mask |= 1 << n
-        evicted = store.put(self.key, mask)
+        evicted = store.put(self.key, nodes_mask(self.pointers) | 1 << node)
         self.wide = True
+        self.scheme._wide_entries[self.key] = self
         self.pointers.clear()
         if evicted is not None:
             evicted_key, _ = evicted
@@ -113,43 +108,33 @@ class OverflowCacheEntry(PointerListEntry):
         if self.broadcast:
             return
         if self.wide:
-            mask = self.scheme.wide_store.get(self.key)
+            mask = self.scheme.wide_store.peek(self.key)
             if mask is not None:
                 self.scheme.wide_store.put(self.key, mask & ~(1 << node))
             return
         self._remove_pointer(node)
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
-        if self.broadcast:
-            return expand_exclude(range(self.scheme.num_nodes), exclude)
+    def covered(self) -> int:
         if self.wide:
-            mask = self.scheme.wide_store.get(self.key)
-            if mask is None:  # evicted behind our back
-                return expand_exclude(range(self.scheme.num_nodes), exclude)
-            return expand_exclude(bitmask_nodes(mask), exclude)
-        return expand_exclude(self.pointers, exclude)
+            mask = self.scheme.wide_store.peek(self.key)
+            if mask is not None:
+                return mask
+        elif not self.broadcast:
+            return nodes_mask(self.pointers)
+        return self.scheme.all_nodes  # broadcast, or evicted behind our back
 
     def is_exact(self) -> bool:
-        if self.broadcast:
-            return False
         if self.wide:
-            return self.scheme.wide_store.get(self.key) is not None
-        return True
+            return self.scheme.wide_store.peek(self.key) is not None
+        return not self.broadcast
 
     def reset(self) -> None:
         if self.wide:
             self.scheme.wide_store.drop(self.key)
+            self.scheme._wide_entries.pop(self.key, None)
         self.pointers.clear()
         self.wide = False
         self.broadcast = False
-
-    def is_empty(self) -> bool:
-        if self.broadcast:
-            return False
-        if self.wide:
-            mask = self.scheme.wide_store.get(self.key)
-            return mask == 0 if mask is not None else False
-        return not self.pointers
 
     def to_state(self) -> Tuple[Any, ...]:
         # The wide mask itself lives in the scheme's shared store and is
@@ -160,24 +145,30 @@ class OverflowCacheEntry(PointerListEntry):
     def load_state(self, state: Tuple[Any, ...]) -> None:
         check_state_tag(state, "of", type(self))
         _, pointers, key, wide, broadcast = state
-        scheme = self.scheme
-        if key != self.key:
-            # Re-register under the saved key so wide-store entries keep
-            # pointing at us.  Guard the pop by identity: another entry
-            # being restored may already occupy our construction-time key.
-            if scheme._entries.get(self.key) is self:
-                del scheme._entries[self.key]
-            self.key = key
-            scheme._entries[key] = self
+        registry = self.scheme._wide_entries
+        # Guard the pop by identity: another entry being restored may
+        # already occupy our construction-time key.
+        if registry.get(self.key) is self:
+            del registry[self.key]
+        self.key = key
+        if wide:
+            # under the saved key, so our wide-store slot keeps pointing at us
+            registry[key] = self
         self.pointers = list(pointers)
         self.wide = wide
         self.broadcast = broadcast
+
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        # ``key`` is an identity, not state; the wide mask lives in the
+        # shared store, fingerprinted by OverflowCacheScheme.encode_shared
+        return ("of", self.wide, self.broadcast, tuple(sorted(self.pointers)))
 
 
 class OverflowCacheScheme(DirectoryScheme):
     """``Dir_i`` pointers with a shared wide-entry overflow cache."""
 
     precision = "coarse"  # falls back to broadcast when the cache is full
+    couples_entries = True  # one entry's overflow can evict another's mask
 
     def __init__(
         self,
@@ -197,20 +188,20 @@ class OverflowCacheScheme(DirectoryScheme):
         self.wide_store = _WideStore(overflow_entries)
         self.name = f"Dir{num_pointers}OF{overflow_entries}"
         self._key_counter = 0
-        self._entries: Dict[int, OverflowCacheEntry] = {}
+        #: key -> the entry holding that wide-store slot (nothing else is
+        #: ever looked up, so a discarded entry is not retained)
+        self._wide_entries: Dict[int, OverflowCacheEntry] = {}
 
     def _next_key(self) -> int:
         self._key_counter += 1
         return self._key_counter
 
     def make_entry(self) -> OverflowCacheEntry:
-        entry = OverflowCacheEntry(self)
-        self._entries[entry.key] = entry
-        return entry
+        return OverflowCacheEntry(self)
 
     def _mark_broadcast(self, key: int) -> None:
-        entry = self._entries.get(key)
-        if entry is not None and entry.wide:
+        entry = self._wide_entries.pop(key, None)
+        if entry is not None:
             entry.wide = False
             entry.broadcast = True
 
@@ -221,13 +212,23 @@ class OverflowCacheScheme(DirectoryScheme):
         return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        # Applied after the entries themselves have been restored (and
-        # have re-registered under their saved keys), so overwriting the
-        # wide store here reproduces the exact saved LRU order no matter
-        # what transient puts happened during entry restoration.
+        # Applied after the entries themselves have been restored (the
+        # wide ones re-registered under their saved keys); overwriting
+        # the wide store here reproduces the exact saved LRU order.
         super().load_state(state)
         self._key_counter = state["key_counter"]
         self.wide_store.load_state(state["wide_masks"])
+
+    def encode_shared(
+        self, lines: Iterable[Tuple[int, DirectoryEntry]]
+    ) -> Optional[Tuple[Any, ...]]:
+        """Wide-store contents in LRU order, each slot named by its
+        holder's block (``-1``: a slot that outlived its line)."""
+        block_of = {id(entry): block for block, entry in lines}
+        return tuple(
+            (block_of.get(id(self._wide_entries.get(key)), -1), mask)
+            for key, mask in self.wide_store.to_state()
+        )
 
     def presence_bits(self) -> int:
         # Per-block cost: i pointers + wide flag + broadcast bit.  The

@@ -350,10 +350,13 @@ class SparseDirectory(DirectoryStore):
         if line.dirty:
             targets = (line.owner,) if line.owner is not None else ()
         else:
-            targets = tuple(sorted(line.entry.invalidation_targets()))
+            targets = tuple(line.entry.targets_sorted())
         ev = Eviction(
             block=block, targets=targets, was_dirty=line.dirty, owner=line.owner
         )
+        # the line is torn down, not just dropped: an entry may hold scheme
+        # state (an overflow-cache wide slot) that must not outlive it
+        line.reset()
         way.tag = -1
         way.line = None
         self._valid -= 1

@@ -12,31 +12,26 @@ when ``x_mask`` has bit ``b`` set, else equals bit ``b`` of ``value``.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
     check_state_tag,
-    expand_exclude,
+    mask_nodes,
+    nodes_mask,
     pointer_bits,
 )
 
 
-def expand_composite(value: int, x_mask: int, width: int, num_nodes: int) -> FrozenSet[int]:
-    """All node ids matched by the ternary pattern, clipped to the machine."""
-    free_bits = [b for b in range(width) if x_mask >> b & 1]
-    base = value & ~x_mask
-    matches = []
-    for combo in range(1 << len(free_bits)):
-        node = base
-        for i, b in enumerate(free_bits):
-            if combo >> i & 1:
-                node |= 1 << b
-        if node < num_nodes:
-            matches.append(node)
-    return frozenset(matches)
+def expand_composite(value: int, x_mask: int) -> int:
+    """Bitmask of every node id the ternary pattern matches."""
+    mask = 1 << (value & ~x_mask)
+    for b in mask_nodes(x_mask):
+        # an X in id bit b also matches every id 2**b above a match
+        mask |= mask << (1 << b)
+    return mask
 
 
 class SupersetEntry(PointerListEntry):
@@ -47,9 +42,6 @@ class SupersetEntry(PointerListEntry):
     def __init__(self, scheme: "SupersetScheme") -> None:
         super().__init__(scheme)
         self.composite: Tuple[int, int] | None = None  # (value, x_mask)
-
-    def _pointer_limit(self) -> int:
-        return self.scheme.num_pointers
 
     def record_sharer(self, node: int) -> Tuple[int, ...]:
         if self.composite is not None:
@@ -77,14 +69,11 @@ class SupersetEntry(PointerListEntry):
             self._remove_pointer(node)
         # A composite cannot drop one node without risking under-coverage.
 
-    def invalidation_targets(self, exclude: Iterable[int] = ()) -> FrozenSet[int]:
+    def covered(self) -> int:
         if self.composite is None:
-            return expand_exclude(self.pointers, exclude)
-        value, x_mask = self.composite
-        targets = expand_composite(
-            value, x_mask, self.scheme.pointer_width, self.scheme.num_nodes
-        )
-        return expand_exclude(targets, exclude)
+            return nodes_mask(self.pointers)
+        # ids past the machine's last node match the pattern but name nobody
+        return expand_composite(*self.composite) & self.scheme.all_nodes
 
     def is_exact(self) -> bool:
         return self.composite is None
@@ -92,9 +81,6 @@ class SupersetEntry(PointerListEntry):
     def reset(self) -> None:
         self.pointers.clear()
         self.composite = None
-
-    def is_empty(self) -> bool:
-        return self.composite is None and not self.pointers
 
     def to_state(self) -> Tuple[Any, ...]:
         return ("x", tuple(self.pointers), self.composite)
@@ -105,15 +91,9 @@ class SupersetEntry(PointerListEntry):
         composite = state[2]
         self.composite = tuple(composite) if composite is not None else None
 
-    def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        if self.composite is None:
-            return self._pointers_sorted(exclude)
-        excluded = set(exclude)
-        value, x_mask = self.composite
-        targets = expand_composite(
-            value, x_mask, self.scheme.pointer_width, self.scheme.num_nodes
-        )
-        return sorted(t for t in targets if t not in excluded)
+    def encode(self, perm: Sequence[int]) -> Tuple[Any, ...]:
+        # node ids are bit patterns here: no relabelling, raw state
+        return ("x", self.composite, tuple(self.pointers))
 
 
 class SupersetScheme(DirectoryScheme):

@@ -162,7 +162,7 @@ class DirectoryController:
             is not DirectoryStore.blocks_invalidated_with
             else None
         )
-        self._serial = getattr(machine.scheme, "serial_invalidations", False)
+        self._serial = machine.scheme.serial_invalidations
         self._execute_kind = {
             READ: self._execute_read,
             WRITE: self._execute_write,

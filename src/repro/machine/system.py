@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Union
 
 from repro.core.base import DirectoryScheme
-from repro.core.limited_pointer import LimitedPointerNoBroadcastScheme
 from repro.core.registry import make_scheme
 from repro.core.sparse import (
     DirectoryStore,
@@ -135,7 +134,7 @@ class DashSystem:
         if cfg.shared_entry_group is not None:
             from repro.core.shared_entry import SharedEntryDirectory
 
-            if isinstance(self.scheme, LimitedPointerNoBroadcastScheme):
+            if self.scheme.evicts_on_overflow:
                 # a pointer eviction kills the victim's copy of one block,
                 # but the pooled entry forgets the victim for the whole group
                 raise ValueError(

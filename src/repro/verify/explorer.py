@@ -19,13 +19,16 @@ turns into a scripted simulator run.
 Canonical hashing
 -----------------
 Node identity is interchangeable except where the protocol breaks the
-symmetry: home nodes are pinned (block interleaving fixes them), coarse
-vector regions constrain which permutations preserve entry semantics,
-and the superset scheme's binary composite encoding plus the overflow
-cache's shared-LRU store are not equivariant at all.  Each state is
-keyed canonically over the scheme's allowed permutation group —
-symmetric states merge, shrinking the explored space without losing
-violations (the invariants themselves are permutation-invariant).
+symmetry: home nodes are pinned (block interleaving fixes them), and
+each scheme declares its own ``relabelling`` group — ``"any"``
+permutation, only ``"regions"``-preserving ones (coarse vector), or
+``"none"`` (the superset scheme's binary composite encoding and the
+overflow cache's shared-LRU store are not equivariant at all).  Each
+state is keyed canonically over that group — symmetric states merge,
+shrinking the explored space without losing violations (the invariants
+themselves are permutation-invariant).  The explorer names no scheme: it
+reads the traits ``DirectoryScheme`` declares and each entry's own
+``covered()`` / ``encode(perm)``.
 
 Two canonicalizers implement the same quotient:
 
@@ -36,9 +39,9 @@ Two canonicalizers implement the same quotient:
   messages, ownership and presence-entry membership per line) and the
   derived permutation's encoding is the key.  Exact for schemes whose
   entries are node *sets* (full bit vector, Dir_iB, Dir_iCV_r — the
-  coarse-vector group sorts within regions, then whole home-free
+  ``"regions"`` group sorts within regions, then whole home-free
   regions), because equal-signature nodes are interchangeable in the
-  encoding.  Pointer-*order*-carrying entries (Dir_iNB victim slots,
+  encoding.  Schemes with ``ordered_entries`` (Dir_iNB victim slots,
   linked-list chains) keep the brute canonicalizer.
 
 Partial-order reduction (``por=True``)
@@ -63,20 +66,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import DirectoryEntry
-from repro.core.coarse_vector import CoarseVectorEntry, CoarseVectorScheme
-from repro.core.full_bit_vector import FullBitVectorEntry, FullBitVectorScheme
-from repro.core.limited_pointer import (
-    BroadcastEntry,
-    LimitedPointerBroadcastScheme,
-    NoBroadcastEntry,
-)
-from repro.core.linked_list import LinkedListEntry
-from repro.core.overflow_cache import OverflowCacheEntry, OverflowCacheScheme
+from repro.core.base import DirectoryScheme
 from repro.core.sparse import DirLine, SparseDirectory
-from repro.core.superset import SupersetEntry, SupersetScheme
 from repro.verify.model import (
     MSG_READ,
     MSG_WB,
@@ -187,21 +180,20 @@ def symmetry_permutations(cfg: ModelConfig) -> List[Perm]:
     """Node permutations under which the scheme's state encoding is stable.
 
     All groups fix the home nodes (block-to-home interleaving is part of
-    the protocol, not a labeling choice).  On top of that:
+    the protocol, not a labeling choice).  On top of that the scheme's
+    ``relabelling`` trait says which:
 
-    * full vector / Dir_iB / Dir_iNB / linked list: any permutation of
-      the non-home nodes (their entries are label-sets);
-    * Dir_iCV_r: only permutations that map regions onto regions —
-      region membership is semantic once an entry degrades;
-    * Dir_iX / overflow cache / anything unrecognized: identity only
+    * ``"any"`` (full vector / Dir_iB / Dir_iNB / linked list): any
+      permutation of the non-home nodes (their entries are label-sets);
+    * ``"regions"`` (Dir_iCV_r): only permutations that map regions onto
+      regions — region membership is semantic once an entry degrades;
+    * ``"none"`` (Dir_iX / overflow cache / the default): identity only
       (binary composite encodings and shared-LRU state are not
       equivariant under relabeling).
     """
     identity = tuple(range(cfg.num_nodes))
-    if not cfg.symmetry:
-        return [identity]
     scheme = cfg.scheme
-    if isinstance(scheme, (SupersetScheme, OverflowCacheScheme)):
+    if not cfg.symmetry or scheme.relabelling == "none":
         return [identity]
     homes = sorted({b % cfg.num_nodes for b in cfg.blocks})
     movable = [p for p in range(cfg.num_nodes) if p not in homes]
@@ -211,7 +203,7 @@ def symmetry_permutations(cfg: ModelConfig) -> List[Perm]:
         for src, dst in zip(movable, assignment):
             perm[src] = dst
         candidate = tuple(perm)
-        if isinstance(scheme, CoarseVectorScheme) and not _region_preserving(
+        if scheme.relabelling == "regions" and not _region_preserving(
             candidate, scheme.region_size, cfg.num_nodes
         ):
             continue
@@ -235,90 +227,6 @@ def _region_preserving(perm: Perm, region_size: int, num_nodes: int) -> bool:
 # -- canonical state encoding ----------------------------------------------
 
 
-def _encode_entry(entry: DirectoryEntry, perm: Perm) -> Tuple[object, ...]:
-    """Permutation-aware structural fingerprint of one directory entry."""
-    if isinstance(entry, FullBitVectorEntry):
-        return ("fbv", tuple(sorted(perm[n] for n in _mask_nodes(entry.mask))))
-    if isinstance(entry, NoBroadcastEntry):
-        # pointer order is a victim-choice artifact under reseeded RNG;
-        # it is *positional* (randrange over indices), so keep it
-        return ("nb", tuple(perm[n] for n in entry.pointers))
-    if isinstance(entry, BroadcastEntry):
-        return (
-            "b",
-            entry.broadcast,
-            tuple(sorted(perm[n] for n in entry.pointers)),
-        )
-    if isinstance(entry, CoarseVectorEntry):
-        if not entry.coarse:
-            return ("cv", False, tuple(sorted(perm[n] for n in entry.pointers)))
-        # re-derive the covered regions through the permutation: a region
-        # bit covers nodes, and (perm is region-preserving) the permuted
-        # nodes land wholly inside permuted regions
-        scheme = entry.scheme
-        covered_regions = set()
-        mask = entry.region_mask
-        region = 0
-        while mask:
-            if mask & 1:
-                start = region * scheme.region_size
-                for n in range(
-                    start, min(start + scheme.region_size, scheme.num_nodes)
-                ):
-                    covered_regions.add(perm[n] // scheme.region_size)
-            mask >>= 1
-            region += 1
-        return ("cv", True, tuple(sorted(covered_regions)))
-    if isinstance(entry, LinkedListEntry):
-        return ("ll", tuple(perm[n] for n in entry.chain))
-    if isinstance(entry, SupersetEntry):
-        # identity-only symmetry: raw representation is canonical
-        return ("x", entry.composite, tuple(entry.pointers))
-    if isinstance(entry, OverflowCacheEntry):
-        # the monotonically allocated ``key`` is excluded (it is an
-        # identity, not state); wide-store contents are encoded at the
-        # scheme level by _encode_wide_store
-        return (
-            "of",
-            entry.wide,
-            entry.broadcast,
-            tuple(sorted(entry.pointers)),
-        )
-    # unknown (e.g. a test mutant): conservative structural slot walk;
-    # only sound with identity symmetry, which unknown schemes get by
-    # construction in symmetry_permutations when not recognized above —
-    # mutants subclass the known entries, so they are recognized.
-    return ("raw", repr(vars(entry) if hasattr(entry, "__dict__") else entry))
-
-
-def _mask_nodes(mask: int) -> List[int]:
-    out = []
-    node = 0
-    while mask:
-        if mask & 1:
-            out.append(node)
-        mask >>= 1
-        node += 1
-    return out
-
-
-def _encode_wide_store(state: ModelState, cfg: ModelConfig) -> object:
-    """LRU-ordered wide-store contents, with keys mapped to blocks."""
-    scheme = state.stores[0].scheme
-    if not isinstance(scheme, OverflowCacheScheme):
-        return None
-    key_to_block: Dict[int, int] = {}
-    for store in state.stores:
-        for block, line in store.lines():
-            if isinstance(line.entry, OverflowCacheEntry):
-                key_to_block[line.entry.key] = block
-    return tuple(
-        (key_to_block.get(key, -1), mask)
-        # .get() would reorder the LRU; iterate the OrderedDict directly
-        for key, mask in scheme.wide_store._masks.items()
-    )
-
-
 def encode_state(
     state: ModelState, cfg: ModelConfig, perm: Perm
 ) -> StateKey:
@@ -337,14 +245,17 @@ def encode_state(
         else:
             owner = -1 if line.owner is None else perm[line.owner]
             lines.append(
-                ("line", line.dirty, owner, _encode_entry(line.entry, perm))
+                ("line", line.dirty, owner, line.entry.encode(perm))
             )
     layouts = tuple(
         store.layout() if isinstance(store, SparseDirectory) else ()
         for store in state.stores
     )
-    return (tuple(caches), msgs, tuple(lines), layouts,
-            _encode_wide_store(state, cfg))
+    shared = state.stores[0].scheme.encode_shared(
+        (block, line.entry)
+        for store in state.stores for block, line in store.lines()
+    )
+    return (tuple(caches), msgs, tuple(lines), layouts, shared)
 
 
 def canonical_key(
@@ -362,29 +273,17 @@ def canonical_key(
 
 # -- signature-based canonical labeling -------------------------------------
 
-#: schemes whose entries are pure node *sets* under their symmetry group,
-#: making equal-signature nodes interchangeable in the state encoding
-_SET_ENCODED_SCHEMES = (
-    FullBitVectorScheme,
-    LimitedPointerBroadcastScheme,
-    CoarseVectorScheme,
-)
-
 NodeSig = Tuple[object, ...]
 
 
 def _line_views(
     state: ModelState, cfg: ModelConfig
-) -> List[Tuple[Optional[DirLine], FrozenSet[int]]]:
-    """Per modeled line: the home's directory line and its covered set."""
-    views: List[Tuple[Optional[DirLine], FrozenSet[int]]] = []
+) -> List[Tuple[Optional[DirLine], int]]:
+    """Per modeled line: the home's directory line and its covered mask."""
+    views: List[Tuple[Optional[DirLine], int]] = []
     for l, block in enumerate(cfg.blocks):
         line = dict(state.stores[cfg.home(l)].lines()).get(block)
-        covered = (
-            frozenset() if line is None
-            else frozenset(line.entry.invalidation_targets())
-        )
-        views.append((line, covered))
+        views.append((line, 0 if line is None else line.entry.covered()))
     return views
 
 
@@ -393,11 +292,12 @@ def _node_signatures(state: ModelState, cfg: ModelConfig) -> List[NodeSig]:
 
     A signature captures everything the state encoding can see about one
     node: its cache row, its pending messages, and — per line — whether
-    it owns the line, sits in the covered set, or appears in the raw
-    presence entry.  Relabeling nodes permutes signatures identically,
-    and (for set-encoded schemes) two nodes with equal signatures can be
-    swapped without changing any encoding, so sorting movable nodes by
-    signature yields a canonical representative of the symmetry orbit.
+    it owns the line or sits in the covered set (all that a set-encoded
+    entry's ``encode`` says about a node).  Relabeling nodes permutes
+    signatures identically, and (for set-encoded schemes) two nodes with
+    equal signatures can be swapped without changing any encoding, so
+    sorting movable nodes by signature yields a canonical representative
+    of the symmetry orbit.
     """
     views = _line_views(state, cfg)
     sigs: List[NodeSig] = []
@@ -407,16 +307,7 @@ def _node_signatures(state: ModelState, cfg: ModelConfig) -> List[NodeSig]:
             if line is None:
                 per_line.append((0,))
                 continue
-            entry = line.entry
-            mask_bit = (
-                bool(entry.mask >> p & 1)
-                if isinstance(entry, FullBitVectorEntry) else False
-            )
-            pointers = getattr(entry, "pointers", None)
-            ptr_bit = pointers is not None and p in pointers
-            per_line.append(
-                (1, line.owner == p, p in covered, mask_bit, ptr_bit)
-            )
+            per_line.append((1, line.owner == p, bool(covered >> p & 1)))
         msgs = tuple(sorted(
             (kind, l) for kind, l, q in state.msgs if q == p
         ))
@@ -427,7 +318,7 @@ def _node_signatures(state: ModelState, cfg: ModelConfig) -> List[NodeSig]:
 def signature_perm(state: ModelState, cfg: ModelConfig) -> Perm:
     """Derived canonical permutation: sort movable nodes by signature.
 
-    For the coarse-vector group the sort is two-level — movable nodes
+    For the ``"regions"`` group the sort is two-level — movable nodes
     sort within their region, then whole home-free full-size regions
     sort by their member-signature tuples — so the derived permutation
     stays region-preserving.
@@ -437,9 +328,7 @@ def signature_perm(state: ModelState, cfg: ModelConfig) -> Perm:
     homes = {b % n for b in cfg.blocks}
     perm = list(range(n))
     scheme = cfg.scheme
-    region_size = (
-        scheme.region_size if isinstance(scheme, CoarseVectorScheme) else n
-    )
+    region_size = scheme.region_size if scheme.relabelling == "regions" else n
     regions: List[List[int]] = []
     for start in range(0, n, region_size):
         regions.append(list(range(start, min(start + region_size, n))))
@@ -474,11 +363,12 @@ def signature_perm(state: ModelState, cfg: ModelConfig) -> Perm:
 
 def pick_canonicalizer(cfg: ModelConfig) -> str:
     """``"signature"`` when exact for this scheme, else ``"brute"``."""
-    if not cfg.symmetry:
+    scheme = cfg.scheme
+    if not cfg.symmetry or scheme.relabelling == "none":
         return "brute"
-    if isinstance(cfg.scheme, _SET_ENCODED_SCHEMES):
-        return "signature"
-    return "brute"
+    # entries that are pure node *sets* under the group make
+    # equal-signature nodes interchangeable in the state encoding
+    return "brute" if scheme.ordered_entries else "signature"
 
 
 class Canonicalizer:
@@ -503,21 +393,21 @@ class Canonicalizer:
 # -- partial-order reduction ------------------------------------------------
 
 
-def _record_has_room(line: Optional[DirLine], node: int) -> bool:
+def _record_has_room(
+    scheme: DirectoryScheme, line: Optional[DirLine], node: int
+) -> bool:
     """True when ``record_sharer(node)`` cannot evict a victim pointer.
 
-    Only ``Dir_iNB`` entries invalidate a victim on overflow; every other
-    entry type degrades in place (broadcast bit, coarse regions, composite
-    merge, chain append) without touching any cache.
+    Only a scheme that ``evicts_on_overflow`` (Dir_iNB) invalidates a
+    victim; every other degrades in place (broadcast bit, coarse regions,
+    composite merge, chain append) without touching any cache.
     """
-    if line is None:
+    if line is None or not scheme.evicts_on_overflow:
         return True
-    entry = line.entry
-    if isinstance(entry, NoBroadcastEntry):
-        return node in entry.pointers or (
-            len(entry.pointers) < entry.scheme.num_pointers
-        )
-    return True
+    covered = line.entry.covered()
+    return bool(covered >> node & 1) or (
+        covered.bit_count() < scheme.num_pointers
+    )
 
 
 def ample_action(state: ModelState, cfg: ModelConfig) -> Optional[Action]:
@@ -535,7 +425,7 @@ def ample_action(state: ModelState, cfg: ModelConfig) -> Optional[Action]:
     """
     if cfg.sparse_ways is not None:
         return None
-    if isinstance(cfg.scheme, OverflowCacheScheme):
+    if cfg.scheme.couples_entries:
         return None
     by_line: Dict[int, List[Message]] = {}
     for msg in state.msgs:
@@ -550,7 +440,7 @@ def ample_action(state: ModelState, cfg: ModelConfig) -> Optional[Action]:
         line = dict(state.stores[cfg.home(l)].lines()).get(cfg.blocks[l])
         if line is not None and line.dirty:
             continue
-        if kind == MSG_READ and not _record_has_room(line, node):
+        if kind == MSG_READ and not _record_has_room(cfg.scheme, line, node):
             continue
         return ("deliver", kind, l, node)
     return None

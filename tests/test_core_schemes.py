@@ -1,5 +1,7 @@
 """Unit tests for the directory entry formats (Dir_N, Dir_iB/NB/X/CV_r)."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -314,3 +316,19 @@ class TestLinkedList:
 
     def test_memory_side_cost_is_two_pointers(self):
         assert LinkedListScheme(16).presence_bits() == 8  # head+tail, 4b each
+
+
+class TestMaskScan:
+    """``mask_nodes`` picks a scan by density; both must name the set bits."""
+
+    @pytest.mark.parametrize("num_nodes", [32, 256])
+    def test_both_scans_equal_the_set_bits(self, num_nodes):
+        from repro.core.base import mask_nodes, nodes_mask
+
+        rng = random.Random(num_nodes)
+        # from one target (the low-bit peel) to a broadcast (the bin() walk)
+        for count in (1, 2, 3, num_nodes // 8, num_nodes // 2, num_nodes - 1, num_nodes):
+            for _ in range(50):
+                nodes = sorted(rng.sample(range(num_nodes), count))
+                assert mask_nodes(nodes_mask(nodes)) == nodes
+        assert mask_nodes(0) == []

@@ -102,3 +102,31 @@ def test_verification_doc_rule_table_matches_lint_rules():
     doc = (Path(repro.__file__).parents[2] / "docs" / "verification.md")
     table = doc.read_text().split("## Lint rule catalog")[1].split("\n## ")[0]
     assert re.findall(r"^\| `([a-z-]+)` \|", table, re.M) == list(LINT_RULES)
+
+
+def test_design_doc_scheme_table_matches_the_classes():
+    """DESIGN.md's "who an entry covers" table has one row per entry class,
+    carrying the precision, relabelling group and traits its scheme declares."""
+    import re
+    from pathlib import Path
+
+    from repro.core.registry import make_scheme
+
+    doc = (Path(repro.__file__).parents[2] / "DESIGN.md").read_text()
+    rows = {
+        entry: (precision, relabelling, set(re.findall(r"`(\w+)`", traits)))
+        for entry, precision, relabelling, traits in re.findall(
+            r"^\| `(\w+Entry)` \| [^|]+ \| (\w+) \| (\w+) \| ([^|]+) \|$",
+            doc, re.M,
+        )
+    }
+    traits = ("serial_invalidations", "evicts_on_overflow", "ordered_entries",
+              "couples_entries")
+    declared = {}
+    for name in ("full", "Dir2B", "Dir2NB", "Dir2X", "Dir2CV2", "DirLL", "Dir2OF2"):
+        scheme = make_scheme(name, 8)
+        declared[type(scheme.make_entry()).__name__] = (
+            scheme.precision, scheme.relabelling,
+            {t for t in traits if getattr(scheme, t)},
+        )
+    assert rows == declared

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.apps import DWFWorkload, MP3DWorkload
+from repro.cli import app_factory
 from repro.core import FullBitVectorScheme, SparseDirectory
 from repro.core.registry import SCHEME_FACTORIES, make_scheme
 from repro.machine import DashSystem, MachineConfig
@@ -232,20 +233,47 @@ class TestChecker:
 # -- the checker observes; it must not steer ----------------------------------
 
 
-@pytest.mark.parametrize("policy", ["lru", "lra", "random"])
-def test_checking_does_not_change_the_result(policy):
-    """Scanning reads directory lines with ``peek``: on a sparse LRU
-    directory a ``lookup`` would count as a use of the entry and reorder
-    later victims, so the checked run would not be the run it checks."""
-    def stats_json(mode):
-        cfg = MachineConfig(
+def _dwf4():
+    return DWFWorkload(NUM_CLUSTERS, pattern_len=16, library_len=64, col_block=8)
+
+
+#: (workload, machine): every way a read used to count as a use
+OBSERVED = {
+    # a sparse directory's replacement policy: a ``lookup`` reorders victims
+    **{
+        policy: (_dwf4, dict(
             num_clusters=NUM_CLUSTERS, scheme="Dir3CV2", l1_bytes=128,
             l2_bytes=256, sparse_size_factor=1.0, sparse_policy=policy,
-        )
-        wl = DWFWorkload(NUM_CLUSTERS, pattern_len=16, library_len=64, col_block=8)
-        stats = DashSystem(cfg, wl, invariants=mode).run()
-        assert stats.sparse_replacements > 100 and not stats.invariant_violations
-        return json.dumps(stats.to_dict(), sort_keys=True)
+        ))
+        for policy in ("lru", "lra", "random")
+    },
+    # the overflow cache's shared wide-store LRU, one layer down: reading
+    # an entry (``covered()`` and its views, ``is_exact()``) must not touch it
+    **{
+        f"{scheme}-{app}-{'sparse' if sparse else 'fullmap'}": (
+            lambda app=app: app_factory(app, 32, 0.5, 0), dict(
+                num_clusters=32, scheme=scheme, l1_bytes=128, l2_bytes=512,
+                sparse_size_factor=sparse, sparse_policy="lru",
+            ))
+        for scheme in ("Dir1OF2", "Dir2OF2")
+        for app in ("MP3D", "LocusRoute")
+        for sparse in (None, 0.25)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED))
+def test_checking_does_not_change_the_result(name):
+    """The strict checker reads the machine without side effects, so the
+    checked run is byte-for-byte the run it checks."""
+    workload, machine = OBSERVED[name]
+
+    def stats_json(mode):
+        stats = DashSystem(MachineConfig(**machine), workload(), invariants=mode).run()
+        if machine["sparse_size_factor"]:
+            assert stats.sparse_replacements > 100
+        assert not stats.invariant_violations
+        return json.dumps(stats.to_state(), sort_keys=True)
 
     off = stats_json("off")
     assert stats_json("strict") == off

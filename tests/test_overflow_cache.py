@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OverflowCacheScheme
+from repro.core import OverflowCacheScheme, SparseDirectory
 
 
 def fill(entry, nodes):
@@ -84,6 +84,31 @@ class TestStarvation:
         a.remove_sharer(1)  # cannot narrow a broadcast
         assert a.invalidation_targets() == set(range(8))
         assert not a.is_empty()
+
+
+class TestLifetime:
+    def test_a_replaced_sparse_line_frees_its_wide_slot(self):
+        scheme = OverflowCacheScheme(8, 1, overflow_entries=4)
+        store = SparseDirectory(scheme, 1, 1)  # one way: block 1 replaces block 0
+        line, _ = store.get_or_allocate(0)
+        fill(line.entry, [1, 2, 3])
+        assert len(scheme.wide_store) == 1
+        _, evictions = store.get_or_allocate(1)
+        assert [ev.targets for ev in evictions] == [(1, 2, 3)]  # taken first
+        assert len(scheme.wide_store) == 0
+
+    def test_registry_holds_only_entries_with_a_wide_slot(self):
+        scheme = OverflowCacheScheme(8, 1, overflow_entries=2)
+        entries = [scheme.make_entry() for _ in range(50)]
+        for entry in entries:
+            fill(entry, [1])  # pointer mode: never looked up by key
+        assert not scheme._wide_entries
+        for entry in entries[:3]:
+            fill(entry, [2])  # the third overflow evicts the first's mask
+        assert list(scheme._wide_entries.values()) == entries[1:3]
+        entries[1].reset()
+        assert list(scheme._wide_entries.values()) == [entries[2]]
+        assert entries[0].invalidation_targets() == set(range(8))  # broadcast
 
 
 class TestStorageAccounting:

@@ -6,7 +6,9 @@ planted once in the kernel is seen by the model checker *and* by the
 simulator; (c) PR 2's stale-writeback bug, re-planted, is found again;
 (d) nothing outside the kernel writes directory protocol state; (e) one
 function of the controller books an invalidation round, one times its
-fan-out, and what it books is what the checker independently expects.
+fan-out, and what it books is what the checker independently expects;
+(f) an entry states who it covers once, as ``covered()``, and the
+explorer asks it instead of naming entry classes.
 """
 
 import ast
@@ -359,6 +361,63 @@ def test_the_kernel_imports_no_engine():
         m for m in imported
         if m.startswith(("repro.machine", "repro.obs", "repro.verify"))
     ]
+
+
+# -- an entry states who it covers once --------------------------------------------
+
+DERIVED_VIEWS = {"targets_sorted", "invalidation_targets", "is_empty", "might_share"}
+#: not a view of an entry: "not dirty and ``entry.is_empty()``", one level up
+LINE_LEVEL = "sparse.py:DirLine.is_empty"
+
+
+def _covered_statements(sources):
+    """``(view definitions outside base.py, entry classes lacking covered)``
+    over ``{file name: source}`` of ``core/``."""
+    overrides, entries = [], {}
+    for name, source in sorted(sources.items()):
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defined = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+            if name != "base.py":
+                overrides += [f"{name}:{cls.name}.{v}" for v in sorted(defined & DERIVED_VIEWS)]
+            if cls.name.endswith("Entry") and "record_sharer" in defined:
+                entries[cls.name] = "covered" in defined  # a concrete entry
+    return (
+        [site for site in overrides if site != LINE_LEVEL],
+        sorted(cls for cls, has in entries.items() if not has),
+    )
+
+
+def test_only_base_derives_the_views_of_covered():
+    sources = {p.name: p.read_text() for p in SRC.glob("core/*.py")}
+    overrides, uncovered = _covered_statements(sources)
+    assert not overrides and not uncovered
+    base = [
+        f.name for cls in ast.parse(sources["base.py"]).body
+        if isinstance(cls, ast.ClassDef) for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name in DERIVED_VIEWS
+    ]
+    assert sorted(base) == sorted(DERIVED_VIEWS)  # one definition each
+    # the walk would see a scheme stating its set a second time, or not at all
+    sources["planted.py"] = (
+        "class PlantedEntry(DirectoryEntry):\n"
+        "    def record_sharer(self, node): return ()\n"
+        "    def is_empty(self): return not self.pointers\n"
+    )
+    assert _covered_statements(sources) == (
+        ["planted.py:PlantedEntry.is_empty"], ["PlantedEntry"]
+    )
+
+
+def test_the_explorer_names_no_entry_or_scheme_class():
+    tree = ast.parse((SRC / "verify" / "explorer.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("repro.core")
+        for alias in node.names
+    }
+    assert imported == {"DirectoryScheme", "DirLine", "SparseDirectory"}
 
 
 # -- the invalidation round is booked once ------------------------------------------

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.registry import make_scheme
-from repro.verify.explorer import explore, symmetry_permutations
+from repro.verify.explorer import encode_state, explore, symmetry_permutations
 from repro.verify.model import (
     ModelConfig,
     apply_action,
     enabled_actions,
     initial_state,
+    state_violations,
 )
 
 
@@ -55,6 +56,24 @@ def test_apply_action_leaves_source_state_untouched():
     successor, violations = apply_action(state, ("write", 1, 0), cfg)
     assert violations == []
     assert state.msgs == [] and successor.msgs == [("write", 0, 1)]
+
+
+def test_auditing_a_state_does_not_change_its_encoding():
+    """The model-side twin of ``test_checking_does_not_change_the_result``:
+    two wide overflow-cache entries share one LRU, and the audit reads the
+    older one last — a read that counted as a use would swap them."""
+    cfg = _cfg("Dir1OF2", blocks=(0, 1))
+    state = initial_state(cfg)
+    for line in (1, 0):
+        for node in (1, 2):  # a second sharer overflows the one pointer
+            for action in (("read", node, line), ("deliver", "read", line, node)):
+                state, violations = apply_action(state, action, cfg)
+                assert violations == []
+    assert len(state.stores[0].scheme.wide_store) == 2
+    identity = tuple(range(cfg.num_nodes))
+    before = encode_state(state, cfg, identity)
+    assert state_violations(state, cfg) == []
+    assert encode_state(state, cfg, identity) == before
 
 
 def test_full_bit_vector_explores_clean():

@@ -8,7 +8,7 @@ the tests (not under ``core/``) so the ``unregistered-scheme`` lint rule
 does not flag them.
 """
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Iterable, Tuple
 
 from repro.core.coarse_vector import CoarseVectorScheme
 from repro.core.full_bit_vector import FullBitVectorEntry, FullBitVectorScheme
@@ -36,24 +36,17 @@ class ForgetfulScheme(FullBitVectorScheme):
 class MissedInvalEntry(FullBitVectorEntry):
     """Truthful to the auditor, a liar to the controller.
 
-    ``invalidation_targets()`` with no exclusions (how the invariant
-    checkers audit coverage) is correct, but the write path's
-    ``invalidation_targets(exclude=(writer,))`` silently hides the lowest
+    The views of ``covered()`` with no exclusions (how the invariant
+    checkers audit coverage) are correct, but the write path's
+    ``targets_sorted(exclude=(writer,))`` silently hides the lowest
     sharer — so one live copy never receives its invalidation.
+    ``invalidation_targets`` is derived from ``targets_sorted``, so the
+    two lie consistently.
     """
 
-    def invalidation_targets(
-        self, exclude: Iterable[int] = ()
-    ) -> FrozenSet[int]:
-        targets = super().invalidation_targets(exclude)
-        if tuple(exclude) and targets:
-            return targets - {min(targets)}
-        return targets
-
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
-        # the controller's bit-scan fast path must lie consistently with
-        # invalidation_targets, or the planted bug would vanish
-        return sorted(self.invalidation_targets(exclude))
+        targets = super().targets_sorted(exclude)
+        return targets[1:] if tuple(exclude) else targets
 
 
 class MissedInvalScheme(FullBitVectorScheme):
