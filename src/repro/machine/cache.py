@@ -12,22 +12,17 @@ stack: lookups re-insert lines at the MRU end; victims pop from the LRU
 end (the first key in insertion order).  Dirty evictions park the block
 in a *writeback buffer* until the home directory has processed the
 writeback, so a forwarded request racing the writeback still finds the
-data — exactly the role of DASH's writeback buffers.
+data — exactly the role of DASH's writeback buffers.  Which transition
+happens is decided by the node rows of :mod:`repro.core.protocol`;
+a :class:`ProcessorCache` is their view of one processor.
 """
 
 from __future__ import annotations
 
-from enum import IntEnum
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.protocol import LineState
 from repro.obs.tracer import NULL_TRACER
-
-
-class LineState(IntEnum):
-    """Cache-line coherence state; absence from the cache means INVALID."""
-
-    SHARED = 1
-    DIRTY = 2
 
 
 class CacheLevel:
@@ -184,35 +179,29 @@ class ProcessorCache:
             return "l2"
         return None
 
-    def probe_write(self, block: int) -> Optional[str]:
-        """``"hit"`` if writable (L2 DIRTY), ``"upgrade"`` if L2 SHARED."""
+    def probe_write(self, block: int) -> bool:
+        """True if writable (L2 DIRTY); refreshes the L2 line either way."""
         l2 = self.l2
         s2 = l2._sets.get(block % l2.num_sets)
         if s2 is None:
-            return None
+            return False
         state = s2.pop(block, None)
         if state is not None:
             s2[block] = state
         if state is LineState.DIRTY:
             self.l1.lookup(block)
-            return "hit"
-        if state is LineState.SHARED:
-            return "upgrade"
-        return None
+            return True
+        return False
 
     def state(self, block: int) -> Optional[LineState]:
         """Coherence state (L2), no LRU side effects."""
         return self.l2.peek(block)
 
-    def has_copy(self, block: int) -> bool:
-        """A live (L2) copy exists, any state."""
-        return self.l2.peek(block) is not None
+    def has_ghost(self, block: int) -> bool:
+        """The evicted DIRTY line is parked in the writeback buffer."""
+        return block in self.wb_buffer
 
-    def holds_dirty(self, block: int) -> bool:
-        """Dirty either in L2 or parked in the writeback buffer."""
-        return self.l2.peek(block) is LineState.DIRTY or block in self.wb_buffer
-
-    # -- state transitions -------------------------------------------------
+    # -- state transitions (applied for repro.core.protocol) ---------------
 
     def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
         """Fill both levels; returns the evicted ``(block, was_dirty)`` —
@@ -239,23 +228,9 @@ class ProcessorCache:
         self.l1.install(block, LineState.SHARED)  # L1 is write-through/clean
         return eviction
 
-    def upgrade(self, block: int) -> None:
-        """SHARED -> DIRTY after an ownership grant."""
-        self.l2.set_state(block, LineState.DIRTY)
-
-    def downgrade(self, block: int) -> bool:
-        """DIRTY -> SHARED (read forwarded to this owner).
-
-        Returns True if the line (or its writeback-buffer ghost) was here.
-        """
-        if self.l2.peek(block) is LineState.DIRTY:
-            self.l2.set_state(block, LineState.SHARED)
-            return True
-        if block in self.wb_buffer:
-            # The forward caught our writeback in flight; the buffer
-            # supplies the data and the line is simply gone from here.
-            return True
-        return False
+    def clean(self, block: int) -> None:
+        """DIRTY -> SHARED (no LRU side effects)."""
+        self.l2.set_state(block, LineState.SHARED)
 
     def invalidate(self, block: int, txn_id: Optional[int] = None) -> bool:
         """Drop the block everywhere; returns True if a copy existed."""
@@ -269,8 +244,8 @@ class ProcessorCache:
             )
         return had or had_wb
 
-    def writeback_done(self, block: int) -> None:
-        """Home has processed our writeback; release the buffer slot."""
+    def release_ghost(self, block: int) -> None:
+        """The home has absorbed the writeback: free the buffer slot."""
         self.wb_buffer.discard(block)
 
     # -- state capture (simulation checkpointing) --------------------------

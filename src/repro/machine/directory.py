@@ -141,7 +141,7 @@ class DirectoryController:
         self._cfg = machine.config
         self._net = machine.network
         self._deliver = getattr(machine.network, "deliver", None)
-        self._clusters = machine.clusters
+        self._nodes = machine.nodes
         self._stats = machine.stats
         self._obs = machine.obs
         self._fault_plan = machine.fault_plan
@@ -473,7 +473,7 @@ class DirectoryController:
         req = txn.requester
         line, delta = self._allocate(txn)
         forwarded = protocol.read(
-            line, txn.block, req, self._clusters,
+            line, txn.block, req, self._nodes,
             self._cancel_inflight_writeback, self._record_sharer, txn.txn_id,
         )
         if forwarded is not None:
@@ -503,7 +503,7 @@ class DirectoryController:
         the home's RAC, audited over the whole group a pooled entry forgot
         the victims for, and untimed: no latency, no controller occupancy
         (a modelling choice, docs/protocol.md "Invalidation round")."""
-        victims = protocol.record_sharer(line, node, block, self._clusters, txn_id)
+        victims = protocol.record_sharer(line, node, block, self._nodes, txn_id)
         if victims:
             self._stats.nb_evictions += len(victims)
             self._book_round(
@@ -536,7 +536,7 @@ class DirectoryController:
         req = txn.requester
         line, delta = self._allocate(txn)
         old_owner, targets, group_mates = protocol.write(
-            line, txn.block, req, self._clusters,
+            line, txn.block, req, self._nodes,
             self._cancel_inflight_writeback, self._group_store,
             self._defer_if_group_busy, self._serial, txn.txn_id,
         )
@@ -595,15 +595,11 @@ class DirectoryController:
         be accepted — under message reordering it could otherwise arrive
         after the grant, match ``dirty and owner == cluster``, and wrongly
         clean the directory (found by the repro.verify model checker).
-
-        Also clears the writeback-buffer ghost now: the directory has
-        logically absorbed the data, and the block is busy until this
-        transaction completes, so no forward can need the ghost meanwhile.
+        The kernel then releases the cluster's writeback-buffer ghost.
         """
         key = (block, cluster)
         if self._cancelled_wb.get(key, 0) < self._wb_inflight.get(key, 0):
             self._cancelled_wb[key] = self._cancelled_wb.get(key, 0) + 1
-        self._clusters[cluster].writeback_done(block)
 
     def _execute_writeback(self, txn: Transaction) -> float:
         cfg = self._cfg
@@ -623,13 +619,12 @@ class DirectoryController:
                 self._cancelled_wb[key] = pending_cancels - 1
             return cfg.dir_service_cycles
         still_shared = protocol.writeback(
-            self.store, txn.block, req, txn.still_shared, self._clusters
+            self.store, txn.block, req, txn.still_shared, self._nodes
         )
         if still_shared is not None:
             # record the *resolved* flag so the traced dir.service event
             # tells conformance whether the cluster kept a clean copy
             txn.still_shared = still_shared
-        self._clusters[req].writeback_done(txn.block)
         return cfg.bus_cycles
 
     def _execute_hint(self, txn: Transaction) -> float:
@@ -650,7 +645,7 @@ class DirectoryController:
         home = self.cluster_id
         penalty = 0.0
         for ev in evictions:
-            protocol.recall(ev, self._clusters, txn_id)
+            protocol.recall(ev, self._nodes, txn_id)
             self._stats.sparse_replacements += 1
             if self._obs.enabled:
                 self._obs.record(

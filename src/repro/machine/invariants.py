@@ -52,7 +52,8 @@ from typing import (
     Tuple,
 )
 
-from repro.machine.cache import LineState
+from repro.core import protocol
+from repro.core.protocol import LineState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sparse import DirLine
@@ -164,7 +165,7 @@ def _view_violations(
     buffered copy *is* the dirty copy (the model's in-flight ``wb``).
     """
     if not dirty and line is not None and line.dirty and line.owner is not None:
-        if system.clusters[line.owner].holds_dirty(block):
+        if protocol.holds_dirty(system.nodes[line.owner], block):
             dirty = (line.owner,)
     for invariant, message in block_violations(
         block, dirty, clean, line, system.scheme.precision

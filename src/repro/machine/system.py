@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Union
 
+from repro.core import protocol
 from repro.core.base import DirectoryScheme
 from repro.core.registry import make_scheme
 from repro.core.sparse import (
@@ -107,6 +108,8 @@ class DashSystem:
             Cluster(i, config, tracer=self.obs)
             for i in range(config.num_clusters)
         ]
+        #: each cluster's processor caches: the nodes the kernel's rows take
+        self.nodes = [cluster.caches for cluster in self.clusters]
         self.directories: List[DirectoryController] = [
             DirectoryController(self, i, self._make_store(i))
             for i in range(config.num_clusters)
@@ -259,9 +262,7 @@ class DashSystem:
                 t - t_issue, self._home_of(block),
                 block, cluster_id, txn.txn_id,
             )
-        eviction = self.clusters[cluster_id].install_from_directory(
-            txn.proc_idx, block, dirty=is_write
-        )
+        eviction = protocol.fill(self.nodes[cluster_id], txn.proc_idx, block, is_write)
         if eviction is not None:
             self._handle_eviction(cluster_id, *eviction)
         txn.resume(t, False)
@@ -270,21 +271,21 @@ class DashSystem:
         self, cluster_id: int, vblock: int, was_dirty: bool
     ) -> None:
         """Issue the writeback (or optional hint) for a cache fill's victim."""
-        cluster = self.clusters[cluster_id]
+        procs = self.nodes[cluster_id]
         if was_dirty:
             self.stats.writebacks += 1
             if self.obs.enabled:
                 self.obs.record(
                     "wb.issue", self.events.now, None, cluster_id, vblock
                 )
-            still_shared = cluster.copies_besides_wb(vblock)
+            still_shared = protocol.copies_besides_wb(procs, vblock)
             self.directories[self._home_of(vblock)].submit(
                 Transaction(
                     WRITEBACK, vblock, cluster_id, still_shared=still_shared
                 )
             )
         elif self.config.replacement_hints:
-            if not cluster.copies_besides_wb(vblock):
+            if not protocol.copies_besides_wb(procs, vblock):
                 if self.obs.enabled:
                     self.obs.record(
                         "hint.issue", self.events.now, None, cluster_id, vblock

@@ -32,16 +32,16 @@ Engine/model gap repairs (each counted in the result):
   the model's cancellations and skipped;
 * **still-shared writebacks** — a multi-processor cluster can keep a
   clean copy while writing back (``still_shared`` on the traced
-  service); the model's caches are per-cluster, so the evicting node is
-  restored to ``SHARED`` before the delivery, so the kernel's writeback
-  row re-records it;
+  service); the model's nodes are one processor each, so the evicting
+  node is filled ``SHARED`` again (the kernel's fill row) before the
+  delivery, and the kernel's writeback row re-records it;
 * **replacement hints** — pure optimizations outside the model's action
   set; ``hint.issue`` maps to a clean ``drop`` and the hint's service
   calls :func:`repro.core.protocol.hint`, as the engine does;
-* **sparse recalls** — ``dir.sparse_evict`` events are applied as
-  trusted state surgery (invalidate the recorded victim nodes, release
-  the line), since a single-line model cannot reproduce cross-block
-  replacement pressure.
+* **sparse recalls** — a single-line model cannot reproduce cross-block
+  replacement pressure, so a ``dir.sparse_evict`` event is trusted: the
+  kernel's recall row runs at the recorded victim nodes, as the
+  controller runs it, and the line is torn down.
 
 Traces whose ring buffer dropped events are rejected outright: a
 conformance verdict on a hole-y trace would be meaningless.
@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import protocol
 from repro.core.registry import make_scheme
+from repro.core.sparse import Eviction
 from repro.obs.export import read_trace
 from repro.obs.tracer import TraceEvent
 from repro.verify.explorer import describe_action
@@ -72,6 +73,7 @@ from repro.verify.model import (
     apply_action,
     enabled_actions,
     initial_state,
+    node_views,
     state_violations,
 )
 
@@ -364,8 +366,10 @@ class _BlockChecker:
                 )
             store = self.state.stores[self.cfg.home(0)]
             line = store.lookup(self.block)
-            for t in nodes:
-                self.state.caches[int(t)][0] = INVALID
+            protocol.recall(  # row RC, as the controller runs it
+                Eviction(self.block, tuple(map(int, nodes)), False, None),
+                node_views(self.state, self.cfg),
+            )
             if line is not None:
                 # as SparseDirectory._evict: the slot is torn down whole —
                 # release() alone would no-op on a non-empty line
@@ -394,9 +398,11 @@ class _BlockChecker:
                 return False
             if args.get("still_shared") and self.state.caches[req][0] == INVALID:
                 # the evicting cluster kept a clean copy (multi-processor
-                # cluster); restore it so the delivery re-records the
-                # node (protocol.writeback's still_shared branch)
-                self.state.caches[req][0] = SHARED
+                # cluster); fill it back (row FL) so the delivery
+                # re-records the node (protocol.writeback's CB branch)
+                protocol.fill(
+                    node_views(self.state, self.cfg)[req], 0, self.block, False
+                )
                 self.result.still_shared_wbs += 1
             return self._try(("deliver",) + wb, idx, seq, ev)
         # hint service: outside the model's actions, so call the kernel

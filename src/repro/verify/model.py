@@ -6,9 +6,9 @@ service to completion and later arrivals queue.  That discipline is what
 makes a small-model abstraction sound: a reachable protocol state is
 fully described by
 
-* each node's cache state per modeled line — ``I`` / ``S`` / ``M``
-  (the writeback-buffer "ghost" of an evicted dirty line is represented
-  by the in-flight writeback message itself),
+* each node's cache state per modeled line — ``I`` / ``S`` / ``M`` — a
+  node being one processor (the writeback-buffer "ghost" of an evicted
+  dirty line is represented by the in-flight writeback message itself),
 * the multiset of in-flight messages — issued ``read`` / ``write``
   requests and ``wb`` writebacks that have not yet been serviced,
 * the **real** directory store (:class:`~repro.core.sparse.FullMapDirectory`
@@ -20,8 +20,8 @@ fully described by
 Actions (one atomic step each):
 
 ``("read", p, l)`` / ``("write", p, l)``
-    node ``p`` issues a miss for line ``l`` (guarded: at most one
-    outstanding request per node, bounded total in-flight messages);
+    node ``p`` issues a miss for line ``l`` (guarded: kernel rows L1/L3
+    miss, one outstanding request per node, bounded in-flight messages);
 ``("evict", p, l)``
     ``p`` evicts its dirty copy — the copy leaves the cache and a ``wb``
     message starts travelling home;
@@ -30,9 +30,10 @@ Actions (one atomic step each):
     without replacement hints);
 ``("deliver", kind, l, p)``
     the home services one in-flight message by *executing*
-    :mod:`repro.core.protocol` — the same transition functions
-    ``DirectoryController`` calls — over the ``I``/``S``/``M`` rows; a
-    cancelled writeback is the removal of its ``wb`` message.
+    :mod:`repro.core.protocol` — the same directory and node rows
+    ``DirectoryController`` and ``DashSystem`` call — over the
+    ``I``/``S``/``M`` rows (:func:`node_views`); a cancelled writeback is
+    the removal of its ``wb`` message.
 
 Timing, NAK-retries, and fault injection are deliberately outside the
 model: they affect *when* transitions happen, not *which* directory state
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import protocol
 from repro.core.base import DirectoryScheme
+from repro.core.protocol import LineState
 from repro.core.sparse import DirectoryStore, FullMapDirectory, SparseDirectory
 from repro.machine.invariants import block_violations
 from repro.trace.event import Read, TraceOp, Work, Write
@@ -217,27 +219,79 @@ def _reseed(state: ModelState) -> None:
             policy.rng.seed(0)
 
 
+# -- the kernel's processor view, over I/S/M rows -----------------------------
+
+_STATE_OF = {INVALID: None, SHARED: LineState.SHARED, MODIFIED: LineState.DIRTY}
+_LETTER_OF = {LineState.SHARED: SHARED, LineState.DIRTY: MODIFIED}
+
+
+@dataclass
+class _Lines:
+    """One node's ``I``/``S``/``M`` letters as a kernel ``ProcView``.
+
+    An unmodeled block is absent; a modeled line has its own slot, so a
+    fill evicts nothing.  The ghost is the node's ``wb`` message, which
+    ``cancel_wb`` or its own delivery removes (so releasing is a no-op)
+    and which, being in flight, outlives an invalidation of the node.
+    """
+
+    row: List[str]
+    index: Dict[int, int]
+    node: int
+    msgs: List[Message]
+
+    def state(self, block: int) -> Optional[LineState]:
+        i = self.index.get(block)
+        return None if i is None else _STATE_OF[self.row[i]]
+
+    def install(self, block: int, state: LineState) -> None:
+        self.row[self.index[block]] = _LETTER_OF[state]
+
+    def clean(self, block: int) -> None:
+        self.row[self.index[block]] = SHARED
+
+    def invalidate(self, block: int, txn_id: Optional[int] = None) -> bool:
+        i = self.index.get(block)
+        if i is None or self.row[i] == INVALID:
+            return False
+        self.row[i] = INVALID
+        return True
+
+    def has_ghost(self, block: int) -> bool:
+        return (MSG_WB, self.index[block], self.node) in self.msgs
+
+    def release_ghost(self, block: int) -> None:
+        pass
+
+
+def node_views(state: ModelState, cfg: ModelConfig) -> List[List[_Lines]]:
+    """Each node's processors as the kernel's rows take them — one each."""
+    index = {b: i for i, b in enumerate(cfg.blocks)}
+    return [
+        [_Lines(row, index, p, state.msgs)] for p, row in enumerate(state.caches)
+    ]
+
+
 def enabled_actions(state: ModelState, cfg: ModelConfig) -> List[Action]:
     """All actions whose guards hold in ``state``."""
     actions: List[Action] = []
     room = len(state.msgs) < cfg.max_inflight
-    for p in range(cfg.num_nodes):
+    for p, (proc,) in enumerate(node_views(state, cfg)):
         outstanding = any(
             kind in (MSG_READ, MSG_WRITE) and node == p
             for kind, _line, node in state.msgs
         )
-        for l in range(len(cfg.blocks)):
-            st = state.caches[p][l]
-            if st == INVALID:
-                if room and not outstanding:
+        for l, block in enumerate(cfg.blocks):
+            if room and not outstanding:
+                if not protocol.hit(proc, block, False):
                     actions.append(("read", p, l))
+                if not protocol.hit(proc, block, True):
                     actions.append(("write", p, l))
-            elif st == SHARED:
-                if room and not outstanding:
-                    actions.append(("write", p, l))
+            st = proc.state(block)
+            if st is LineState.SHARED:
                 if cfg.include_drop:
                     actions.append(("drop", p, l))
-            elif st == MODIFIED and room:
+            elif st is LineState.DIRTY and room:
                 actions.append(("evict", p, l))
     for msg in sorted(set(state.msgs)):
         actions.append(("deliver",) + msg)
@@ -252,19 +306,14 @@ def apply_action(
     _reseed(ns)
     kind = action[0]
     violations: List[ModelViolation] = []
-    if kind == "read":
+    if kind in ("read", "write"):
         _, p, l = action
-        ns.msgs.append((MSG_READ, l, p))
-    elif kind == "write":
+        ns.msgs.append((MSG_READ if kind == "read" else MSG_WRITE, l, p))
+    elif kind in ("evict", "drop"):
         _, p, l = action
-        ns.msgs.append((MSG_WRITE, l, p))
-    elif kind == "evict":
-        _, p, l = action
-        ns.caches[p][l] = INVALID
-        ns.msgs.append((MSG_WB, l, p))
-    elif kind == "drop":
-        _, p, l = action
-        ns.caches[p][l] = INVALID
+        node_views(ns, cfg)[p][0].invalidate(cfg.blocks[l])
+        if kind == "evict":
+            ns.msgs.append((MSG_WB, l, p))
     elif kind == "deliver":
         _, mkind, l, node = action
         ns.msgs.remove((mkind, l, node))
@@ -277,53 +326,13 @@ def apply_action(
 # -- delivery: repro.core.protocol, executed over I/S/M rows ----------------
 
 
-class _Row:
-    """One node's cache row behind the kernel's ``Node`` interface.
-
-    A block outside the modeled set (a sparse recall's victim) is a no-op.
-    """
-
-    __slots__ = ("row", "index")
-
-    def __init__(self, row: List[str], index: Dict[int, int]) -> None:
-        self.row = row
-        self.index = index
-
-    def invalidate_block(self, block: int, txn_id: Optional[int] = None) -> bool:
-        i = self.index.get(block)
-        if i is None or self.row[i] == INVALID:
-            return False
-        self.row[i] = INVALID
-        return True
-
-    def invalidate_if_clean(self, block: int, txn_id: Optional[int] = None) -> bool:
-        i = self.index.get(block)
-        return (
-            i is not None and self.row[i] == SHARED
-            and self.invalidate_block(block)
-        )
-
-    def downgrade_block(self, block: int) -> bool:
-        # an INVALID owner evicted: its in-flight wb message is the ghost
-        # the forward is served from, and nothing changes here
-        i = self.index[block]
-        found = self.row[i] == MODIFIED
-        if found:
-            self.row[i] = SHARED
-        return found
-
-    def copies_besides_wb(self, block: int) -> bool:
-        return self.row[self.index[block]] != INVALID
-
-
 def _deliver(
     ns: ModelState, cfg: ModelConfig, kind: str, l: int, node: int
 ) -> List[ModelViolation]:
     """The home services one message: allocate, kernel call, requester fill."""
     block = cfg.blocks[l]
     store = ns.stores[cfg.home(l)]
-    index = {b: i for i, b in enumerate(cfg.blocks)}
-    nodes = [_Row(row, index) for row in ns.caches]
+    nodes = node_views(ns, cfg)
     if kind == MSG_WB:
         protocol.writeback(store, block, node, False, nodes)
         return []
@@ -345,10 +354,10 @@ def _deliver(
             line, block, node, nodes, cancel_wb,
             lambda line, n, b, _txn: protocol.record_sharer(line, n, b, nodes),
         )
-        ns.caches[node][l] = SHARED
+        protocol.fill(nodes[node], 0, block, False)
         return []
     _owner, targets, _mates = protocol.write(line, block, node, nodes, cancel_wb)
-    ns.caches[node][l] = MODIFIED
+    protocol.fill(nodes[node], 0, block, True)
     # inval/ack conservation: a live copy other than the writer's survived
     # the round, i.e. it received no invalidation (and will send no ack)
     missed = [

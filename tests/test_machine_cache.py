@@ -1,5 +1,6 @@
 """Cache hierarchy unit tests (levels, inclusion, writeback buffer)."""
 
+from repro.core import protocol
 from repro.machine.cache import CacheLevel, LineState, ProcessorCache
 
 
@@ -65,11 +66,11 @@ class TestProcessorCache:
 
     def test_write_probe_states(self):
         pc = make_cache()
-        assert pc.probe_write(7) is None
+        assert pc.probe_write(7) is False
         pc.install(7, LineState.SHARED)
-        assert pc.probe_write(7) == "upgrade"
-        pc.upgrade(7)
-        assert pc.probe_write(7) == "hit"
+        assert pc.probe_write(7) is False  # an upgrade goes to the home
+        pc.install(7, LineState.DIRTY)
+        assert pc.probe_write(7) is True
 
     def test_inclusion_l2_eviction_purges_l1(self):
         pc = make_cache(l1_bytes=256, l2_bytes=32, l2_assoc=1)  # L2: 2 blocks
@@ -82,33 +83,33 @@ class TestProcessorCache:
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.DIRTY)
         assert pc.install(2, LineState.SHARED) == (0, True)
-        assert 0 in pc.wb_buffer
-        assert pc.holds_dirty(0)  # ghost still serves forwards
-        pc.writeback_done(0)
-        assert not pc.holds_dirty(0)
+        assert pc.has_ghost(0)
+        assert protocol.holds_dirty([pc], 0)  # ghost still serves forwards
+        pc.release_ghost(0)
+        assert not protocol.holds_dirty([pc], 0)
 
     def test_clean_eviction_reported_not_buffered(self):
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.SHARED)
         assert pc.install(2, LineState.SHARED) == (0, False)
-        assert 0 not in pc.wb_buffer
+        assert not pc.has_ghost(0)
 
     def test_downgrade_live_line(self):
         pc = make_cache()
         pc.install(4, LineState.DIRTY)
-        assert pc.downgrade(4) is True
+        assert protocol.downgrade([pc], 4) is True
         assert pc.state(4) is LineState.SHARED
 
     def test_downgrade_wb_ghost(self):
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.DIRTY)
         pc.install(2, LineState.SHARED)  # 0 -> wb buffer
-        assert pc.downgrade(0) is True  # buffer supplies data
+        assert protocol.downgrade([pc], 0) is True  # buffer supplies data
         assert pc.state(0) is None
 
     def test_downgrade_absent(self):
         pc = make_cache()
-        assert pc.downgrade(9) is False
+        assert protocol.downgrade([pc], 9) is False
 
     def test_invalidate_clears_everything(self):
         pc = make_cache(l2_bytes=32, l2_assoc=1)

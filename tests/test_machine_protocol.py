@@ -7,9 +7,11 @@ against hand-derived expectations for the DASH protocol of §2.
 
 import pytest
 
+from repro.core import protocol
 from repro.machine import DashSystem, MachineConfig
 from repro.trace.event import Barrier, Lock, Read, Unlock, Work, Write
 from repro.trace.scripted import ScriptedWorkload
+from tests.node_queries import has_copy
 
 
 def addr(block):
@@ -67,8 +69,8 @@ class TestReadPaths:
         assert stats.total_messages == 6
         assert stats.replies == 2
         # after: both clusters hold it SHARED
-        assert system.clusters[1].has_copy(0)
-        assert system.clusters[2].has_copy(0)
+        assert has_copy(system.clusters[1].caches, 0)
+        assert has_copy(system.clusters[2].caches, 0)
 
     def test_dirty_remote_read_latency(self):
         scripts = [[], [Work(500), Read(addr(0))], [Write(addr(0))], []]
@@ -101,9 +103,9 @@ class TestWritePaths:
         from repro.machine.stats import InvalCause
 
         assert stats.inval_hist[InvalCause.WRITE][2] == 1
-        assert not system.clusters[2].has_copy(0)
-        assert not system.clusters[3].has_copy(0)
-        assert system.clusters[1].holds_dirty(0)
+        assert not has_copy(system.clusters[2].caches, 0)
+        assert not has_copy(system.clusters[3].caches, 0)
+        assert protocol.holds_dirty(system.clusters[1].caches, 0)
 
     def test_home_cluster_invalidated_without_message(self):
         # proc 0 (the home) reads block 0; proc 1 then writes it.  The
@@ -112,7 +114,7 @@ class TestWritePaths:
         system, stats = run_scripts(scripts)
         assert stats.invalidations == 0
         assert stats.acknowledgements == 1  # home's ack to the requester
-        assert not system.clusters[0].has_copy(0)
+        assert not has_copy(system.clusters[0].caches, 0)
 
     def test_upgrade_write_no_invalidations(self):
         # proc 1 reads then writes: directory sees it as the only sharer.
@@ -121,7 +123,7 @@ class TestWritePaths:
         assert stats.invalidations == 0
         assert stats.acknowledgements == 0
         assert stats.total_messages == 4  # read req/reply + write req/reply
-        assert system.clusters[1].holds_dirty(0)
+        assert protocol.holds_dirty(system.clusters[1].caches, 0)
 
     def test_ownership_transfer_between_writers(self):
         scripts = [[], [Write(addr(0))], [Work(500), Write(addr(0))], []]
@@ -130,8 +132,8 @@ class TestWritePaths:
         # transfer notice = 4 msgs
         assert stats.total_messages == 6
         assert stats.invalidations == 0  # transfers are forwards, not invals
-        assert not system.clusters[1].has_copy(0)
-        assert system.clusters[2].holds_dirty(0)
+        assert not has_copy(system.clusters[1].caches, 0)
+        assert protocol.holds_dirty(system.clusters[2].caches, 0)
 
     def test_write_completion_waits_for_acks(self):
         # one remote sharer: completion = max(reply, ack path)
@@ -189,7 +191,7 @@ class TestWritebacks:
             [],
         ]
         system, stats = run_scripts(scripts, l1_bytes=16, l2_bytes=16)
-        assert system.clusters[2].holds_dirty(0) or (
+        assert protocol.holds_dirty(system.clusters[2].caches, 0) or (
             system.directories[0].store.lookup(0) is not None
         )
 
@@ -209,7 +211,10 @@ class TestDirectorySchemes:
 
         assert stats.invalidation_events(InvalCause.NB_EVICT) == 2
         # only the last reader still has a copy
-        holders = [c for c in range(4) if system.clusters[c].has_copy(0)]
+        holders = [
+            c for c in range(4)
+            if has_copy(system.clusters[c].caches, 0)
+        ]
         assert holders == [3]
 
     def test_broadcast_write_after_overflow(self):
@@ -238,7 +243,7 @@ class TestDirectorySchemes:
         assert stats.invalidations == 3
         assert stats.acknowledgements == 4
         for c in (1, 2):
-            assert not system.clusters[c].has_copy(0)
+            assert not has_copy(system.clusters[c].caches, 0)
 
     def test_coarse_vector_bounded_by_broadcast(self):
         # same scenario: CV sends fewer invals than B, at least as many as full
@@ -273,14 +278,14 @@ class TestSparseDirectory:
         assert stats.sparse_replacements == 1
         assert stats.invalidations == 1
         assert stats.acknowledgements == 1
-        assert not system.clusters[1].has_copy(0)
-        assert system.clusters[1].has_copy(4)
+        assert not has_copy(system.clusters[1].caches, 0)
+        assert has_copy(system.clusters[1].caches, 4)
 
     def test_dirty_replacement_recalls_owner(self):
         scripts = [[], [Write(addr(0)), Read(addr(4))], [], []]
         system, stats = run_scripts(scripts, **self.sparse_cfg())
         assert stats.sparse_replacements >= 1
-        assert not system.clusters[1].holds_dirty(0)
+        assert not protocol.holds_dirty(system.clusters[1].caches, 0)
 
     def test_writeback_frees_entry_no_replacement(self):
         # Proc 1 dirties block 0 (home 0), then reads block 5 (home 1),

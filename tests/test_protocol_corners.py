@@ -6,6 +6,7 @@ from repro.machine import DashSystem, MachineConfig
 from repro.machine.stats import InvalCause
 from repro.trace.event import Lock, Read, Unlock, Work, Write
 from repro.trace.scripted import ScriptedWorkload
+from tests.node_queries import has_copy
 
 
 def addr(block):
@@ -58,7 +59,7 @@ class TestNBEdgeCases:
         assert stats.nb_evictions == 1
         assert stats.invalidations == 0  # victim was the home itself
         assert stats.invalidation_events(InvalCause.NB_EVICT) == 1
-        assert not system.clusters[0].has_copy(0)
+        assert not has_copy(system.clusters[0].caches, 0)
 
     def test_nb_eviction_event_size_zero_when_local(self):
         scripts = [[Read(addr(0))], [Work(300), Read(addr(0))], [], []]
@@ -119,7 +120,7 @@ class TestSparseNAK:
         # both finish, with one sparse replacement (block 0's entry dies)
         assert stats.sparse_replacements == 1
         assert all(p.finish_time > 0 for p in stats.procs[1:3])
-        assert not system.clusters[1].has_copy(0)
+        assert not has_copy(system.clusters[1].caches, 0)
 
 
 class TestProcessorAccounting:

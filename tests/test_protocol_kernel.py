@@ -1,14 +1,17 @@
-"""``repro.core.protocol``: the one statement of the directory protocol.
+"""``repro.core.protocol``: the one statement of the protocol.
 
-(a) every row of the kernel's docstring table, driven with recording fake
-nodes: next line state, exact effect sequence, return value; (b) a bug
-planted once in the kernel is seen by the model checker *and* by the
-simulator; (c) PR 2's stale-writeback bug, re-planted, is found again;
-(d) nothing outside the kernel writes directory protocol state; (e) one
-function of the controller books an invalidation round, one times its
-fan-out, and what it books is what the checker independently expects;
-(f) an entry states who it covers once, as ``covered()``, and the
-explorer asks it instead of naming entry classes.
+(a) every row of the kernel's two docstring tables — the home's and a
+node's — driven with recording fake processor views: next state, exact
+effect sequence, return value; (b) a bug planted once in the kernel is
+seen by the model checker *and* by the simulator; (c) the
+stale-writeback bug the model checker first found, re-planted, is found
+again; (d) nothing outside the
+kernel writes directory protocol state or a cache line's state, and no
+second statement of a node row survives; (e) one function of the
+controller books an invalidation round, one times its fan-out, and what
+it books is what the checker independently expects; (f) an entry states
+who it covers once, as ``covered()``, and the explorer asks it instead of
+naming entry classes.
 """
 
 import ast
@@ -20,10 +23,12 @@ import pytest
 
 import repro
 from repro.core import SharedEntryDirectory, protocol
+from repro.core.protocol import LineState
 from repro.core.registry import make_scheme
 from repro.core.sparse import AllWaysBusy, Eviction, FullMapDirectory
 from repro.apps import MP3DWorkload
 from repro.machine import DashSystem, MachineConfig
+from repro.machine.cache import ProcessorCache
 from repro.machine.invariants import CoherenceViolation
 from repro.machine.messages import MsgClass
 from repro.machine.stats import InvalCause
@@ -33,12 +38,44 @@ from repro.verify.model import ModelConfig, replay_counterexample
 
 N = 4
 BLOCK = 8  # homed at node 0, in group {8, 12} of the pooled store below
+SHARED, DIRTY = LineState.SHARED, LineState.DIRTY
+
+
+class _FakeProc:
+    """A processor view holding ``lines`` and ``ghosts``; logs each effect."""
+
+    def __init__(self, node, log, lines=None, ghosts=()):
+        self.node, self.log = node, log
+        self.lines, self.ghosts = dict(lines or {}), set(ghosts)
+
+    def state(self, block):
+        return self.lines.get(block)
+
+    def install(self, block, state):
+        self.log.append(("install", self.node, block, state.name))
+        self.lines[block] = state
+
+    def clean(self, block):
+        self.log.append(("clean", self.node, block))
+        self.lines[block] = SHARED
+
+    def invalidate(self, block, txn_id=None):
+        self.log.append(("inval", self.node, block, txn_id))
+        self.lines.pop(block, None)
+        self.ghosts.discard(block)
+
+    def has_ghost(self, block):
+        return block in self.ghosts
+
+    def release_ghost(self, block):
+        self.log.append(("release", self.node, block))
+        self.ghosts.discard(block)
 
 
 class Bench:
-    """One line of scheme ``name`` plus fakes recording every effect."""
+    """One line of scheme ``name`` plus one fake processor per node."""
 
-    def __init__(self, name="full", *, pooled=False, found=True, kept=False):
+    def __init__(self, name="full", *, pooled=False):
         self.log = []
         scheme = make_scheme(name, N)
         self.store = (
@@ -46,7 +83,10 @@ class Bench:
             if pooled else FullMapDirectory(scheme)
         )
         self.line, _ = self.store.get_or_allocate(BLOCK)
-        self.nodes = [_FakeNode(i, self.log, found, kept) for i in range(N)]
+        self.nodes = [[_FakeProc(i, self.log)] for i in range(N)]
+
+    def proc(self, node):
+        return self.nodes[node][0]
 
     def cancel_wb(self, block, node):
         self.log.append(("cancel_wb", block, node))
@@ -77,27 +117,6 @@ class Bench:
         )
 
 
-class _FakeNode:
-    def __init__(self, node, log, found, kept):
-        self.node, self.log, self.found, self.kept = node, log, found, kept
-
-    def invalidate_block(self, block, txn_id=None):
-        self.log.append(("inval", self.node, block, txn_id))
-        return True
-
-    def invalidate_if_clean(self, block, txn_id=None):
-        self.log.append(("inval_if_clean", self.node, block, txn_id))
-        return True
-
-    def downgrade_block(self, block):
-        self.log.append(("downgrade", self.node, block))
-        return self.found
-
-    def copies_besides_wb(self, block):
-        self.log.append(("copies?", self.node, block))
-        return self.kept
-
-
 def _dirty(bench, owner):
     bench.line.dirty, bench.line.owner = True, owner
 
@@ -123,24 +142,32 @@ def _read_clean():
 
 @row("R2")
 def _read_forwarded_with_a_pointer_eviction_inside():
-    b = Bench("Dir1NB", found=False)
+    b = Bench("Dir1NB")
     _dirty(b, 2)
-    assert b.read(1) == (2, False)
+    b.proc(2).lines[BLOCK] = DIRTY
+    assert b.read(1) == (2, True)
     # one pointer: recording the requester evicts the just-recorded owner
     assert b.log == [
-        ("downgrade", 2, BLOCK), ("record", 2), ("record", 1),
+        ("clean", 2, BLOCK), ("record", 2), ("record", 1),
         ("inval", 2, BLOCK, 7),
     ]
     assert b.state() == (False, None, [1])
+    b = Bench()  # the owner kept nothing to supply the data with
+    _dirty(b, 2)
+    assert b.read(1) == (2, False)
 
 
 @row("R3")
 def _reread_during_own_writeback():
     b = Bench()
     _dirty(b, 1)
+    b.proc(1).ghosts.add(BLOCK)
     assert b.read(1) is None
-    assert b.log == [("cancel_wb", BLOCK, 1), ("record", 1)]
+    assert b.log == [
+        ("cancel_wb", BLOCK, 1), ("release", 1, BLOCK), ("record", 1),
+    ]
     assert b.state() == (False, None, [1])
+    assert not b.proc(1).ghosts
 
 
 @row("W1")
@@ -150,7 +177,8 @@ def _write_clean_unravels_the_sci_chain_head_first():
         b.line.entry.record_sharer(sharer)
     assert b.write(1, serial=True) == (None, [3, 2], ())
     assert b.log == [
-        ("cancel_wb", BLOCK, 1), ("inval", 3, BLOCK, 7), ("inval", 2, BLOCK, 7),
+        ("cancel_wb", BLOCK, 1), ("release", 1, BLOCK),
+        ("inval", 3, BLOCK, 7), ("inval", 2, BLOCK, 7),
     ]
     assert b.state() == (True, 1, [])
     # without serial the same entry is walked in ascending node order
@@ -165,7 +193,9 @@ def _ownership_transfer():
     b = Bench()
     _dirty(b, 3)
     assert b.write(1) == (3, None, ())
-    assert b.log == [("inval", 3, BLOCK, 7), ("cancel_wb", BLOCK, 1)]
+    assert b.log == [
+        ("inval", 3, BLOCK, 7), ("cancel_wb", BLOCK, 1), ("release", 1, BLOCK),
+    ]
     assert b.state() == (True, 1, [])
 
 
@@ -176,8 +206,9 @@ def _regrant_on_a_pooled_store():
     b.line.entry.record_sharer(2)  # a sharer of group-mate 12
     assert b.write(1, pooled=True) == (None, [2], [12])
     assert b.log == [
-        ("cancel_wb", BLOCK, 1), ("in_flight", BLOCK, (12,)),
-        ("inval", 2, BLOCK, 7), ("inval_if_clean", 2, 12, 7),
+        ("cancel_wb", BLOCK, 1), ("release", 1, BLOCK),
+        ("in_flight", BLOCK, (12,)),
+        ("inval", 2, BLOCK, 7), ("inval", 2, 12, 7),  # IC: 2's mate is clean
     ]
     # the writer is re-recorded after the reset: its mate copies survive
     assert b.state() == (True, 1, [1])
@@ -188,16 +219,17 @@ def _writeback_accepted():
     b = Bench()
     _dirty(b, 2)
     assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is False
-    assert b.log == [("copies?", 2, BLOCK)]
+    assert b.log == [("release", 2, BLOCK)]
     assert b.state() == "gone"
-    b = Bench(kept=True)  # a sibling cache re-filled from the buffer
+    b = Bench()
     _dirty(b, 2)
+    b.proc(2).lines[BLOCK] = SHARED  # a sibling cache re-filled from the buffer
     assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is True
     assert b.state() == (False, None, [2])
     b = Bench()
     _dirty(b, 2)
     assert protocol.writeback(b.store, BLOCK, 2, True, b.nodes) is True
-    assert b.log == []  # the captured flag short-circuits the probe
+    assert b.state() == (False, None, [2])
 
 
 @row("B2")
@@ -205,7 +237,7 @@ def _writeback_stale():
     b = Bench()
     _dirty(b, 3)
     assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is None
-    assert b.log == [] and b.state() == (True, 3, [])
+    assert b.log == [("release", 2, BLOCK)] and b.state() == (True, 3, [])
     b.line.reset()
     b.line.entry.record_sharer(2)
     assert protocol.writeback(b.store, BLOCK, 2, False, b.nodes) is None
@@ -248,11 +280,149 @@ def _sparse_recall():
     assert b.log == [("inval", 1, 40, 7), ("inval", 3, 40, 7)]
 
 
+# -- node rows: one node of three processors, requester i = 0 ---------------------
+
+
+def _node(*holdings):
+    """Fake processors holding ``{block: state}`` or ``"ghost"`` each."""
+    log = []
+    procs = [
+        _FakeProc(i, log, ghosts=(BLOCK,)) if held == "ghost"
+        else _FakeProc(i, log, lines=held)
+        for i, held in enumerate(holdings)
+    ]
+    return procs, log
+
+
+@row("L1")
+def _read_hit():
+    procs, log = _node({BLOCK: SHARED}, {})
+    assert protocol.hit(procs[0], BLOCK, False)
+    assert not protocol.hit(procs[1], BLOCK, False) and log == []
+
+
+@row("L2")
+def _sibling_supply():
+    for sibling in ({BLOCK: SHARED}, {BLOCK: DIRTY}, "ghost"):
+        procs, log = _node({}, sibling)
+        assert protocol.bus(procs, 0, BLOCK, False) == (True, None)
+        assert log == [("install", 0, BLOCK, "SHARED")]
+        assert procs[1].state(BLOCK) == (
+            None if sibling == "ghost" else sibling[BLOCK]
+        )
+
+
+@row("L3")
+def _write_hit():
+    procs, log = _node({BLOCK: DIRTY}, {BLOCK: SHARED})
+    assert protocol.hit(procs[0], BLOCK, True)
+    assert not protocol.hit(procs[1], BLOCK, True) and log == []
+
+
+@row("L4")
+def _bus_ownership_transfer():
+    procs, log = _node({BLOCK: SHARED}, {BLOCK: DIRTY}, {BLOCK: SHARED})
+    assert protocol.bus(procs, 0, BLOCK, True) == (True, None)
+    assert log == [
+        ("inval", 1, BLOCK, None), ("inval", 2, BLOCK, None),
+        ("install", 0, BLOCK, "DIRTY"),
+    ]
+
+
+@row("L5")
+def _miss():
+    cases = [
+        ({}, {}, False),  # nothing on the bus
+        ({BLOCK: SHARED}, {BLOCK: SHARED}, True),  # a write needs the home
+        ({}, "ghost", True),  # a ghost is not ownership
+    ]
+    for mine, sibling, write in cases:
+        procs, log = _node(mine, sibling)
+        assert protocol.bus(procs, 0, BLOCK, write) == (False, None)
+        assert log == []
+
+
+@row("FL")
+def _fill():
+    procs, log = _node({}, {})
+    assert protocol.fill(procs, 1, BLOCK, True) is None
+    assert protocol.fill(procs, 0, BLOCK, False) is None
+    assert log == [("install", 1, BLOCK, "DIRTY"), ("install", 0, BLOCK, "SHARED")]
+    # the machine's view parks a DIRTY victim as the filler's ghost
+    cache = ProcessorCache(16, 16, 1, 16, 1)
+    protocol.fill([cache], 0, 0, True)
+    assert protocol.fill([cache], 0, 1, False) == (0, True)
+    assert protocol.holds_dirty([cache], 0)
+
+
+@row("IV")
+def _invalidate():
+    procs, log = _node({BLOCK: DIRTY}, "ghost", {})
+    assert protocol.invalidate(procs, BLOCK, 7) is None
+    assert log == [("inval", i, BLOCK, 7) for i in range(3)]
+    assert not protocol.holds_dirty(procs, BLOCK)
+
+
+@row("IC")
+def _invalidate_if_clean():
+    for dirty in ({BLOCK: DIRTY}, "ghost"):
+        procs, log = _node({BLOCK: SHARED}, dirty)
+        protocol.invalidate_if_clean(procs, BLOCK, 7)
+        assert log == []
+    procs, log = _node({BLOCK: SHARED}, {})
+    protocol.invalidate_if_clean(procs, BLOCK, 7)
+    assert log == [("inval", 0, BLOCK, 7), ("inval", 1, BLOCK, 7)]
+
+
+@row("DG")
+def _downgrade():
+    procs, log = _node({BLOCK: DIRTY}, {BLOCK: SHARED}, "ghost")
+    assert protocol.downgrade(procs, BLOCK) is True
+    assert log == [("clean", 0, BLOCK)]
+    assert procs[2].ghosts == {BLOCK}  # the buffer supplied the data, and stays
+    procs, log = _node("ghost", {})
+    assert protocol.downgrade(procs, BLOCK) is True and log == []
+    procs, log = _node({BLOCK: SHARED}, {})
+    assert protocol.downgrade(procs, BLOCK) is False and log == []
+
+
+@row("WD")
+def _writeback_done():
+    procs, log = _node("ghost", {BLOCK: SHARED})
+    assert protocol.writeback_done(procs, BLOCK) is None
+    assert log == [("release", 0, BLOCK), ("release", 1, BLOCK)]
+    assert not protocol.holds_dirty(procs, BLOCK)
+
+
+@row("CB")
+def _copies_besides_wb():
+    assert protocol.copies_besides_wb(_node("ghost", {BLOCK: SHARED})[0], BLOCK)
+    assert not protocol.copies_besides_wb(_node("ghost", {})[0], BLOCK)
+
+
+@row("HD")
+def _holds_dirty():
+    assert protocol.holds_dirty(_node({}, {BLOCK: DIRTY})[0], BLOCK)
+    assert protocol.holds_dirty(_node({}, "ghost")[0], BLOCK)
+    assert not protocol.holds_dirty(_node({BLOCK: SHARED}, {})[0], BLOCK)
+
+
+def test_the_cache_probes_price_the_hit_rows():
+    """``ProcessorCache``'s probes are L1/L3 with a price: same verdicts."""
+    for state in (None, SHARED, DIRTY):
+        cache = ProcessorCache(16, 64, 1, 256, 1)
+        if state is not None:
+            cache.install(BLOCK, state)
+        assert (cache.probe_read(BLOCK) is not None) == protocol.hit(cache, BLOCK, False)
+        assert cache.probe_write(BLOCK) == protocol.hit(cache, BLOCK, True)
+
+
 TABLE_ROWS = re.findall(r"^([A-Z][A-Z0-9])\s{2,}\w", protocol.__doc__, re.M)
 
 
 def test_every_row_of_the_docstring_table_has_a_case():
-    assert len(TABLE_ROWS) == 12 and set(TABLE_ROWS) == set(ROWS)
+    # twelve directory rows, twelve node rows
+    assert len(TABLE_ROWS) == 24 and set(TABLE_ROWS) == set(ROWS)
 
 
 @pytest.mark.parametrize("label", TABLE_ROWS)
@@ -274,7 +444,8 @@ def test_in_flight_nak_leaves_every_cache_untouched():
 
     with pytest.raises(AllWaysBusy):
         b.write(1, pooled=True, in_flight=busy)
-    assert b.log == [("cancel_wb", BLOCK, 1)]
+    # the regrant precedes the guard; no copy anywhere is invalidated
+    assert b.log == [("cancel_wb", BLOCK, 1), ("release", 1, BLOCK)]
     assert b.state() == (False, None, [2])
 
 
@@ -327,26 +498,110 @@ def test_pr2_stale_writeback_bug_is_found_when_replanted(monkeypatch):
 SRC = Path(repro.__file__).parent
 
 
-def test_only_the_kernel_writes_directory_protocol_state():
+#: what a processor view does to a line: only the kernel's node rows ask it
+LINE_WRITERS = {"install", "invalidate", "set_state", "clean", "release_ghost"}
+#: the modules that price the node rows and must not apply them themselves
+PRICERS = {"machine/cluster.py", "machine/system.py"}
+
+
+def _protocol_state_writers(sources):
+    """Writes of protocol state outside the kernel, over ``{path: source}``
+    of ``machine/`` and ``verify/``: a directory line's ``dirty``/``owner``
+    or entry, a model node's cache letter, and — in the pricing modules —
+    any processor-view write or writeback-buffer access."""
     offenders = []
-    for path in sorted([*SRC.glob("machine/*.py"), *SRC.glob("verify/*.py")]):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
             targets = []
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Attribute) and leaf.attr in ("dirty", "owner"):
-                        offenders.append(f"{path.name}:{leaf.lineno} .{leaf.attr} =")
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("reset", "record_sharer", "remove_sharer")
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "entry"
-            ):
-                offenders.append(f"{path.name}:{node.lineno} entry.{node.func.attr}()")
-    assert not offenders, offenders
+                        offenders.append(f"{name}:{leaf.lineno} .{leaf.attr} =")
+                    if (
+                        isinstance(leaf, ast.Subscript)
+                        and isinstance(leaf.value, ast.Subscript)
+                        and isinstance(leaf.value.value, ast.Attribute)
+                        and leaf.value.value.attr == "caches"
+                    ):
+                        offenders.append(f"{name}:{leaf.lineno} .caches[..][..] =")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr, owner = node.func.attr, node.func.value
+                if (
+                    attr in ("reset", "record_sharer", "remove_sharer")
+                    and isinstance(owner, ast.Attribute) and owner.attr == "entry"
+                ):
+                    offenders.append(f"{name}:{node.lineno} entry.{attr}()")
+                if name in PRICERS and attr in LINE_WRITERS:
+                    offenders.append(f"{name}:{node.lineno} .{attr}()")
+            if name in PRICERS and isinstance(node, ast.Attribute) and node.attr == "wb_buffer":
+                offenders.append(f"{name}:{node.lineno} .wb_buffer")
+    return offenders
+
+
+def test_only_the_kernel_writes_directory_protocol_state():
+    sources = {
+        str(path.relative_to(SRC)): path.read_text()
+        for path in [*SRC.glob("machine/*.py"), *SRC.glob("verify/*.py")]
+    }
+    assert _protocol_state_writers(sources) == []
+    # the walk would see a second site writing a cache line's state
+    planted = {
+        "machine/cluster.py": sources["machine/cluster.py"] + (
+            "\ndef _owns(self, block):\n"
+            "    self.caches[0].install(block, LineState.DIRTY)\n"
+            "    self.caches[1].wb_buffer.add(block)\n"
+        ),
+        "verify/conformance.py": sources["verify/conformance.py"] + (
+            "\ndef _surgery(self):\n"
+            "    self.state.caches[1][0] = INVALID\n"
+        ),
+    }
+    c = sources["machine/cluster.py"].count("\n")
+    v = sources["verify/conformance.py"].count("\n")
+    assert _protocol_state_writers(planted) == [
+        f"machine/cluster.py:{c + 3} .install()",
+        f"machine/cluster.py:{c + 4} .wb_buffer",
+        f"verify/conformance.py:{v + 3} .caches[..][..] =",
+    ]
+
+
+#: the deleted second statement of the node rows, by where it lived
+GONE = {
+    "verify/model.py": {"_Row"},
+    "core/protocol.py": {"Node"},
+    "machine/cluster.py": {
+        "invalidate_block", "invalidate_if_clean", "downgrade_block",
+        "has_copy", "holds_dirty", "copies_besides_wb", "writeback_done",
+        "install_from_directory", "_sibling_with_copy", "_owns_live",
+    },
+}
+NODE_ROWS = {
+    "hit", "bus", "fill", "invalidate_if_clean", "downgrade", "writeback_done",
+    "copies_besides_wb", "holds_dirty",
+}
+
+
+def test_the_node_rows_are_stated_once():
+    defined = {}
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(str(path.relative_to(SRC)), set()).add(node.name)
+    for name, gone in GONE.items():
+        assert not gone & defined[name], (name, gone & defined[name])
+    elsewhere = {
+        name: rows & NODE_ROWS for name, rows in defined.items()
+        if rows & NODE_ROWS and name != "core/protocol.py"
+    }
+    assert elsewhere == {} and NODE_ROWS <= defined["core/protocol.py"]
+    cluster = next(
+        node for node in ast.parse((SRC / "machine/cluster.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "Cluster"
+    )
+    methods = {f.name for f in cluster.body if isinstance(f, ast.FunctionDef)}
+    assert methods == {"__init__", "try_local"}  # pricing only
 
 
 def test_the_kernel_imports_no_engine():

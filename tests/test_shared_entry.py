@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import FullBitVectorScheme, SharedEntryDirectory
+from repro.core import protocol
 from repro.machine import DashSystem, MachineConfig, run_workload
 from repro.apps import UniformRandomWorkload
 from repro.trace.event import Read, Work, Write
 from repro.trace.scripted import ScriptedWorkload
+from tests.node_queries import has_copy
 
 
 def addr(block):
@@ -95,7 +97,7 @@ class TestMachineIntegration:
             [],
         ]
         system, stats = self.run_scripts(scripts)
-        assert not system.clusters[1].has_copy(4)
+        assert not has_copy(system.clusters[1].caches, 4)
         assert stats.invalidations == 1  # one message names the group
 
     def test_dirty_group_mate_survives(self):
@@ -108,7 +110,7 @@ class TestMachineIntegration:
             [],
         ]
         system, stats = self.run_scripts(scripts)
-        assert system.clusters[1].holds_dirty(4)
+        assert protocol.holds_dirty(system.clusters[1].caches, 4)
 
     def test_writer_keeps_conservative_coverage(self):
         # proc 1 reads block 4, then writes block 0 (same group).  Its
@@ -121,7 +123,7 @@ class TestMachineIntegration:
             [],
         ]
         system, stats = self.run_scripts(scripts)
-        assert not system.clusters[1].has_copy(4)
+        assert not has_copy(system.clusters[1].caches, 4)
 
     def test_group_one_behaves_like_full_map(self):
         wl_scripts = [
