@@ -7,9 +7,8 @@ primary cache that only filters hits, and a write-back secondary cache
 that is the coherence point (inclusion is enforced — invalidating or
 evicting an L2 line purges the L1 copy).
 
-Each set is a plain insertion-ordered ``dict`` tag->state used as an LRU
-stack: lookups re-insert lines at the MRU end; victims pop from the LRU
-end (the first key in insertion order).  Dirty evictions park the block
+A level is one flat ``dict`` block->state plus a victim-finding record
+per occupied set (:class:`CacheLevel`).  Dirty evictions park the block
 in a *writeback buffer* until the home directory has processed the
 writeback, so a forwarded request racing the writeback still finds the
 data — exactly the role of DASH's writeback buffers.  Which transition
@@ -19,101 +18,115 @@ a :class:`ProcessorCache` is their view of one processor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.protocol import LineState
 from repro.obs.tracer import NULL_TRACER
+
+#: bound once: reading a member off an ``Enum`` class costs ~0.1 us a time
+_DIRTY, _SHARED = LineState.DIRTY, LineState.SHARED
 
 
 class CacheLevel:
     """One set-associative cache level (tags only; no data is simulated).
 
-    Sets are materialised on first install, so an empty cache costs the
-    same whatever its capacity and every whole-cache walk is proportional
-    to the sets ever filled.  Walks go in ascending set index: that is the
-    order a dense array of sets would give, and checkpoints and invariant
-    reports are defined by it.  A set emptied again keeps its ``dict`` —
-    re-creating one per direct-mapped eviction costs more than it saves.
+    ``_lines`` maps every resident block to its state; ``_sets`` holds a
+    record per occupied set, only to find victims and walk in set order:
+    the resident block when direct-mapped (its LRU order is trivially
+    itself), else an insertion-ordered ``dict`` of its blocks, LRU first.
+    Walks go in ascending set index, the order a dense array of sets
+    would give; checkpoints and invariant reports are defined by it.
     """
 
-    __slots__ = ("num_sets", "assoc", "_sets")
+    __slots__ = ("num_sets", "assoc", "_lines", "_sets")
 
     def __init__(self, capacity_bytes: int, block_bytes: int, assoc: int) -> None:
         capacity_blocks = max(1, capacity_bytes // block_bytes)
         assoc = min(assoc, capacity_blocks)
         self.assoc = assoc
         self.num_sets = max(1, capacity_blocks // assoc)
-        #: set index -> LRU stack, for sets that have ever held a line
-        self._sets: Dict[int, Dict[int, LineState]] = {}
+        #: every resident block -> its state
+        self._lines: Dict[int, LineState] = {}
+        #: occupied set -> its block (assoc 1) or ``{block: None}`` LRU->MRU
+        self._sets: Dict[int, Any] = {}
 
     def lookup(self, block: int) -> Optional[LineState]:
         """State of ``block`` if present; refreshes LRU position."""
-        s = self._sets.get(block % self.num_sets)
-        if s is None:
-            return None
-        state = s.pop(block, None)
-        if state is not None:
-            s[block] = state  # re-insert at the MRU end
+        state = self._lines.get(block)
+        if state is not None and self.assoc != 1:
+            ways = self._sets[block % self.num_sets]
+            ways[block] = ways.pop(block)  # re-insert at the MRU end
         return state
 
     def peek(self, block: int) -> Optional[LineState]:
         """State without touching LRU (for snoops and invariant checks)."""
-        s = self._sets.get(block % self.num_sets)
-        return None if s is None else s.get(block)
+        return self._lines.get(block)
 
     def install(
         self, block: int, state: LineState
     ) -> Optional[Tuple[int, LineState]]:
         """Fill ``block``; returns the evicted ``(block, state)`` if any."""
+        lines = self._lines
         index = block % self.num_sets
-        s = self._sets.get(index)
-        if s is None:
-            self._sets[index] = {block: state}
-            return None
-        if s.pop(block, None) is not None:
-            s[block] = state  # refresh state and LRU position
-            return None
-        victim = None
-        if len(s) >= self.assoc:
-            vblock = next(iter(s))  # LRU end: oldest insertion
-            victim = (vblock, s.pop(vblock))
-        s[block] = state
-        return victim
+        if self.assoc == 1:
+            vblock = self._sets.get(index)
+            self._sets[index] = block
+        else:
+            ways = self._sets.setdefault(index, {})
+            vblock = None
+            if block not in ways and len(ways) >= self.assoc:
+                vblock = next(iter(ways))  # LRU end: oldest insertion
+                del ways[vblock]
+            ways.pop(block, None)
+            ways[block] = None  # at the MRU end
+        lines[block] = state
+        return None if vblock in (None, block) else (vblock, lines.pop(vblock))
 
     def set_state(self, block: int, state: LineState) -> None:
         """Change an existing line's state (no LRU side effects)."""
-        s = self._sets.get(block % self.num_sets)
-        if s is not None and block in s:
-            s[block] = state
+        if block in self._lines:
+            self._lines[block] = state
 
     def invalidate(self, block: int) -> Optional[LineState]:
         """Drop ``block``; returns its state if it was present."""
-        s = self._sets.get(block % self.num_sets)
-        return None if s is None else s.pop(block, None)
+        state = self._lines.pop(block, None)
+        if state is not None:
+            index = block % self.num_sets
+            if self.assoc == 1 or len(self._sets[index]) == 1:
+                del self._sets[index]
+            else:
+                del self._sets[index][block]
+        return state
+
+    def _walk(self) -> Iterator[Tuple[int, Iterable[int]]]:
+        """``(set index, blocks LRU->MRU)`` per occupied set, ascending."""
+        sets = self._sets
+        direct = self.assoc == 1
+        for index in sorted(sets):
+            yield index, (sets[index],) if direct else sets[index]
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
         """Iterate over all (block, state) pairs currently cached."""
-        sets = self._sets
-        for index in sorted(sets):
-            yield from sets[index].items()
+        lines = self._lines
+        return ((block, lines[block]) for _, ways in self._walk() for block in ways)
 
     def occupancy(self) -> int:
         """Number of valid lines held."""
-        return sum(map(len, self._sets.values()))
+        return len(self._lines)
 
     def to_state(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
         """``(set index, [(block, state), ...])`` per non-empty set, in
         ascending set order; pairs are in LRU→MRU insertion order."""
-        sets = self._sets
+        lines = self._lines
         return [
-            (index, [(block, int(state)) for block, state in sets[index].items()])
-            for index in sorted(sets)
-            if sets[index]
+            (index, [(block, int(lines[block])) for block in ways])
+            for index, ways in self._walk()
         ]
 
     def load_state(self, sets: List[Tuple[int, List[Tuple[int, int]]]]) -> None:
         """Restore :meth:`to_state` (same geometry); order is the LRU stack."""
-        restored: Dict[int, Dict[int, LineState]] = {}
+        lines: Dict[int, LineState] = {}
+        records: Dict[int, Any] = {}
         for index, pairs in sets:
             if (
                 not 0 <= index < self.num_sets
@@ -125,8 +138,12 @@ class CacheLevel:
                     f"{len(pairs)} lines does not fit {self.num_sets} sets "
                     f"of {self.assoc} ways"
                 )
-            restored[index] = {block: LineState(state) for block, state in pairs}
-        self._sets = restored
+            lines.update((block, LineState(state)) for block, state in pairs)
+            ways = dict.fromkeys(block for block, _ in pairs)
+            if ways:
+                records[index] = next(iter(ways)) if self.assoc == 1 else ways
+        self._lines = lines
+        self._sets = records
 
 
 class ProcessorCache:
@@ -157,39 +174,26 @@ class ProcessorCache:
     def probe_read(self, block: int) -> Optional[str]:
         """``"l1"`` / ``"l2"`` on a read hit, else ``None``.
 
-        The probes run once per shared reference; both inline
-        :meth:`CacheLevel.lookup` (pop + re-insert at the MRU end) to
-        skip the per-level call overhead on the hot path.
-        """
+        The probes run once per shared reference: one ``in`` / ``get`` per
+        direct-mapped level, :meth:`CacheLevel.lookup` only where a set
+        has an LRU order to refresh."""
         l1 = self.l1
         l2 = self.l2
-        s2 = l2._sets.get(block % l2.num_sets)
-        state2 = None
-        if s2 is not None:
-            state2 = s2.pop(block, None)
-            if state2 is not None:
-                s2[block] = state2  # refresh L2 LRU (inclusion backing line)
-        s1 = l1._sets.get(block % l1.num_sets)
-        if s1 is not None:
-            state = s1.pop(block, None)
-            if state is not None:
-                s1[block] = state
-                return "l1"
-        if state2 is not None:
-            return "l2"
-        return None
+        if l2.assoc != 1:
+            l2.lookup(block)  # refresh L2 LRU (inclusion backing line)
+        if block in l1._lines:
+            if l1.assoc != 1:
+                l1.lookup(block)
+            return "l1"
+        return "l2" if block in l2._lines else None
 
     def probe_write(self, block: int) -> bool:
         """True if writable (L2 DIRTY); refreshes the L2 line either way."""
         l2 = self.l2
-        s2 = l2._sets.get(block % l2.num_sets)
-        if s2 is None:
-            return False
-        state = s2.pop(block, None)
-        if state is not None:
-            s2[block] = state
-        if state is LineState.DIRTY:
-            self.l1.lookup(block)
+        state = l2._lines.get(block) if l2.assoc == 1 else l2.lookup(block)
+        if state is _DIRTY:
+            if self.l1.assoc != 1:
+                self.l1.lookup(block)
             return True
         return False
 
@@ -215,7 +219,7 @@ class ProcessorCache:
         victim = self.l2.install(block, state)
         if victim is not None:
             vblock, vstate = victim
-            was_dirty = vstate is LineState.DIRTY
+            was_dirty = vstate is _DIRTY
             self.l1.invalidate(vblock)  # inclusion
             if was_dirty:
                 self.wb_buffer.add(vblock)
@@ -225,12 +229,12 @@ class ProcessorCache:
                     vblock, was_dirty,
                 )
             eviction = (vblock, was_dirty)
-        self.l1.install(block, LineState.SHARED)  # L1 is write-through/clean
+        self.l1.install(block, _SHARED)  # L1 is write-through/clean
         return eviction
 
     def clean(self, block: int) -> None:
         """DIRTY -> SHARED (no LRU side effects)."""
-        self.l2.set_state(block, LineState.SHARED)
+        self.l2.set_state(block, _SHARED)
 
     def invalidate(self, block: int, txn_id: Optional[int] = None) -> bool:
         """Drop the block everywhere; returns True if a copy existed."""
@@ -276,8 +280,4 @@ class ProcessorCache:
         runtime invariant checker audits this on every machine sweep
         (and block by block, with two ``peek`` calls, in strict mode).
         """
-        return [
-            block
-            for block, _state in self.l1.blocks()
-            if self.l2.peek(block) is None
-        ]
+        return [b for b, _ in self.l1.blocks() if self.l2.peek(b) is None]

@@ -1,18 +1,22 @@
 """Eager reference models of the set-associative machine state.
 
-``CacheLevel``, ``SparseDirectory`` and the replacement policies keep only
-the sets something has been installed into.  These models are the obvious
-dense versions — one slot per possible set and way, allocated up front —
-and ``test_lazy_state.py`` drives both with the same operation sequences
-and requires every return value, victim and walk to agree.  They are
-written for obviousness, not speed: no shared helpers with the code under
-test beyond ``DirLine``/``Eviction``/``AllWaysBusy`` (plain records).
+``CacheLevel`` keeps one map of its resident lines plus a record per
+occupied set (the block itself when direct-mapped), ``ProcessorCache``
+probes that map directly, and ``SparseDirectory`` and the replacement
+policies keep only the sets something has been installed into.  These
+models are the obvious dense versions — one LRU-stack ``dict`` or slot
+row per possible set, allocated up front, and a two-level hierarchy that
+goes through each level's own ``lookup`` — and ``test_lazy_state.py``
+drives both with the same operation sequences and requires every return
+value, victim and walk to agree.  They are written for obviousness, not
+speed: no shared helpers with the code under test beyond
+``DirLine``/``Eviction``/``AllWaysBusy`` (plain records).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import DirectoryScheme
 from repro.core.sparse import AllWaysBusy, DirLine, Eviction
@@ -68,6 +72,72 @@ class EagerCacheLevel:
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self.sets)
+
+    def to_state(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
+        return [
+            (index, [(block, int(state)) for block, state in s.items()])
+            for index, s in enumerate(self.sets)
+            if s
+        ]
+
+
+class EagerProcessorCache:
+    """Two ``EagerCacheLevel``s with the hierarchy's rules spelled out: a
+    probe refreshes every level it hits, a fill lands in both levels (L1
+    clean), an L2 victim leaves L1 too (inclusion) and a DIRTY one waits
+    in the writeback buffer."""
+
+    def __init__(
+        self, block_bytes: int, l1_bytes: int, l1_assoc: int,
+        l2_bytes: int, l2_assoc: int,
+    ) -> None:
+        self.l1 = EagerCacheLevel(l1_bytes, block_bytes, l1_assoc)
+        self.l2 = EagerCacheLevel(l2_bytes, block_bytes, l2_assoc)
+        self.wb_buffer: Set[int] = set()
+
+    def probe_read(self, block: int) -> Optional[str]:
+        in_l2 = self.l2.lookup(block) is not None
+        if self.l1.lookup(block) is not None:
+            return "l1"
+        return "l2" if in_l2 else None
+
+    def probe_write(self, block: int) -> bool:
+        if self.l2.lookup(block) is LineState.DIRTY:
+            self.l1.lookup(block)
+            return True
+        return False
+
+    def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
+        eviction = None
+        victim = self.l2.install(block, state)
+        if victim is not None:
+            vblock, vstate = victim
+            self.l1.invalidate(vblock)
+            if vstate is LineState.DIRTY:
+                self.wb_buffer.add(vblock)
+            eviction = (vblock, vstate is LineState.DIRTY)
+        self.l1.install(block, LineState.SHARED)
+        return eviction
+
+    def clean(self, block: int) -> None:
+        self.l2.set_state(block, LineState.SHARED)
+
+    def invalidate(self, block: int) -> bool:
+        had = self.l2.invalidate(block) is not None
+        self.l1.invalidate(block)
+        had_wb = block in self.wb_buffer
+        self.wb_buffer.discard(block)
+        return had or had_wb
+
+    def release_ghost(self, block: int) -> None:
+        self.wb_buffer.discard(block)
+
+    def to_state(self) -> Dict[str, object]:
+        return {
+            "l1": self.l1.to_state(),
+            "l2": self.l2.to_state(),
+            "wb_buffer": sorted(self.wb_buffer),
+        }
 
 
 class _EagerPolicy:

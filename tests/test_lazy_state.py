@@ -1,14 +1,19 @@
 """Machine state is proportional to occupancy, and behaves as if it were not.
 
-``CacheLevel``, ``SparseDirectory`` and the LRU/LRA stamp rows materialise
-a set on first install.  The property tests drive them and the dense
-models in ``eager_reference.py`` with the same random operation sequences
-and require every return value, victim and whole-structure walk to agree
+``CacheLevel`` holds one block -> state map of its lines plus a record
+per occupied set, ``ProcessorCache`` probes those maps directly, and
+``SparseDirectory`` and the LRU/LRA stamp rows materialise a set on first
+install.  The property tests drive them and the dense models in
+``eager_reference.py`` with the same random operation sequences and
+require every return value, victim and whole-structure walk to agree
 (walks in ascending set order, which is the dense order).  The geometry
-test builds structures no dense layout could hold.
+tests build structures no dense layout could hold and price a resident
+line of the paper machine's direct-mapped caches.
 """
 
+import gc
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +23,13 @@ from repro.apps import MP3DWorkload
 from repro.core import FullBitVectorScheme, SparseDirectory
 from repro.core.sparse import AllWaysBusy
 from repro.machine import DashSystem, MachineConfig
-from repro.machine.cache import CacheLevel, LineState
+from repro.machine.cache import CacheLevel, LineState, ProcessorCache
 
-from tests.eager_reference import EagerCacheLevel, EagerSparseDirectory
+from tests.eager_reference import (
+    EagerCacheLevel,
+    EagerProcessorCache,
+    EagerSparseDirectory,
+)
 
 # -- CacheLevel --------------------------------------------------------------
 
@@ -53,6 +62,36 @@ def test_cache_level_matches_eager_model(geometry, ops):
     clone.load_state(lazy.to_state())
     assert list(clone.blocks()) == list(eager.blocks())
     assert clone.to_state() == lazy.to_state()
+
+
+# (L1 bytes, L1 assoc, L2 bytes, L2 assoc), 16 B blocks
+HIERARCHIES = [(64, 1, 128, 1), (64, 1, 128, 2), (64, 2, 128, 4)]
+
+hierarchy_ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "probe_read", "probe_write", "install", "clean", "invalidate",
+            "release_ghost",
+        ]),
+        st.integers(0, 23),
+        st.sampled_from(list(LineState)),
+    ),
+    min_size=20, max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HIERARCHIES), hierarchy_ops)
+def test_processor_cache_matches_eager_model(geometry, ops):
+    lazy = ProcessorCache(16, *geometry)
+    eager = EagerProcessorCache(16, *geometry)
+    for op, block, state in ops:
+        args = (block, state) if op == "install" else (block,)
+        assert getattr(lazy, op)(*args) == getattr(eager, op)(*args), (op, block)
+        assert lazy.wb_buffer == eager.wb_buffer
+        assert list(lazy.l1.blocks()) == list(eager.l1.blocks())
+        assert list(lazy.l2.blocks()) == list(eager.l2.blocks())
+        assert lazy.to_state() == eager.to_state()
 
 
 # -- SparseDirectory + replacement policies ----------------------------------
@@ -171,6 +210,27 @@ def test_construction_cost_is_independent_of_capacity():
     line, evictions = store.get_or_allocate(3 * 2**26 + 9)
     assert evictions == [] and store.occupancy() == 1
     assert [b for b, _ in store.lines()] == [3 * 2**26 + 9]
+
+
+def test_direct_mapped_line_cost():
+    # four paper-machine caches (direct-mapped 64 KB over 256 KB), full:
+    # a resident line costs its map entries, not a container per set
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        caches = []
+        for p in range(4):
+            cache = ProcessorCache(16, 64 * 1024, 1, 256 * 1024, 1)
+            for i in range(16384):
+                cache.install((p << 20) + i, LineState.SHARED)
+            caches.append(cache)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    lines = sum(c.l1.occupancy() + c.l2.occupancy() for c in caches)
+    assert lines == 4 * (4096 + 16384)
+    assert used / lines <= 200, f"{used / lines:.0f} B per resident line"
 
 
 @pytest.mark.parametrize("policy", ["lru", "lra", "random"])
