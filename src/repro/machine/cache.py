@@ -18,13 +18,15 @@ a :class:`ProcessorCache` is their view of one processor.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.protocol import LineState
 from repro.obs.tracer import NULL_TRACER
 
 #: bound once: reading a member off an ``Enum`` class costs ~0.1 us a time
 _DIRTY, _SHARED = LineState.DIRTY, LineState.SHARED
+_BY_BYTE = {state.value: state for state in LineState}  # snapshot byte -> state
 
 
 class CacheLevel:
@@ -98,50 +100,48 @@ class CacheLevel:
                 del self._sets[index][block]
         return state
 
-    def _walk(self) -> Iterator[Tuple[int, Iterable[int]]]:
-        """``(set index, blocks LRU->MRU)`` per occupied set, ascending."""
+    def _walk(self) -> List[int]:
+        """Resident blocks in ascending set index, LRU->MRU within a set."""
         sets = self._sets
-        direct = self.assoc == 1
-        for index in sorted(sets):
-            yield index, (sets[index],) if direct else sets[index]
+        if self.assoc == 1:
+            return [sets[index] for index in sorted(sets)]
+        return [block for index in sorted(sets) for block in sets[index]]
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
         """Iterate over all (block, state) pairs currently cached."""
         lines = self._lines
-        return ((block, lines[block]) for _, ways in self._walk() for block in ways)
+        return ((block, lines[block]) for block in self._walk())
 
     def occupancy(self) -> int:
         """Number of valid lines held."""
         return len(self._lines)
 
-    def to_state(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        """``(set index, [(block, state), ...])`` per non-empty set, in
-        ascending set order; pairs are in LRU→MRU insertion order."""
-        lines = self._lines
-        return [
-            (index, [(block, int(lines[block])) for block in ways])
-            for index, ways in self._walk()
-        ]
+    def to_state(self) -> Tuple[array, bytes]:
+        """The :meth:`blocks` walk as two columns: blocks, one state byte each."""
+        blocks = array("q", self._walk())
+        return blocks, bytes(map(self._lines.__getitem__, blocks))
 
-    def load_state(self, sets: List[Tuple[int, List[Tuple[int, int]]]]) -> None:
-        """Restore :meth:`to_state` (same geometry); order is the LRU stack."""
-        lines: Dict[int, LineState] = {}
-        records: Dict[int, Any] = {}
-        for index, pairs in sets:
-            if (
-                not 0 <= index < self.num_sets
-                or len(pairs) > self.assoc
-                or any(block % self.num_sets != index for block, _ in pairs)
-            ):
-                raise ValueError(
-                    f"cache geometry mismatch: snapshot set {index} with "
-                    f"{len(pairs)} lines does not fit {self.num_sets} sets "
-                    f"of {self.assoc} ways"
-                )
-            lines.update((block, LineState(state)) for block, state in pairs)
-            ways = dict.fromkeys(block for block, _ in pairs)
-            if ways:
-                records[index] = next(iter(ways)) if self.assoc == 1 else ways
+    def load_state(self, state: Tuple[array, bytes]) -> None:
+        """Restore :meth:`to_state` (same geometry); order is the LRU stack.
+        A set is derived from its blocks, so a snapshot fits when its columns
+        match, its blocks are distinct, every byte is a :class:`LineState`
+        and no set holds more than ``assoc`` lines."""
+        blocks, states = state
+        num_sets, assoc = self.num_sets, self.assoc
+        lines = dict(zip(blocks, map(_BY_BYTE.get, states)))
+        if assoc == 1:
+            records: Dict[int, Any] = {block % num_sets: block for block in blocks}
+            fits = len(records) == len(blocks)
+        else:
+            records = {}
+            for block in blocks:
+                records.setdefault(block % num_sets, {})[block] = None
+            fits = all(len(ways) <= assoc for ways in records.values())
+        if not fits or None in lines.values() or not (
+                len(blocks) == len(lines) == len(states)):
+            raise ValueError(
+                f"cache geometry mismatch: snapshot of {len(blocks)} blocks and "
+                f"{len(states)} states does not fit {num_sets} sets of {assoc} ways")
         self._lines = lines
         self._sets = records
 

@@ -1,14 +1,16 @@
 """Eager reference models of the set-associative machine state.
 
 ``CacheLevel`` keeps one map of its resident lines plus a record per
-occupied set (the block itself when direct-mapped), ``ProcessorCache``
-probes that map directly, and ``SparseDirectory`` and the replacement
-policies keep only the sets something has been installed into.  These
-models are the obvious dense versions — one LRU-stack ``dict`` or slot
-row per possible set, allocated up front, and a two-level hierarchy that
-goes through each level's own ``lookup`` — and ``test_lazy_state.py``
-drives both with the same operation sequences and requires every return
-value, victim and walk to agree.  They are written for obviousness, not
+occupied set (the block itself when direct-mapped) and snapshots them as
+two packed columns, ``ProcessorCache`` probes that map directly, and
+``SparseDirectory`` and the replacement policies keep only the sets
+something has been installed into.  These models are the obvious dense
+versions — one LRU-stack ``dict`` or slot row per possible set, allocated
+up front, a snapshot that appends block and state byte as its dense walk
+meets them, and a two-level hierarchy that goes through each level's own
+``lookup`` — and ``test_lazy_state.py`` drives both with the same
+operation sequences and requires every return value, victim, walk and
+snapshot to agree.  They are written for obviousness, not
 speed: no shared helpers with the code under test beyond
 ``DirLine``/``Eviction``/``AllWaysBusy`` (plain records).
 """
@@ -16,6 +18,7 @@ speed: no shared helpers with the code under test beyond
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import DirectoryScheme
@@ -73,12 +76,13 @@ class EagerCacheLevel:
     def occupancy(self) -> int:
         return sum(len(s) for s in self.sets)
 
-    def to_state(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        return [
-            (index, [(block, int(state)) for block, state in s.items()])
-            for index, s in enumerate(self.sets)
-            if s
-        ]
+    def to_state(self) -> Tuple[array, bytes]:
+        blocks, states = array("q"), bytearray()
+        for s in self.sets:
+            for block, state in s.items():
+                blocks.append(block)
+                states.append(state)
+        return blocks, bytes(states)
 
 
 class EagerProcessorCache:

@@ -19,6 +19,7 @@ import ast
 import json
 import os
 import signal
+from array import array
 from pathlib import Path
 
 import pytest
@@ -547,13 +548,15 @@ def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     tracer's flat rows; schema 6 drops the processor's encoded fence op
     (a flag; the cursor rests on the op); schema 7 drops the invariant
     checker's ``mode`` (``"sampled"`` is gone, so every schema-6 file that
-    named it stops here).  An old file stops at the schema gate, before its
-    payload is even read."""
-    assert CKPT_SCHEMA == 7
+    named it stops here); schema 8 stores each cache level as two packed
+    columns, an ``array('q')`` of blocks and one state byte per block, in
+    place of a ``(set, [(block, state)])`` row per occupied set.  An old
+    file stops at the schema gate, before its payload is even read."""
+    assert CKPT_SCHEMA == 8
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    for old in (1, 2, 3, 4, 5, 6):
+    for old in range(1, CKPT_SCHEMA):
         header["schema"] = old
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n" + b"not even a payload")
@@ -575,8 +578,11 @@ def _sparse_lru_machine(max_events=300):
     return system
 
 
-def _l2(state):
-    return state["caches"][0][0]["l2"]  # [(set, [(block, state), ...])]
+def _l2(state, blocks=lambda b: b, states=lambda s: s):
+    """Corrupt the first cache's L2 columns ``(array('q') blocks, bytes)``."""
+    cache = state["caches"][0][0]
+    old_blocks, old_states = cache["l2"]
+    cache["l2"] = (blocks(old_blocks), states(old_states))
 
 
 def _dir(state):
@@ -593,11 +599,19 @@ def _rewrite_first(entries, index=lambda s: s, row=lambda r: r):
     entries[0] = (index(old_index), row(old_row))
 
 
+# A cache snapshot names no set index: each block's set is derived from
+# the block, so the old "cache-set-out-of-range" and "cache-wrong-set"
+# corruptions cannot be written against it.  What can be wrong is a set
+# over its ways, a block listed twice, columns of unequal length or a
+# byte that is no LineState.
 CORRUPTIONS = {
-    "cache-set-out-of-range": lambda st: _rewrite_first(_l2(st), index=lambda s: 10**9),
-    "cache-too-many-ways": lambda st: _rewrite_first(_l2(st), row=lambda r: r * 5),
-    "cache-wrong-set": lambda st: _rewrite_first(
-        _l2(st), row=lambda r: [(r[0][0] + 1, r[0][1])]),
+    "cache-too-many-ways": lambda st: _l2(  # four more blocks in one set
+        st, blocks=lambda b: b + array("q", [b[0] + i * 2**20 for i in range(1, 5)]),
+        states=lambda s: s + s[:1] * 4),
+    "cache-duplicate-block": lambda st: _l2(
+        st, blocks=lambda b: b + b[:1], states=lambda s: s + s[:1]),
+    "cache-column-lengths": lambda st: _l2(st, states=lambda s: s + s[:1]),
+    "cache-bad-state": lambda st: _l2(st, states=lambda s: b"\x07" + s[1:]),
     "dir-set-out-of-range": lambda st: _rewrite_first(_dir(st), index=lambda s: -1),
     "dir-too-many-ways": lambda st: _rewrite_first(_dir(st), row=lambda r: r + [None]),
     "dir-wrong-set": lambda st: _rewrite_first(_dir(st), index=lambda s: s + 1),

@@ -322,19 +322,21 @@ class TestCkpt:
 
     def test_schema_6_snapshot_refused_cleanly(self, capsys, tmp_path):
         """A snapshot from before the ``"sampled"`` checker mode was
-        retired (schema 6) ends in a message, not a traceback."""
+        retired (schema 6), or from before cache levels were packed into
+        columns (schema 7), ends in a message, not a traceback."""
         import json
 
         path, _ = self._write(capsys, tmp_path)
         head, payload = open(path, "rb").read().split(b"\n", 1)
-        header = json.loads(head)
-        header["schema"] = 6
-        open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
-        code, out = run_cli(capsys, "ckpt", "verify", path)
-        assert code == 1
-        assert out.startswith("FAIL:") and "schema 6 is not readable" in out
-        with pytest.raises(SystemExit, match="cannot resume: .*schema 6"):
-            run_cli(capsys, "ckpt", "resume", path)
+        for old in (6, 7):
+            header = json.loads(head)
+            header["schema"] = old
+            open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
+            code, out = run_cli(capsys, "ckpt", "verify", path)
+            assert code == 1
+            assert out.startswith("FAIL:") and f"schema {old} is not readable" in out
+            with pytest.raises(SystemExit, match=f"cannot resume: .*schema {old}"):
+                run_cli(capsys, "ckpt", "resume", path)
 
     def test_resume_reproduces_the_full_run(self, capsys, tmp_path):
         """`ckpt resume` rebuilds the machine from header metadata and

@@ -1,19 +1,23 @@
 """Machine state is proportional to occupancy, and behaves as if it were not.
 
 ``CacheLevel`` holds one block -> state map of its lines plus a record
-per occupied set, ``ProcessorCache`` probes those maps directly, and
-``SparseDirectory`` and the LRU/LRA stamp rows materialise a set on first
-install.  The property tests drive them and the dense models in
-``eager_reference.py`` with the same random operation sequences and
-require every return value, victim and whole-structure walk to agree
-(walks in ascending set order, which is the dense order).  The geometry
-tests build structures no dense layout could hold and price a resident
-line of the paper machine's direct-mapped caches.
+per occupied set and snapshots them as two packed columns (an
+``array('q')`` of blocks and one state byte each), ``ProcessorCache``
+probes those maps directly, and ``SparseDirectory`` and the LRU/LRA stamp
+rows materialise a set on first install.  The property tests drive them
+and the dense models in ``eager_reference.py`` with the same random
+operation sequences and require every return value, victim,
+whole-structure walk and snapshot to agree (walks in ascending set order,
+which is the dense order).  The geometry tests build structures no dense
+layout could hold, refuse snapshots that do not fit, and price a resident
+line of the paper machine's direct-mapped caches, live and snapshotted.
 """
 
 import gc
+import pickle
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +65,7 @@ def test_cache_level_matches_eager_model(geometry, ops):
     clone = CacheLevel(capacity, 16, assoc)
     clone.load_state(lazy.to_state())
     assert list(clone.blocks()) == list(eager.blocks())
-    assert clone.to_state() == lazy.to_state()
+    assert clone.to_state() == lazy.to_state() == eager.to_state()
 
 
 # (L1 bytes, L1 assoc, L2 bytes, L2 assoc), 16 B blocks
@@ -198,7 +202,7 @@ def test_construction_cost_is_independent_of_capacity():
     )
     elapsed = time.perf_counter() - t0
     assert cache.num_sets == 2**30 and cache.occupancy() == 0
-    assert list(cache.blocks()) == [] and cache.to_state() == []
+    assert list(cache.blocks()) == [] and cache.to_state() == (array("q"), b"")
     assert store.num_sets == 2**26 and store.occupancy() == 0
     assert list(store.lines()) == [] and store.to_state()["sets"] == []
     assert sum(c.store.occupancy() for c in system.directories) == 0
@@ -206,31 +210,77 @@ def test_construction_cost_is_independent_of_capacity():
     # first touch materialises exactly the touched set
     assert cache.install(2**30 + 5, LineState.DIRTY) is None
     assert list(cache.blocks()) == [(2**30 + 5, LineState.DIRTY)]
-    assert cache.to_state() == [(5, [(2**30 + 5, int(LineState.DIRTY))])]
+    assert cache.to_state() == (array("q", [2**30 + 5]), bytes([LineState.DIRTY]))
     line, evictions = store.get_or_allocate(3 * 2**26 + 9)
     assert evictions == [] and store.occupancy() == 1
     assert [b for b, _ in store.lines()] == [3 * 2**26 + 9]
 
 
+def _full_paper_caches():
+    """Four paper-machine caches (direct-mapped 64 KB over 256 KB), full."""
+    caches = []
+    for p in range(4):
+        cache = ProcessorCache(16, 64 * 1024, 1, 256 * 1024, 1)
+        for i in range(16384):
+            cache.install((p << 20) + i, LineState.SHARED)
+        caches.append(cache)
+    return caches
+
+
 def test_direct_mapped_line_cost():
-    # four paper-machine caches (direct-mapped 64 KB over 256 KB), full:
     # a resident line costs its map entries, not a container per set
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        caches = []
-        for p in range(4):
-            cache = ProcessorCache(16, 64 * 1024, 1, 256 * 1024, 1)
-            for i in range(16384):
-                cache.install((p << 20) + i, LineState.SHARED)
-            caches.append(cache)
+        caches = _full_paper_caches()
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     lines = sum(c.l1.occupancy() + c.l2.occupancy() for c in caches)
     assert lines == 4 * (4096 + 16384)
     assert used / lines <= 200, f"{used / lines:.0f} B per resident line"
+
+
+def test_snapshot_line_cost():
+    # capturing and pickling a resident line costs its packed columns,
+    # not a tuple per line: peak and payload are a few bytes a line
+    caches = _full_paper_caches()
+    lines = sum(c.l1.occupancy() + c.l2.occupancy() for c in caches)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        payload = pickle.dumps([c.to_state() for c in caches], protocol=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert lines == 4 * (4096 + 16384)
+    assert peak / lines <= 64, f"{peak / lines:.0f} B per line at peak"
+    assert len(payload) / lines <= 12, f"{len(payload) / lines:.1f} B per line"
+
+
+SNAPSHOT_CORRUPTIONS = {
+    "duplicate-block": lambda b, s: (b + b[:1], s + s[:1]),
+    "column-lengths": lambda b, s: (b, s + s[:1]),
+    "bad-state": lambda b, s: (b, b"\x00" + s[1:]),
+    "too-many-ways": lambda b, s: (b + array("q", [b[0] + 4 * 8]), s + s[:1]),
+}
+
+
+@pytest.mark.parametrize("assoc", [1, 2])
+@pytest.mark.parametrize(
+    "corrupt", SNAPSHOT_CORRUPTIONS.values(), ids=SNAPSHOT_CORRUPTIONS.keys())
+def test_malformed_snapshot_is_refused(assoc, corrupt):
+    # 8 sets of `assoc` ways; set 0 full, so one more block overfills it
+    cache = CacheLevel(16 * 8 * assoc, 16, assoc)
+    for block in range(0, 8 * assoc, 8):
+        cache.install(block, LineState.DIRTY)
+    cache.install(3, LineState.SHARED)
+    clone = CacheLevel(16 * 8 * assoc, 16, assoc)
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        clone.load_state(corrupt(*cache.to_state()))
+    assert clone.occupancy() == 0
 
 
 @pytest.mark.parametrize("policy", ["lru", "lra", "random"])
