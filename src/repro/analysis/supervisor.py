@@ -865,7 +865,6 @@ class SupervisedRunner:
                 # 5. keep the worker pool sized to the remaining work
                 while len(workers) < min(self.jobs, len(outstanding)):
                     spawn()
-                ledger.monitor.tick()
             # Reached on the clean and interrupted exits only: flush
             # every finished result before the workers are stopped, so
             # SIGINT loses none (each still reaches the ledger, and

@@ -67,7 +67,6 @@ from repro.analysis.supervisor import (
 from repro.machine.config import MachineConfig
 from repro.machine.stats import STATS_SCHEMA, SimStats
 from repro.obs.aggregate import PointTelemetry, SweepAggregator
-from repro.obs.dashboard import SweepMonitor
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.trace.workload import Workload
 
@@ -200,6 +199,35 @@ class PointSpec:
     label: str = ""
 
 
+class SweepMonitor:
+    """Observer of a sweep's point lifecycle; every method is a no-op.
+
+    Subclass and override what you need.  The engine calls these from
+    the parent process only, in the same order on both drivers.
+    """
+
+    def begin(self, *, total: int, jobs: int) -> None:
+        """The sweep is starting: ``total`` grid points, ``jobs`` workers."""
+
+    def point_cached(self, index: int, label: str) -> None:
+        """A point was served from the result cache (no simulation)."""
+
+    def point_started(self, index: int, label: str, worker: int) -> None:
+        """A worker process (OS pid ``worker``) began simulating a point."""
+
+    def point_done(self, index: int, label: str, wall_s: float) -> None:
+        """A point completed after ``wall_s`` seconds of simulation."""
+
+    def point_retry(self, index: int, label: str, kind: str) -> None:
+        """A point attempt is being retried (worker death/timeout/error)."""
+
+    def point_quarantined(self, index: int, label: str) -> None:
+        """A point exhausted its retries and was quarantined."""
+
+    def finish(self) -> None:
+        """The sweep ended (success, failure, or interrupt)."""
+
+
 class PointLedger:
     """The one place a sweep point's fate is written down.
 
@@ -288,10 +316,8 @@ class PointLedger:
         self.report.mark_completed(i, self.label(i), wall)
         if events_saved is not None:
             self.report.mark_resumed(i, events_saved, self.label(i))
-        if telemetry is not None:
-            if self.aggregate is not None:
-                self.aggregate.add(telemetry)
-            self.monitor.telemetry(telemetry)
+        if telemetry is not None and self.aggregate is not None:
+            self.aggregate.add(telemetry)
         self.monitor.point_done(i, self.label(i), wall)
         if self.cache is not None:
             self.cache.put(self.keys[i], stats)
@@ -353,9 +379,9 @@ def run_points(
     caches) are byte-identical with or without aggregation: the metrics
     reference is stripped before the stats leave the executor, so the
     telemetry is the only channel the observability data travels on.
-    ``monitor`` (a :class:`~repro.obs.dashboard.SweepMonitor`, e.g. the
-    live dashboard) receives begin/point lifecycle/tick/finish callbacks
-    from the parent process on every execution path.
+    ``monitor`` (a :class:`SweepMonitor`) receives begin/point
+    lifecycle/finish callbacks from the parent process on every
+    execution path.
 
     Execution: every point goes through one
     :class:`~repro.analysis.supervisor.SupervisedRunner`, which forks
@@ -510,7 +536,7 @@ class Sweep:
         :func:`run_points`; under ``policy.keep_going`` quarantined
         points are simply absent from the returned results (the
         ``report`` records why).  ``aggregate``/``monitor`` — sweep
-        observability (merged per-point telemetry, live dashboard), see
+        observability (merged per-point telemetry, lifecycle callbacks), see
         :func:`run_points`.  ``checkpoint_dir``/``checkpoint_interval``
         — crash-consistent per-point snapshots with mid-run resume, see
         :func:`run_points`.

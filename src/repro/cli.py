@@ -1,19 +1,22 @@
-"""Command-line interface: run paper experiments without writing code.
+"""Command-line interface: the one ``repro`` argument tree.
 
 Subcommands::
 
     python -m repro run --app LU --scheme Dir3CV2 --procs 32
     python -m repro sweep --app LU --axis scheme=full,Dir3CV2 --jobs 4
-    python -m repro compare --app LocusRoute --schemes full,Dir3CV2,Dir3B
-    python -m repro characterize --app DWF
-    python -m repro overhead --nodes 64 --scheme Dir3CV2 --sparsity 4
-    python -m repro fig2 --nodes 32 --schemes full,Dir3B,Dir3CV2
+    python -m repro ckpt inspect run.ckpt
     python -m repro dump-trace --app MP3D --out mp3d.trace
     python -m repro replay --trace mp3d.trace --scheme Dir3B
+    python -m repro profile --app MP3D --events 50000
+    python -m repro obs trace --app MP3D --out mp3d.json
+    python -m repro verify check --scheme full -n 3
 
 Applications accept ``--scale`` to grow/shrink the default problem
 size.  All simulations print the message breakdown and invalidation
-statistics the paper reports.
+statistics the paper reports; the paper's tables and figures come from
+the ``benchmarks/`` scripts.  Any subcommand that fails with an
+``OSError`` or ``ValueError`` (an unknown scheme, a missing file)
+prints ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -22,19 +25,11 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import (
-    ascii_chart,
-    exact_expected_invalidations,
-    figure2_series,
-    format_histogram,
-    format_series,
-    format_table,
-)
+from repro.analysis import format_histogram
 from repro.apps import DWFWorkload, LocusRouteWorkload, LUWorkload, MP3DWorkload
-from repro.core import make_scheme
-from repro.core.overhead import directory_overhead, savings_factor
 from repro.machine import DashSystem, MachineConfig, run_workload
-from repro.trace import Workload, characterize
+from repro.machine.checkpoint import CheckpointError
+from repro.trace import Workload
 from repro.trace.recorder import ReplayWorkload, dump_trace
 
 
@@ -113,32 +108,45 @@ def _print_stats(stats, checker=None) -> None:
               f"violations={len(checker.violations):,}")
 
 
-def cmd_run(args) -> int:
-    """``repro run``: one app under one scheme, stats printed."""
-    workload = app_factory(args.app, args.procs, args.scale, args.seed)
-    checkpoint_meta = None
-    if args.checkpoint_to is not None:
-        if args.checkpoint_interval is None:
-            raise SystemExit("--checkpoint-to needs --checkpoint-interval N")
-        # everything `repro ckpt resume` needs to rebuild this run
-        checkpoint_meta = {
-            "app": args.app, "procs": args.procs, "scale": args.scale,
-            "seed": args.seed, "faults": args.faults, "strict": args.strict,
-        }
-    elif args.checkpoint_interval is not None:
+def _simulate(args, config, workload, meta, ckpt=None):
+    """Build the machine ``meta`` describes, restore ``ckpt`` into it if
+    given, and run it to completion under ``--checkpoint-to`` /
+    ``--checkpoint-interval`` (``run`` and ``ckpt resume`` alike)."""
+    if args.checkpoint_to is not None and args.checkpoint_interval is None:
+        raise SystemExit("--checkpoint-to needs --checkpoint-interval N")
+    if args.checkpoint_interval is not None and args.checkpoint_to is None:
         raise SystemExit("--checkpoint-interval needs --checkpoint-to PATH")
+    strict = bool(meta.get("strict"))
     system = DashSystem(
-        machine_from_args(args),
-        workload,
-        strict=args.strict,
-        faults=args.faults,
-        invariants="strict" if args.strict else None,
+        config, workload, strict=strict, faults=meta.get("faults"),
+        invariants="strict" if strict else None,
     )
+    if ckpt is not None:
+        try:
+            system.restore(ckpt)
+        except CheckpointError as exc:
+            raise SystemExit(f"cannot resume: {exc}")
+        header = ckpt.header
+        print(f"resuming {workload.name} on {config.num_processors} "
+              f"processors, scheme {header.get('scheme')} "
+              f"(at {header['events_run']:,} events, t={header['now']:,.0f})")
     stats = system.run(
         checkpoint_path=args.checkpoint_to,
         checkpoint_interval=args.checkpoint_interval,
-        checkpoint_meta=checkpoint_meta,
+        checkpoint_meta=meta if args.checkpoint_to is not None else None,
     )
+    return system, stats
+
+
+def cmd_run(args) -> int:
+    """``repro run``: one app under one scheme, stats printed."""
+    workload = app_factory(args.app, args.procs, args.scale, args.seed)
+    # everything `repro ckpt resume` needs to rebuild this run
+    meta = {
+        "app": args.app, "procs": args.procs, "scale": args.scale,
+        "seed": args.seed, "faults": args.faults, "strict": args.strict,
+    }
+    system, stats = _simulate(args, machine_from_args(args), workload, meta)
     if args.check:
         system.check_coherence()
     print(f"{workload.name} on {args.procs} processors, scheme {args.scheme}")
@@ -275,11 +283,6 @@ def cmd_sweep(args) -> int:
         from repro.obs.aggregate import SweepAggregator
 
         aggregate = SweepAggregator()
-    monitor = None
-    if args.dashboard:
-        from repro.obs.dashboard import SweepDashboard
-
-        monitor = SweepDashboard()
 
     def _write_aggregate() -> None:
         assert aggregate is not None
@@ -308,7 +311,7 @@ def cmd_sweep(args) -> int:
         results = sweep.run(
             jobs=args.jobs, cache=cache, progress=progress,
             policy=policy, report=report,
-            aggregate=aggregate, monitor=monitor,
+            aggregate=aggregate,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=args.ckpt_interval,
         )
@@ -346,7 +349,6 @@ def cmd_ckpt(args) -> int:
     import json
 
     from repro.machine.checkpoint import (
-        CheckpointError,
         load_checkpoint,
         read_header,
         verify_checkpoint,
@@ -403,111 +405,13 @@ def cmd_ckpt(args) -> int:
             "(it was not written by `repro run --checkpoint-to`); restore "
             "it programmatically with repro.machine.checkpoint instead"
         )
-    config = MachineConfig(**header["config"])
     workload = app_factory(
         meta["app"], meta["procs"], meta["scale"], meta["seed"]
     )
-    strict = bool(meta.get("strict"))
-    system = DashSystem(
-        config,
-        workload,
-        strict=strict,
-        faults=meta.get("faults"),
-        invariants="strict" if strict else None,
-    )
-    try:
-        system.restore(ckpt)
-    except CheckpointError as exc:
-        raise SystemExit(f"cannot resume: {exc}")
-    if (args.checkpoint_to is None) != (args.checkpoint_interval is None):
-        raise SystemExit(
-            "--checkpoint-to and --checkpoint-interval go together"
-        )
-    print(f"resuming {workload.name} on {config.num_processors} processors, "
-          f"scheme {header.get('scheme')} "
-          f"(at {header['events_run']:,} events, t={header['now']:,.0f})")
-    stats = system.run(
-        checkpoint_path=args.checkpoint_to,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_meta=(meta if args.checkpoint_to else None),
+    system, stats = _simulate(
+        args, MachineConfig(**header["config"]), workload, meta, ckpt
     )
     _print_stats(stats, system.invariants)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    """``repro compare``: one app across schemes, normalized table."""
-    schemes = args.schemes.split(",")
-    rows = []
-    base = None
-    for scheme in schemes:
-        workload = app_factory(args.app, args.procs, args.scale, args.seed)
-        stats = run_workload(machine_from_args(args, scheme), workload)
-        if base is None:
-            base = stats
-        rows.append([
-            scheme,
-            round(stats.exec_time / base.exec_time, 3),
-            round(stats.total_messages / base.total_messages, 3),
-            stats.requests,
-            stats.replies,
-            stats.inval_plus_ack,
-        ])
-    print(f"{args.app} on {args.procs} processors "
-          f"(normalized to {schemes[0]}):")
-    print(format_table(
-        ["scheme", "norm exec", "norm msgs", "requests", "replies",
-         "inval+ack"], rows,
-    ))
-    return 0
-
-
-def cmd_characterize(args) -> int:
-    """``repro characterize``: Table 2 columns for one app."""
-    workload = app_factory(args.app, args.procs, args.scale, args.seed)
-    st = characterize(workload)
-    print(format_table(
-        ["app", "shared refs", "reads", "writes", "sync ops", "shared KB"],
-        [[st.name, st.shared_refs, st.shared_reads, st.shared_writes,
-          st.sync_ops, round(st.shared_bytes / 1024, 1)]],
-    ))
-    return 0
-
-
-def cmd_overhead(args) -> int:
-    """``repro overhead``: analytic directory-memory cost."""
-    scheme = make_scheme(args.scheme, args.nodes)
-    ov = directory_overhead(scheme, args.block_bytes, sparsity=args.sparsity)
-    print(f"scheme          : {scheme.name} on {args.nodes} nodes")
-    print(f"bits per entry  : {ov.bits_per_entry}")
-    print(f"bits per block  : {ov.bits_per_block:.2f}")
-    print(f"overhead        : {ov.overhead_percent:.2f}%")
-    if args.sparsity > 1:
-        print(f"savings factor  : "
-              f"{savings_factor(scheme, args.block_bytes, args.sparsity):.1f}x "
-              f"vs non-sparse")
-    return 0
-
-
-def cmd_fig2(args) -> int:
-    """``repro fig2``: invalidations-vs-sharers series (MC or exact)."""
-    schemes = args.schemes.split(",")
-    if args.exact:
-        series = {}
-        for name in schemes:
-            series[name] = [
-                exact_expected_invalidations(name, args.nodes, k)
-                for k in range(args.max_sharers + 1)
-            ]
-    else:
-        series = figure2_series(
-            schemes, args.nodes, max_sharers=args.max_sharers,
-            trials=args.trials,
-        )
-    if args.chart:
-        print(ascii_chart(series, x_label="sharers"))
-        print()
-    print(format_series(series, x_label="sharers"))
     return 0
 
 
@@ -561,20 +465,6 @@ def cmd_profile(args) -> int:
         print(f"wrote profile data to {args.out} "
               f"(inspect with: python -m pstats {args.out})")
     return 0
-
-
-def cmd_verify(args) -> int:
-    """``repro verify``: delegate to the model checker / lint CLI."""
-    from repro.verify.cli import main as verify_main
-
-    return verify_main(args.verify_args)
-
-
-def cmd_obs(args) -> int:
-    """``repro obs``: delegate to the observability CLI."""
-    from repro.obs.cli import main as obs_main
-
-    return obs_main(args.obs_args)
 
 
 def add_machine_args(p: argparse.ArgumentParser) -> None:
@@ -682,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace every point (serial or forked workers) and "
                         "write one merged Perfetto trace plus summary and "
                         "metrics JSON under DIR")
-    p.add_argument("--dashboard", action="store_true",
-                   help="live sweep dashboard: an ANSI panel on a TTY, "
-                        "periodic plain log lines otherwise")
     p.add_argument("--gzip", action="store_true",
                    help="gzip the merged --obs-out trace")
     p.set_defaults(func=cmd_sweep)
@@ -712,36 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--checkpoint-interval", type=int, default=None,
                    metavar="N", help="snapshot period for --checkpoint-to")
     q.set_defaults(func=cmd_ckpt)
-
-    p = sub.add_parser("compare", help="one app across several schemes")
-    add_machine_args(p)
-    p.add_argument("--app", required=True)
-    p.add_argument("--schemes", default="full,Dir3CV2,Dir3B,Dir3NB")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("characterize", help="Table 2 columns for one app")
-    add_machine_args(p)
-    p.add_argument("--app", required=True)
-    p.set_defaults(func=cmd_characterize)
-
-    p = sub.add_parser("overhead", help="directory memory overhead (Table 1)")
-    p.add_argument("--nodes", type=int, default=32)
-    p.add_argument("--scheme", default="full")
-    p.add_argument("--block-bytes", type=int, default=16)
-    p.add_argument("--sparsity", type=float, default=1.0)
-    p.set_defaults(func=cmd_overhead)
-
-    p = sub.add_parser("fig2", help="average invalidations vs sharers")
-    p.add_argument("--nodes", type=int, default=32)
-    p.add_argument("--schemes", default="full,Dir3B,Dir3CV2")
-    p.add_argument("--max-sharers", type=int, default=16)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--chart", action="store_true",
-                   help="render an ASCII line chart above the table")
-    p.add_argument("--exact", action="store_true",
-                   help="closed-form expectations instead of Monte Carlo "
-                        "(full, Dir_iB, Dir_iCV_r only)")
-    p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("dump-trace", help="write an app's trace to a file")
     add_machine_args(p)
@@ -771,43 +628,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump raw profile data for python -m pstats")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser(
-        "verify", help="model-check schemes / lint the simulator sources"
-    )
-    p.add_argument(
-        "verify_args",
-        nargs=argparse.REMAINDER,
-        metavar="...",
-        help="arguments for repro.verify (try: verify check --scheme full -n 3)",
-    )
-    p.set_defaults(func=cmd_verify)
+    # `repro obs` and `repro verify` keep their handlers beside what they
+    # drive; imported here because both read this module's machine flags
+    from repro.obs import cli as obs_cli
+    from repro.verify import cli as verify_cli
 
-    p = sub.add_parser(
-        "obs", help="structured tracing, trace summaries, metrics diffs"
-    )
-    p.add_argument(
-        "obs_args",
-        nargs=argparse.REMAINDER,
-        metavar="...",
-        help="arguments for repro.obs "
-             "(try: obs trace --app mp3d --out trace.json)",
-    )
-    p.set_defaults(func=cmd_obs)
+    for name, group, text in (
+        ("obs", obs_cli, "structured tracing, trace summaries, metrics diffs"),
+        ("verify", verify_cli, "model-check schemes, check traces, lint sources"),
+    ):
+        p = sub.add_parser(
+            name, help=text, description=group.__doc__,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        group.add_commands(p.add_subparsers(dest=f"{name}_cmd", required=True))
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error policy of every subcommand: an ``OSError`` or
+    ``ValueError`` prints ``error: ...`` on stderr and exits 2.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return int(args.func(args))
     except BrokenPipeError:  # output piped into head/less and closed
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -15,8 +15,6 @@ The simulator's measurement substrate (see ``docs/observability.md``):
 * :mod:`repro.obs.aggregate` — cross-worker sweep telemetry: per-point
   capture in workers, exact parent-side merge, one Perfetto trace with
   worker ``pid`` lanes;
-* :mod:`repro.obs.dashboard` — live sweep dashboard (ANSI TTY panel,
-  plain log lines otherwise) fed by the same monitor callbacks;
 * :mod:`repro.obs.causal` — per-transaction causal chains and phase
   latency decomposition reconstructed from any trace;
 * :mod:`repro.obs.cli` — ``repro obs trace`` / ``summarize`` / ``diff``
@@ -35,7 +33,6 @@ from repro.obs.causal import (
     reconstruct,
     verify_chain_sums,
 )
-from repro.obs.dashboard import SweepDashboard, SweepMonitor
 from repro.obs.export import (
     export_trace,
     is_gzipped,
@@ -92,8 +89,6 @@ __all__ = [
     "PointTelemetry",
     "SweepAggregator",
     "merge_metrics_dict",
-    "SweepMonitor",
-    "SweepDashboard",
     "ChainSet",
     "TxnChain",
     "reconstruct",

@@ -1,13 +1,13 @@
-"""``python -m repro.obs``: capture, summarize, and diff observability data.
+"""``repro obs``: capture, summarize, and diff observability data.
 
 Subcommands::
 
-    python -m repro.obs trace --app MP3D --scheme Dir4CV4 --out mp3d.json
-    python -m repro.obs trace --app LU --format jsonl --out lu.jsonl \\
+    python -m repro obs trace --app MP3D --scheme Dir4CV4 --out mp3d.json
+    python -m repro obs trace --app LU --format jsonl --out lu.jsonl \\
         --metrics-out lu_metrics.json
-    python -m repro.obs summarize mp3d.json [--strict]
-    python -m repro.obs diff seed0_metrics.json seed1_metrics.json
-    python -m repro.obs critical-path mp3d.json --top 5
+    python -m repro obs summarize mp3d.json [--strict]
+    python -m repro obs diff seed0_metrics.json seed1_metrics.json
+    python -m repro obs critical-path mp3d.json --top 5
 
 ``trace`` runs one simulation with tracing enabled and writes the trace
 (Chrome ``trace_event`` JSON by default — load it at
@@ -20,6 +20,9 @@ and latency-histogram buckets).  ``critical-path`` reconstructs the
 per-transaction causal chains (request -> directory service ->
 invalidation fan-out -> reply) from any trace and reports where the
 latency went.  Every reader sniffs and accepts gzipped files.
+:func:`add_commands` puts the four under ``repro obs`` in
+:func:`repro.cli.build_parser`, whose ``main`` turns an ``OSError`` or
+``ValueError`` into ``error: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ import argparse
 import json
 import sys
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.report import format_metrics_report, format_profile, format_table
 from repro.cli import add_machine_args, app_factory, machine_from_args
 from repro.machine.system import DashSystem
-from repro.obs.export import export_trace, read_trace
+from repro.obs.export import _open_read, export_trace, read_trace
 from repro.obs.metrics import histogram_delta, load_metrics_dict
 from repro.obs.profiler import profile_run
 from repro.obs.registry import EVENTS
@@ -131,16 +134,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _load_metrics_file(path: str) -> Dict[str, object]:
-    """Read a stats-with-metrics JSON (as written by ``trace``).
-
-    Accepts gzipped files too (sniffed by magic, not suffix).
-    """
-    import gzip
-
-    from repro.obs.export import is_gzipped
-
-    opener = gzip.open(path, "rt") if is_gzipped(path) else open(path)
-    with opener as fh:
+    """Read a stats-with-metrics JSON (as written by ``trace``), gzipped
+    or not."""
+    with _open_read(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -149,12 +145,8 @@ def _load_metrics_file(path: str) -> Dict[str, object]:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Compare two runs' metrics files (scalars + histogram buckets)."""
-    try:
-        a = _load_metrics_file(args.a)
-        b = _load_metrics_file(args.b)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a = _load_metrics_file(args.a)
+    b = _load_metrics_file(args.b)
     scalar_rows: List[Sequence[object]] = []
     for key in sorted(set(a) | set(b)):
         va, vb = a.get(key), b.get(key)
@@ -166,12 +158,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if scalar_rows:
         print(f"scalar stats ({args.a} -> {args.b}):")
         print(format_table(["stat", "a", "b", "delta"], scalar_rows))
-    try:
-        ma = load_metrics_dict(a.get("metrics", {"schema": 1}))  # type: ignore[arg-type]
-        mb = load_metrics_dict(b.get("metrics", {"schema": 1}))  # type: ignore[arg-type]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ma = load_metrics_dict(a.get("metrics", {"schema": 1}))  # type: ignore[arg-type]
+    mb = load_metrics_dict(b.get("metrics", {"schema": 1}))  # type: ignore[arg-type]
     hists_a: Dict[str, Dict[str, object]] = ma["histograms"]  # type: ignore[assignment]
     hists_b: Dict[str, Dict[str, object]] = mb["histograms"]  # type: ignore[assignment]
     for name in sorted(set(hists_a) | set(hists_b)):
@@ -213,15 +201,10 @@ def cmd_critical_path(args: argparse.Namespace) -> int:
     return 0 if chain_set.chains else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for the ``trace`` / ``summarize`` / ``diff`` verbs."""
-    parser = argparse.ArgumentParser(
-        prog="repro.obs",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def add_commands(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> None:
+    """Add ``trace`` / ``summarize`` / ``diff`` / ``critical-path``."""
     p = sub.add_parser("trace", help="run one app with tracing enabled")
     add_machine_args(p)
     p.add_argument("--app", required=True,
@@ -259,19 +242,3 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-histograms", action="store_true",
                    help="skip the per-phase latency histograms")
     p.set_defaults(func=cmd_critical_path)
-
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the selected subcommand and return its exit status."""
-    args = build_parser().parse_args(argv)
-    try:
-        return int(args.func(args))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

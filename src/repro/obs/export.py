@@ -50,7 +50,7 @@ def is_gzipped(path: PathLike) -> bool:
         return fh.read(2) == _GZIP_MAGIC
 
 
-def _open_read(path: Path) -> IO[str]:
+def _open_read(path: PathLike) -> IO[str]:
     """Open a trace file for text reading, decompressing if gzipped."""
     if is_gzipped(path):
         return gzip.open(path, "rt")

@@ -16,7 +16,7 @@ configurations:
 * :mod:`repro.verify.lint` — an AST analyzer enforcing simulator-specific
   rules the type checker cannot express.
 
-Run both via ``python -m repro.verify {check,lint}``.
+Run them via ``python -m repro verify {check,conform,lint}``.
 """
 
 from repro.verify.explorer import Counterexample, ExploreResult, explore

@@ -1,14 +1,14 @@
-"""``python -m repro.verify``: model-check, lint, and trace conformance.
+"""``repro verify``: model-check, lint, and trace conformance.
 
 Subcommands::
 
-    python -m repro.verify check --scheme Dir1CV2 -n 4
-    python -m repro.verify check --scheme Dir4B -n 8 --por --stats stats.json
-    python -m repro.verify check --scheme full -n 4 --cross-check
-    python -m repro.verify check --scheme full -n 3 --liveness
-    python -m repro.verify conform trace.json
-    python -m repro.verify lint src/repro
-    python -m repro.verify lint --list-rules
+    python -m repro verify check --scheme Dir1CV2 -n 4
+    python -m repro verify check --scheme Dir4B -n 8 --por --stats stats.json
+    python -m repro verify check --scheme full -n 4 --cross-check
+    python -m repro verify check --scheme full -n 3 --liveness
+    python -m repro verify conform trace.json
+    python -m repro verify lint src/repro
+    python -m repro verify lint --list-rules
 
 ``check`` exits 0 only when the bounded state space was exhausted with no
 violation; a violation prints the minimal counterexample trace.  With
@@ -19,7 +19,10 @@ searches for fairness-violating cycles (starved requests, livelocks) and
 prints the lasso counterexample.  ``conform`` replays a recorded
 :mod:`repro.obs` trace through the protocol model and rejects the first
 traced event the model would not allow.  ``lint`` exits 0 when no
-findings survive inline suppressions.
+findings survive inline suppressions.  :func:`add_commands` puts the
+three under ``repro verify`` in :func:`repro.cli.build_parser`, whose
+``main`` turns an ``OSError`` or ``ValueError`` (an unknown scheme, a
+missing trace) into ``error: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.registry import make_scheme
 from repro.verify.explorer import ExploreResult, explore, por_cross_check
@@ -70,18 +73,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     """
     names = [n for n in args.scheme.split(",") if n.strip()]
     if not names:
-        print("error: --scheme needs at least one scheme name",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.cross_check:
-            return _cross_check(args, names)
-        if len(names) > 1:
-            return _check_many(args, names)
-        cfg = _config_for(args, names[0])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--scheme needs at least one scheme name")
+    if args.cross_check:
+        return _cross_check(args, names)
+    if len(names) > 1:
+        return _check_many(args, names)
+    cfg = _config_for(args, names[0])
     result = explore(cfg, por=args.por)
     store = "full map" if args.sparse_ways is None else (
         f"sparse 1x{args.sparse_ways}"
@@ -209,16 +206,12 @@ def cmd_conform(args: argparse.Namespace) -> int:
     """Check that a recorded trace is a path in the protocol model."""
     from repro.verify.conformance import check_trace, format_conformance_report
 
-    try:
-        result = check_trace(
-            args.trace,
-            scheme=args.conform_scheme,
-            num_nodes=args.conform_nodes,
-            max_divergences=args.max_divergences,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = check_trace(
+        args.trace,
+        scheme=args.conform_scheme,
+        num_nodes=args.conform_nodes,
+        max_divergences=args.max_divergences,
+    )
     print(format_conformance_report(result))
     _write_stats(args, result.stats_dict())
     return 0 if result.ok else 1
@@ -239,9 +232,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         # a typo'd path must not read as a clean lint run (e.g. in CI)
-        for p in missing:
-            print(f"error: no such file or directory: {p}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no such file or directory: {', '.join(missing)}")
     findings = run_lint(paths)
     for finding in findings:
         print(finding.format())
@@ -252,15 +243,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``check``, ``conform``, and ``lint``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.verify",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def add_commands(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> None:
+    """Add ``check``, ``conform``, and ``lint``."""
     p = sub.add_parser("check", help="model-check one scheme's state space")
     p.add_argument("--scheme", default="full",
                    help="scheme name (registry); comma-separate several "
@@ -309,15 +295,3 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.set_defaults(func=cmd_lint)
-
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the selected subcommand and return its exit status."""
-    args = build_parser().parse_args(argv)
-    return int(args.func(args))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

@@ -1,7 +1,7 @@
 """Simulator-specific AST lint rules the type checker cannot express.
 
 The rules are catalogued once, in :data:`LINT_RULES` (``python -m
-repro.verify lint --list-rules`` prints it); the rule table in
+repro verify lint --list-rules`` prints it); the rule table in
 ``docs/verification.md`` says what each one matches and why it exists.
 
 Suppressions are **line-targeted**: ``# lint: ignore[rule-name]`` (or a

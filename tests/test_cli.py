@@ -1,8 +1,12 @@
 """CLI tests (direct main() invocation, small problem sizes)."""
 
+import argparse
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -52,59 +56,71 @@ class TestRun:
             main(["run", "--app", "NoSuchApp", *SMALL])
 
 
-class TestCompare:
-    def test_compare(self, capsys):
-        code, out = run_cli(capsys, "compare", "--app", "LocusRoute", *SMALL,
-                            "--schemes", "full,Dir2B")
-        assert code == 0
-        assert "norm exec" in out and "Dir2B" in out
+class TestErrorPolicy:
+    """Every subcommand shares ``main``'s one error policy: an OSError or
+    ValueError ends in ``error: ...`` on stderr and exit 2, not a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--app", "LU", *SMALL, "--scheme", "Dir3QQ"],
+        ["sweep", "--app", "LU", *SMALL, "--axis", "scheme=Dir3QQ",
+         "--no-cache"],
+        ["obs", "trace", "--app", "LU", *SMALL, "--scheme", "Dir3QQ",
+         "--out", "unused.json"],
+    ], ids=["run", "sweep", "obs"])
+    def test_unknown_scheme_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Dir3QQ" in err
+        assert "Traceback" not in err
+
+    def test_missing_trace_exits_2(self, capsys, tmp_path):
+        assert main(["replay", "--trace", str(tmp_path / "missing")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+        assert "Traceback" not in err
 
 
-class TestCharacterize:
-    def test_characterize(self, capsys):
-        code, out = run_cli(capsys, "characterize", "--app", "LU", *SMALL)
-        assert code == 0
-        assert "shared refs" in out
+class TestOneTree:
+    """One argparse tree: ``repro.cli`` alone builds a parser and has a
+    ``main``; ``obs`` and ``verify`` are groups in it."""
 
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-class TestOverhead:
-    def test_overhead_dense(self, capsys):
-        code, out = run_cli(capsys, "overhead", "--nodes", "16",
-                            "--scheme", "full")
-        assert code == 0
-        assert "13.28%" in out  # DASH's ~13.3% (17/128 bits)
+    def test_top_level_subcommands(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [
+            "run", "sweep", "ckpt", "dump-trace", "replay", "profile",
+            "obs", "verify",
+        ]
+        groups = {name: list(next(
+            a for a in sub.choices[name]._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices) for name in ("obs", "verify")}
+        assert groups == {
+            "obs": ["trace", "summarize", "diff", "critical-path"],
+            "verify": ["check", "conform", "lint"],
+        }
 
-    def test_overhead_sparse(self, capsys):
-        code, out = run_cli(capsys, "overhead", "--nodes", "32",
-                            "--scheme", "full", "--sparsity", "64")
-        assert code == 0
-        assert "savings factor" in out
-        assert "54.2" in out
-
-
-class TestFig2:
-    def test_fig2(self, capsys):
-        code, out = run_cli(capsys, "fig2", "--nodes", "8",
-                            "--schemes", "full,Dir1B",
-                            "--max-sharers", "6", "--trials", "20")
-        assert code == 0
-        assert "sharers" in out
-
-    def test_fig2_exact(self, capsys):
-        code, out = run_cli(capsys, "fig2", "--nodes", "16",
-                            "--schemes", "full,Dir3B,Dir3CV2",
-                            "--max-sharers", "14", "--exact")
-        assert code == 0
-        # closed form: Dir3B plateau at N-2 = 14 from 4 sharers on
-        assert "14.000" in out
-
-    def test_fig2_chart(self, capsys):
-        code, out = run_cli(capsys, "fig2", "--nodes", "8",
-                            "--schemes", "full,Dir1B",
-                            "--max-sharers", "6", "--trials", "20",
-                            "--chart")
-        assert code == 0
-        assert "* full" in out  # legend markers
+    def test_one_parser_one_main_one_entry_module(self):
+        builders = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "ArgumentParser"):
+                    builders.append(path.relative_to(self.SRC).as_posix())
+        assert builders == ["cli.py"]
+        mains = [p.relative_to(self.SRC).as_posix()
+                 for p in self.SRC.rglob("__main__.py")]
+        assert mains == ["__main__.py"]
+        for group in ("obs/cli.py", "verify/cli.py"):
+            tree = ast.parse((self.SRC / group).read_text())
+            defined = {n.name for n in tree.body
+                       if isinstance(n, ast.FunctionDef)}
+            assert "main" not in defined and "build_parser" not in defined
+            assert "add_commands" in defined
 
 
 class TestTraceRoundtrip:

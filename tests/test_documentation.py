@@ -130,3 +130,85 @@ def test_design_doc_scheme_table_matches_the_classes():
             {t for t in traits if getattr(scheme, t)},
         )
     assert rows == declared
+
+
+# where the repo tells a reader to run something
+COMMAND_SOURCES = ("README.md", "docs/*.md", ".claude/skills/verify/SKILL.md",
+                   "Makefile", ".github/workflows/ci.yml")
+
+
+def _fold_yaml(text):
+    """Join each YAML ``key: >`` folded block onto its key's line."""
+    import re
+
+    lines, out, i = text.split("\n"), [], 0
+    while i < len(lines):
+        key = re.match(r"^(\s*)(?:- )?[\w-]+: >-?\s*$", lines[i])
+        out.append(lines[i])
+        i += 1
+        if key:
+            indent = len(key.group(1))
+            while i < len(lines) and (
+                not lines[i].strip()
+                or len(lines[i]) - len(lines[i].lstrip()) > indent
+            ):
+                out[-1] += " " + lines[i].strip()
+                i += 1
+    return "\n".join(out)
+
+
+def _command_chunks(path):
+    """The lines a reader would paste: continuations and folded YAML
+    joined, and for Markdown the fenced lines plus every inline span."""
+    import re
+
+    text = re.sub(r"\\\n\s*", " ", path.read_text())
+    if path.suffix == ".yml":
+        text = _fold_yaml(text)
+    if path.suffix != ".md":
+        return text.split("\n")
+    parts = re.split(r"^```.*$", text, flags=re.M)
+    fenced = [line for block in parts[1::2] for line in block.split("\n")]
+    spans = re.findall(r"`([^`]+)`", "".join(parts[0::2]))
+    return fenced + [" ".join(span.split()) for span in spans]
+
+
+def documented_commands():
+    """Every ``python -m repro...`` command in :data:`COMMAND_SOURCES`,
+    as ``(file, module, argument string)``."""
+    import re
+    from pathlib import Path
+
+    root = Path(repro.__file__).parents[2]
+    command = re.compile(r"python3? -m (repro[\w.]*)([^`|;&)\"'<>\n]*)")
+    found = []
+    for pattern in COMMAND_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            for chunk in _command_chunks(path):
+                for m in command.finditer(chunk):
+                    found.append((path.relative_to(root).as_posix(),
+                                  m.group(1), m.group(2).strip()))
+    return found
+
+
+def test_documented_commands_run_the_one_cli():
+    """Every documented ``python -m repro...`` command runs ``repro``
+    (no second entry module) and, unless it needs the shell to expand
+    something, parses in ``repro.cli.build_parser()``."""
+    import shlex
+
+    from repro.cli import build_parser
+
+    commands = documented_commands()
+    assert len({f for f, _, _ in commands}) >= 5, commands
+    assert [c for c in commands if c[1] != "repro"] == []
+    unparsed = []
+    for where, _, argv in commands:
+        if "$" in argv:
+            continue
+        try:
+            build_parser().parse_args(shlex.split(argv, comments=True))
+        except SystemExit as exc:
+            if exc.code:  # --help exits 0
+                unparsed.append((where, argv))
+    assert unparsed == []

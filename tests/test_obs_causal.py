@@ -186,29 +186,29 @@ class TestCli:
         return path
 
     def test_critical_path_command(self, tmp_path, capsys):
-        from repro.obs.cli import main
+        from repro.cli import main
 
         path = self._write_trace(tmp_path)
-        assert main(["critical-path", str(path), "--top", "2"]) == 0
+        assert main(["obs", "critical-path", str(path), "--top", "2"]) == 0
         out = capsys.readouterr().out
         assert "slowest" in out
 
     def test_critical_path_reads_gzipped_traces(self, tmp_path, capsys):
-        from repro.obs.cli import main
+        from repro.cli import main
 
         path = self._write_trace(tmp_path, compress=True)
-        assert main(["critical-path", str(path)]) == 0
+        assert main(["obs", "critical-path", str(path)]) == 0
         assert "slowest" in capsys.readouterr().out
 
     def test_critical_path_fails_on_chainless_trace(self, tmp_path):
-        from repro.obs.cli import main
+        from repro.cli import main
         from repro.obs.export import write_jsonl
 
         path = tmp_path / "empty.jsonl"
         write_jsonl(
             [TraceEvent("sweep.point", 0.0, comp="sweep")], path
         )
-        assert main(["critical-path", str(path)]) == 1
+        assert main(["obs", "critical-path", str(path)]) == 1
 
 
 class TestChainDataclass:

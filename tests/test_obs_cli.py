@@ -4,9 +4,14 @@ import json
 
 import pytest
 
-from repro.obs.cli import main
+from repro import cli
 from repro.obs.export import read_trace
 from repro.obs.registry import EVENTS
+
+
+def main(argv):
+    """``repro obs ARGV`` through the one CLI entry point."""
+    return cli.main(["obs", *argv])
 
 
 def _trace_args(out, *, fmt="chrome", seed=0, metrics_out=None):
@@ -52,13 +57,12 @@ class TestTrace:
         assert read_trace(out)
 
     def test_builds_the_machine_repro_run_builds(self):
-        from repro import cli
-        from repro.obs.cli import build_parser
-
         flags = ["--app", "DWF", "--procs", "8", "--scheme", "Dir2B", "--seed", "5",
                  "--l1-bytes", "256", "--l2-bytes", "512", "--sparse", "0.5",
                  "--sparse-assoc", "2", "--sparse-policy", "lru"]
-        traced = build_parser().parse_args(["trace", "--out", "t.json", *flags])
+        traced = cli.build_parser().parse_args(
+            ["obs", "trace", "--out", "t.json", *flags]
+        )
         run = cli.build_parser().parse_args(["run", *flags])
         config = cli.machine_from_args(traced)
         assert config == cli.machine_from_args(run)

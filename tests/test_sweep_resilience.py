@@ -36,10 +36,9 @@ from repro.analysis.supervisor import (
     WorkerDied,
     sweep_key,
 )
-from repro.analysis.sweeps import PointSpec, Sweep, run_points
+from repro.analysis.sweeps import PointSpec, Sweep, SweepMonitor, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig
-from repro.obs.dashboard import SweepMonitor
 from repro.obs.tracer import Tracer
 
 METRICS = ["exec_time", "total_messages", "invalidation_events"]
@@ -327,7 +326,7 @@ class TestKeepGoingQuarantine:
 
 class RecordingMonitor(SweepMonitor):
     """Every lifecycle callback, minus what legitimately differs between
-    drivers: the worker pid, wall times, and the forked loop's ticks."""
+    drivers: the worker pid and wall times."""
 
     def __init__(self):
         self.calls = []
@@ -463,6 +462,48 @@ class TestEngineParity:
             0: "completed", 1: "failed", 2: "skipped", 3: "skipped",
             4: "skipped",
         }
+
+
+class TestMonitorLifecycle:
+    """A :class:`SweepMonitor` sees a sweep begin, every point resolve
+    and the sweep finish, on both drivers; the base class does nothing."""
+
+    def test_base_monitor_is_inert(self):
+        m = SweepMonitor()
+        m.begin(total=1, jobs=1)
+        m.point_cached(0, "")
+        m.point_started(0, "", 1)
+        m.point_done(0, "", 0.0)
+        m.point_retry(0, "", "error")
+        m.point_quarantined(0, "")
+        m.finish()  # no state, no output, no exceptions
+
+    def test_monitor_sees_the_whole_lifecycle_serial(self):
+        mon = RecordingMonitor()
+        run_points(make_specs(("full", "Dir2B")), monitor=mon)
+        kinds = [c[0] for c in mon.calls]
+        assert kinds[0] == "begin"
+        assert kinds[-1] == "finish"
+        assert kinds.count("started") == 2
+        assert kinds.count("done") == 2
+
+    def test_monitor_sees_the_whole_lifecycle_parallel(self):
+        mon = RecordingMonitor()
+        run_points(make_specs(("full", "Dir2B")), jobs=2, monitor=mon)
+        kinds = [c[0] for c in mon.calls]
+        assert ("begin", 2, 2) == mon.calls[0]
+        assert kinds[-1] == "finish"
+        assert kinds.count("done") == 2
+
+    def test_monitor_sees_cache_hits(self, tmp_path):
+        specs = make_specs(("full", "Dir2B"))
+        cache = ResultCache(tmp_path)
+        run_points(specs, cache=cache)
+        mon = RecordingMonitor()
+        run_points(specs, cache=cache, monitor=mon)
+        kinds = [c[0] for c in mon.calls]
+        assert kinds.count("cached") == 2
+        assert kinds.count("started") == 0
 
 
 class TestInterruptAndResume:

@@ -1,8 +1,14 @@
-"""Exit codes and output of ``python -m repro.verify``."""
+"""Exit codes and output of ``python -m repro verify``."""
 
 from pathlib import Path
 
-from repro.verify.cli import main
+from repro import cli
+
+
+def main(argv):
+    """``repro verify ARGV`` through the one CLI entry point."""
+    return cli.main(["verify", *argv])
+
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

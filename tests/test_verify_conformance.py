@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from repro.obs.cli import main as obs_main
-from repro.verify.cli import main as verify_main
+from repro.cli import main
 from repro.verify.conformance import (
     check_trace,
     format_conformance_report,
@@ -31,7 +30,7 @@ def _record(tmp_path, fmt="jsonl", scheme="Dir4CV4", procs=8, seed=3,
     ]
     for flag, value in extra.items():
         argv += [f"--{flag}", str(value)]
-    assert obs_main(argv) == 0
+    assert main(["obs", *argv]) == 0
     return out
 
 
@@ -193,7 +192,7 @@ def test_project_by_block_rejects_missing_block():
 def test_conform_cli_exits_zero_on_clean_trace(tmp_path, capsys):
     path = _record(tmp_path)
     stats = tmp_path / "stats.json"
-    assert verify_main(["conform", str(path), "--stats", str(stats)]) == 0
+    assert main(["verify", "conform", str(path), "--stats", str(stats)]) == 0
     out = capsys.readouterr().out
     assert "conforms" in out
     payload = json.loads(stats.read_text())
@@ -211,10 +210,10 @@ def test_conform_cli_exits_one_on_divergence(tmp_path, capsys):
     bad.write_text(
         "\n".join([header] + [json.dumps(ev) for ev in events]) + "\n"
     )
-    assert verify_main(["conform", str(bad)]) == 1
+    assert main(["verify", "conform", str(bad)]) == 1
     assert "DIVERGED" in capsys.readouterr().out
 
 
 def test_conform_cli_exits_two_on_missing_file(tmp_path, capsys):
-    assert verify_main(["conform", str(tmp_path / "nope.jsonl")]) == 2
+    assert main(["verify", "conform", str(tmp_path / "nope.jsonl")]) == 2
     assert "error:" in capsys.readouterr().err
