@@ -238,7 +238,7 @@ class _BlockChecker:
     def _apply(self, action: Action, idx: int, ev: TraceEvent) -> None:
         """Apply a model action, folding violations into the result."""
         before_wbs = [m for m in self.state.msgs if m[0] == MSG_WB]
-        self.state, violations = apply_action(self.state, action, self.cfg)
+        violations = apply_action(self.state, action, self.cfg)
         for v in violations:
             self.result.violations.append(
                 f"block {self.block} event {idx} ({ev.name} @ t={ev.ts:g}): "

@@ -238,8 +238,7 @@ def encode_state(
     msgs = tuple(sorted((kind, l, perm[p]) for kind, l, p in state.msgs))
     lines: List[object] = []
     for l, block in enumerate(cfg.blocks):
-        home = cfg.home(l)
-        line = dict(state.stores[home].lines()).get(block)
+        line = state.stores[cfg.home(l)].peek(block)
         if line is None:
             lines.append(("absent",))
         else:
@@ -282,7 +281,7 @@ def _line_views(
     """Per modeled line: the home's directory line and its covered mask."""
     views: List[Tuple[Optional[DirLine], int]] = []
     for l, block in enumerate(cfg.blocks):
-        line = dict(state.stores[cfg.home(l)].lines()).get(block)
+        line = state.stores[cfg.home(l)].peek(block)
         views.append((line, 0 if line is None else line.entry.covered()))
     return views
 
@@ -437,7 +436,7 @@ def ample_action(state: ModelState, cfg: ModelConfig) -> Optional[Action]:
         kind, _, node = pending[0]
         if kind == MSG_WB:
             return ("deliver", kind, l, node)
-        line = dict(state.stores[cfg.home(l)].lines()).get(cfg.blocks[l])
+        line = state.stores[cfg.home(l)].peek(cfg.blocks[l])
         if line is not None and line.dirty:
             continue
         if kind == MSG_READ and not _record_has_room(cfg.scheme, line, node):
@@ -461,9 +460,10 @@ def explore(cfg: ModelConfig, *, por: bool = False) -> ExploreResult:
         scheme=cfg.scheme.name, num_nodes=cfg.num_nodes, blocks=cfg.blocks,
         por=por, canonicalizer=canon.mode,
     )
-    root = initial_state(cfg)
-    root_key = canon.key(root)
-    initial = state_violations(root, cfg)
+    # one scratch state steps every transition; the queue holds snapshots
+    scratch = initial_state(cfg)
+    root_key = canon.key(scratch)
+    initial = state_violations(scratch, cfg)
     if initial:  # pragma: no cover - an empty machine is always coherent
         result.violation = Counterexample(
             (), initial[0].invariant, initial[0].message
@@ -473,40 +473,41 @@ def explore(cfg: ModelConfig, *, por: bool = False) -> ExploreResult:
     parents: Dict[StateKey, Optional[Tuple[StateKey, Action]]] = {
         root_key: None
     }
-    queue: deque = deque([(root, root_key, 0)])
+    queue: deque = deque([(scratch.to_state(), root_key, 0)])
     result.states = 1
     while queue:
-        state, key, depth = queue.popleft()
+        snapshot, key, depth = queue.popleft()
         result.max_depth = max(result.max_depth, depth)
-        actions = enabled_actions(state, cfg)
-        if state.msgs and not any(a[0] == "deliver" for a in actions):
+        scratch.load_state(snapshot)
+        actions = enabled_actions(scratch, cfg)
+        if scratch.msgs and not any(a[0] == "deliver" for a in actions):
             # unreachable by construction (deliver is always enabled for a
             # pending message), but checked: this *is* deadlock-freedom
             result.violation = _trace(parents, key, None, ModelViolation(
                 "deadlock",
-                f"messages {sorted(state.msgs)} pending but no delivery "
+                f"messages {sorted(scratch.msgs)} pending but no delivery "
                 f"action enabled",
             ))
             return result
-        drain = drain_violation(state, cfg)
+        ample = ample_action(scratch, cfg) if por else None
+        drain = drain_violation(scratch, cfg)
         if drain is not None:
             result.violation = _trace(parents, key, None, drain)
             return result
-        if por:
-            ample = ample_action(state, cfg)
-            if ample is not None:
-                result.pruned += len(actions) - 1
-                result.ample_states += 1
-                actions = [ample]
+        if ample is not None:
+            result.pruned += len(actions) - 1
+            result.ample_states += 1
+            actions = [ample]
         for action in actions:
-            successor, violations = apply_action(state, action, cfg)
+            scratch.load_state(snapshot)
+            violations = apply_action(scratch, action, cfg)
             result.transitions += 1
             if not violations:
-                violations = state_violations(successor, cfg)
+                violations = state_violations(scratch, cfg)
             if violations:
                 result.violation = _trace(parents, key, action, violations[0])
                 return result
-            successor_key = canon.key(successor)
+            successor_key = canon.key(scratch)
             if successor_key in parents:
                 result.merged += 1
                 continue
@@ -515,7 +516,7 @@ def explore(cfg: ModelConfig, *, por: bool = False) -> ExploreResult:
             if result.states > cfg.max_states:
                 result.truncated = True
                 return result
-            queue.append((successor, successor_key, depth + 1))
+            queue.append((scratch.to_state(), successor_key, depth + 1))
     return result
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.verify.explorer import StateKey, describe_action, encode_state
 from repro.verify.model import (
@@ -62,7 +62,7 @@ from repro.verify.model import (
     MSG_WRITE,
     Action,
     ModelConfig,
-    ModelState,
+    Snapshot,
     apply_action,
     enabled_actions,
     initial_state,
@@ -118,7 +118,7 @@ class _Graph:
     """Concrete bounded state graph: states, labeled edges, enabled sets."""
 
     def __init__(self) -> None:
-        self.states: List[ModelState] = []
+        self.states: List[Snapshot] = []
         self.enabled: List[List[Action]] = []
         self.edges: List[List[Tuple[Action, int]]] = []
         self.parents: List[Optional[Tuple[int, Action]]] = []
@@ -129,23 +129,22 @@ def _build_graph(cfg: ModelConfig, limit: int) -> Tuple[_Graph, bool]:
     """BFS the concrete (identity-keyed) state graph up to ``limit``."""
     identity = tuple(range(cfg.num_nodes))
     graph = _Graph()
-    root = initial_state(cfg)
-    graph.index[encode_state(root, cfg, identity)] = 0
-    graph.states.append(root)
+    scratch = initial_state(cfg)
+    graph.index[encode_state(scratch, cfg, identity)] = 0
+    graph.states.append(scratch.to_state())
     graph.parents.append(None)
-    queue: deque = deque([0])
     truncated = False
-    while queue:
-        u = queue.popleft()
-        state = graph.states[u]
-        actions = enabled_actions(state, cfg)
-        while len(graph.enabled) <= u:
-            graph.enabled.append([])
-            graph.edges.append([])
-        graph.enabled[u] = actions
+    # states are numbered in discovery order, so walking the growing list
+    # is the BFS queue
+    for u, snapshot in enumerate(graph.states):
+        scratch.load_state(snapshot)
+        actions = enabled_actions(scratch, cfg)
+        graph.enabled.append(actions)
+        graph.edges.append([])
         for action in actions:
-            successor, _ = apply_action(state, action, cfg)
-            key = encode_state(successor, cfg, identity)
+            scratch.load_state(snapshot)
+            apply_action(scratch, action, cfg)
+            key = encode_state(scratch, cfg, identity)
             v = graph.index.get(key)
             if v is None:
                 if len(graph.states) >= limit:
@@ -153,13 +152,9 @@ def _build_graph(cfg: ModelConfig, limit: int) -> Tuple[_Graph, bool]:
                     continue
                 v = len(graph.states)
                 graph.index[key] = v
-                graph.states.append(successor)
+                graph.states.append(scratch.to_state())
                 graph.parents.append((u, action))
-                queue.append(v)
             graph.edges[u].append((action, v))
-    while len(graph.enabled) < len(graph.states):  # pragma: no cover
-        graph.enabled.append([])
-        graph.edges.append([])
     return graph, truncated
 
 

@@ -43,8 +43,9 @@ transitions exist, and delivery order is explored exhaustively anyway.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import random
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import protocol
 from repro.core.base import DirectoryScheme
@@ -143,64 +144,66 @@ class ModelConfig:
         return self.blocks[line] % self.num_nodes
 
 
+#: every RNG as ``_reseed`` leaves it; a snapshot holds this, not a copy
+PINNED_RNG = random.Random(0).getstate()
+
+
+class Snapshot(NamedTuple):
+    """A :class:`ModelState` in its stores' and scheme's ``to_state`` form."""
+
+    caches: Tuple[Tuple[str, ...], ...]
+    msgs: Tuple[Message, ...]
+    stores: Tuple[Dict[str, Any], ...]
+    scheme: Dict[str, Any]
+
+
+@dataclass(eq=False, slots=True)
 class ModelState:
-    """One reachable protocol state (mutable; explorer clones before apply)."""
+    """One reachable protocol state; mutable, copied only as a
+    :class:`Snapshot` through :meth:`to_state` / :meth:`load_state`."""
 
-    __slots__ = ("caches", "msgs", "stores")
+    caches: List[List[str]]
+    #: in-flight messages, unordered (the network may reorder freely)
+    msgs: List[Message]
+    #: one directory store per node, as in the real machine (relevant
+    #: for sparse configs, where each home has its own sets/ways)
+    stores: List[DirectoryStore] = field(repr=False)
 
-    def __init__(
-        self,
-        caches: List[List[str]],
-        msgs: List[Message],
-        stores: List[DirectoryStore],
-    ) -> None:
-        self.caches = caches
-        #: in-flight messages, unordered (the network may reorder freely)
-        self.msgs = msgs
-        #: one directory store per node, as in the real machine (relevant
-        #: for sparse configs, where each home has its own sets/ways)
-        self.stores = stores
-
-    def clone(self) -> "ModelState":
-        """Deep copy, sharing (never copying) the pinned RNG objects.
-
-        ``_reseed`` pins every RNG before each action, so RNG internals
-        never carry information between states; sharing them avoids
-        deep-copying their Mersenne state on every transition.
-        """
-        memo: Dict[int, object] = {}
-        rng = getattr(self.stores[0].scheme, "rng", None)
-        if rng is not None:
-            memo[id(rng)] = rng
+    def to_state(self) -> Snapshot:
+        """Snapshot this state; every RNG is recorded as :data:`PINNED_RNG`
+        (``_reseed`` pins it before each action, so it carries nothing)."""
+        stores: List[Dict[str, Any]] = []
         for store in self.stores:
-            policy = getattr(store, "policy", None)
-            if policy is not None:
-                memo[id(policy.rng)] = policy.rng
-        return copy.deepcopy(self, memo)
+            store_state = store.to_state()
+            if "policy" in store_state:
+                store_state["policy"]["rng"] = PINNED_RNG
+            stores.append(store_state)
+        scheme = self.stores[0].scheme.to_state()
+        scheme["rng"] = PINNED_RNG
+        caches = tuple(map(tuple, self.caches))
+        return Snapshot(caches, tuple(self.msgs), tuple(stores), scheme)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ModelState caches={self.caches} msgs={self.msgs}>"
+    def load_state(self, snapshot: Snapshot) -> None:
+        """Become ``snapshot``: stores first, then the scheme they share
+        (:meth:`DirectoryScheme.load_state` must come after its entries)."""
+        self.caches = [list(row) for row in snapshot.caches]
+        self.msgs = list(snapshot.msgs)
+        for store, store_state in zip(self.stores, snapshot.stores):
+            store.load_state(store_state)
+        self.stores[0].scheme.load_state(snapshot.scheme)
 
 
 def initial_state(cfg: ModelConfig) -> ModelState:
     """All caches invalid, no messages, empty directories."""
     caches = [[INVALID] * len(cfg.blocks) for _ in range(cfg.num_nodes)]
     scheme = copy.deepcopy(cfg.scheme)
-    stores: List[DirectoryStore] = []
-    for node in range(cfg.num_nodes):
-        if cfg.sparse_ways is None:
-            stores.append(FullMapDirectory(scheme))
-        else:
-            stores.append(
-                SparseDirectory(
-                    scheme,
-                    cfg.sparse_ways,
-                    cfg.sparse_ways,
-                    policy="random",
-                    stride=cfg.num_nodes,
-                    offset=node,
-                )
-            )
+    ways = cfg.sparse_ways
+    stores: List[DirectoryStore] = [
+        FullMapDirectory(scheme) if ways is None else SparseDirectory(
+            scheme, ways, ways, policy="random", stride=cfg.num_nodes, offset=node
+        )
+        for node in range(cfg.num_nodes)
+    ]
     return ModelState(caches, [], stores)
 
 
@@ -300,27 +303,25 @@ def enabled_actions(state: ModelState, cfg: ModelConfig) -> List[Action]:
 
 def apply_action(
     state: ModelState, action: Action, cfg: ModelConfig
-) -> Tuple[ModelState, List[ModelViolation]]:
-    """Successor state plus any violations raised *during* the transition."""
-    ns = state.clone()
-    _reseed(ns)
+) -> List[ModelViolation]:
+    """Step ``state`` in place; the violations raised *during* the step."""
+    _reseed(state)
     kind = action[0]
-    violations: List[ModelViolation] = []
     if kind in ("read", "write"):
         _, p, l = action
-        ns.msgs.append((MSG_READ if kind == "read" else MSG_WRITE, l, p))
+        state.msgs.append((MSG_READ if kind == "read" else MSG_WRITE, l, p))
     elif kind in ("evict", "drop"):
         _, p, l = action
-        node_views(ns, cfg)[p][0].invalidate(cfg.blocks[l])
+        node_views(state, cfg)[p][0].invalidate(cfg.blocks[l])
         if kind == "evict":
-            ns.msgs.append((MSG_WB, l, p))
+            state.msgs.append((MSG_WB, l, p))
     elif kind == "deliver":
         _, mkind, l, node = action
-        ns.msgs.remove((mkind, l, node))
-        violations = _deliver(ns, cfg, str(mkind), int(l), int(node))
+        state.msgs.remove((mkind, l, node))
+        return _deliver(state, cfg, str(mkind), int(l), int(node))
     else:  # pragma: no cover - defensive
         raise ValueError(f"unknown model action {action!r}")
-    return ns, violations
+    return []
 
 
 # -- delivery: repro.core.protocol, executed over I/S/M rows ----------------
@@ -428,19 +429,18 @@ def drain_violation(
     ``len(msgs)`` steps (delivery consumes its message and never issues
     new ones).  A model whose delivery re-queued work would loop here —
     this is the checked guarantee that no transient state is sticky.
+    The walk runs on ``state`` itself, which it leaves drained.
     """
-    cur = state
     budget = len(state.msgs)
     steps = 0
-    while cur.msgs:
+    while state.msgs:
         if steps >= budget:
             return ModelViolation(
                 "transient-termination",
                 f"messages failed to drain within {budget} deliveries: "
-                f"{sorted(cur.msgs)} still pending",
+                f"{sorted(state.msgs)} still pending",
             )
-        msg = sorted(cur.msgs)[0]
-        cur, _ = apply_action(cur, ("deliver",) + msg, cfg)
+        apply_action(state, ("deliver",) + min(state.msgs), cfg)
         steps += 1
     return None
 
