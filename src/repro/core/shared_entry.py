@@ -100,6 +100,10 @@ class SharedEntryDirectory(DirectoryStore):
     def lines(self) -> Iterator[Tuple[int, DirLine]]:
         yield from self._lines.items()
 
+    def occupancy(self) -> int:
+        """Lines currently materialized (one per block, not per group)."""
+        return len(self._lines)
+
     def blocks_invalidated_with(self, block: int) -> Tuple[int, ...]:
         group = self.group_of(block)
         first_local = group * self.group_size

@@ -119,11 +119,10 @@ class DirectoryStore(ABC):
     def capacity_entries(self) -> Optional[int]:
         """Number of entry slots, or ``None`` for an unbounded full map."""
 
+    @abstractmethod
     def occupancy(self) -> int:
         """Number of entries currently held (observability's occupancy
-        sample); concrete stores override with an O(1) count when one is
-        available."""
-        return sum(1 for _ in self.lines())
+        sample, taken once per transaction): an O(1) count."""
 
     # -- state capture (simulation checkpointing) ------------------------
 

@@ -427,11 +427,10 @@ class DirectoryController:
             line, evictions = self.store.get_or_allocate(txn.block)
         obs = self._obs
         if obs.enabled:  # sample this home's occupancy (entries in use)
-            occ = self.store.occupancy()
             obs.record(
-                "dir.occupancy", self._events.now, None, self.cluster_id, occ
+                "dir.occupancy", self._events.now, None, self.cluster_id,
+                self.store.occupancy(),
             )
-            obs.metrics.gauge("dir_occupancy_peak").set_max(occ)
         if evictions:
             return line, self._process_sparse_evictions(evictions, txn.txn_id)
         return line, 0.0

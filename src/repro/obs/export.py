@@ -29,8 +29,9 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Dict, IO, Iterable, List, Optional, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.registry import TRACE_SCHEMA
 from repro.obs.tracer import BEGIN, COUNTER, END, INSTANT, SPAN, TraceEvent, Tracer
@@ -146,6 +147,9 @@ def read_jsonl(path: PathLike) -> List[TraceEvent]:
 
 # -- Chrome trace_event ------------------------------------------------------
 
+#: records ``write_chrome_trace`` encodes per call
+_BATCH = 1024
+
 _PHASE_OF_KIND = {SPAN: "X", INSTANT: "i", COUNTER: "C", BEGIN: "B", END: "E"}
 _KIND_OF_PHASE = {ph: kind for kind, ph in _PHASE_OF_KIND.items()}
 
@@ -172,27 +176,30 @@ def chrome_record(
     return record
 
 
-def to_chrome_trace(
-    events: Iterable[TraceEvent], *, meta: Dict[str, object] = {}
-) -> Dict[str, object]:
-    """Build the Chrome/Perfetto ``trace_event`` JSON object."""
-    trace_events: List[Dict[str, object]] = []
+def _chrome_records(
+    events: Iterable[TraceEvent],
+) -> Iterator[Dict[str, object]]:
+    """The ``traceEvents`` records of ``events``, in order: each
+    component's ``process_name`` metadata opens its first event."""
     pid_of_comp: Dict[str, int] = {}
     for ev in events:
         comp = ev.comp or "sim"
         pid = pid_of_comp.get(comp)
         if pid is None:
             pid = pid_of_comp[comp] = len(pid_of_comp) + 1
-            trace_events.append({
+            yield {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
                 "args": {"name": comp},
-            })
-        trace_events.append(
-            chrome_record(ev, ev.ts, pid, ev.tid, comp, ev.args)
-        )
+            }
+        yield chrome_record(ev, ev.ts, pid, ev.tid, comp, ev.args)
+
+
+def _chrome_object(
+    trace_events: List[Dict[str, object]], meta: Dict[str, object]
+) -> Dict[str, object]:
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
@@ -200,15 +207,40 @@ def to_chrome_trace(
     }
 
 
+def to_chrome_trace(
+    events: Iterable[TraceEvent], *, meta: Dict[str, object] = {}
+) -> Dict[str, object]:
+    """Build the Chrome/Perfetto ``trace_event`` JSON object."""
+    return _chrome_object(list(_chrome_records(events)), meta)
+
+
 def write_chrome_trace(
     events: Iterable[TraceEvent], path: PathLike, *,
     meta: Dict[str, object] = {}, compress: Union[bool, None] = None,
 ) -> Path:
-    """Write a Perfetto-loadable Chrome trace JSON; returns the path."""
+    """Write a Perfetto-loadable Chrome trace JSON; returns the path.
+
+    Streams: records are encoded :data:`_BATCH` at a time, so the trace
+    is never built in memory, and the bytes are still
+    ``json.dump(to_chrome_trace(events, meta=meta), fh, indent=1)``'s.
+    The object without its records is encoded once and split at the
+    empty ``traceEvents`` list; a batch is encoded as a top-level list,
+    indented one more space (an encoded string holds no raw newline, so
+    every newline is layout) and stripped of its brackets.
+    """
     path = Path(path)
+    encode = json.JSONEncoder(indent=1).encode
+    key = '"traceEvents": ['
+    head, tail = encode(_chrome_object([], meta)).split(key + "]", 1)
+    records = _chrome_records(events)
     with _open_write(path, _wants_gzip(path, compress)) as fh:
-        json.dump(to_chrome_trace(events, meta=meta), fh, indent=1)
-        fh.write("\n")
+        fh.write(head + key)
+        sep = ""
+        while batch := list(islice(records, _BATCH)):
+            # "[\n {...},\n {...}\n]" -> "\n  {...},\n  {...}"
+            fh.write(sep + encode(batch).replace("\n", "\n ")[1:-3])
+            sep = ","
+        fh.write(("\n ]" if sep else "]") + tail + "\n")
     return path
 
 
@@ -294,8 +326,8 @@ def export_trace(
     merged = {"dropped": tracer.dropped, **meta}
     if fmt == "chrome":
         return write_chrome_trace(
-            tracer.events(), path, meta=merged, compress=compress
+            iter(tracer), path, meta=merged, compress=compress
         )
     if fmt == "jsonl":
-        return write_jsonl(tracer.events(), path, meta=merged, compress=compress)
+        return write_jsonl(iter(tracer), path, meta=merged, compress=compress)
     raise ValueError(f"unknown trace format {fmt!r} (use 'chrome' or 'jsonl')")

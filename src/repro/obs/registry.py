@@ -57,7 +57,8 @@ class EventSpec(NamedTuple):
     field.  ``feeds`` is ``(metric, field)`` — the histogram the same
     call updates with that field (``"dur"``: the span's duration) — or
     ``(prefix, field, key)`` when the instrument is named ``prefix +
-    <value of field key>``.
+    <value of field key>``.  ``peak`` is ``(metric, field)``: the gauge
+    the same call raises to that field's value (a running maximum).
     """
 
     kind: str
@@ -65,6 +66,7 @@ class EventSpec(NamedTuple):
     fields: Tuple[str, ...]
     doc: str
     feeds: Optional[Tuple[str, ...]] = None
+    peak: Optional[Tuple[str, str]] = None
 
 
 _E = EventSpec
@@ -100,7 +102,8 @@ EVENTS: Dict[str, EventSpec] = {
                            "sparse-directory entry replacement"),
     "dir.occupancy": _E(COUNTER, "directory", ("value",),
                         "live directory entries at this home",
-                        feeds=("dir_occupancy", "value")),
+                        feeds=("dir_occupancy", "value"),
+                        peak=("dir_occupancy_peak", "value")),
     "net.msg": _E(SPAN, "network", ("kind", "block", "dst", "txn_id"),
                   "one inter-cluster message: inject -> deliver",
                   feeds=("msg_latency", "dur")),
@@ -129,16 +132,19 @@ EVENTS: Dict[str, EventSpec] = {
 
 
 def _intern(name: str, spec: EventSpec) -> Tuple[object, ...]:
-    """``(shape, feed)``, resolved once at import: ``shape`` is what a
-    ring row ``(name, ts, dur, tid, *values)`` of this event
+    """``(shape, feed, peak)``, resolved once at import: ``shape`` is
+    what a ring row ``(name, ts, dur, tid, *values)`` of this event
     materialises with; ``feed`` is ``(metric, value index, key index or
-    None)`` into that row."""
-    feed = None
+    None)`` into that row, ``peak`` ``(metric, value index)``."""
+    at = ("name", "ts", "dur", "tid", *spec.fields).index
+    feed = peak = None
     if spec.feeds is not None:
         metric, value, *key = spec.feeds
-        at = ("name", "ts", "dur", "tid", *spec.fields).index
         feed = (metric, at(value), at(key[0]) if key else None)
-    return (name, spec.kind, spec.comp, spec.fields), feed
+    if spec.peak is not None:
+        metric, value = spec.peak
+        peak = (metric, at(value))
+    return (name, spec.kind, spec.comp, spec.fields), feed, peak
 
 
 #: event name -> ``_intern`` of its declaration (what the tracer reads)

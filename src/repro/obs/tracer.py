@@ -27,16 +27,28 @@ else.  Kind, component and field names are looked up in the registry
 when the ring is read and :class:`TraceEvent` objects built
 (``events()``, iteration, export); a keyword-adapter row carries them
 in slot 0 instead.  A row holds only scalars and tuples of scalars, so
-the cyclic collector untracks it at its first pass and a full ring
-costs later collections nothing.
+the cyclic collector untracks it at its first pass.
+
+Seal what is retained: the newest rows sit in an open list; every
+:data:`CHUNK` rows the list is sealed into one ``marshal`` blob (~46
+bytes a row, against ~155 for the live tuple and its boxed values), and
+a sealed chunk is dropped once it lies wholly behind the newest
+``capacity`` rows.  So the ring holds ``capacity`` rows plus at most one
+chunk sealed and one chunk open, and every reader decodes one chunk at
+a time.  Sealed bytes never leave the process: readers yield plain
+rows equal to the recorded ones, and :meth:`Tracer.to_state` rows whose
+event names are the objects the hooks passed (see :func:`_seal`), so a
+checkpoint payload pickles to the same bytes.
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from operator import itemgetter
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.registry import (  # noqa: F401  (kinds re-exported)
@@ -106,8 +118,55 @@ def _materialise(row: tuple) -> TraceEvent:
     return TraceEvent(name, ts, kind, dur, comp, tid, args or None)
 
 
+#: rows per sealed chunk (the open list seals when it reaches this)
+CHUNK = 4096
+
+#: ``(n, blob, names)``: ``blob`` is the ``marshal`` image of ``n`` rows
+#: (or, when marshal refuses a value, the row list itself) and ``names``
+#: the ``str`` event-name objects those rows carry
+_Chunk = Tuple[int, Any, Tuple[str, ...]]
+
+_head = itemgetter(0)
+
+
+def _seal(rows: List[tuple]) -> _Chunk:
+    """One chunk of ``rows``.
+
+    ``marshal`` keeps every type a row holds (``bool``, ``None``, tuple
+    versus list) and returns an interned string as the interned object,
+    but an event name like ``"net.msg"`` is not interned: it comes back
+    as an equal copy, and a checkpoint payload (pickle memoises strings
+    by identity) would change bytes.  So the chunk keeps the name objects
+    themselves, one per name — a hook names its event with one literal,
+    and :meth:`Tracer.load_state` does not seal restored rows — and an
+    exact :func:`_unseal` puts them back.
+    """
+    try:
+        blob: Any = marshal.dumps(rows)
+    except ValueError:  # a keyword row's value marshal cannot write
+        return len(rows), rows, ()
+    names = tuple(h for h in set(map(_head, rows)) if type(h) is str)
+    return len(rows), blob, names
+
+
+def _unseal(chunk: _Chunk, exact: bool) -> List[tuple]:
+    """The rows of a chunk; when ``exact``, each event name is the object
+    recorded (an equal copy serves every reader but a snapshot)."""
+    _, blob, names = chunk
+    if type(blob) is not bytes:
+        return blob
+    rows: List[tuple] = marshal.loads(blob)
+    if exact and names:
+        recorded = {name: name for name in names}
+        rows = [
+            (recorded[r[0]], *r[1:]) if type(r[0]) is str else r
+            for r in rows
+        ]
+    return rows
+
+
 class Tracer:
-    """Enabled tracer: bounded ring buffer plus exact tallies."""
+    """Enabled tracer: bounded ring of sealed chunks plus exact tallies."""
 
     enabled = True
 
@@ -122,15 +181,21 @@ class Tracer:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: rows ``(head, ts, dur, tid, *values)``; ``head`` is a declared
-        #: event's name or an explicit ``(name, kind, comp, fields)``
-        self._buf: Deque[tuple] = deque(maxlen=capacity)
+        #: the open rows ``(head, ts, dur, tid, *values)``, fewer than
+        #: :data:`CHUNK`; ``head`` is a declared event's name or an
+        #: explicit ``(name, kind, comp, fields)``
+        self._buf: List[tuple] = []
+        #: older rows, oldest chunk first, and how many rows they hold
+        self._sealed: Deque[_Chunk] = deque()
+        self._sealed_rows = 0
         self._clock = clock
         self.strict = strict
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else MetricsRegistry(strict=strict)
         )
-        self._histograms = self.metrics.histograms  # cleared, never rebound
+        # cleared, never rebound
+        self._histograms = self.metrics.histograms
+        self._gauges = self.metrics.gauges
         #: exact per-event-name tallies (not subject to ring wraparound)
         self.counts: TallyCounter = TallyCounter()
         #: exact per-component tallies (profiler + summaries)
@@ -152,16 +217,19 @@ class Tracer:
         """``record(name, ts, dur, tid, *values)`` — the hooks' entry
         point: declared event ``name`` with its field values in the
         registry's order (``None`` for an absent optional field, and
-        for ``dur`` on a non-span).  Kind, component, field names and
-        the histogram fed come from the declaration; the argument tuple
-        is the ring row.
+        for ``dur`` on a non-span).  Kind, component, field names, the
+        histogram fed and the gauge raised come from the declaration;
+        the argument tuple is the ring row.
         """
         name = row[0]
         try:
-            shape, feed = RECORD[name]
+            shape, feed, peak = RECORD[name]
         except KeyError:
             raise _undeclared(name) from None
-        self._buf.append(row)
+        buf = self._buf
+        buf.append(row)
+        if len(buf) >= CHUNK:
+            self._roll()
         counts = self.counts
         counts[name] = counts.get(name, 0) + 1
         counts, comp = self.comp_counts, shape[2]
@@ -176,6 +244,12 @@ class Tracer:
             if hist is None:
                 hist = self.metrics.histogram(metric)
             hist.observe(row[at])
+        if peak is not None:
+            metric, at = peak
+            gauge = self._gauges.get(metric)
+            if gauge is None:
+                gauge = self.metrics.gauge(metric)
+            gauge.set_max(row[at])
 
     def emit(
         self, name: str, *, ts: float, dur: Optional[float] = None,
@@ -184,9 +258,10 @@ class Tracer:
     ) -> None:
         """Record one event at ``ts`` (a span when ``dur`` is given).
 
-        Keyword adapter onto :meth:`record`'s ring, tallies and metric
-        feed, for callers that state kind, component and argument names
-        themselves (on a non-strict tracer, undeclared names too).
+        Keyword adapter onto :meth:`record`'s ring, tallies, histogram
+        feed and peak gauge, for callers that state kind, component and
+        argument names themselves (on a non-strict tracer, undeclared
+        names too).
         """
         spec = EVENTS.get(name)
         if spec is None and self.strict:
@@ -194,9 +269,12 @@ class Tracer:
         if kind is None:
             kind = SPAN if dur is not None else INSTANT
         args = args or {}
-        self._buf.append(
+        buf = self._buf
+        buf.append(
             ((name, kind, comp, tuple(args)), ts, dur, tid, *args.values())
         )
+        if len(buf) >= CHUNK:
+            self._roll()
         counts = self.counts
         counts[name] = counts.get(name, 0) + 1
         if comp:
@@ -209,6 +287,11 @@ class Tracer:
             keyed = args.get(key[0]) if key else ""
             if value is not None and keyed is not None:
                 self.metrics.histogram(metric + keyed).observe(value)
+        if spec is not None and spec.peak is not None:
+            metric, source = spec.peak
+            value = dur if source == "dur" else args.get(source)
+            if value is not None:
+                self.metrics.gauge(metric).set_max(value)
 
     def emit_now(
         self, name: str, *, comp: str = "", tid: int = 0,
@@ -227,6 +310,32 @@ class Tracer:
             args={"value": value},
         )
 
+    # -- the ring -----------------------------------------------------------
+
+    def _roll(self) -> None:
+        """Seal the open rows, then drop the chunks that lie wholly
+        behind the newest ``capacity`` rows."""
+        chunk = _seal(self._buf)
+        self._buf = []
+        sealed = self._sealed
+        sealed.append(chunk)
+        self._sealed_rows += chunk[0]
+        while self._sealed_rows - sealed[0][0] >= self.capacity:
+            self._sealed_rows -= sealed.popleft()[0]
+
+    def _rows(self, exact: bool = False) -> Iterator[tuple]:
+        """The retained rows, oldest first, one chunk decoded at a time
+        (``exact``: see :func:`_unseal`)."""
+        skip = self._sealed_rows + len(self._buf) - self.capacity
+        for chunk in self._sealed:
+            if skip >= chunk[0]:
+                skip -= chunk[0]
+                continue
+            rows = _unseal(chunk, exact)
+            yield from rows[skip:] if skip > 0 else rows
+            skip = 0
+        yield from self._buf[skip:] if skip > 0 else self._buf
+
     # -- checkpoint state ---------------------------------------------------
 
     def to_state(self) -> Dict[str, Any]:
@@ -236,11 +345,13 @@ class Tracer:
         counters record *harness* activity (how many times this process
         saved or restored), not simulation state; excluding them keeps a
         checkpoint's payload independent of how many checkpoints
-        preceded it.  The ring's rows are immutable: shared, not copied.
+        preceded it.  The ring's rows are immutable: open rows are shared,
+        sealed ones decoded.
         """
         return {
             "buf": [
-                r for r in self._buf if not _shape(r)[0].startswith("ckpt.")
+                r for r in self._rows(exact=True)
+                if not _shape(r)[0].startswith("ckpt.")
             ],
             "counts": {
                 name: n for name, n in self.counts.items()
@@ -255,8 +366,16 @@ class Tracer:
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore :meth:`to_state` onto a tracer of equal capacity."""
-        self._buf.clear()
-        self._buf.extend(state["buf"])
+        # restored rows stay as restored, in unsealed chunks, until they
+        # age out: their strings came out of a pickle, not interned, and
+        # a seal would not give them back as the same objects
+        rows = state["buf"]
+        self._sealed = deque(
+            (len(rows[i:i + CHUNK]), rows[i:i + CHUNK], ())
+            for i in range(0, len(rows), CHUNK)
+        )
+        self._sealed_rows = len(rows)
+        self._buf = []
         self.counts.clear()
         self.counts.update(state["counts"])
         self.comp_counts.clear()
@@ -273,23 +392,23 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events pushed out of the ring by later ones."""
-        return self.emitted - len(self._buf)
+        return self.emitted - len(self)
 
     def events(self) -> List[TraceEvent]:
         """The retained events, oldest first."""
-        return [_materialise(row) for row in self._buf]
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(self.capacity, self._sealed_rows + len(self._buf))
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(_materialise, self._buf)
+        return map(_materialise, self._rows())
 
     def summary(self) -> Dict[str, object]:
         """Headline numbers for reports and the CLI."""
         return {
             "emitted": self.emitted,
-            "retained": len(self._buf),
+            "retained": len(self),
             "dropped": self.dropped,
             "by_name": dict(sorted(self.counts.items())),
             "by_component": dict(sorted(self.comp_counts.items())),

@@ -570,14 +570,17 @@ def _literal_first_arg(node: ast.Call) -> Optional[str]:
     return None
 
 
-def _fed_metric(node: ast.Call) -> Optional[Tuple[str, bool]]:
-    """``(metric, is a prefix)`` of an event declaration's literal
-    ``feeds=(metric, field[, key field])``, else ``None``."""
+def _fed_metrics(node: ast.Call) -> Iterator[Tuple[str, bool]]:
+    """``(metric, is a prefix)`` of each instrument an event declaration
+    names: its literal ``feeds=(metric, field[, key field])`` histogram
+    and ``peak=(metric, field)`` gauge."""
     for kw in node.keywords:
         elts = getattr(kw.value, "elts", None)
-        if kw.arg == "feeds" and elts and isinstance(elts[0], ast.Constant):
-            return str(elts[0].value), len(elts) > 2
-    return None
+        if (
+            kw.arg in ("feeds", "peak") and elts
+            and isinstance(elts[0], ast.Constant)
+        ):
+            yield str(elts[0].value), kw.arg == "feeds" and len(elts) > 2
 
 
 def _is_metrics_receiver(func: ast.Attribute) -> bool:
@@ -778,9 +781,8 @@ def _metric_name_uses(
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            fed = _fed_metric(node)
-            if fed is not None:
-                (prefixes if fed[1] else exact).add(fed[0])
+            for metric, is_prefix in _fed_metrics(node):
+                (prefixes if is_prefix else exact).add(metric)
             if (
                 not isinstance(node.func, ast.Attribute)
                 or node.func.attr not in _METRIC_METHODS

@@ -110,6 +110,35 @@ class TestChrome:
             read_chrome_trace(path)
 
 
+class TestStreamedChrome:
+    """``write_chrome_trace`` encodes one record at a time; its bytes are
+    still ``json.dump(to_chrome_trace(...), indent=1)``'s."""
+
+    @pytest.mark.parametrize("events,meta", [
+        ([], {}),
+        (sample_events()[:1], {}),
+        (sample_events(), {"app": "unit", "procs": 32}),
+        (sample_events() + [TraceEvent("dir.service", 30.0, kind="span",
+                                       dur=9.0, comp="directory", args={
+                                           "phases": {"memory": 23.0},
+                                           "note": 'line\n"two"'})],
+         {"nested": {"list": [1, {"deep": None}], "empty": {}},
+          "unicode": "caf\u00e9"}),
+    ], ids=["empty", "one-component", "components", "nested-meta"])
+    def test_bytes_equal_json_dump(self, tmp_path, events, meta):
+        path = write_chrome_trace(iter(events), tmp_path / "t.json", meta=meta)
+        expected = json.dumps(to_chrome_trace(events, meta=meta), indent=1)
+        assert path.read_text() == expected + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_batch_boundaries(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr("repro.obs.export._BATCH", 2)
+        events = (sample_events() * 2)[:n]
+        path = write_chrome_trace(events, tmp_path / "t.json")
+        expected = json.dumps(to_chrome_trace(events), indent=1)
+        assert path.read_text() == expected + "\n"
+
+
 class TestSniffing:
     def test_read_trace_detects_jsonl(self, tmp_path):
         path = write_jsonl(sample_events(), tmp_path / "t.jsonl")

@@ -2,11 +2,19 @@
 
 import gc
 import json
+import marshal
+import pickle
+import tracemalloc
+from collections import Counter as Tally
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import MP3DWorkload
+from repro.machine import DashSystem, MachineConfig
+from repro.machine.faults import FaultKind
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -18,6 +26,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.registry import EVENTS, METRICS_SCHEMA, SERVICE_PHASES
 from repro.obs.tracer import (
+    CHUNK,
     COUNTER,
     INSTANT,
     NULL_TRACER,
@@ -219,6 +228,169 @@ class TestOneRecordPath:
         assert u.metrics.to_state() == t.metrics.to_state()
         u.record("net.msg", 13.0, 20.0, 3, "read", 13, 5, 13)  # feeds restored
         assert u.metrics.histogram("msg_latency").count == 13
+
+
+def _typed(rows):
+    """Rows with the type of every field beside it: ``True == 1`` and
+    ``[1] != (1,)`` alike must survive a seal."""
+    return [(row, tuple(map(type, row))) for row in rows]
+
+
+#: a few rows of each shape a hook records (declared name first)
+_ROW_SHAPES = st.sampled_from([
+    ("net.msg", 20.0, 3, "read", 700, 5, 41),
+    ("dir.service", 9.0, 2, "writeback", 700, 1, 6.0, False, None,
+     (0.0, 0.0, 0.0, 0.0, 23.0, 20.0, 1.5)),
+    ("dir.sparse_evict", None, 0, 12, 2, [3, 9], None),
+    ("cache.evict", None, 4, 88, True),
+    ("proc.sync", 4.0, 0),
+])
+
+
+@st.composite
+def _ring_ops(draw):
+    """``(n, shapes, keyword_every)``: ``n`` calls cycling over ``shapes``,
+    every ``keyword_every``-th through the keyword adapter (0: never)."""
+    n = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8192, 8193, 13000]))
+    n = max(0, n + draw(st.integers(-2, 2)))
+    shapes = draw(st.lists(_ROW_SHAPES, min_size=1, max_size=3))
+    return n, shapes, draw(st.sampled_from([0, 1, 7, 5000]))
+
+
+def _drive(tracer, reference, n, shapes, keyword_every):
+    """Make the same calls on ``tracer`` and append the rows a
+    ``deque(maxlen=capacity)`` ring would retain to ``reference``."""
+    for i in range(n):
+        name, dur, tid, *values = shapes[i % len(shapes)]
+        if keyword_every and i % keyword_every == 0:
+            spec = EVENTS[name]
+            args = dict(zip(spec.fields, values))
+            tracer.emit(name, ts=float(i), dur=dur, kind=spec.kind,
+                        comp=spec.comp, tid=tid, args=args)
+            reference.append(((name, spec.kind, spec.comp, tuple(args)),
+                              float(i), dur, tid, *args.values()))
+        else:
+            row = (name, float(i), dur, tid, *values)
+            tracer.record(*row)
+            reference.append(row)
+
+
+class TestSealedRing:
+    """The ring seals every ``CHUNK`` rows into bytes; what it retains
+    reads back as a ``deque(maxlen=capacity)`` of the recorded rows."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 4095, 4096, 4097, 10000])
+    @settings(max_examples=12, deadline=None)
+    @given(ops=_ring_ops())
+    def test_matches_a_deque_ring(self, capacity, ops):
+        n, shapes, _ = ops
+        tracer, reference = Tracer(capacity), deque(maxlen=capacity)
+        _drive(tracer, reference, *ops)
+        assert _typed(tracer._rows()) == _typed(reference)
+        assert _typed(tracer._rows(exact=True)) == _typed(reference)
+        assert len(tracer) == len(reference)
+        assert tracer.emitted == n
+        assert tracer.dropped == n - len(reference)
+        assert tracer.counts == Tally(
+            shapes[i % len(shapes)][0] for i in range(n)
+        )
+        # the memory bound: capacity rows plus one chunk sealed, one open
+        assert tracer._sealed_rows < capacity + CHUNK
+        assert len(tracer._buf) < CHUNK
+
+    def test_state_round_trip_mid_chunk(self):
+        capacity = 2 * CHUNK + 100
+        t, ref = Tracer(capacity), deque(maxlen=capacity)
+        _drive(t, ref, 3 * CHUNK + 17, [("net.msg", 20.0, 3, "read", 7, 5, 4),
+                                         ("proc.sync", 4.0, 0)], 0)
+        assert 0 < len(t._buf) < CHUNK and t._sealed
+        u = Tracer(capacity)
+        u.load_state(t.to_state())
+        assert _typed(u._rows()) == _typed(t._rows()) == _typed(ref)
+        assert (u.emitted, u.dropped, len(u)) == (t.emitted, t.dropped, len(t))
+        more = [("cache.inval", None, 1, 3, None)]
+        _drive(t, ref, CHUNK + 5, more, 0)
+        _drive(u, deque(), CHUNK + 5, more, 0)
+        assert _typed(u._rows()) == _typed(t._rows()) == _typed(ref)
+        assert u.events() == t.events()
+
+    def test_state_pickles_as_the_recorded_rows(self):
+        """A checkpoint payload pickles strings by identity: a sealed row
+        must come back holding the very name object the hook passed,
+        not an equal copy, or the payload bytes move."""
+        name = "".join(["net", ".msg"])  # equal to, not, the declared key
+        capacity = CHUNK + 10
+        t, ref = Tracer(capacity), deque(maxlen=capacity)
+        _drive(t, ref, 3 * CHUNK, [(name, 20.0, 3, "read", 7, 5, 4)], 0)
+        assert len(t._sealed) == 2
+        state = t.to_state()["buf"]
+        assert pickle.dumps(state, 4) == pickle.dumps(list(ref), 4)
+        assert all(row[0] is name for row in state)
+        # restored rows name the event with the unpickled object, rows
+        # recorded after the restore with the hook's: both kept apart
+        restored = pickle.loads(pickle.dumps(t.to_state(), 4))
+        u, ref = Tracer(capacity), deque(restored["buf"], maxlen=capacity)
+        u.load_state(restored)
+        _drive(u, ref, CHUNK // 2 + 3, [(name, 20.0, 3, "read", 7, 5, 4)], 0)
+        state = u.to_state()["buf"]
+        assert pickle.dumps(state, 4) == pickle.dumps(list(ref), 4)
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_every_declared_row_survives_a_seal(self, name, data):
+        """Bools, ``None``, the ``phases`` tuple and ``dir.sparse_evict``'s
+        ``nodes`` list: each field reads back equal and of its type."""
+        rows = [(name, ts, dur, tid, *values)
+                for ts, dur, tid, values in data.draw(_calls(name))]
+        rows = (rows * (CHUNK // len(rows) + 1))[:CHUNK + 1]
+        t = Tracer(len(rows))
+        for row in rows:
+            t.record(*row)
+        assert t._sealed, "no chunk was sealed"
+        assert _typed(t._rows()) == _typed(rows)
+
+    def test_retained_row_cost_on_a_traced_mp3d(self):
+        """What dropping a full default ring frees, per retained row, on
+        the 32-cluster MP3D: its sealed bytes plus the open rows.  The
+        run keeps every row; replaying them all into a default ring under
+        tracemalloc leaves the ring the run itself would have left."""
+        config = MachineConfig(num_clusters=32, procs_per_cluster=1,
+                               block_bytes=16, scheme="Dir3CV2")
+        workload = MP3DWorkload(32, num_particles=4096, space_cells=96,
+                                steps=2)
+        everything = Tracer(1 << 20)
+        DashSystem(config, workload, obs=everything).run()
+        rows = marshal.dumps(list(everything._rows()))
+        del everything
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracer = Tracer()
+            for row in marshal.loads(rows):
+                tracer.record(*row)
+            gc.collect()
+            retained, dropped = len(tracer), tracer.dropped
+            before = tracemalloc.get_traced_memory()[0]
+            tracer._sealed.clear()
+            tracer._buf = []
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dropped > 0 and retained == tracer.capacity
+        assert freed / retained <= 64, f"{freed / retained:.1f} B per row"
+
+    def test_value_marshal_refuses_reads_back(self):
+        t = Tracer(2 * CHUNK)
+        t.emit("net.fault", ts=0.0, comp="network",
+               args={"kind": FaultKind.DROP, "src": 1, "dst": 2})
+        for i in range(CHUNK):
+            t.record("proc.sync", float(i), 1.0, 0)
+        assert t._sealed
+        first = t.events()[0]
+        assert first.args["kind"] is FaultKind.DROP
+        assert len(t) == CHUNK + 1 and t.dropped == 0
 
 
 class TestNullTracer:

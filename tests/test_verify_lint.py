@@ -467,6 +467,28 @@ def test_fstring_prefix_keeps_metric_family_alive(tmp_path):
     assert findings == []
 
 
+def test_declared_peak_gauge_keeps_metric_alive(tmp_path):
+    # a gauge an event raises through its declaration (peak=) is used,
+    # though no machine code names it
+    registry = (
+        "EVENTS = {'dir.occupancy': _E('counter', 'directory', ('value',),\n"
+        "          'x', feeds=('dir_occupancy', 'value'),\n"
+        "          peak=('dir_occupancy_peak', 'value'))}\n"
+        "METRICS = {'dir_occupancy': 'h', 'dir_occupancy_peak': 'g'}\n"
+    )
+    hooks = "def f(obs, now, occ):\n    obs.record('dir.occupancy', now, None, 0, occ)\n"
+    findings = _lint_tree(tmp_path, {
+        "obs/registry.py": registry, "machine/hooks.py": hooks,
+    })
+    assert findings == []
+    findings = _lint_tree(tmp_path / "unfed", {
+        "obs/registry.py": registry.replace("peak=", "unread="),
+        "machine/hooks.py": hooks,
+    })
+    assert _rules(findings) == ["dead-metric"]
+    assert "dir_occupancy_peak" in findings[0].message
+
+
 def test_dead_metric_skipped_without_machine_layer(tmp_path):
     # a partial run cannot see the increment sites; stay quiet
     findings = _lint_tree(tmp_path, {
