@@ -95,7 +95,10 @@ class DirectoryStore(ABC):
 
     @abstractmethod
     def release(self, block: int) -> None:
-        """Hint that ``block``'s line is now empty and may be freed."""
+        """Hint that ``block``'s line is now empty and may be freed.
+
+        A freed line is ``reset()`` first: its entry may hold scheme
+        state (an overflow-cache wide slot) that must go with it."""
 
     def blocks_invalidated_with(self, block: int) -> Tuple[int, ...]:
         """Blocks whose cached copies an invalidation of ``block`` kills.
@@ -168,6 +171,7 @@ class FullMapDirectory(DirectoryStore):
         # working set rather than all of memory.
         line = self._lines.get(block)
         if line is not None and line.is_empty():
+            line.reset()  # scheme state (a wide slot) must not outlive it
             del self._lines[block]
 
     def capacity_entries(self) -> Optional[int]:
@@ -372,6 +376,7 @@ class SparseDirectory(DirectoryStore):
             if way.tag == tag:
                 assert way.line is not None
                 if way.line.is_empty():
+                    way.line.reset()  # as in _evict
                     way.tag = -1
                     way.line = None
                     self._valid -= 1

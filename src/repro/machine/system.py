@@ -77,7 +77,10 @@ class DashSystem:
         #: plus a falsy `.enabled` check per hook site and nothing more
         self.obs = obs if obs is not None else NULL_TRACER
         if self.obs.enabled:
-            self.obs.bind_clock(lambda: self.events.now)
+            # the clock holds the queue, not the machine, so the tracer
+            # is in no reference cycle
+            events = self.events
+            self.obs.bind_clock(lambda: events.now)
             self.stats.metrics = self.obs.metrics
         self.network = make_network(config.network, config.num_clusters)
         #: active fault plan, or None for the (byte-identical) clean path

@@ -11,7 +11,13 @@ separate series.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Tuple
+import weakref
+from collections import Counter as TallyCounter
+from functools import reduce
+from itertools import chain
+from operator import add
+from types import MethodType
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.registry import METRICS, METRICS_SCHEMA
 
@@ -52,6 +58,11 @@ class Gauge:
         if v > self.value:
             self.value = v
 
+    def set_max_all(self, values: Iterable[float]) -> None:
+        """:meth:`set_max` each of ``values`` in turn (``max`` compares
+        exactly as that loop does, so the same object is kept)."""
+        self.value = max(chain((self.value,), values))
+
     def to_dict(self) -> float:
         """JSON form: the bare value."""
         return self.value
@@ -86,6 +97,34 @@ class Log2Histogram:
         buckets[idx] = buckets.get(idx, 0) + 1
         self.count += 1
 
+    def observe_all(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``values`` in turn, bucketing each
+        distinct value once when every value is a number >= 0.
+
+        Exact, not approximate: buckets fill in the same first-seen order
+        and ``total`` adds the same values in the same order (adding a
+        zero leaves a float unchanged), so the result is bit-identical.
+        """
+        try:
+            seen = TallyCounter(values)
+            fast = min(seen) >= 0
+            if fast:
+                idx: Dict[int, int] = {}
+                for v, n in seen.items():
+                    i = int(v).bit_length()
+                    idx[i] = idx.get(i, 0) + n
+        except (TypeError, ValueError):  # None, NaN, no values: one by one
+            fast = False
+        if not fast:
+            for v in values:
+                self.observe(v)
+            return
+        buckets = self.buckets
+        for i, n in idx.items():
+            buckets[i] = buckets.get(i, 0) + n
+        self.total = reduce(add, values, self.total)
+        self.count += len(values)
+
     @property
     def mean(self) -> float:
         """Average of the raw (pre-bucketing) observations."""
@@ -107,13 +146,54 @@ class Log2Histogram:
 
 
 class MetricsRegistry:
-    """Lazily created, name-validated instruments for one run."""
+    """Lazily created, name-validated instruments for one run.
+
+    A tracer's registry is derived from the tracer's rows a chunk at a
+    time (see :meth:`~repro.obs.tracer.Tracer.settle`): every reader —
+    the instrument maps, the accessors, :attr:`empty`, :meth:`to_state`,
+    :meth:`to_dict` — settles first, so what it reads is exact.
+    """
 
     def __init__(self, *, strict: bool = True) -> None:
         self.strict = strict
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Log2Histogram] = {}
+        self._counters: Dict[str, Counter] = {}
+        self._gauges: Dict[str, Gauge] = {}
+        self._histograms: Dict[str, Log2Histogram] = {}
+        self._source: Optional[weakref.WeakMethod] = None
+
+    def derive_from(self, settle: MethodType) -> None:
+        """Call the bound method ``settle`` before every read.
+
+        Held weakly: the tracer owns its registry and a run's stats may
+        keep the registry, so a strong reference back would pin the
+        tracer's ring (and close a reference cycle).  A tracer settles
+        its registry as it is freed.
+        """
+        self._source = weakref.WeakMethod(settle)
+
+    def _settle(self) -> None:
+        if self._source is not None:
+            settle = self._source()
+            if settle is not None:
+                settle()
+
+    @property
+    def counters(self) -> Dict[str, Counter]:
+        """Counter name -> counter, in creation order."""
+        self._settle()
+        return self._counters
+
+    @property
+    def gauges(self) -> Dict[str, Gauge]:
+        """Gauge name -> gauge, in creation order."""
+        self._settle()
+        return self._gauges
+
+    @property
+    def histograms(self) -> Dict[str, Log2Histogram]:
+        """Histogram name -> histogram, in creation order."""
+        self._settle()
+        return self._histograms
 
     def _get(self, table: Dict[str, Any], name: str, make: Any) -> Any:
         instrument = table.get(name)
@@ -141,7 +221,8 @@ class MetricsRegistry:
     @property
     def empty(self) -> bool:
         """True when no instrument has been created."""
-        return not (self.counters or self.gauges or self.histograms)
+        self._settle()
+        return not (self._counters or self._gauges or self._histograms)
 
     def to_state(self) -> Dict[str, Any]:
         """Lossless snapshot for checkpoints (:meth:`to_dict` rounds).
@@ -149,27 +230,29 @@ class MetricsRegistry:
         ``ckpt_*`` counters are harness activity, not simulation state,
         and are left out (see ``Tracer.to_state``).
         """
+        self._settle()
         return {
             "counters": {
-                name: c.value for name, c in self.counters.items()
+                name: c.value for name, c in self._counters.items()
                 if not name.startswith("ckpt_")
             },
-            "gauges": {name: g.value for name, g in self.gauges.items()},
+            "gauges": {name: g.value for name, g in self._gauges.items()},
             "histograms": {
                 name: (dict(h.buckets), h.count, h.total)
-                for name, h in self.histograms.items()
+                for name, h in self._histograms.items()
             },
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore :meth:`to_state`, replacing every instrument."""
-        self.counters.clear()
+        self._settle()
+        self._counters.clear()
         for name, value in state["counters"].items():
             self.counter(name).value = value
-        self.gauges.clear()
+        self._gauges.clear()
         for name, value in state["gauges"].items():
             self.gauge(name).value = value
-        self.histograms.clear()
+        self._histograms.clear()
         for name, (buckets, count, total) in state["histograms"].items():
             hist = self.histogram(name)
             hist.buckets = dict(buckets)
@@ -178,14 +261,15 @@ class MetricsRegistry:
 
     def to_dict(self) -> Dict[str, object]:
         """Versioned JSON form (the ``metrics`` key of stats output)."""
+        self._settle()
         return {
             "schema": METRICS_SCHEMA,
             "counters": {
-                k: c.to_dict() for k, c in sorted(self.counters.items())
+                k: c.to_dict() for k, c in sorted(self._counters.items())
             },
-            "gauges": {k: g.to_dict() for k, g in sorted(self.gauges.items())},
+            "gauges": {k: g.to_dict() for k, g in sorted(self._gauges.items())},
             "histograms": {
-                k: h.to_dict() for k, h in sorted(self.histograms.items())
+                k: h.to_dict() for k, h in sorted(self._histograms.items())
             },
         }
 

@@ -131,20 +131,33 @@ EVENTS: Dict[str, EventSpec] = {
 }
 
 
-def _intern(name: str, spec: EventSpec) -> Tuple[object, ...]:
-    """``(shape, feed, peak)``, resolved once at import: ``shape`` is
-    what a ring row ``(name, ts, dur, tid, *values)`` of this event
-    materialises with; ``feed`` is ``(metric, value index, key index or
-    None)`` into that row, ``peak`` ``(metric, value index)``."""
-    at = ("name", "ts", "dur", "tid", *spec.fields).index
+def row_sources(
+    spec: EventSpec, fields: Tuple[str, ...],
+) -> Tuple[Optional[Tuple[object, ...]], Optional[Tuple[str, int]]]:
+    """``(feed, peak)`` of ``spec`` for a row ``(name, ts, dur, tid,
+    *values)`` whose values are ``fields``: ``feed`` is ``(metric, value
+    index, key index or None)``, ``peak`` ``(metric, value index)``, and
+    either is ``None`` when the event declares none or ``fields`` lacks
+    the field it reads (a keyword row may leave fields out)."""
+    at = {field: i for i, field in enumerate(fields, 4)}
+    at["dur"] = 2
     feed = peak = None
     if spec.feeds is not None:
         metric, value, *key = spec.feeds
-        feed = (metric, at(value), at(key[0]) if key else None)
-    if spec.peak is not None:
+        if value in at and (not key or key[0] in at):
+            feed = (metric, at[value], at[key[0]] if key else None)
+    if spec.peak is not None and spec.peak[1] in at:
         metric, value = spec.peak
-        peak = (metric, at(value))
-    return (name, spec.kind, spec.comp, spec.fields), feed, peak
+        peak = (metric, at[value])
+    return feed, peak
+
+
+def _intern(name: str, spec: EventSpec) -> Tuple[object, ...]:
+    """``(shape, feed, peak)``, resolved once at import: ``shape`` is
+    what a ring row ``(name, ts, dur, tid, *values)`` of this event
+    materialises with, ``feed`` and ``peak`` its :func:`row_sources`."""
+    shape = (name, spec.kind, spec.comp, spec.fields)
+    return (shape, *row_sources(spec, spec.fields))
 
 
 #: event name -> ``_intern`` of its declaration (what the tracer reads)

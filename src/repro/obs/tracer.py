@@ -20,6 +20,13 @@ The buffer is a bounded ring: when full, the oldest events fall out and
 Per-name/per-component tallies survive the ring (they are plain
 counters), so summaries stay exact even after wraparound.
 
+Record, then tally: :meth:`Tracer.record` only appends its row.  The
+counts, the histogram each declared event feeds and the gauge it raises
+are derived from the rows a chunk at a time (:meth:`Tracer.settle`,
+before a chunk is sealed and before any read of them, the metrics
+registry's included), grouped by event, with the same result as one row
+at a time.
+
 Record flat, materialise on read: an event is one ring row, the tuple
 ``(name, ts, dur, tid, *values)`` — for a hook, the argument tuple of
 its :meth:`Tracer.record` call itself, so recording allocates nothing
@@ -45,12 +52,12 @@ from __future__ import annotations
 
 import marshal
 from collections import Counter as TallyCounter
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, NullMetrics
+from repro.obs.metrics import Gauge, Log2Histogram, MetricsRegistry, NullMetrics
 from repro.obs.registry import (  # noqa: F401  (kinds re-exported)
     BEGIN,
     COUNTER,
@@ -60,6 +67,7 @@ from repro.obs.registry import (  # noqa: F401  (kinds re-exported)
     RECORD,
     SERVICE_PHASES,
     SPAN,
+    row_sources,
 )
 
 
@@ -118,6 +126,64 @@ def _materialise(row: tuple) -> TraceEvent:
     return TraceEvent(name, ts, kind, dur, comp, tid, args or None)
 
 
+#: where a head's rows hold what an instrument takes: ``(value index,
+#: key index or None, lenient)``; a lenient (keyword) row skips a
+#: ``None`` value or key, a declared one hands it to the instrument
+_Source = Tuple[int, Optional[int], bool]
+
+
+def _accounting(head: object) -> Tuple[Any, str, Any, Any, bool]:
+    """``(name, comp, feed, peak, lenient)`` for the rows of ``head``:
+    ``feed`` is ``(metric, value index, key index or None)``, ``peak``
+    ``(metric, value index)``, each ``None`` when the rows have none."""
+    if type(head) is str:
+        shape, feed, peak = RECORD[head]
+        return head, shape[2], feed, peak, False
+    name, _, comp, fields = head  # type: ignore[misc]
+    spec = EVENTS.get(name)
+    feed, peak = (None, None) if spec is None else row_sources(spec, fields)
+    return name, comp, feed, peak, True
+
+
+def _columns(
+    rows: List[tuple], groups: Dict[Any, List[tuple]],
+    sources: Dict[str, Dict[Any, _Source]],
+) -> Dict[str, Tuple[tuple, List[Any]]]:
+    """Instrument name -> ``(first row, values)``, each column in record
+    order, for the instruments ``sources`` (a prefix -> the heads that
+    feed it) name."""
+    out: Dict[str, Tuple[tuple, List[Any]]] = {}
+    for prefix, heads in sources.items():
+        if len(heads) == 1:
+            ((head, (at, key, lenient)),) = heads.items()
+            selected = groups[head]
+            keys = [""] if key is None else list(
+                map(itemgetter(key), selected))
+            values = list(map(itemgetter(at), selected))
+            if keys.count(keys[0]) == len(keys) and not (
+                lenient and (None in keys or None in values)
+            ):  # one column, as for every hook's rows
+                out[prefix + keys[0]] = selected[0], values
+                continue
+        else:
+            selected = [row for row in rows if row[0] in heads]
+        for row in selected:
+            at, key, lenient = heads[row[0]]
+            value, metric = row[at], prefix
+            if key is not None:
+                if lenient and row[key] is None:
+                    continue
+                metric = prefix + row[key]
+            if lenient and value is None:
+                continue
+            column = out.get(metric)
+            if column is None:
+                out[metric] = row, [value]
+            else:
+                column[1].append(value)
+    return out
+
+
 #: rows per sealed chunk (the open list seals when it reaches this)
 CHUNK = 4096
 
@@ -166,7 +232,8 @@ def _unseal(chunk: _Chunk, exact: bool) -> List[tuple]:
 
 
 class Tracer:
-    """Enabled tracer: bounded ring of sealed chunks plus exact tallies."""
+    """Enabled tracer: bounded ring of sealed chunks plus exact tallies,
+    settled a chunk at a time."""
 
     enabled = True
 
@@ -178,13 +245,16 @@ class Tracer:
         clock: Optional[Callable[[], float]] = None, strict: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        #: the open rows ``(head, ts, dur, tid, *values)``, fewer than
+        #: :data:`CHUNK`; ``head`` is a declared event's name or an
+        #: explicit ``(name, kind, comp, fields)``.  The first
+        #: ``_tallied`` of them are counted.  (Set before anything can
+        #: raise: ``__del__`` reads them.)
+        self._buf: List[tuple] = []
+        self._tallied = 0
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: the open rows ``(head, ts, dur, tid, *values)``, fewer than
-        #: :data:`CHUNK`; ``head`` is a declared event's name or an
-        #: explicit ``(name, kind, comp, fields)``
-        self._buf: List[tuple] = []
         #: older rows, oldest chunk first, and how many rows they hold
         self._sealed: Deque[_Chunk] = deque()
         self._sealed_rows = 0
@@ -193,13 +263,14 @@ class Tracer:
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else MetricsRegistry(strict=strict)
         )
-        # cleared, never rebound
-        self._histograms = self.metrics.histograms
-        self._gauges = self.metrics.gauges
-        #: exact per-event-name tallies (not subject to ring wraparound)
-        self.counts: TallyCounter = TallyCounter()
-        #: exact per-component tallies (profiler + summaries)
-        self.comp_counts: TallyCounter = TallyCounter()
+        self.metrics.derive_from(self.settle)
+        self._counts: TallyCounter = TallyCounter()
+        self._comp_counts: TallyCounter = TallyCounter()
+
+    def __del__(self) -> None:
+        # a run's stats may keep the registry after the tracer is gone
+        if self._tallied < len(self._buf):
+            self.settle()
 
     # -- clock binding ------------------------------------------------------
 
@@ -217,39 +288,16 @@ class Tracer:
         """``record(name, ts, dur, tid, *values)`` — the hooks' entry
         point: declared event ``name`` with its field values in the
         registry's order (``None`` for an absent optional field, and
-        for ``dur`` on a non-span).  Kind, component, field names, the
-        histogram fed and the gauge raised come from the declaration;
-        the argument tuple is the ring row.
+        for ``dur`` on a non-span).  The argument tuple is the ring row;
+        kind, component, field names, the histogram fed and the gauge
+        raised come from the declaration when the row is tallied.
         """
-        name = row[0]
-        try:
-            shape, feed, peak = RECORD[name]
-        except KeyError:
-            raise _undeclared(name) from None
+        if row[0] not in RECORD:
+            raise _undeclared(row[0])
         buf = self._buf
         buf.append(row)
         if len(buf) >= CHUNK:
             self._roll()
-        counts = self.counts
-        counts[name] = counts.get(name, 0) + 1
-        counts, comp = self.comp_counts, shape[2]
-        counts[comp] = counts.get(comp, 0) + 1
-        if feed is not None:
-            metric, at, key = feed
-            if key is not None:
-                metric += row[key]
-            # the instrument is created, and its name validated, at the
-            # first observation
-            hist = self._histograms.get(metric)
-            if hist is None:
-                hist = self.metrics.histogram(metric)
-            hist.observe(row[at])
-        if peak is not None:
-            metric, at = peak
-            gauge = self._gauges.get(metric)
-            if gauge is None:
-                gauge = self.metrics.gauge(metric)
-            gauge.set_max(row[at])
 
     def emit(
         self, name: str, *, ts: float, dur: Optional[float] = None,
@@ -258,13 +306,13 @@ class Tracer:
     ) -> None:
         """Record one event at ``ts`` (a span when ``dur`` is given).
 
-        Keyword adapter onto :meth:`record`'s ring, tallies, histogram
-        feed and peak gauge, for callers that state kind, component and
-        argument names themselves (on a non-strict tracer, undeclared
-        names too).
+        Keyword adapter onto :meth:`record`'s ring, for callers that
+        state kind, component and argument names themselves (on a
+        non-strict tracer, undeclared names too).  The row is tallied
+        as :meth:`record`'s are, feeding a declared event's histogram
+        and gauge from the fields ``args`` holds.
         """
-        spec = EVENTS.get(name)
-        if spec is None and self.strict:
+        if self.strict and name not in EVENTS:
             raise _undeclared(name)
         if kind is None:
             kind = SPAN if dur is not None else INSTANT
@@ -275,23 +323,6 @@ class Tracer:
         )
         if len(buf) >= CHUNK:
             self._roll()
-        counts = self.counts
-        counts[name] = counts.get(name, 0) + 1
-        if comp:
-            counts = self.comp_counts
-            counts[comp] = counts.get(comp, 0) + 1
-        if spec is not None and spec.feeds is not None:
-            # the declared feed, by field name: ``args`` may omit fields
-            metric, source, *key = spec.feeds
-            value = dur if source == "dur" else args.get(source)
-            keyed = args.get(key[0]) if key else ""
-            if value is not None and keyed is not None:
-                self.metrics.histogram(metric + keyed).observe(value)
-        if spec is not None and spec.peak is not None:
-            metric, source = spec.peak
-            value = dur if source == "dur" else args.get(source)
-            if value is not None:
-                self.metrics.gauge(metric).set_max(value)
 
     def emit_now(
         self, name: str, *, comp: str = "", tid: int = 0,
@@ -310,13 +341,68 @@ class Tracer:
             args={"value": value},
         )
 
+    # -- tallies ------------------------------------------------------------
+
+    def settle(self) -> None:
+        """Tally the rows recorded since the last tally: every reader of
+        the counts, histograms and gauges calls this first."""
+        buf = self._buf
+        if self._tallied < len(buf):
+            rows = buf[self._tallied:] if self._tallied else buf
+            self._tallied = len(buf)
+            self._tally(rows)
+
+    def _tally(self, rows: List[tuple]) -> None:
+        """Count ``rows``, feed their histograms and raise their gauges,
+        exactly as one row at a time would, in one pass per event.
+
+        The rows are grouped by head; an instrument a group opens is
+        created in the order its first row was recorded, and one fed by
+        several heads reads its values back in record order.
+        """
+        groups: Dict[Any, List[tuple]] = defaultdict(list)
+        for row in rows:
+            groups[row[0]].append(row)
+        counts, comp_counts = self._counts, self._comp_counts
+        feeds: Dict[str, Dict[Any, _Source]] = {}
+        peaks: Dict[str, Dict[Any, _Source]] = {}
+        for head, group in groups.items():
+            name, comp, feed, peak, lenient = _accounting(head)
+            counts[name] = counts.get(name, 0) + len(group)
+            if comp:
+                comp_counts[comp] = comp_counts.get(comp, 0) + len(group)
+            if feed is not None:
+                metric, at, key = feed
+                feeds.setdefault(metric, {})[head] = (at, key, lenient)
+            if peak is not None:
+                metric, at = peak
+                peaks.setdefault(metric, {})[head] = (at, None, lenient)
+        metrics = self.metrics
+        for table, make, sources, update in (
+            (metrics.histograms, metrics.histogram, feeds,
+             Log2Histogram.observe_all),
+            (metrics.gauges, metrics.gauge, peaks, Gauge.set_max_all),
+        ):
+            columns = _columns(rows, groups, sources)
+            # instruments appear in the order their first rows did
+            for _, metric in sorted(
+                (rows.index(first), metric)
+                for metric, (first, _) in columns.items()
+                if metric not in table
+            ):
+                make(metric)
+            for metric, (_, values) in columns.items():
+                update(table[metric], values)
+
     # -- the ring -----------------------------------------------------------
 
     def _roll(self) -> None:
-        """Seal the open rows, then drop the chunks that lie wholly
-        behind the newest ``capacity`` rows."""
+        """Tally and seal the open rows, then drop the chunks that lie
+        wholly behind the newest ``capacity`` rows."""
+        self.settle()
         chunk = _seal(self._buf)
         self._buf = []
+        self._tallied = 0
         sealed = self._sealed
         sealed.append(chunk)
         self._sealed_rows += chunk[0]
@@ -375,14 +461,29 @@ class Tracer:
             for i in range(0, len(rows), CHUNK)
         )
         self._sealed_rows = len(rows)
+        # the open rows are dropped untallied: the restored tallies
+        # replace whatever they would have added
         self._buf = []
-        self.counts.clear()
-        self.counts.update(state["counts"])
-        self.comp_counts.clear()
-        self.comp_counts.update(state["comp_counts"])
+        self._tallied = 0
+        self._counts.clear()
+        self._counts.update(state["counts"])
+        self._comp_counts.clear()
+        self._comp_counts.update(state["comp_counts"])
         self.metrics.load_state(state["metrics"])
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def counts(self) -> TallyCounter:
+        """Exact per-event-name tallies (not subject to ring wraparound)."""
+        self.settle()
+        return self._counts
+
+    @property
+    def comp_counts(self) -> TallyCounter:
+        """Exact per-component tallies (profiler + summaries)."""
+        self.settle()
+        return self._comp_counts
 
     @property
     def emitted(self) -> int:

@@ -5,6 +5,7 @@ import json
 import marshal
 import pickle
 import tracemalloc
+import weakref
 from collections import Counter as Tally
 from collections import deque
 
@@ -24,7 +25,7 @@ from repro.obs.metrics import (
     histogram_delta,
     load_metrics_dict,
 )
-from repro.obs.registry import EVENTS, METRICS_SCHEMA, SERVICE_PHASES
+from repro.obs.registry import EVENTS, METRICS_SCHEMA, RECORD, SERVICE_PHASES
 from repro.obs.tracer import (
     CHUNK,
     COUNTER,
@@ -391,6 +392,242 @@ class TestSealedRing:
         first = t.events()[0]
         assert first.args["kind"] is FaultKind.DROP
         assert len(t) == CHUNK + 1 and t.dropped == 0
+
+
+class _RowAtATime(Tracer):
+    """The reference model: the tracer's accounting before it settled a
+    chunk at a time.  Each row is counted, and feeds its histogram and
+    raises its gauge, at its call; the ring is the tracer's own."""
+
+    def settle(self):
+        """Nothing is ever left to tally."""
+
+    def record(self, *row):
+        name = row[0]
+        try:
+            shape, feed, peak = RECORD[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not declared") from None
+        self._buf.append(row)
+        if len(self._buf) >= CHUNK:
+            self._roll()
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+        counts, comp = self._comp_counts, shape[2]
+        counts[comp] = counts.get(comp, 0) + 1
+        if feed is not None:
+            metric, at, key = feed
+            if key is not None:
+                metric += row[key]
+            self.metrics.histogram(metric).observe(row[at])
+        if peak is not None:
+            metric, at = peak
+            self.metrics.gauge(metric).set_max(row[at])
+
+    def emit(self, name, *, ts, dur=None, kind=None, comp="", tid=0,
+             args=None):
+        spec = EVENTS.get(name)
+        if spec is None and self.strict:
+            raise ValueError(f"{name!r} is not declared")
+        if kind is None:
+            kind = SPAN if dur is not None else INSTANT
+        args = args or {}
+        self._buf.append(
+            ((name, kind, comp, tuple(args)), ts, dur, tid, *args.values()))
+        if len(self._buf) >= CHUNK:
+            self._roll()
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+        if comp:
+            counts = self._comp_counts
+            counts[comp] = counts.get(comp, 0) + 1
+        if spec is not None and spec.feeds is not None:
+            metric, source, *key = spec.feeds
+            value = dur if source == "dur" else args.get(source)
+            keyed = args.get(key[0]) if key else ""
+            if value is not None and keyed is not None:
+                self.metrics.histogram(metric + keyed).observe(value)
+        if spec is not None and spec.peak is not None:
+            metric, source = spec.peak
+            value = dur if source == "dur" else args.get(source)
+            if value is not None:
+                self.metrics.gauge(metric).set_max(value)
+
+
+def _exact(x):
+    """``x`` with its type, a float by its bits."""
+    return type(x), x.hex() if type(x) is float else x
+
+
+def _accounts(tracer):
+    """Everything a tracer derives from its rows, orders and bits included."""
+    metrics = tracer.metrics
+    return (
+        list(tracer.counts.items()), list(tracer.comp_counts.items()),
+        tracer.emitted, tracer.dropped, tracer.summary(),
+        [(name, list(h.buckets.items()), h.count, _exact(h.total))
+         for name, h in metrics.histograms.items()],
+        [(name, _exact(g.value)) for name, g in metrics.gauges.items()],
+        metrics.to_dict(), metrics.empty,
+        pickle.dumps(tracer.to_state(), 4),
+    )
+
+
+#: what a fed field may hold: 0, whole, fractional (some large enough
+#: that the order of a float sum shows), negative, NaN, None
+_FED = st.one_of(
+    st.just(0), st.integers(1, 5000), st.floats(0, 1e4),
+    st.sampled_from([1e16, 1.0, 0.1, 2.5]), st.integers(-50, -1),
+    st.floats(-10, 0), st.just(float("nan")), st.none(),
+)
+#: the fed events, an unfed one, and the keyed feed's causes
+_ORACLE_EVENTS = ["dir.inval_round", "dir.occupancy", "net.msg",
+                  "proc.sync", "cache.inval"]
+_CAUSES = st.sampled_from(["write", "nb_evict", "sparse_repl", "bogus", None])
+
+
+@st.composite
+def _oracle_op(draw):
+    kind = draw(st.sampled_from(
+        ["record"] * 5 + ["emit"] * 3 + ["read", "read", "bulk", "reload"]))
+    if kind in ("read", "reload"):
+        return (kind,)
+    if kind == "bulk":  # up to, exactly at, or just past a chunk boundary
+        return kind, draw(st.integers(-1, 1)), draw(st.sampled_from(
+            ["net.msg", "dir.occupancy", "proc.sync"]))
+    name = draw(st.sampled_from(_ORACLE_EVENTS))
+    values = {
+        field: (draw(_CAUSES) if field == "cause" else
+                draw(_FED) if field in ("invals", "value") else
+                draw(st.integers(0, 99)))
+        for field in EVENTS[name].fields
+    }
+    dur = draw(_FED) if EVENTS[name].kind == SPAN else None
+    if kind == "record":
+        return kind, name, dur, tuple(values.values())
+    # a keyword caller may name an undeclared event, leave fields out
+    # and order them as it likes
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["x.custom", "dir.occupancy"]))
+    fields = draw(st.permutations(list(values)))
+    args = {f: values[f] for f in fields[:draw(st.integers(0, len(fields)))]}
+    comp = draw(st.sampled_from(["", "directory", "proc"]))
+    return kind, name, dur, args, comp
+
+
+def _apply(tracer, op, i):
+    kind = op[0]
+    if kind == "record":
+        _, name, dur, values = op
+        tracer.record(name, float(i), dur, i % 4, *values)
+    elif kind == "emit":
+        _, name, dur, args, comp = op
+        tracer.emit(name, ts=float(i), dur=dur, comp=comp, tid=i % 4,
+                    args=dict(args))
+    elif kind == "bulk":
+        _, past, name = op
+        for j in range(CHUNK - len(tracer._buf) + past):
+            tracer.record(name, float(i), 3.5 if name == "net.msg" else None,
+                          j % 4, *([j % 7] if name == "dir.occupancy" else
+                                   [] if name == "proc.sync" else
+                                   ["read", j, 1, None]))
+
+
+class TestTallyOracle:
+    """Tallies settled a chunk at a time equal the row-at-a-time model's:
+    counts in insertion order, histogram buckets, counts and bit-exact
+    totals, gauges and checkpoint bytes, read at any point."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("capacity", [3, CHUNK + 7])
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(_oracle_op(), max_size=40))
+    def test_matches_row_at_a_time(self, strict, capacity, ops):
+        tracer = Tracer(capacity, strict=strict)
+        model = _RowAtATime(capacity, strict=strict)
+        for i, op in enumerate(ops):
+            if op[0] == "read":
+                assert _accounts(tracer) == _accounts(model)
+                continue
+            if op[0] == "reload":
+                state = pickle.dumps(model.to_state(), 4)
+                assert pickle.dumps(tracer.to_state(), 4) == state
+                tracer = Tracer(capacity, strict=strict)
+                tracer.load_state(pickle.loads(state))
+                model = _RowAtATime(capacity, strict=strict)
+                model.load_state(pickle.loads(state))
+                continue
+            try:
+                _apply(model, op, i)
+            except (TypeError, ValueError) as rejected:
+                # the model rejected the row at its call; the tracer
+                # rejects it at the call or when it is tallied
+                with pytest.raises(type(rejected)):
+                    _apply(tracer, op, i)
+                    tracer.settle()
+                return
+            _apply(tracer, op, i)
+        assert _accounts(tracer) == _accounts(model)
+
+    def test_a_row_fed_none_is_rejected_when_tallied(self):
+        t = Tracer()
+        t.record("dir.occupancy", 1.0, None, 0, None)
+        with pytest.raises(TypeError):
+            t.metrics.to_dict()
+
+    @pytest.mark.parametrize("values, keyword", [
+        ([1.0, 1e16, 1.0], {1}),  # 1 + 1e16 + 1 is not 1 + 1 + 1e16
+        ([1.0, 1.0, 1e16, 1.0, 3.0], set()),  # nor its reverse
+        ([float("nan"), 5.0, 5], set()),  # and the peak is 5.0, as set_max
+    ])
+    def test_float_totals_add_in_record_order(self, values, keyword):
+        """Declared rows, and a keyword row of the same event between
+        them, feed one histogram and one gauge: the total adds them in
+        record order, and the gauge keeps what ``set_max`` one at a time
+        would."""
+        t, model = Tracer(), _RowAtATime()
+        for tracer in (t, model):
+            for i, v in enumerate(values):
+                if i in keyword:
+                    tracer.emit("dir.occupancy", ts=0.0, args={"value": v})
+                else:
+                    tracer.record("dir.occupancy", 0.0, None, 0, v)
+        assert _accounts(t) == _accounts(model)
+
+
+class TestNoReferenceCycle:
+    def test_tracer_and_registry_are_freed_by_refcount(self):
+        """A run's stats keep its metrics registry, and the registry
+        reaches its tracer only weakly: the tracer is freed (settling its
+        open rows into the registry) once nothing else holds it, and the
+        registry once the stats go, with the collector off."""
+        config = MachineConfig(num_clusters=8, procs_per_cluster=1,
+                               block_bytes=16, scheme="Dir3CV2")
+
+        def traced():
+            workload = MP3DWorkload(8, num_particles=256, space_cells=32,
+                                    steps=1)
+            system = DashSystem(config, workload, obs=Tracer())
+            system.run()
+            return system
+
+        expected = traced().stats.to_dict()
+        gc.disable()
+        try:
+            system = traced()
+            tracer, stats = system.obs, system.stats
+            assert tracer._buf, "no open rows left to settle"
+            tracer_ref = weakref.ref(tracer)
+            metrics_ref = weakref.ref(tracer.metrics)
+            del system
+            gc.collect()  # the machine's own cycles; the tracer is held
+            del tracer
+            assert tracer_ref() is None
+            assert stats.to_dict() == expected
+            del stats
+            assert metrics_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestNullTracer:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import OverflowCacheScheme, SparseDirectory
+from repro.core import (
+    FullMapDirectory,
+    OverflowCacheScheme,
+    SharedEntryDirectory,
+    SparseDirectory,
+)
+from repro.core.protocol import hint
 
 
 def fill(entry, nodes):
@@ -96,6 +102,25 @@ class TestLifetime:
         _, evictions = store.get_or_allocate(1)
         assert [ev.targets for ev in evictions] == [(1, 2, 3)]  # taken first
         assert len(scheme.wide_store) == 0
+
+    @pytest.mark.parametrize("make_store", [
+        FullMapDirectory,
+        lambda scheme: SparseDirectory(scheme, 4, 2),
+        lambda scheme: SharedEntryDirectory(scheme, 2),
+    ], ids=["full_map", "sparse", "shared_entry"])
+    def test_a_released_line_frees_its_wide_slot(self, make_store):
+        """Replacement hints empty a wide line and the store frees it:
+        the wide slot and its holder go with the line."""
+        scheme = OverflowCacheScheme(4, 1, overflow_entries=2)  # Dir1OF2
+        store = make_store(scheme)
+        line, _ = store.get_or_allocate(0)
+        fill(line.entry, [1, 2])
+        assert len(scheme.wide_store) == 1 and scheme._wide_entries
+        for node in (1, 2):
+            hint(store, 0, node)
+        assert list(store.lines()) == []
+        assert len(scheme.wide_store) == 0
+        assert not scheme._wide_entries
 
     def test_registry_holds_only_entries_with_a_wide_slot(self):
         scheme = OverflowCacheScheme(8, 1, overflow_entries=2)
