@@ -16,12 +16,6 @@ from repro.analysis.report import (
     format_table,
     normalized,
 )
-from repro.analysis.distributions import (
-    DistributionSummary,
-    broadcast_mass,
-    excess_invalidations,
-    total_variation_distance,
-)
 from repro.analysis.cache import ResultCache, code_fingerprint, point_key
 from repro.analysis.supervisor import (
     ChaosPlan,
@@ -53,10 +47,6 @@ __all__ = [
     "format_metrics_report",
     "format_profile",
     "normalized",
-    "DistributionSummary",
-    "broadcast_mass",
-    "excess_invalidations",
-    "total_variation_distance",
     "ChaosPlan",
     "PointSpec",
     "ResultCache",

@@ -165,14 +165,3 @@ class MachineConfig:
             + self.cache_service_cycles
         )
 
-
-def dash_prototype_config(**overrides) -> MachineConfig:
-    """The DASH prototype of §2: 16 clusters x 4 processors, Dir16."""
-    cfg = MachineConfig(num_clusters=16, procs_per_cluster=4, scheme="full")
-    return cfg.with_(**overrides) if overrides else cfg
-
-
-def paper_sim_config(**overrides) -> MachineConfig:
-    """The §5 simulation machine: 32 clusters x 1 processor."""
-    cfg = MachineConfig(num_clusters=32, procs_per_cluster=1)
-    return cfg.with_(**overrides) if overrides else cfg

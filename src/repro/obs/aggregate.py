@@ -151,16 +151,15 @@ class SweepAggregator:
     say how lossy the retained-event view was (the tallies never are).
     """
 
-    def __init__(self, *, capacity: int = 65536, strict: bool = True) -> None:
+    def __init__(self, *, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.strict = strict
         self.emitted = 0
         self.dropped = 0
         self.counts: Dict[str, int] = {}
         self.comp_counts: Dict[str, int] = {}
-        self.metrics = MetricsRegistry(strict=strict)
+        self.metrics = MetricsRegistry()
         self.points: List[PointTelemetry] = []
         self._lanes: Dict[int, _WorkerLane] = {}
         #: (lane, time base, telemetry) per merged point, in arrival order

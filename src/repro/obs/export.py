@@ -33,8 +33,8 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.obs.registry import TRACE_SCHEMA
-from repro.obs.tracer import BEGIN, COUNTER, END, INSTANT, SPAN, TraceEvent, Tracer
+from repro.obs.registry import BEGIN, COUNTER, END, INSTANT, SPAN, TRACE_SCHEMA
+from repro.obs.tracer import TraceEvent, Tracer
 
 PathLike = Union[str, Path]
 

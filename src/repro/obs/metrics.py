@@ -154,8 +154,7 @@ class MetricsRegistry:
     :meth:`to_dict` — settles first, so what it reads is exact.
     """
 
-    def __init__(self, *, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Log2Histogram] = {}
@@ -198,7 +197,7 @@ class MetricsRegistry:
     def _get(self, table: Dict[str, Any], name: str, make: Any) -> Any:
         instrument = table.get(name)
         if instrument is None:
-            if self.strict and name not in METRICS:
+            if name not in METRICS:
                 raise ValueError(
                     f"metric {name!r} is not declared in repro.obs.registry."
                     f"METRICS; add it there (with a description) first"
@@ -341,7 +340,6 @@ class NullMetrics:
 
     _instrument = _NullInstrument()
 
-    strict = False
     empty = True
 
     def counter(self, name: str) -> _NullInstrument:

@@ -31,7 +31,6 @@ class PhaseRecord:
 
     name: str
     wall_s: float = 0.0
-    entries: int = 0
     sim_events: int = 0
     trace_events: int = 0
 
@@ -78,7 +77,6 @@ class PhaseProfiler:
             yield record
         finally:
             record.wall_s += time.perf_counter() - t0
-            record.entries += 1
             record.sim_events += self._sim_events() - e0
             record.trace_events += self._trace_events() - te0
 
@@ -98,19 +96,6 @@ class PhaseProfiler:
             ]
             for r in self.records()
         ]
-
-    def to_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON form keyed by phase name (telemetry payloads)."""
-        return {
-            r.name: {
-                "wall_s": round(r.wall_s, 6),
-                "entries": r.entries,
-                "sim_events": r.sim_events,
-                "sim_events_per_s": round(r.sim_events_per_s, 1),
-                "trace_events": r.trace_events,
-            }
-            for r in self.records()
-        }
 
 
 def profile_run(

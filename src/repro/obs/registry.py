@@ -9,11 +9,12 @@ arrival - sent, src, kind, block, dst, txn_id)``.  Three uses:
 
 * **documentation** — ``tests/test_documentation.py`` checks the event
   table of ``docs/observability.md`` row by row against :data:`EVENTS`;
-* **runtime validation** — ``Tracer.record`` takes declared events
-  only, and a strict :class:`~repro.obs.tracer.Tracer` /
-  :class:`~repro.obs.metrics.MetricsRegistry` reject undeclared names
-  on the keyword entry points too: a typo'd hook fails loudly in tests
-  instead of opening a silently separate series;
+* **runtime validation** — the tracer takes declared events only
+  (``Tracer.emit``, the keyword front of ``record``, also checks the
+  component and argument names against the declaration), and the
+  :class:`~repro.obs.metrics.MetricsRegistry` declared metrics only: a
+  typo'd hook fails loudly in tests instead of opening a silently
+  separate series;
 * **static validation** — ``repro verify lint`` flags a ``record`` /
   ``emit`` / ``metrics.histogram`` call whose literal name is missing
   here (rule ``undeclared-obs-name``).
@@ -27,7 +28,7 @@ what a retained ring row means: bump ``CKPT_SCHEMA`` with it.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 #: version of the exported trace-file shape (JSONL and Chrome exporters)
 TRACE_SCHEMA = 1
@@ -39,8 +40,10 @@ METRICS_SCHEMA = 1
 SPAN = "span"  # has a duration (ph "X")
 INSTANT = "instant"  # a point in time (ph "i")
 COUNTER = "counter"  # a sampled value series (ph "C")
-BEGIN = "begin"  # open half of a split span (ph "B") — must be paired
-END = "end"  # close half of a split span (ph "E")
+#: split-span halves (ph "B" / "E"): no declared event has these kinds,
+#: but a Chrome trace read from a file may
+BEGIN = "begin"
+END = "end"
 
 #: the legs of a ``dir.service`` span's ``phases`` arg, in export order:
 #: the directory records them as one flat tuple, and a zero leg is
@@ -131,37 +134,25 @@ EVENTS: Dict[str, EventSpec] = {
 }
 
 
-def row_sources(
-    spec: EventSpec, fields: Tuple[str, ...],
-) -> Tuple[Optional[Tuple[object, ...]], Optional[Tuple[str, int]]]:
-    """``(feed, peak)`` of ``spec`` for a row ``(name, ts, dur, tid,
-    *values)`` whose values are ``fields``: ``feed`` is ``(metric, value
-    index, key index or None)``, ``peak`` ``(metric, value index)``, and
-    either is ``None`` when the event declares none or ``fields`` lacks
-    the field it reads (a keyword row may leave fields out)."""
-    at = {field: i for i, field in enumerate(fields, 4)}
+def _sources(spec: EventSpec) -> Tuple[Any, ...]:
+    """``(feed, peak)``, resolved once at import, for the rows ``(name,
+    ts, dur, tid, *values)`` of ``spec``: ``feed`` is ``(metric, value
+    index, key index or None)`` and ``peak`` ``(metric, value index)``,
+    each ``None`` when the event declares none."""
+    at = {field: i for i, field in enumerate(spec.fields, 4)}
     at["dur"] = 2
     feed = peak = None
     if spec.feeds is not None:
         metric, value, *key = spec.feeds
-        if value in at and (not key or key[0] in at):
-            feed = (metric, at[value], at[key[0]] if key else None)
-    if spec.peak is not None and spec.peak[1] in at:
+        feed = (metric, at[value], at[key[0]] if key else None)
+    if spec.peak is not None:
         metric, value = spec.peak
         peak = (metric, at[value])
     return feed, peak
 
 
-def _intern(name: str, spec: EventSpec) -> Tuple[object, ...]:
-    """``(shape, feed, peak)``, resolved once at import: ``shape`` is
-    what a ring row ``(name, ts, dur, tid, *values)`` of this event
-    materialises with, ``feed`` and ``peak`` its :func:`row_sources`."""
-    shape = (name, spec.kind, spec.comp, spec.fields)
-    return (shape, *row_sources(spec, spec.fields))
-
-
-#: event name -> ``_intern`` of its declaration (what the tracer reads)
-RECORD = {name: _intern(name, spec) for name, spec in EVENTS.items()}
+#: event name -> ``_sources`` of its declaration (what the tally reads)
+RECORD = {name: _sources(spec) for name, spec in EVENTS.items()}
 
 #: metric instrument name -> one-line description (the metrics glossary)
 METRICS: Dict[str, str] = {

@@ -32,9 +32,10 @@ Record flat, materialise on read: an event is one ring row, the tuple
 its :meth:`Tracer.record` call itself, so recording allocates nothing
 else.  Kind, component and field names are looked up in the registry
 when the ring is read and :class:`TraceEvent` objects built
-(``events()``, iteration, export); a keyword-adapter row carries them
-in slot 0 instead.  A row holds only scalars and tuples of scalars, so
-the cyclic collector untracks it at its first pass.
+(``events()``, iteration, export).  :meth:`Tracer.emit` is a keyword
+front that builds the same row.  A hook's row holds only scalars and
+tuples of scalars, so the cyclic collector untracks it at its first
+pass.
 
 Seal what is retained: the newest rows sit in an open list; every
 :data:`CHUNK` rows the list is sealed into one ``marshal`` blob (~46
@@ -59,15 +60,12 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import Gauge, Log2Histogram, MetricsRegistry, NullMetrics
 from repro.obs.registry import (  # noqa: F401  (kinds re-exported)
-    BEGIN,
     COUNTER,
-    END,
     EVENTS,
     INSTANT,
     RECORD,
     SERVICE_PHASES,
     SPAN,
-    row_sources,
 )
 
 
@@ -106,81 +104,34 @@ def _undeclared(name: object) -> ValueError:
     )
 
 
-def _shape(row: tuple) -> tuple:
-    """``(name, kind, comp, fields)``: the declaration of the event a
-    row names, or what a keyword-adapter row states itself."""
-    head = row[0]
-    return RECORD[head][0] if type(head) is str else head
-
-
 def _materialise(row: tuple) -> TraceEvent:
     """The :class:`TraceEvent` a ring row stands for: a ``None`` value
     is an absent optional field, and a ``dir.service`` row's flat
     ``phases`` tuple becomes its named, nonzero legs."""
-    name, kind, comp, fields = _shape(row)
-    _, ts, dur, tid = row[:4]
-    args = {k: v for k, v in zip(fields, row[4:], strict=True) if v is not None}
+    name, ts, dur, tid = row[:4]
+    spec = EVENTS[name]
+    args = {
+        k: v for k, v in zip(spec.fields, row[4:], strict=True)
+        if v is not None
+    }
     legs = args.get("phases")
     if type(legs) is tuple:
         args["phases"] = {p: c for p, c in zip(SERVICE_PHASES, legs) if c}
-    return TraceEvent(name, ts, kind, dur, comp, tid, args or None)
-
-
-#: where a head's rows hold what an instrument takes: ``(value index,
-#: key index or None, lenient)``; a lenient (keyword) row skips a
-#: ``None`` value or key, a declared one hands it to the instrument
-_Source = Tuple[int, Optional[int], bool]
-
-
-def _accounting(head: object) -> Tuple[Any, str, Any, Any, bool]:
-    """``(name, comp, feed, peak, lenient)`` for the rows of ``head``:
-    ``feed`` is ``(metric, value index, key index or None)``, ``peak``
-    ``(metric, value index)``, each ``None`` when the rows have none."""
-    if type(head) is str:
-        shape, feed, peak = RECORD[head]
-        return head, shape[2], feed, peak, False
-    name, _, comp, fields = head  # type: ignore[misc]
-    spec = EVENTS.get(name)
-    feed, peak = (None, None) if spec is None else row_sources(spec, fields)
-    return name, comp, feed, peak, True
+    return TraceEvent(name, ts, spec.kind, dur, spec.comp, tid, args or None)
 
 
 def _columns(
-    rows: List[tuple], groups: Dict[Any, List[tuple]],
-    sources: Dict[str, Dict[Any, _Source]],
+    group: List[tuple], metric: str, at: int, key: Optional[int] = None,
 ) -> Dict[str, Tuple[tuple, List[Any]]]:
-    """Instrument name -> ``(first row, values)``, each column in record
-    order, for the instruments ``sources`` (a prefix -> the heads that
-    feed it) name."""
+    """Instrument name -> ``(first row, values in record order)`` for the
+    rows of one event: the values at ``at`` go to ``metric`` or, with a
+    ``key`` index, to ``metric + <the row's key>``."""
+    values = list(map(itemgetter(at), group))
+    if key is None:
+        return {metric: (group[0], values)}
     out: Dict[str, Tuple[tuple, List[Any]]] = {}
-    for prefix, heads in sources.items():
-        if len(heads) == 1:
-            ((head, (at, key, lenient)),) = heads.items()
-            selected = groups[head]
-            keys = [""] if key is None else list(
-                map(itemgetter(key), selected))
-            values = list(map(itemgetter(at), selected))
-            if keys.count(keys[0]) == len(keys) and not (
-                lenient and (None in keys or None in values)
-            ):  # one column, as for every hook's rows
-                out[prefix + keys[0]] = selected[0], values
-                continue
-        else:
-            selected = [row for row in rows if row[0] in heads]
-        for row in selected:
-            at, key, lenient = heads[row[0]]
-            value, metric = row[at], prefix
-            if key is not None:
-                if lenient and row[key] is None:
-                    continue
-                metric = prefix + row[key]
-            if lenient and value is None:
-                continue
-            column = out.get(metric)
-            if column is None:
-                out[metric] = row, [value]
-            else:
-                column[1].append(value)
+    for row, value in zip(group, values):
+        out.setdefault(metric + row[key], (row, []))[1].append(value)
     return out
 
 
@@ -209,10 +160,9 @@ def _seal(rows: List[tuple]) -> _Chunk:
     """
     try:
         blob: Any = marshal.dumps(rows)
-    except ValueError:  # a keyword row's value marshal cannot write
+    except ValueError:  # a value marshal cannot write
         return len(rows), rows, ()
-    names = tuple(h for h in set(map(_head, rows)) if type(h) is str)
-    return len(rows), blob, names
+    return len(rows), blob, tuple(set(map(_head, rows)))
 
 
 def _unseal(chunk: _Chunk, exact: bool) -> List[tuple]:
@@ -224,10 +174,7 @@ def _unseal(chunk: _Chunk, exact: bool) -> List[tuple]:
     rows: List[tuple] = marshal.loads(blob)
     if exact and names:
         recorded = {name: name for name in names}
-        rows = [
-            (recorded[r[0]], *r[1:]) if type(r[0]) is str else r
-            for r in rows
-        ]
+        rows = [(recorded[r[0]], *r[1:]) for r in rows]
     return rows
 
 
@@ -240,16 +187,10 @@ class Tracer:
     #: construction parameter a checkpoint's restore target must share
     MUST_MATCH = ("capacity",)
 
-    def __init__(
-        self, capacity: int = 65536, *,
-        clock: Optional[Callable[[], float]] = None, strict: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        #: the open rows ``(head, ts, dur, tid, *values)``, fewer than
-        #: :data:`CHUNK`; ``head`` is a declared event's name or an
-        #: explicit ``(name, kind, comp, fields)``.  The first
-        #: ``_tallied`` of them are counted.  (Set before anything can
-        #: raise: ``__del__`` reads them.)
+    def __init__(self, capacity: int = 65536) -> None:
+        #: the open rows ``(name, ts, dur, tid, *values)``, fewer than
+        #: :data:`CHUNK`.  The first ``_tallied`` of them are counted.
+        #: (Set before anything can raise: ``__del__`` reads them.)
         self._buf: List[tuple] = []
         self._tallied = 0
         if capacity < 1:
@@ -258,11 +199,8 @@ class Tracer:
         #: older rows, oldest chunk first, and how many rows they hold
         self._sealed: Deque[_Chunk] = deque()
         self._sealed_rows = 0
-        self._clock = clock
-        self.strict = strict
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else MetricsRegistry(strict=strict)
-        )
+        self._clock: Optional[Callable[[], float]] = None
+        self.metrics = MetricsRegistry()
         self.metrics.derive_from(self.settle)
         self._counts: TallyCounter = TallyCounter()
         self._comp_counts: TallyCounter = TallyCounter()
@@ -301,45 +239,28 @@ class Tracer:
 
     def emit(
         self, name: str, *, ts: float, dur: Optional[float] = None,
-        kind: Optional[str] = None, comp: str = "", tid: int = 0,
+        comp: Optional[str] = None, tid: int = 0,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Record one event at ``ts`` (a span when ``dur`` is given).
-
-        Keyword adapter onto :meth:`record`'s ring, for callers that
-        state kind, component and argument names themselves (on a
-        non-strict tracer, undeclared names too).  The row is tallied
-        as :meth:`record`'s are, feeding a declared event's histogram
-        and gauge from the fields ``args`` holds.
-        """
-        if self.strict and name not in EVENTS:
+        """Keyword front for :meth:`record`: ``args`` maps declared field
+        names to values (a field it leaves out is ``None``), and ``comp``,
+        when given, must be the declared component."""
+        spec = EVENTS.get(name)
+        if spec is None:
             raise _undeclared(name)
-        if kind is None:
-            kind = SPAN if dur is not None else INSTANT
+        if comp is not None and comp != spec.comp:
+            raise ValueError(
+                f"trace event {name!r} is declared on component "
+                f"{spec.comp!r}, not {comp!r}"
+            )
         args = args or {}
-        buf = self._buf
-        buf.append(
-            ((name, kind, comp, tuple(args)), ts, dur, tid, *args.values())
-        )
-        if len(buf) >= CHUNK:
-            self._roll()
-
-    def emit_now(
-        self, name: str, *, comp: str = "", tid: int = 0,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Instant event stamped with the bound clock."""
-        self.emit(name, ts=self.now(), comp=comp, tid=tid, args=args)
-
-    def emit_counter(
-        self, name: str, *, ts: float, value: float, comp: str = "",
-        tid: int = 0,
-    ) -> None:
-        """Counter sample (renders as a value-over-time track)."""
-        self.emit(
-            name, ts=ts, kind=COUNTER, comp=comp, tid=tid,
-            args={"value": value},
-        )
+        unknown = args.keys() - spec.fields
+        if unknown:
+            raise ValueError(
+                f"trace event {name!r} declares no field "
+                f"{sorted(unknown)[0]!r}; its fields are {spec.fields}"
+            )
+        self.record(name, ts, dur, tid, *map(args.get, spec.fields))
 
     # -- tallies ------------------------------------------------------------
 
@@ -356,34 +277,30 @@ class Tracer:
         """Count ``rows``, feed their histograms and raise their gauges,
         exactly as one row at a time would, in one pass per event.
 
-        The rows are grouped by head; an instrument a group opens is
-        created in the order its first row was recorded, and one fed by
-        several heads reads its values back in record order.
+        The rows are grouped by event; an instrument a group opens is
+        created in the order its first row was recorded.  (No two
+        events feed one instrument, so each reads one group's values.)
         """
-        groups: Dict[Any, List[tuple]] = defaultdict(list)
+        groups: Dict[str, List[tuple]] = defaultdict(list)
         for row in rows:
             groups[row[0]].append(row)
         counts, comp_counts = self._counts, self._comp_counts
-        feeds: Dict[str, Dict[Any, _Source]] = {}
-        peaks: Dict[str, Dict[Any, _Source]] = {}
-        for head, group in groups.items():
-            name, comp, feed, peak, lenient = _accounting(head)
+        fed: Dict[str, Tuple[tuple, List[Any]]] = {}
+        raised: Dict[str, Tuple[tuple, List[Any]]] = {}
+        for name, group in groups.items():
+            comp, (feed, peak) = EVENTS[name].comp, RECORD[name]
             counts[name] = counts.get(name, 0) + len(group)
-            if comp:
-                comp_counts[comp] = comp_counts.get(comp, 0) + len(group)
+            comp_counts[comp] = comp_counts.get(comp, 0) + len(group)
             if feed is not None:
-                metric, at, key = feed
-                feeds.setdefault(metric, {})[head] = (at, key, lenient)
+                fed.update(_columns(group, *feed))
             if peak is not None:
-                metric, at = peak
-                peaks.setdefault(metric, {})[head] = (at, None, lenient)
+                raised.update(_columns(group, *peak))
         metrics = self.metrics
-        for table, make, sources, update in (
-            (metrics.histograms, metrics.histogram, feeds,
+        for table, make, columns, update in (
+            (metrics.histograms, metrics.histogram, fed,
              Log2Histogram.observe_all),
-            (metrics.gauges, metrics.gauge, peaks, Gauge.set_max_all),
+            (metrics.gauges, metrics.gauge, raised, Gauge.set_max_all),
         ):
-            columns = _columns(rows, groups, sources)
             # instruments appear in the order their first rows did
             for _, metric in sorted(
                 (rows.index(first), metric)
@@ -437,7 +354,7 @@ class Tracer:
         return {
             "buf": [
                 r for r in self._rows(exact=True)
-                if not _shape(r)[0].startswith("ckpt.")
+                if not r[0].startswith("ckpt.")
             ],
             "counts": {
                 name: n for name, n in self.counts.items()
@@ -525,7 +442,6 @@ class NullTracer:
     """
 
     enabled = False
-    strict = False
     capacity = 0
     emitted = 0
     dropped = 0
@@ -534,7 +450,7 @@ class NullTracer:
     def _discard(self, *args: object, **kwargs: object) -> None:
         """Discard."""
 
-    bind_clock = record = emit = emit_now = emit_counter = _discard
+    bind_clock = record = emit = _discard
 
     def now(self) -> float:
         """Always 0.0 (no clock is ever bound)."""

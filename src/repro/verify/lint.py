@@ -41,8 +41,6 @@ LINT_RULES: Dict[str, str] = {
     "obs/registry.py",
     "dead-metric": "metrics declared in obs/registry.py must be "
     "incremented somewhere (tree-wide runs only)",
-    "span-leak": "a split span opened (kind=BEGIN) in machine/ needs a "
-    "same-module kind=END close with the same name",
     "unpicklable-continuation": "event-queue callbacks in machine/ must be "
     "bound methods, not lambdas/closures (checkpointing cannot "
     "serialize them)",
@@ -512,7 +510,7 @@ def _check_undeclared_stat(
 # -- rule: undeclared-obs-name ----------------------------------------------
 
 #: tracer methods whose first positional argument is an event name
-_EMIT_METHODS = frozenset({"record", "emit", "emit_now", "emit_counter"})
+_EMIT_METHODS = frozenset({"record", "emit"})
 #: metrics-registry factory methods keyed by metric name
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 
@@ -616,60 +614,6 @@ def _check_undeclared_obs_name(
                 module, node.lineno, node.col_offset, "undeclared-obs-name",
                 f"{what} {name!r} is not declared in obs/registry.py {table}",
             )
-
-
-# -- rule: span-leak ---------------------------------------------------------
-
-
-def _split_span_half(node: ast.Call) -> Optional[str]:
-    """``"begin"``/``"end"`` when the emit opens/closes a split span.
-
-    Recognizes the tracer constants by name (``kind=BEGIN``, a
-    ``tracer.END`` attribute, an import alias ending in BEGIN/END) and
-    the raw string forms ``kind="begin"`` / ``kind="end"``.
-    """
-    for kw in node.keywords:
-        if kw.arg != "kind":
-            continue
-        value = kw.value
-        if isinstance(value, ast.Constant) and value.value in ("begin", "end"):
-            return str(value.value)
-        if isinstance(value, ast.Name) and value.id in ("BEGIN", "END"):
-            return value.id.lower()
-        if isinstance(value, ast.Attribute) and value.attr in ("BEGIN", "END"):
-            return value.attr.lower()
-    return None
-
-
-def _check_span_leak(module: _Module) -> Iterator[Finding]:
-    """Unpaired ``kind=BEGIN`` emits in the instrumented machine layer."""
-    if "machine" not in Path(module.rel).parts:
-        return
-    begins: List[Tuple[str, int, int]] = []
-    ends: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if (
-            not isinstance(node, ast.Call)
-            or not isinstance(node.func, ast.Attribute)
-            or node.func.attr not in _EMIT_METHODS
-        ):
-            continue
-        name = _literal_first_arg(node)
-        if name is None:
-            continue
-        half = _split_span_half(node)
-        if half == "begin":
-            begins.append((name, node.lineno, node.col_offset))
-        elif half == "end":
-            ends.add(name)
-    for name, lineno, col in begins:
-        if name in ends:
-            continue
-        yield from _finding(
-            module, lineno, col, "span-leak",
-            f"split span {name!r} is opened with kind=BEGIN but this "
-            f"module never emits a matching kind=END close",
-        )
 
 
 # -- rule: unpicklable-continuation ------------------------------------------
@@ -887,7 +831,6 @@ def run_lint(paths: Iterable[str]) -> List[Finding]:
         findings.extend(_check_enum_dispatch(module))
         findings.extend(_check_nondeterminism(module))
         findings.extend(_check_unordered_iteration(module))
-        findings.extend(_check_span_leak(module))
         findings.extend(_check_unpicklable_continuation(module))
         if declared is not None:
             findings.extend(_check_undeclared_stat(module, declared))

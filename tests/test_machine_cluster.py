@@ -151,9 +151,7 @@ class TestClusterIntegration:
         workloads on this shape are not coherent: fault-free, MP3D
         reports 150 strict-checker violations and LocusRoute 174.
         """
-        from repro.machine.config import dash_prototype_config
-
-        cfg = dash_prototype_config()
+        cfg = MachineConfig(num_clusters=16, procs_per_cluster=4, scheme="full")
         assert cfg.num_clusters == 16
         assert cfg.num_processors == 64
         scripts = [[] for _ in range(64)]

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.machine.config import (
-    MachineConfig,
-    dash_prototype_config,
-    paper_sim_config,
-)
+from repro.machine.config import MachineConfig
 
 
 class TestDerived:
@@ -78,26 +74,6 @@ class TestValidation:
             MachineConfig(
                 sparse_size_factor=1.0, shared_entry_group=2
             ).validate()
-
-
-class TestPresets:
-    def test_dash_prototype(self):
-        cfg = dash_prototype_config()
-        assert cfg.num_clusters == 16
-        assert cfg.procs_per_cluster == 4
-        assert cfg.num_processors == 64
-        cfg.validate()
-
-    def test_paper_sim(self):
-        cfg = paper_sim_config()
-        assert cfg.num_clusters == 32
-        assert cfg.procs_per_cluster == 1
-        cfg.validate()
-
-    def test_presets_accept_overrides(self):
-        cfg = dash_prototype_config(scheme="Dir3CV2")
-        assert cfg.scheme == "Dir3CV2"
-        assert cfg.num_clusters == 16
 
 
 class TestMeshValidation:

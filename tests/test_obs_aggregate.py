@@ -128,18 +128,18 @@ class TestMergedTallies:
 
 class TestMergeMetricsDict:
     def test_counters_sum_gauges_max_histograms_add(self):
-        a = MetricsRegistry(strict=False)
+        a = MetricsRegistry()
         a.counter("sweep_retries").inc(3)
-        a.gauge("dir_peak_occupancy").set_max(5.0)
+        a.gauge("dir_occupancy_peak").set_max(5.0)
         a.histogram("txn_latency.read").observe(10.0)
         a.histogram("txn_latency.read").observe(100.0)
         block = a.to_dict()
-        merged = MetricsRegistry(strict=False)
+        merged = MetricsRegistry()
         merge_metrics_dict(merged, block)
         merge_metrics_dict(merged, block)
         out = merged.to_dict()
         assert out["counters"]["sweep_retries"] == 6
-        assert out["gauges"]["dir_peak_occupancy"] == 5.0
+        assert out["gauges"]["dir_occupancy_peak"] == 5.0
         hist = out["histograms"]["txn_latency.read"]
         assert hist["count"] == 4
         assert hist["buckets"] == {
@@ -237,7 +237,7 @@ class TestSummary:
         agg = SweepAggregator(capacity=8)
         tracer = Tracer(8)
         for i in range(12):
-            tracer.emit("net.msg", ts=float(i), comp="network")
+            tracer.emit("net.msg", ts=float(i), dur=20.0, comp="network")
         agg.add(PointTelemetry.capture(tracer, index=0, label="", wall_s=0.0))
         s = agg.summary()
         assert s["emitted"] == 12

@@ -165,8 +165,8 @@ class TestExportTrace:
     def _tracer(self):
         t = Tracer()
         for ev in sample_events():
-            t.emit(ev.name, ts=ev.ts, dur=ev.dur, kind=ev.kind,
-                   comp=ev.comp, tid=ev.tid, args=ev.args)
+            t.emit(ev.name, ts=ev.ts, dur=ev.dur, comp=ev.comp, tid=ev.tid,
+                   args=ev.args)
         return t
 
     def test_chrome_default(self, tmp_path):

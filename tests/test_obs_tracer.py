@@ -25,7 +25,7 @@ from repro.obs.metrics import (
     histogram_delta,
     load_metrics_dict,
 )
-from repro.obs.registry import EVENTS, METRICS_SCHEMA, RECORD, SERVICE_PHASES
+from repro.obs.registry import EVENTS, METRICS_SCHEMA, RECORD
 from repro.obs.tracer import (
     CHUNK,
     COUNTER,
@@ -48,28 +48,34 @@ class TestTracer:
 
     def test_emit_counter_kind_carries_value(self):
         t = Tracer()
-        t.emit_counter("dir.occupancy", ts=3.0, value=17.0, comp="directory")
+        t.emit("dir.occupancy", ts=3.0, comp="directory", args={"value": 17.0})
         (ev,) = t.events()
         assert ev.kind == COUNTER
         assert ev.args == {"value": 17.0}
 
-    def test_emit_now_uses_bound_clock(self):
+    def test_now_reads_the_bound_clock(self):
         t = Tracer()
+        assert t.now() == 0.0
         now = [0.0]
         t.bind_clock(lambda: now[0])
         now[0] = 42.0
-        t.emit_now("wb.issue")
+        t.record("wb.issue", t.now(), None, 0, 5)
         assert t.events()[0].ts == 42.0
 
     def test_strict_rejects_undeclared_name(self):
-        t = Tracer(strict=True)
+        t = Tracer()
         with pytest.raises(ValueError, match="not declared"):
             t.emit("no.such.event", ts=0.0)
 
-    def test_non_strict_accepts_any_name(self):
-        t = Tracer(strict=False)
-        t.emit("experimental.event", ts=0.0)
-        assert t.counts["experimental.event"] == 1
+    @pytest.mark.parametrize("call, message", [
+        (dict(comp="directory"), "declared on component 'network'"),
+        (dict(args={"kind": "read", "latency": 3}), "no field 'latency'"),
+    ])
+    def test_emit_takes_only_what_the_declaration_states(self, call, message):
+        t = Tracer()
+        with pytest.raises(ValueError, match=message):
+            t.emit("net.msg", ts=0.0, dur=1.0, **call)
+        assert len(t) == 0 and t.emitted == 0
 
     def test_ring_wraparound_keeps_exact_tallies(self):
         t = Tracer(capacity=4)
@@ -134,12 +140,13 @@ def _observable(tracer):
         tracer.events(), dict(tracer.counts), dict(tracer.comp_counts),
         tracer.emitted, tracer.dropped, tracer.metrics.to_state(),
         [json.dumps(ev.to_json_dict()) for ev in tracer],
+        pickle.dumps(tracer.to_state(), 4),
     )
 
 
 class TestOneRecordPath:
-    """``record`` and the keyword adapters fill the same ring, tallies and
-    histograms: for every declared event, equal calls leave equal state."""
+    """``emit`` is a keyword front for ``record``: for every declared
+    event, equal calls leave equal rows, tallies and histograms."""
 
     @pytest.mark.parametrize("name", sorted(EVENTS))
     @pytest.mark.parametrize("capacity", [4, 64])
@@ -151,12 +158,8 @@ class TestOneRecordPath:
         for ts, dur, tid, values in data.draw(_calls(name)):
             flat.record(name, ts, dur, tid, *values)
             args = {f: v for f, v in zip(spec.fields, values) if v is not None}
-            if "phases" in args:  # a keyword caller names the nonzero legs
-                args["phases"] = {
-                    leg: c for leg, c in zip(SERVICE_PHASES, args["phases"]) if c
-                }
-            keyword.emit(name, ts=ts, dur=dur, kind=spec.kind, comp=spec.comp,
-                         tid=tid, args=args)
+            keyword.emit(name, ts=ts, dur=dur, comp=spec.comp, tid=tid,
+                         args=args)
         assert _observable(flat) == _observable(keyword)
         assert flat.emitted - flat.dropped == len(flat) <= capacity
 
@@ -172,17 +175,31 @@ class TestOneRecordPath:
         assert full.args["still_shared"] is False
         assert full.args["phases"] == {"memory": 23.0, "net_reply": 20.0}
 
-    def test_emit_counter_and_emit_now_feed_like_record(self):
+    def test_keyword_calls_feed_like_record(self):
         a, b = Tracer(), Tracer()
-        a.bind_clock(lambda: 8.0)
-        a.emit_counter("dir.occupancy", ts=8.0, value=12, comp="directory", tid=3)
-        a.emit_now("dir.inval_round", comp="directory", tid=3,
-                   args={"cause": "write", "block": 4, "invals": 2})
+        a.emit("dir.occupancy", ts=8.0, comp="directory", tid=3,
+               args={"value": 12})
+        a.emit("dir.inval_round", ts=8.0, tid=3,
+               args={"invals": 2, "cause": "write", "block": 4})
         b.record("dir.occupancy", 8.0, None, 3, 12)
         b.record("dir.inval_round", 8.0, None, 3, "write", 4, 2, None)
         assert _observable(a) == _observable(b)
         assert sorted(a.metrics.histograms) == ["dir_occupancy",
                                                 "invals_per_event.write"]
+        assert list(a.metrics.gauges) == ["dir_occupancy_peak"]
+
+    def test_the_benchmark_emit_call_is_a_record_call(self):
+        """``bench/micro.py`` times this exact call as ``obs.emit_ns``."""
+        a, b = Tracer(), Tracer()
+        a.emit("net.msg", ts=0.0, dur=20.0, comp="network", tid=3)
+        b.record("net.msg", 0.0, 20.0, 3, None, None, None, None)
+        row = ("net.msg", 0.0, 20.0, 3, None, None, None, None)
+        assert list(a._rows()) == list(b._rows()) == [row]
+        assert _observable(a) == _observable(b)
+        assert a.counts == {"net.msg": 1}
+        assert a.comp_counts == {"network": 1}
+        assert a.metrics.histogram("msg_latency").to_dict() == {
+            "count": 1, "total": 20.0, "mean": 20.0, "buckets": {"32": 1}}
 
     def test_instrument_absent_until_first_observed(self):
         t = Tracer()
@@ -191,9 +208,8 @@ class TestOneRecordPath:
         t.record("proc.sync", 1.0, 4.0, 0)
         assert list(t.metrics.histograms) == ["sync_cycles"]
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_record_takes_declared_events_only(self, strict):
-        t = Tracer(strict=strict)
+    def test_record_takes_declared_events_only(self):
+        t = Tracer()
         with pytest.raises(ValueError, match="not declared"):
             t.record("no.such.event", 0.0, None, 0)
         assert len(t) == 0 and t.emitted == 0
@@ -231,6 +247,21 @@ class TestOneRecordPath:
         assert u.metrics.histogram("msg_latency").count == 13
 
 
+class TestDeclarations:
+    def test_every_event_is_a_span_an_instant_or_a_counter(self):
+        """No declared event opens a split span (``begin`` / ``end``), so
+        no tracer call can leave one unclosed in a trace."""
+        assert {spec.kind for spec in EVENTS.values()} <= {SPAN, INSTANT,
+                                                           COUNTER}
+
+    def test_no_two_events_feed_one_instrument(self):
+        """The tally reads each instrument's values from one event's rows."""
+        fed = [spec.feeds[0] for spec in EVENTS.values() if spec.feeds]
+        raised = [spec.peak[0] for spec in EVENTS.values() if spec.peak]
+        assert len(set(fed)) == len(fed) and len(set(raised)) == len(raised)
+        assert not any(a != b and b.startswith(a) for a in fed for b in fed)
+
+
 def _typed(rows):
     """Rows with the type of every field beside it: ``True == 1`` and
     ``[1] != (1,)`` alike must survive a seal."""
@@ -251,7 +282,7 @@ _ROW_SHAPES = st.sampled_from([
 @st.composite
 def _ring_ops(draw):
     """``(n, shapes, keyword_every)``: ``n`` calls cycling over ``shapes``,
-    every ``keyword_every``-th through the keyword adapter (0: never)."""
+    every ``keyword_every``-th through ``emit`` (0: never)."""
     n = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8192, 8193, 13000]))
     n = max(0, n + draw(st.integers(-2, 2)))
     shapes = draw(st.lists(_ROW_SHAPES, min_size=1, max_size=3))
@@ -263,17 +294,13 @@ def _drive(tracer, reference, n, shapes, keyword_every):
     ``deque(maxlen=capacity)`` ring would retain to ``reference``."""
     for i in range(n):
         name, dur, tid, *values = shapes[i % len(shapes)]
+        row = (name, float(i), dur, tid, *values)
         if keyword_every and i % keyword_every == 0:
-            spec = EVENTS[name]
-            args = dict(zip(spec.fields, values))
-            tracer.emit(name, ts=float(i), dur=dur, kind=spec.kind,
-                        comp=spec.comp, tid=tid, args=args)
-            reference.append(((name, spec.kind, spec.comp, tuple(args)),
-                              float(i), dur, tid, *args.values()))
+            args = dict(zip(EVENTS[name].fields, values))
+            tracer.emit(name, ts=float(i), dur=dur, tid=tid, args=args)
         else:
-            row = (name, float(i), dur, tid, *values)
             tracer.record(*row)
-            reference.append(row)
+        reference.append(row)
 
 
 class TestSealedRing:
@@ -405,7 +432,7 @@ class _RowAtATime(Tracer):
     def record(self, *row):
         name = row[0]
         try:
-            shape, feed, peak = RECORD[name]
+            feed, peak = RECORD[name]
         except KeyError:
             raise ValueError(f"{name!r} is not declared") from None
         self._buf.append(row)
@@ -413,7 +440,7 @@ class _RowAtATime(Tracer):
             self._roll()
         counts = self._counts
         counts[name] = counts.get(name, 0) + 1
-        counts, comp = self._comp_counts, shape[2]
+        counts, comp = self._comp_counts, EVENTS[name].comp
         counts[comp] = counts.get(comp, 0) + 1
         if feed is not None:
             metric, at, key = feed
@@ -423,35 +450,6 @@ class _RowAtATime(Tracer):
         if peak is not None:
             metric, at = peak
             self.metrics.gauge(metric).set_max(row[at])
-
-    def emit(self, name, *, ts, dur=None, kind=None, comp="", tid=0,
-             args=None):
-        spec = EVENTS.get(name)
-        if spec is None and self.strict:
-            raise ValueError(f"{name!r} is not declared")
-        if kind is None:
-            kind = SPAN if dur is not None else INSTANT
-        args = args or {}
-        self._buf.append(
-            ((name, kind, comp, tuple(args)), ts, dur, tid, *args.values()))
-        if len(self._buf) >= CHUNK:
-            self._roll()
-        counts = self._counts
-        counts[name] = counts.get(name, 0) + 1
-        if comp:
-            counts = self._comp_counts
-            counts[comp] = counts.get(comp, 0) + 1
-        if spec is not None and spec.feeds is not None:
-            metric, source, *key = spec.feeds
-            value = dur if source == "dur" else args.get(source)
-            keyed = args.get(key[0]) if key else ""
-            if value is not None and keyed is not None:
-                self.metrics.histogram(metric + keyed).observe(value)
-        if spec is not None and spec.peak is not None:
-            metric, source = spec.peak
-            value = dur if source == "dur" else args.get(source)
-            if value is not None:
-                self.metrics.gauge(metric).set_max(value)
 
 
 def _exact(x):
@@ -505,13 +503,16 @@ def _oracle_op(draw):
     dur = draw(_FED) if EVENTS[name].kind == SPAN else None
     if kind == "record":
         return kind, name, dur, tuple(values.values())
-    # a keyword caller may name an undeclared event, leave fields out
-    # and order them as it likes
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(["x.custom", "dir.occupancy"]))
+    # a keyword caller may leave fields out and order them as it likes;
+    # an undeclared name, component or field is rejected at the call
     fields = draw(st.permutations(list(values)))
     args = {f: values[f] for f in fields[:draw(st.integers(0, len(fields)))]}
-    comp = draw(st.sampled_from(["", "directory", "proc"]))
+    if draw(st.integers(0, 9)) == 0:
+        name = "x.custom"
+    if draw(st.integers(0, 9)) == 0:
+        args["bogus"] = 1
+    comp = draw(st.sampled_from([None, None, EVENTS[name].comp, "proc"])
+                if name in EVENTS else st.none())
     return kind, name, dur, args, comp
 
 
@@ -538,13 +539,12 @@ class TestTallyOracle:
     counts in insertion order, histogram buckets, counts and bit-exact
     totals, gauges and checkpoint bytes, read at any point."""
 
-    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("capacity", [3, CHUNK + 7])
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_oracle_op(), max_size=40))
-    def test_matches_row_at_a_time(self, strict, capacity, ops):
-        tracer = Tracer(capacity, strict=strict)
-        model = _RowAtATime(capacity, strict=strict)
+    def test_matches_row_at_a_time(self, capacity, ops):
+        tracer = Tracer(capacity)
+        model = _RowAtATime(capacity)
         for i, op in enumerate(ops):
             if op[0] == "read":
                 assert _accounts(tracer) == _accounts(model)
@@ -552,9 +552,9 @@ class TestTallyOracle:
             if op[0] == "reload":
                 state = pickle.dumps(model.to_state(), 4)
                 assert pickle.dumps(tracer.to_state(), 4) == state
-                tracer = Tracer(capacity, strict=strict)
+                tracer = Tracer(capacity)
                 tracer.load_state(pickle.loads(state))
-                model = _RowAtATime(capacity, strict=strict)
+                model = _RowAtATime(capacity)
                 model.load_state(pickle.loads(state))
                 continue
             try:
@@ -568,6 +568,17 @@ class TestTallyOracle:
                 return
             _apply(tracer, op, i)
         assert _accounts(tracer) == _accounts(model)
+
+    def test_a_keyed_feed_splits_by_key_in_record_order(self):
+        t, model = Tracer(), _RowAtATime()
+        causes = ["write", "nb_evict", "write", "sparse_repl", "write",
+                  "nb_evict"]
+        for tracer in (t, model):
+            for i, cause in enumerate(causes):
+                tracer.record("dir.inval_round", float(i), None, 0, cause, i,
+                              i + 0.5, None)
+        assert _accounts(t) == _accounts(model)
+        assert t.metrics.histogram("invals_per_event.write").count == 3
 
     def test_a_row_fed_none_is_rejected_when_tallied(self):
         t = Tracer()
@@ -640,8 +651,6 @@ class TestNullTracer:
         n.bind_clock(lambda: 99.0)
         n.record("anything", 1.0, None, 0, 5)
         n.emit("anything", ts=1.0)
-        n.emit_now("anything")
-        n.emit_counter("anything", ts=1.0, value=2.0)
         assert n.now() == 0.0
         assert len(n) == 0 and n.events() == [] and n.dropped == 0
         assert list(n) == []
@@ -699,7 +708,7 @@ class TestMetricsRegistry:
         assert m.empty is False
 
     def test_strict_rejects_undeclared(self):
-        m = MetricsRegistry(strict=True)
+        m = MetricsRegistry()
         with pytest.raises(ValueError, match="not declared"):
             m.counter("no_such_metric")
 

@@ -301,7 +301,7 @@ def test_undeclared_event_name_is_flagged(tmp_path):
         "obs/registry.py": _OBS_REGISTRY,
         "machine/hooks.py": (
             "def f(tracer):\n"
-            "    tracer.emit_now('not.declared')\n"
+            "    tracer.emit('not.declared', ts=0.0)\n"
         ),
     })
     assert _rules(findings) == ["undeclared-obs-name"]
@@ -314,7 +314,7 @@ def test_declared_event_name_passes(tmp_path):
         "machine/hooks.py": (
             "def f(tracer, now):\n"
             "    tracer.emit('txn.read', ts=now)\n"
-            "    tracer.emit_now('wb.issue')\n"
+            "    tracer.record('wb.issue', now, None, 0, 1)\n"
         ),
     })
     assert findings == []
@@ -330,7 +330,7 @@ def test_annotated_registry_declarations_count(tmp_path):
         ),
         "machine/hooks.py": (
             "def f(tracer):\n"
-            "    tracer.emit_now('txn.read')\n"
+            "    tracer.record('txn.read', 0.0, 1.0, 0, 1)\n"
         ),
     })
     assert findings == []
@@ -361,7 +361,7 @@ def test_record_call_names_are_checked_against_spec_registry(tmp_path):
             "    obs.record('txn.read', now, 5.0, home, block)\n"
             "    obs.record('wb.issue', now, None, home, block)\n"
             "    obs.record('wb.isue', now, None, home, block)\n"
-            "    obs.emit_now('dir.inval_rnd')\n"
+            "    obs.emit('dir.inval_rnd', ts=now)\n"
             "    scheme.record(block)\n"  # not a tracer call: no literal name
         ),
     })
@@ -420,7 +420,7 @@ def test_obs_rule_inactive_without_registry(tmp_path):
     findings = _lint_tree(tmp_path, {
         "machine/hooks.py": (
             "def f(tracer):\n"
-            "    tracer.emit_now('anything.goes')\n"
+            "    tracer.emit('anything.goes', ts=0.0)\n"
         ),
     })
     assert findings == []
@@ -431,7 +431,7 @@ def test_obs_name_suppression(tmp_path):
         "obs/registry.py": _OBS_REGISTRY,
         "machine/hooks.py": (
             "def f(tracer):\n"
-            "    tracer.emit_now('x.y')  # lint: ignore[undeclared-obs-name]\n"
+            "    tracer.emit('x.y', ts=0.0)  # lint: ignore[undeclared-obs-name]\n"
         ),
     })
     assert findings == []
@@ -614,110 +614,12 @@ def test_every_rule_has_a_catalog_entry():
         "undeclared-stat",
         "undeclared-obs-name",
         "dead-metric",
-        "span-leak",
         "unpicklable-continuation",
     }
 
 
 def test_shipped_tree_is_clean():
     assert run_lint([str(REPO_SRC)]) == []
-
-
-# -- span-leak ---------------------------------------------------------------
-
-
-def test_begin_without_end_is_flagged(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/directory.py": (
-            "def service(self, obs):\n"
-            "    obs.emit('dir.service', ts=1.0, kind='begin')\n"
-        ),
-    })
-    assert _rules(findings) == ["span-leak"]
-    assert "dir.service" in findings[0].message
-
-
-def test_begin_with_matching_end_is_clean(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/directory.py": (
-            "def service(self, obs):\n"
-            "    obs.emit('dir.service', ts=1.0, kind='begin')\n"
-            "    obs.emit('dir.service', ts=9.0, kind='end')\n"
-        ),
-    })
-    assert findings == []
-
-
-def test_end_may_live_in_another_function_of_the_module(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/directory.py": (
-            "def start(self, obs):\n"
-            "    obs.emit('dir.service', ts=1.0, kind='begin')\n"
-            "\n"
-            "def finish(self, obs):\n"
-            "    obs.emit('dir.service', ts=9.0, kind='end')\n"
-        ),
-    })
-    assert findings == []
-
-
-def test_mismatched_span_names_are_flagged(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/network.py": (
-            "def f(obs):\n"
-            "    obs.emit('net.msg', ts=1.0, kind='begin')\n"
-            "    obs.emit('net.fault', ts=2.0, kind='end')\n"
-        ),
-    })
-    assert _rules(findings) == ["span-leak"]
-    assert "net.msg" in findings[0].message
-
-
-def test_kind_constant_name_forms_are_understood(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/cache.py": (
-            "from repro.obs.tracer import BEGIN, END\n"
-            "import repro.obs.tracer as tracer\n"
-            "def f(obs):\n"
-            "    obs.emit('cache.inval', ts=1.0, kind=BEGIN)\n"
-            "    obs.emit('cache.inval', ts=2.0, kind=tracer.END)\n"
-            "    obs.emit('wb.issue', ts=3.0, kind=BEGIN)\n"
-        ),
-    })
-    assert _rules(findings) == ["span-leak"]
-    assert "wb.issue" in findings[0].message
-
-
-def test_complete_spans_are_not_split_halves(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/cache.py": (
-            "def f(obs):\n"
-            "    obs.emit('txn.read', ts=1.0, dur=5.0, kind='span')\n"
-            "    obs.emit_now('wb.issue')\n"
-        ),
-    })
-    assert findings == []
-
-
-def test_span_leak_only_polices_the_machine_layer(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "analysis/report.py": (
-            "def f(obs):\n"
-            "    obs.emit('dir.service', ts=1.0, kind='begin')\n"
-        ),
-    })
-    assert findings == []
-
-
-def test_span_leak_suppression(tmp_path):
-    findings = _lint_tree(tmp_path, {
-        "machine/directory.py": (
-            "def service(self, obs):\n"
-            "    obs.emit('dir.service', ts=1.0, kind='begin')"
-            "  # lint: ignore[span-leak]\n"
-        ),
-    })
-    assert findings == []
 
 
 # -- unpicklable-continuation -----------------------------------------------
