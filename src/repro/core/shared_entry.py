@@ -19,7 +19,7 @@ how the suggestion is usually read and the cheapest-hardware variant.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DirectoryEntry, DirectoryScheme
 from repro.core.sparse import DirectoryStore, DirLine, Eviction
@@ -33,6 +33,8 @@ class _GroupLine(DirLine):
     the whole group's sharer knowledge — conservative and cheap, exactly
     what pooled storage buys.
     """
+
+    __slots__ = ()
 
 
 class SharedEntryDirectory(DirectoryStore):
@@ -70,7 +72,7 @@ class SharedEntryDirectory(DirectoryStore):
         return self._lines.get(block)
 
     def get_or_allocate(
-        self, block: int, avoid: frozenset = frozenset()
+        self, block: int, avoid: AbstractSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
         line = self._lines.get(block)
         if line is None:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DirectoryEntry, DirectoryScheme
 from repro.core.replacement import ReplacementPolicy, make_policy
 
 
-@dataclass
+@dataclass(slots=True)
 class DirLine:
     """One directory line: presence entry plus protocol state.
 
@@ -45,7 +45,7 @@ class DirLine:
         return not self.dirty and self.entry.is_empty()
 
 
-@dataclass
+@dataclass(slots=True)
 class Eviction:
     """A directory-entry replacement: whose cached copies must die."""
 
@@ -82,15 +82,15 @@ class DirectoryStore(ABC):
 
     @abstractmethod
     def get_or_allocate(
-        self, block: int, avoid: FrozenSet[int] = frozenset()
+        self, block: int, avoid: AbstractSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
         """The line for ``block``, allocating if needed.
 
         Returns the line plus any evictions the allocation forced (always
-        empty for the full-map store).  ``avoid`` lists blocks whose
+        empty for the full-map store).  ``avoid`` holds blocks whose
         entries must not be victimized (they have transactions in flight);
-        a sparse store raises :class:`AllWaysBusy` when a replacement is
-        needed but every candidate is avoided.
+        a sparse store reads it only when a replacement is needed, and
+        raises :class:`AllWaysBusy` when every candidate is avoided.
         """
 
     @abstractmethod
@@ -157,7 +157,7 @@ class FullMapDirectory(DirectoryStore):
         return self._lines.get(block)
 
     def get_or_allocate(
-        self, block: int, avoid: FrozenSet[int] = frozenset()
+        self, block: int, avoid: AbstractSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
         line = self._lines.get(block)
         if line is None:
@@ -208,7 +208,7 @@ class FullMapDirectory(DirectoryStore):
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Way:
     tag: int = -1  # -1 (no block has it) while the way is empty
     line: Optional[DirLine] = None
@@ -305,7 +305,7 @@ class SparseDirectory(DirectoryStore):
         return None
 
     def get_or_allocate(
-        self, block: int, avoid: FrozenSet[int] = frozenset()
+        self, block: int, avoid: AbstractSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
         tag, s = divmod(self._local(block), self.num_sets)
         ways = self._sets.get(s)

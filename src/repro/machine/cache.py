@@ -1,4 +1,5 @@
-"""Processor caches: set-associative levels with DASH's 3-state protocol.
+"""Processor caches: direct-mapped and set-associative levels with DASH's
+3-state protocol.
 
 States are per-line: INVALID (absent), SHARED (clean, possibly replicated
 machine-wide), DIRTY (modified, exclusive machine-wide at cluster
@@ -7,19 +8,26 @@ primary cache that only filters hits, and a write-back secondary cache
 that is the coherence point (inclusion is enforced — invalidating or
 evicting an L2 line purges the L1 copy).
 
-A level is one flat ``dict`` block->state plus a victim-finding record
-per occupied set (:class:`CacheLevel`).  Dirty evictions park the block
-in a *writeback buffer* until the home directory has processed the
-writeback, so a forwarded request racing the writeback still finds the
-data — exactly the role of DASH's writeback buffers.  Which transition
-happens is decided by the node rows of :mod:`repro.core.protocol`;
-a :class:`ProcessorCache` is their view of one processor.
+A level comes in two layouts, picked by :func:`make_level` from its
+associativity, with the same methods, walk order and snapshot format.
+A :class:`DirectMappedLevel` (the paper machine's, at both levels) is
+one ``dict`` set index -> resident block plus the set of its DIRTY
+blocks, so a resident line costs one map entry.  A :class:`CacheLevel`
+(set-associative) is one flat ``dict`` block->state plus an LRU-ordered
+record per occupied set.
+
+Dirty evictions park the block in a *writeback buffer* until the home
+directory has processed the writeback, so a forwarded request racing the
+writeback still finds the data — exactly the role of DASH's writeback
+buffers.  Which transition happens is decided by the node rows of
+:mod:`repro.core.protocol`; a :class:`ProcessorCache` is their view of
+one processor.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.protocol import LineState
 from repro.obs.tracer import NULL_TRACER
@@ -27,17 +35,130 @@ from repro.obs.tracer import NULL_TRACER
 #: bound once: reading a member off an ``Enum`` class costs ~0.1 us a time
 _DIRTY, _SHARED = LineState.DIRTY, LineState.SHARED
 _BY_BYTE = {state.value: state for state in LineState}  # snapshot byte -> state
+#: ``bytes.translate`` table: a ``block in dirty`` flag -> its state byte
+_STATE_OF_FLAG = bytes([_SHARED, _DIRTY]).ljust(256, b"\0")
+_STATE_BYTES = bytes(_BY_BYTE)  # the bytes a snapshot's states may hold
+
+
+def _refused(blocks: int, states: int, num_sets: int, assoc: int) -> ValueError:
+    return ValueError(
+        f"cache geometry mismatch: snapshot of {blocks} blocks and "
+        f"{states} states does not fit {num_sets} sets of {assoc} ways")
+
+
+class DirectMappedLevel:
+    """One direct-mapped cache level (tags only; no data is simulated).
+
+    ``_sets`` maps every occupied set index to its resident block, which
+    is all a set of one way needs (its victim is that block); ``_dirty``
+    holds the resident blocks in state DIRTY, every other one is SHARED.
+    Walks go in ascending set index, the order a dense array of sets
+    would give; checkpoints and invariant reports are defined by it.
+    """
+
+    __slots__ = ("num_sets", "assoc", "_sets", "_dirty")
+
+    def __init__(self, capacity_bytes: int, block_bytes: int) -> None:
+        self.assoc = 1
+        self.num_sets = max(1, capacity_bytes // block_bytes)
+        #: occupied set -> its block
+        self._sets: Dict[int, int] = {}
+        #: the resident blocks in state DIRTY
+        self._dirty: Set[int] = set()
+
+    def peek(self, block: int) -> Optional[LineState]:
+        """State without touching LRU (for snoops and invariant checks)."""
+        if self._sets.get(block % self.num_sets) != block:
+            return None
+        return _DIRTY if block in self._dirty else _SHARED
+
+    #: a set of one way has no LRU order to refresh
+    lookup = peek
+
+    def install(
+        self, block: int, state: LineState
+    ) -> Optional[Tuple[int, LineState]]:
+        """Fill ``block``; returns the evicted ``(block, state)`` if any."""
+        sets, dirty = self._sets, self._dirty
+        index = block % self.num_sets
+        vblock = sets.get(index)
+        sets[index] = block
+        victim = None
+        if vblock is not None and vblock != block:
+            if vblock in dirty:
+                dirty.remove(vblock)
+                victim = (vblock, _DIRTY)
+            else:
+                victim = (vblock, _SHARED)
+        if state is _DIRTY:
+            dirty.add(block)
+        else:
+            dirty.discard(block)
+        return victim
+
+    def set_state(self, block: int, state: LineState) -> None:
+        """Change an existing line's state (no LRU side effects)."""
+        if self._sets.get(block % self.num_sets) == block:
+            if state is _DIRTY:
+                self._dirty.add(block)
+            else:
+                self._dirty.discard(block)
+
+    def invalidate(self, block: int) -> Optional[LineState]:
+        """Drop ``block``; returns its state if it was present."""
+        index = block % self.num_sets
+        if self._sets.get(index) != block:
+            return None
+        del self._sets[index]
+        if block in self._dirty:
+            self._dirty.remove(block)
+            return _DIRTY
+        return _SHARED
+
+    def _walk(self) -> List[int]:
+        """Resident blocks in ascending set index."""
+        sets = self._sets
+        return list(map(sets.__getitem__, sorted(sets)))
+
+    def blocks(self) -> Iterator[Tuple[int, LineState]]:
+        """Iterate over all (block, state) pairs currently cached."""
+        dirty = self._dirty
+        return ((block, _DIRTY if block in dirty else _SHARED)
+                for block in self._walk())
+
+    def occupancy(self) -> int:
+        """Number of valid lines held."""
+        return len(self._sets)
+
+    def to_state(self) -> Tuple[array, bytes]:
+        """The :meth:`blocks` walk as two columns: blocks, one state byte each."""
+        blocks = array("q", self._walk())
+        flags = bytes(map(self._dirty.__contains__, blocks))
+        return blocks, flags.translate(_STATE_OF_FLAG)
+
+    def load_state(self, state: Tuple[array, bytes]) -> None:
+        """Restore :meth:`to_state` (same geometry).  A snapshot fits when
+        its columns match, every byte is a :class:`LineState` and no two
+        blocks share a set (which also refuses a block given twice)."""
+        blocks, states = state
+        num_sets = self.num_sets
+        sets = {block % num_sets: block for block in blocks}
+        if not len(sets) == len(blocks) == len(states) or states.translate(
+                None, _STATE_BYTES):
+            raise _refused(len(blocks), len(states), num_sets, 1)
+        self._sets = sets
+        self._dirty = {
+            block for block, byte in zip(blocks, states) if byte == _DIRTY}
 
 
 class CacheLevel:
     """One set-associative cache level (tags only; no data is simulated).
 
-    ``_lines`` maps every resident block to its state; ``_sets`` holds a
-    record per occupied set, only to find victims and walk in set order:
-    the resident block when direct-mapped (its LRU order is trivially
-    itself), else an insertion-ordered ``dict`` of its blocks, LRU first.
-    Walks go in ascending set index, the order a dense array of sets
-    would give; checkpoints and invariant reports are defined by it.
+    ``_lines`` maps every resident block to its state; ``_sets`` holds an
+    insertion-ordered ``dict`` of the blocks of each occupied set, LRU
+    first, only to find victims and walk in set order.  Walks go in
+    ascending set index, the order a dense array of sets would give;
+    checkpoints and invariant reports are defined by it.
     """
 
     __slots__ = ("num_sets", "assoc", "_lines", "_sets")
@@ -49,13 +170,13 @@ class CacheLevel:
         self.num_sets = max(1, capacity_blocks // assoc)
         #: every resident block -> its state
         self._lines: Dict[int, LineState] = {}
-        #: occupied set -> its block (assoc 1) or ``{block: None}`` LRU->MRU
-        self._sets: Dict[int, Any] = {}
+        #: occupied set -> ``{block: None}`` LRU->MRU
+        self._sets: Dict[int, Dict[int, None]] = {}
 
     def lookup(self, block: int) -> Optional[LineState]:
         """State of ``block`` if present; refreshes LRU position."""
         state = self._lines.get(block)
-        if state is not None and self.assoc != 1:
+        if state is not None:
             ways = self._sets[block % self.num_sets]
             ways[block] = ways.pop(block)  # re-insert at the MRU end
         return state
@@ -69,20 +190,15 @@ class CacheLevel:
     ) -> Optional[Tuple[int, LineState]]:
         """Fill ``block``; returns the evicted ``(block, state)`` if any."""
         lines = self._lines
-        index = block % self.num_sets
-        if self.assoc == 1:
-            vblock = self._sets.get(index)
-            self._sets[index] = block
-        else:
-            ways = self._sets.setdefault(index, {})
-            vblock = None
-            if block not in ways and len(ways) >= self.assoc:
-                vblock = next(iter(ways))  # LRU end: oldest insertion
-                del ways[vblock]
-            ways.pop(block, None)
-            ways[block] = None  # at the MRU end
+        ways = self._sets.setdefault(block % self.num_sets, {})
+        vblock = None
+        if block not in ways and len(ways) >= self.assoc:
+            vblock = next(iter(ways))  # LRU end: oldest insertion
+            del ways[vblock]
+        ways.pop(block, None)
+        ways[block] = None  # at the MRU end
         lines[block] = state
-        return None if vblock in (None, block) else (vblock, lines.pop(vblock))
+        return None if vblock is None else (vblock, lines.pop(vblock))
 
     def set_state(self, block: int, state: LineState) -> None:
         """Change an existing line's state (no LRU side effects)."""
@@ -94,17 +210,16 @@ class CacheLevel:
         state = self._lines.pop(block, None)
         if state is not None:
             index = block % self.num_sets
-            if self.assoc == 1 or len(self._sets[index]) == 1:
+            ways = self._sets[index]
+            if len(ways) == 1:
                 del self._sets[index]
             else:
-                del self._sets[index][block]
+                del ways[block]
         return state
 
     def _walk(self) -> List[int]:
         """Resident blocks in ascending set index, LRU->MRU within a set."""
         sets = self._sets
-        if self.assoc == 1:
-            return [sets[index] for index in sorted(sets)]
         return [block for index in sorted(sets) for block in sets[index]]
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
@@ -129,27 +244,31 @@ class CacheLevel:
         blocks, states = state
         num_sets, assoc = self.num_sets, self.assoc
         lines = dict(zip(blocks, map(_BY_BYTE.get, states)))
-        if assoc == 1:
-            records: Dict[int, Any] = {block % num_sets: block for block in blocks}
-            fits = len(records) == len(blocks)
-        else:
-            records = {}
-            for block in blocks:
-                records.setdefault(block % num_sets, {})[block] = None
-            fits = all(len(ways) <= assoc for ways in records.values())
-        if not fits or None in lines.values() or not (
+        records: Dict[int, Dict[int, None]] = {}
+        for block in blocks:
+            records.setdefault(block % num_sets, {})[block] = None
+        if any(len(ways) > assoc for ways in records.values()) or (
+                None in lines.values()) or not (
                 len(blocks) == len(lines) == len(states)):
-            raise ValueError(
-                f"cache geometry mismatch: snapshot of {len(blocks)} blocks and "
-                f"{len(states)} states does not fit {num_sets} sets of {assoc} ways")
+            raise _refused(len(blocks), len(states), num_sets, assoc)
         self._lines = lines
         self._sets = records
+
+
+def make_level(
+    capacity_bytes: int, block_bytes: int, assoc: int
+) -> DirectMappedLevel | CacheLevel:
+    """The level for a geometry: direct-mapped when a set holds one line
+    (``assoc`` 1, or a capacity of one block), else set-associative."""
+    if min(assoc, max(1, capacity_bytes // block_bytes)) == 1:
+        return DirectMappedLevel(capacity_bytes, block_bytes)
+    return CacheLevel(capacity_bytes, block_bytes, assoc)
 
 
 class ProcessorCache:
     """Two-level hierarchy for one processor; L2 is the coherence point."""
 
-    __slots__ = ("l1", "l2", "wb_buffer", "tracer", "tid")
+    __slots__ = ("l1", "l2", "wb_buffer", "tracer", "tid", "_direct")
 
     def __init__(
         self,
@@ -161,8 +280,12 @@ class ProcessorCache:
         tracer=NULL_TRACER,
         tid: int = 0,
     ) -> None:
-        self.l1 = CacheLevel(l1_bytes, block_bytes, l1_assoc)
-        self.l2 = CacheLevel(l2_bytes, block_bytes, l2_assoc)
+        self.l1 = make_level(l1_bytes, block_bytes, l1_assoc)
+        self.l2 = make_level(l2_bytes, block_bytes, l2_assoc)
+        #: both levels direct-mapped (the paper machine): no probe has an
+        #: LRU order to refresh, so the probes read the set maps in place
+        self._direct = (type(self.l1) is DirectMappedLevel
+                        and type(self.l2) is DirectMappedLevel)
         #: dirty blocks evicted but not yet acknowledged by their home
         self.wb_buffer: set[int] = set()
         #: observability sink (machine-global processor id in ``tid``)
@@ -172,28 +295,28 @@ class ProcessorCache:
     # -- probes (no state change beyond LRU refresh) -----------------------
 
     def probe_read(self, block: int) -> Optional[str]:
-        """``"l1"`` / ``"l2"`` on a read hit, else ``None``.
+        """``"l1"`` / ``"l2"`` on a read hit, else ``None``; refreshes
+        the L2 line (inclusion backing line) and the L1 line it hits.
 
-        The probes run once per shared reference: one ``in`` / ``get`` per
-        direct-mapped level, :meth:`CacheLevel.lookup` only where a set
-        has an LRU order to refresh."""
-        l1 = self.l1
-        l2 = self.l2
-        if l2.assoc != 1:
-            l2.lookup(block)  # refresh L2 LRU (inclusion backing line)
-        if block in l1._lines:
-            if l1.assoc != 1:
-                l1.lookup(block)
+        The probes run once per shared reference, so on two direct-mapped
+        levels they read the set maps in place: a ``lookup`` call per level
+        would cost more than the read."""
+        l1, l2 = self.l1, self.l2
+        if self._direct:
+            if l1._sets.get(block % l1.num_sets) == block:
+                return "l1"
+            return "l2" if l2._sets.get(block % l2.num_sets) == block else None
+        in_l2 = l2.lookup(block) is not None
+        if l1.lookup(block) is not None:
             return "l1"
-        return "l2" if block in l2._lines else None
+        return "l2" if in_l2 else None
 
     def probe_write(self, block: int) -> bool:
         """True if writable (L2 DIRTY); refreshes the L2 line either way."""
-        l2 = self.l2
-        state = l2._lines.get(block) if l2.assoc == 1 else l2.lookup(block)
-        if state is _DIRTY:
-            if self.l1.assoc != 1:
-                self.l1.lookup(block)
+        if self._direct:
+            return block in self.l2._dirty  # only resident blocks are in it
+        if self.l2.lookup(block) is _DIRTY:
+            self.l1.lookup(block)
             return True
         return False
 

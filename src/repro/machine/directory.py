@@ -26,7 +26,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -151,9 +150,6 @@ class DirectoryController:
         self._legs = machine.legs
         self._strict = machine.strict
         self._occupancy = machine.config.ctrl_occupancy_cycles
-        #: bounded stores (sparse) victimize on allocation and need the
-        #: in-flight pin set; unbounded stores never look at ``avoid``
-        self._needs_pins = store.capacity_entries() is not None
         #: the store itself when it pools several blocks per presence entry
         #: (shared-entry), else None: the kernel then skips the group logic
         self._group_store = (
@@ -378,10 +374,6 @@ class DirectoryController:
         complete at fixed future times, so this always terminates."""
         self._events.after(self._occupancy + 1.0, self._execute, txn)
 
-    def _pinned_blocks(self, current: int) -> FrozenSet[int]:
-        """Blocks whose directory entries must not be victimized now."""
-        return frozenset(b for b in self._busy if b != current)
-
     def _finish(self, txn: Transaction) -> None:
         now = self._events.now
         obs = self._obs
@@ -419,12 +411,10 @@ class DirectoryController:
 
     def _allocate(self, txn: Transaction) -> Tuple[DirLine, float]:
         """The block's line plus the recall penalty its allocation cost."""
-        if self._needs_pins:
-            line, evictions = self.store.get_or_allocate(
-                txn.block, avoid=self._pinned_blocks(txn.block)
-            )
-        else:
-            line, evictions = self.store.get_or_allocate(txn.block)
+        # the in-flight blocks are pinned: a bounded (sparse) store reads
+        # them only to pick a victim, and the block allocating is never one
+        # of its own set's residents
+        line, evictions = self.store.get_or_allocate(txn.block, avoid=self._busy)
         obs = self._obs
         if obs.enabled:  # sample this home's occupancy (entries in use)
             obs.record(

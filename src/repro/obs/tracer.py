@@ -244,7 +244,9 @@ class Tracer:
     ) -> None:
         """Keyword front for :meth:`record`: ``args`` maps declared field
         names to values (a field it leaves out is ``None``), and ``comp``,
-        when given, must be the declared component."""
+        when given, must be the declared component.  A field the
+        declaration feeds a histogram or gauge from (``"dur"``, the fed
+        value, a keyed feed's key) must be given."""
         spec = EVENTS.get(name)
         if spec is None:
             raise _undeclared(name)
@@ -260,6 +262,12 @@ class Tracer:
                 f"trace event {name!r} declares no field "
                 f"{sorted(unknown)[0]!r}; its fields are {spec.fields}"
             )
+        for field in (spec.feeds or ())[1:] + (spec.peak or ())[1:]:
+            if (dur if field == "dur" else args.get(field)) is None:
+                raise ValueError(
+                    f"trace event {name!r} feeds a metric from field "
+                    f"{field!r}, which the call leaves out"
+                )
         self.record(name, ts, dur, tid, *map(args.get, spec.fields))
 
     # -- tallies ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Eager reference models of the set-associative machine state.
 
-``CacheLevel`` keeps one map of its resident lines plus a record per
-occupied set (the block itself when direct-mapped) and snapshots them as
-two packed columns, ``ProcessorCache`` probes that map directly, and
+A direct-mapped level keeps one map of set -> resident block plus its
+DIRTY blocks, a set-associative ``CacheLevel`` one map of its resident
+lines plus a record per occupied set; both snapshot as two packed
+columns, ``ProcessorCache`` reads two direct-mapped levels' maps in place, and
 ``SparseDirectory`` and the replacement policies keep only the sets
 something has been installed into.  These models are the obvious dense
 versions — one LRU-stack ``dict`` or slot row per possible set, allocated

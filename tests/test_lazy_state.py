@@ -1,10 +1,11 @@
 """Machine state is proportional to occupancy, and behaves as if it were not.
 
-``CacheLevel`` holds one block -> state map of its lines plus a record
-per occupied set and snapshots them as two packed columns (an
-``array('q')`` of blocks and one state byte each), ``ProcessorCache``
-probes those maps directly, and ``SparseDirectory`` and the LRU/LRA stamp
-rows materialise a set on first install.  The property tests drive them
+A direct-mapped level holds one set -> block map plus its DIRTY blocks,
+a set-associative ``CacheLevel`` one block -> state map plus a record
+per occupied set; both snapshot as two packed columns (an ``array('q')``
+of blocks and one state byte each), ``ProcessorCache`` builds whichever
+its associativity calls for, and ``SparseDirectory`` and the LRU/LRA
+stamp rows materialise a set on first install.  The property tests drive them
 and the dense models in ``eager_reference.py`` with the same random
 operation sequences and require every return value, victim,
 whole-structure walk and snapshot to agree (walks in ascending set order,
@@ -27,7 +28,12 @@ from repro.apps import MP3DWorkload
 from repro.core import FullBitVectorScheme, SparseDirectory
 from repro.core.sparse import AllWaysBusy
 from repro.machine import DashSystem, MachineConfig
-from repro.machine.cache import CacheLevel, LineState, ProcessorCache
+from repro.machine.cache import (
+    CacheLevel,
+    DirectMappedLevel,
+    LineState,
+    ProcessorCache,
+)
 
 from tests.eager_reference import (
     EagerCacheLevel,
@@ -35,9 +41,23 @@ from tests.eager_reference import (
     EagerSparseDirectory,
 )
 
-# -- CacheLevel --------------------------------------------------------------
+# -- cache levels ------------------------------------------------------------
 
 CACHE_GEOMETRIES = [(64, 1), (64, 2), (128, 4), (16, 8)]  # (bytes, assoc), 16 B blocks
+
+
+def _level(capacity, assoc):
+    """The level a ``ProcessorCache`` builds for this geometry."""
+    return ProcessorCache(16, capacity, assoc, capacity, assoc).l1
+
+
+@pytest.mark.parametrize("capacity, assoc, kind", [
+    (64, 1, DirectMappedLevel), (16, 8, DirectMappedLevel),  # one way a set
+    (64, 2, CacheLevel), (128, 4, CacheLevel),
+])
+def test_processor_cache_picks_the_level_by_assoc(capacity, assoc, kind):
+    level = _level(capacity, assoc)
+    assert type(level) is kind and level.assoc == min(assoc, capacity // 16)
 
 cache_ops = st.lists(
     st.tuples(
@@ -53,7 +73,7 @@ cache_ops = st.lists(
 @given(st.sampled_from(CACHE_GEOMETRIES), cache_ops)
 def test_cache_level_matches_eager_model(geometry, ops):
     capacity, assoc = geometry
-    lazy = CacheLevel(capacity, 16, assoc)
+    lazy = _level(capacity, assoc)
     eager = EagerCacheLevel(capacity, 16, assoc)
     assert (lazy.num_sets, lazy.assoc) == (eager.num_sets, eager.assoc)
     for op, block, state in ops:
@@ -62,7 +82,7 @@ def test_cache_level_matches_eager_model(geometry, ops):
         assert list(lazy.blocks()) == list(eager.blocks())
         assert lazy.occupancy() == eager.occupancy()
     # the snapshot is the same walk, and restores to the same machine
-    clone = CacheLevel(capacity, 16, assoc)
+    clone = _level(capacity, assoc)
     clone.load_state(lazy.to_state())
     assert list(clone.blocks()) == list(eager.blocks())
     assert clone.to_state() == lazy.to_state() == eager.to_state()
@@ -96,6 +116,26 @@ def test_processor_cache_matches_eager_model(geometry, ops):
         assert list(lazy.l1.blocks()) == list(eager.l1.blocks())
         assert list(lazy.l2.blocks()) == list(eager.l2.blocks())
         assert lazy.to_state() == eager.to_state()
+
+
+@pytest.mark.parametrize("assoc", [1, 2])
+def test_a_dirty_line_leaves_no_writable_copy_behind(assoc):
+    # 4 sets a level: 0, 4 and 8 share set 0.  A DIRTY line evicted,
+    # refilled SHARED or invalidated is not writable afterwards.
+    size = 16 * 4 * assoc
+    cache = ProcessorCache(16, size, assoc, size, assoc)
+    cache.install(0, LineState.DIRTY)
+    for block in (4, 8)[:assoc]:
+        cache.install(block, LineState.SHARED)  # the last evicts 0
+    assert cache.probe_read(0) is None and not cache.probe_write(0)
+    cache.install(4, LineState.DIRTY)
+    cache.install(4, LineState.SHARED)
+    assert cache.probe_read(4) == "l1" and not cache.probe_write(4)
+    cache.install(4, LineState.DIRTY)
+    assert cache.probe_write(4) and cache.invalidate(4)
+    assert not cache.probe_write(4)
+    cache.l2.set_state(4, LineState.DIRTY)  # absent: no effect
+    assert not cache.probe_write(4) and cache.state(4) is None
 
 
 # -- SparseDirectory + replacement policies ----------------------------------
@@ -191,7 +231,7 @@ def test_sparse_directory_matches_eager_model(policy, geometry, ops):
 
 def test_construction_cost_is_independent_of_capacity():
     t0 = time.perf_counter()
-    cache = CacheLevel(2**34, 16, 1)  # 2^30 sets
+    cache = _level(2**34, 1)  # 2^30 sets
     store = SparseDirectory(FullBitVectorScheme(8), 2**28, 4, policy="lru")
     system = DashSystem(
         MachineConfig(
@@ -239,7 +279,7 @@ def test_direct_mapped_line_cost():
         tracemalloc.stop()
     lines = sum(c.l1.occupancy() + c.l2.occupancy() for c in caches)
     assert lines == 4 * (4096 + 16384)
-    assert used / lines <= 200, f"{used / lines:.0f} B per resident line"
+    assert used / lines <= 100, f"{used / lines:.0f} B per resident line"
 
 
 def test_snapshot_line_cost():
@@ -273,20 +313,23 @@ SNAPSHOT_CORRUPTIONS = {
     "corrupt", SNAPSHOT_CORRUPTIONS.values(), ids=SNAPSHOT_CORRUPTIONS.keys())
 def test_malformed_snapshot_is_refused(assoc, corrupt):
     # 8 sets of `assoc` ways; set 0 full, so one more block overfills it
-    cache = CacheLevel(16 * 8 * assoc, 16, assoc)
+    # (at assoc 1: two blocks in one set)
+    cache = _level(16 * 8 * assoc, assoc)
     for block in range(0, 8 * assoc, 8):
         cache.install(block, LineState.DIRTY)
     cache.install(3, LineState.SHARED)
-    clone = CacheLevel(16 * 8 * assoc, 16, assoc)
+    clone = _level(16 * 8 * assoc, assoc)
+    clone.install(6, LineState.DIRTY)  # a refused snapshot leaves it as it was
+    kept = clone.to_state()
     with pytest.raises(ValueError, match="geometry mismatch"):
         clone.load_state(corrupt(*cache.to_state()))
-    assert clone.occupancy() == 0
+    assert clone.to_state() == kept and clone.peek(6) is LineState.DIRTY
 
 
 @pytest.mark.parametrize("policy", ["lru", "lra", "random"])
 def test_walks_are_in_set_order_not_touch_order(policy):
     store = SparseDirectory(FullBitVectorScheme(4), 16, 2, policy=policy)
-    cache = CacheLevel(16 * 8, 16, 1)
+    cache = _level(16 * 8, 1)
     for block in (7, 2, 5, 10, 0):  # 8 sets: 10 lands behind 2 in set 2
         store.get_or_allocate(block)
         cache.install(block, LineState.SHARED)

@@ -77,6 +77,21 @@ class TestTracer:
             t.emit("net.msg", ts=0.0, dur=1.0, **call)
         assert len(t) == 0 and t.emitted == 0
 
+    @pytest.mark.parametrize("name, call, field", [
+        ("net.msg", {}, "dur"),  # a span's duration feeds msg_latency
+        ("dir.occupancy", {}, "value"),  # feeds a histogram and a gauge
+        ("dir.occupancy", {"args": {"value": None}}, "value"),
+        ("dir.inval_round", {"args": {"invals": 2}}, "cause"),  # the key
+        ("dir.inval_round", {"args": {"cause": "write"}}, "invals"),
+    ])
+    def test_emit_rejects_a_missing_fed_value_at_the_call(
+            self, name, call, field):
+        t = Tracer()
+        with pytest.raises(ValueError, match=f"{name!r} .* field {field!r}"):
+            t.emit(name, ts=0.0, **call)
+        assert len(t) == 0 and t.emitted == 0
+        t.metrics.to_dict()  # nothing left to fail at the next read
+
     def test_ring_wraparound_keeps_exact_tallies(self):
         t = Tracer(capacity=4)
         for i in range(10):
