@@ -8,7 +8,6 @@ from repro.analysis.invalidation import (
 )
 from repro.analysis.report import (
     format_critical_path,
-    format_fault_report,
     format_histogram,
     format_metrics_report,
     format_profile,
@@ -43,7 +42,6 @@ __all__ = [
     "format_series",
     "format_histogram",
     "format_critical_path",
-    "format_fault_report",
     "format_metrics_report",
     "format_profile",
     "normalized",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.machine.stats import SimStats
     from repro.obs.causal import ChainSet
     from repro.verify.explorer import ExploreResult
     from repro.verify.liveness import LivenessResult
@@ -74,15 +73,6 @@ def format_histogram(
         bar = "#" * max(0, round(max_width * count / peak))
         lines.append(f"{label}={size:3d}  {pct:6.2f}%  {bar}")
     return "\n".join(lines)
-
-
-def format_fault_report(stats: "SimStats") -> str:
-    """Table of the robustness counters of one run (empty-plan runs show
-    all zeros; fault-free runs normally skip printing this entirely)."""
-    summary = stats.fault_summary()
-    return format_table(
-        ["counter", "count"], [(k, v) for k, v in summary.items()]
-    )
 
 
 def format_verification_report(results: Iterable["ExploreResult"]) -> str:

@@ -9,15 +9,16 @@ not the sweep.  This module is the one engine behind
 * :func:`execute_point` — the single function that simulates one
   attempt of one point, called by forked workers and by the in-process
   driver alike;
-* :class:`~repro.analysis.sweeps.PointLedger` (next door) — the single
-  completion record: every resolved point reaches the cache, report,
-  monitor, ``obs`` tracer and ``progress`` prefix through it;
+* :class:`~repro.analysis.sweeps.PointLedger` (next door) — the one
+  writer of a point's fate: every resolution reaches the cache, the
+  report's :class:`PointOutcome`, the aggregator and the ``progress``
+  prefix through it;
 * :class:`SupervisedRunner` — one failure policy over two drivers: a
   supervisor loop that dispatches points to forked workers over
-  per-worker pipes, monitors liveness through process sentinels, exit
-  codes, and per-point start heartbeats, and never blocks without a
-  timeout; and a short in-process loop for when no workers are needed
-  (or fork is unavailable);
+  per-worker pipes, monitors liveness through process sentinels and
+  exit codes, and never blocks without a timeout; and a short
+  in-process loop for when no workers are needed (or fork is
+  unavailable);
 * per-point **wall-clock timeouts** — a hung worker is SIGKILLed and its
   point rescheduled;
 * **bounded retry with exponential backoff** for points whose worker
@@ -28,7 +29,8 @@ not the sweep.  This module is the one engine behind
   point that exhausts its retries is recorded and skipped so the rest
   of the sweep still completes;
 * :class:`SweepReport` — the structured per-point outcome record
-  (completed / cached / retried / quarantined / timed-out);
+  (completed / cached / retried / quarantined / timed-out), filled in
+  by the ledger only;
 * graceful **SIGINT/SIGTERM** handling — in-flight results are drained
   (and therefore flushed to the :class:`~repro.analysis.cache.
   ResultCache` by the ledger) before :class:`SweepInterrupted` is
@@ -271,75 +273,13 @@ class SweepReport:
     result cache), ``quarantined`` (exhausted retries under keep-going),
     ``timed-out`` (quarantined because every attempt hit the timeout),
     ``failed`` (permanent failure in fail-fast mode), ``skipped``
-    (never started because an earlier point failed fast).
+    (never started because an earlier point failed fast).  Only
+    :class:`~repro.analysis.sweeps.PointLedger` writes the outcomes.
     """
 
     def __init__(self) -> None:
         self.outcomes: Dict[int, PointOutcome] = {}
         self.interrupted = False
-
-    def outcome(self, index: int, label: str = "") -> PointOutcome:
-        """The (created-on-demand) outcome record for one point."""
-        out = self.outcomes.get(index)
-        if out is None:
-            out = self.outcomes[index] = PointOutcome(index=index, label=label)
-        if label and not out.label:
-            out.label = label
-        return out
-
-    def mark_cached(self, index: int, label: str = "") -> None:
-        """Point served from the result cache (no execution)."""
-        self.outcome(index, label).status = "cached"
-
-    def mark_completed(
-        self, index: int, label: str = "", wall: Optional[float] = None
-    ) -> None:
-        """Point simulated successfully (possibly after retries)."""
-        out = self.outcome(index, label)
-        out.status = "completed"
-        out.attempts += 1
-        out.wall = wall
-
-    def mark_retry(self, index: int, kind: str, label: str = "") -> None:
-        """One failed attempt was rescheduled (``kind``: death/timeout/error)."""
-        out = self.outcome(index, label)
-        out.attempts += 1
-        out.retries += 1
-
-    def mark_quarantined(
-        self, index: int, error: BaseException, *,
-        timed_out: bool = False, label: str = "",
-    ) -> None:
-        """Point permanently failed under keep-going and was skipped."""
-        out = self.outcome(index, label)
-        out.status = "timed-out" if timed_out else "quarantined"
-        out.attempts += 1
-        out.error = f"{type(error).__name__}: {error}"
-
-    def mark_failed(
-        self, index: int, error: BaseException, label: str = ""
-    ) -> None:
-        """Point permanently failed in fail-fast mode (sweep will raise)."""
-        out = self.outcome(index, label)
-        out.status = "failed"
-        out.attempts += 1
-        out.error = f"{type(error).__name__}: {error}"
-
-    def mark_skipped(self, index: int, label: str = "") -> None:
-        """Point abandoned unstarted because the sweep failed fast."""
-        self.outcome(index, label).status = "skipped"
-
-    def mark_resumed(
-        self, index: int, events_saved: int, label: str = ""
-    ) -> None:
-        """An attempt continued from a checkpoint, skipping re-simulation.
-
-        ``events_saved`` is the event count the restored snapshot had
-        already executed — work the resumed attempt did *not* redo.
-        """
-        out = self.outcome(index, label)
-        out.resumed = True
-        out.events_saved += events_saved
 
     def counts(self) -> Dict[str, int]:
         """Aggregate status counts plus retry/resume totals."""
@@ -523,9 +463,8 @@ def _supervised_worker(
 ) -> None:
     """Forked worker loop: receive ``(index, attempt)`` tasks, stream results.
 
-    Protocol (worker -> parent): ``("start", idx, attempt)`` heartbeat
-    before simulating, then ``("done", idx, attempt, *point_result)`` or
-    ``("fail", idx, attempt, exc)``.  A clean exception keeps the worker
+    Protocol (worker -> parent): ``("done", idx, attempt, *point_result)``
+    or ``("fail", idx, attempt, exc)``.  A clean exception keeps the worker
     alive for its next task; ``KeyboardInterrupt``/``SystemExit`` are
     *not* swallowed — SIGINT is restored to its default disposition so
     Ctrl-C is handled once, by the parent's supervisor loop.
@@ -544,7 +483,6 @@ def _supervised_worker(
             return
         idx, attempt = task
         try:
-            conn.send(("start", idx, attempt))
             conn.send(("done", idx, attempt, *execute(specs[idx], idx, attempt)))
         except Exception as exc:  # noqa: BLE001 - relayed to the parent
             try:
@@ -702,24 +640,22 @@ class SupervisedRunner:
         def attempt_failed(idx: int, exc: BaseException, kind: str) -> None:
             """Retry with backoff, quarantine, or fail fast — decided here only."""
             failures[idx] = attempt = failures.get(idx, 0) + 1
-            if kind == "timeout":
-                ledger.obs.metrics.counter("sweep_timeouts").inc()
             if (policy.retryable(kind) or isinstance(exc, ChaosError)) \
                     and attempt <= policy.max_retries and not errors:
                 due = time.monotonic() + policy.backoff * 2 ** (attempt - 1)
                 heapq.heappush(retry_heap, (due, idx))
-                ledger.retry(idx, kind, attempt)
+                ledger.retry(idx)
                 return
             outstanding.discard(idx)
             if policy.keep_going:
                 ledger.quarantined(idx, exc, timed_out=(kind == "timeout"))
                 return
             errors[idx] = exc
-            ledger.report.mark_failed(idx, exc, ledger.label(idx))
+            ledger.failed(idx, exc)
             # fail fast: abandon everything unstarted
             for other in [*pending, *(i for _, i in retry_heap)]:
                 outstanding.discard(other)
-                ledger.report.mark_skipped(other, ledger.label(other))
+                ledger.skipped(other)
             pending.clear()
             retry_heap.clear()
 
@@ -729,9 +665,6 @@ class SupervisedRunner:
                 if idx is None:  # only backoff-delayed retries remain
                     time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
                     continue
-                ledger.monitor.point_started(
-                    idx, ledger.label(idx), os.getpid()
-                )
                 try:
                     result = execute(specs[idx], idx, failures.get(idx, 0) + 1)
                 except Exception as exc:
@@ -766,14 +699,6 @@ class SupervisedRunner:
                     tag, idx, _attempt, *payload = w.conn.recv()
                 except (EOFError, OSError):
                     return
-                if tag == "start":
-                    if w.current == idx:
-                        w.started_at = time.monotonic()
-                        if w.proc.pid is not None:
-                            ledger.monitor.point_started(
-                                idx, ledger.label(idx), w.proc.pid
-                            )
-                    continue
                 w.current, w.started_at = None, None
                 if idx not in outstanding:
                     continue  # resolved elsewhere (late arrival)
@@ -819,7 +744,7 @@ class SupervisedRunner:
                     connection.wait(waitables, timeout=timeout)
                 else:  # every worker died this tick; pause before respawn
                     time.sleep(min(timeout, 0.01))
-                # 3. consume results/heartbeats, then reap deaths
+                # 3. consume results, then reap deaths
                 for w in list(workers):
                     drain(w)
                     if not w.proc.is_alive():

@@ -59,6 +59,7 @@ from typing import (
 from repro.analysis.cache import ResultCache, point_key
 from repro.analysis.report import format_table
 from repro.analysis.supervisor import (
+    PointOutcome,
     SupervisedRunner,
     SupervisorPolicy,
     SweepReport,
@@ -67,7 +68,6 @@ from repro.analysis.supervisor import (
 from repro.machine.config import MachineConfig
 from repro.machine.stats import STATS_SCHEMA, SimStats
 from repro.obs.aggregate import PointTelemetry, SweepAggregator
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.trace.workload import Workload
 
 
@@ -190,7 +190,7 @@ class PointSpec:
     ``workload_factory`` is called in whichever process executes the
     point (parent or forked worker), so workloads are built from the
     same recipe on every path and never cross a process boundary.
-    ``label`` is observability-only (span annotation).
+    ``label`` names the point in the report and the merged trace.
     """
 
     config: MachineConfig
@@ -199,45 +199,16 @@ class PointSpec:
     label: str = ""
 
 
-class SweepMonitor:
-    """Observer of a sweep's point lifecycle; every method is a no-op.
-
-    Subclass and override what you need.  The engine calls these from
-    the parent process only, in the same order on both drivers.
-    """
-
-    def begin(self, *, total: int, jobs: int) -> None:
-        """The sweep is starting: ``total`` grid points, ``jobs`` workers."""
-
-    def point_cached(self, index: int, label: str) -> None:
-        """A point was served from the result cache (no simulation)."""
-
-    def point_started(self, index: int, label: str, worker: int) -> None:
-        """A worker process (OS pid ``worker``) began simulating a point."""
-
-    def point_done(self, index: int, label: str, wall_s: float) -> None:
-        """A point completed after ``wall_s`` seconds of simulation."""
-
-    def point_retry(self, index: int, label: str, kind: str) -> None:
-        """A point attempt is being retried (worker death/timeout/error)."""
-
-    def point_quarantined(self, index: int, label: str) -> None:
-        """A point exhausted its retries and was quarantined."""
-
-    def finish(self) -> None:
-        """The sweep ended (success, failure, or interrupt)."""
-
-
 class PointLedger:
-    """The one place a sweep point's fate is written down.
+    """The one writer of a sweep point's fate.
 
-    Every resolution — cache hit, completion, retry, quarantine — lands
-    here exactly once and fans out to the result cache, the report, the
-    monitor, the ``obs`` tracer and the grid-order ``progress`` prefix,
-    identically for the in-process and the forked driver.  Sinks the
-    caller left out are replaced by inert stand-ins (a throwaway report,
-    the no-op base monitor, ``NULL_TRACER``), so neither this class nor
-    the runner guards on None.
+    Every resolution — cache hit, completion, retry, quarantine, fail-fast
+    failure or skip — lands here exactly once and fans out to the result
+    cache, the point's :class:`~repro.analysis.supervisor.PointOutcome`,
+    the aggregator and the grid-order ``progress`` prefix, identically
+    for the in-process and the forked driver.  A caller that left the
+    report out gets a throwaway one, so neither this class nor the runner
+    guards on None.
     """
 
     def __init__(
@@ -247,19 +218,15 @@ class PointLedger:
         *,
         cache: Optional[ResultCache],
         progress: Optional[Callable[[int, SimStats], None]],
-        obs: Optional[Tracer],
         report: Optional[SweepReport],
         aggregate: Optional[SweepAggregator],
-        monitor: Optional[SweepMonitor],
     ) -> None:
         self.specs = specs
         self.keys = keys
         self.cache = cache
         self.progress = progress
-        self.obs = obs if obs is not None else NULL_TRACER
         self.report = report if report is not None else SweepReport()
         self.aggregate = aggregate
-        self.monitor = monitor if monitor is not None else SweepMonitor()
         #: every resolved point: its final stats, or None if quarantined
         self.stats: Dict[int, Optional[SimStats]] = {}
         self._next = 0  # first grid index ``progress`` has not passed
@@ -268,10 +235,17 @@ class PointLedger:
         """The observability label of grid point ``i``."""
         return self.specs[i].label
 
-    def _span(self, i: int, wall: float, cached: bool) -> None:
-        self.obs.record(
-            "sweep.point", self.obs.now(), wall, 0, i, cached, self.label(i)
-        )
+    def _outcome(self, i: int) -> PointOutcome:
+        out = self.report.outcomes.get(i)
+        if out is None:
+            out = self.report.outcomes[i] = PointOutcome(i, self.label(i))
+        return out
+
+    def _gave_up(self, i: int, error: BaseException, status: str) -> None:
+        out = self._outcome(i)
+        out.status = status
+        out.attempts += 1
+        out.error = f"{type(error).__name__}: {error}"
 
     def _deliver_prefix(self) -> None:
         """Fire ``progress`` for the contiguous resolved prefix, in order.
@@ -294,11 +268,7 @@ class PointLedger:
                 misses.append(i)
             else:
                 self.stats[i] = hit
-                self.report.mark_cached(i, self.label(i))
-                self.monitor.point_cached(i, self.label(i))
-                self._span(i, 0.0, cached=True)
-        self.obs.metrics.counter("sweep_cache_hits").inc(len(self.stats))
-        self.obs.metrics.counter("sweep_cache_misses").inc(len(misses))
+                self._outcome(i).status = "cached"
         self._deliver_prefix()
         return misses
 
@@ -310,41 +280,44 @@ class PointLedger:
 
         ``events_saved`` is set when the winning attempt resumed from a
         mid-run checkpoint (see :func:`~repro.analysis.supervisor.
-        execute_point`).
+        execute_point`): the event count the restored snapshot had
+        already executed, work the attempt did *not* redo.
         """
         self.stats[i] = stats
-        self.report.mark_completed(i, self.label(i), wall)
+        out = self._outcome(i)
+        out.status = "completed"
+        out.attempts += 1
+        out.wall = wall
         if events_saved is not None:
-            self.report.mark_resumed(i, events_saved, self.label(i))
+            out.resumed = True
+            out.events_saved += events_saved
         if telemetry is not None and self.aggregate is not None:
             self.aggregate.add(telemetry)
-        self.monitor.point_done(i, self.label(i), wall)
         if self.cache is not None:
             self.cache.put(self.keys[i], stats)
-        self._span(i, wall, cached=False)
         self._deliver_prefix()
 
-    def retry(self, i: int, kind: str, attempt: int) -> None:
-        """Failed attempt number ``attempt`` of point ``i`` was rescheduled."""
-        self.report.mark_retry(i, kind, self.label(i))
-        self.obs.metrics.counter("sweep_retries").inc()
-        self.obs.record(
-            "sweep.retry", self.obs.now(), None, 0,
-            i, kind, attempt, self.label(i),
-        )
-        self.monitor.point_retry(i, self.label(i), kind)
+    def retry(self, i: int) -> None:
+        """A failed attempt of point ``i`` was rescheduled."""
+        out = self._outcome(i)
+        out.attempts += 1
+        out.retries += 1
 
     def quarantined(
         self, i: int, error: BaseException, *, timed_out: bool
     ) -> None:
         """Keep-going gave up on point ``i``; the sweep goes on without it."""
         self.stats[i] = None
-        self.report.mark_quarantined(
-            i, error, timed_out=timed_out, label=self.label(i)
-        )
-        self.obs.metrics.counter("sweep_quarantined").inc()
-        self.monitor.point_quarantined(i, self.label(i))
+        self._gave_up(i, error, "timed-out" if timed_out else "quarantined")
         self._deliver_prefix()
+
+    def failed(self, i: int, error: BaseException) -> None:
+        """Point ``i`` failed for good in fail-fast mode (the sweep raises)."""
+        self._gave_up(i, error, "failed")
+
+    def skipped(self, i: int) -> None:
+        """Point ``i`` was abandoned unstarted because the sweep failed fast."""
+        self._outcome(i).status = "skipped"
 
 
 def run_points(
@@ -353,11 +326,9 @@ def run_points(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[int, SimStats], None]] = None,
-    obs: Optional[Tracer] = None,
     policy: Optional[SupervisorPolicy] = None,
     report: Optional[SweepReport] = None,
     aggregate: Optional[SweepAggregator] = None,
-    monitor: Optional[SweepMonitor] = None,
     checkpoint_dir: Optional[Path | str] = None,
     checkpoint_interval: Optional[int] = None,
 ) -> List[Optional[SimStats]]:
@@ -366,9 +337,7 @@ def run_points(
     The shared engine behind :meth:`Sweep.run` and the benchmark runner
     (``benchmarks.common.run_grid``).  Returns stats in spec order,
     identical on every (jobs, cache) combination.  ``progress(i, stats)``
-    follows the contract documented at module level.  ``obs`` emits one
-    ``sweep.point`` span per completed point plus ``sweep_cache_hits`` /
-    ``sweep_cache_misses`` counters through the declared registry names.
+    follows the contract documented at module level.
 
     ``aggregate`` (a :class:`~repro.obs.aggregate.SweepAggregator`)
     turns on cross-worker trace aggregation: every simulated point —
@@ -379,9 +348,6 @@ def run_points(
     caches) are byte-identical with or without aggregation: the metrics
     reference is stripped before the stats leave the executor, so the
     telemetry is the only channel the observability data travels on.
-    ``monitor`` (a :class:`SweepMonitor`) receives begin/point
-    lifecycle/finish callbacks from the parent process on every
-    execution path.
 
     Execution: every point goes through one
     :class:`~repro.analysis.supervisor.SupervisedRunner`, which forks
@@ -415,32 +381,28 @@ def run_points(
             for s in specs
         ]
     ledger = PointLedger(
-        specs, keys, cache=cache, progress=progress, obs=obs, report=report,
-        aggregate=aggregate, monitor=monitor,
+        specs, keys, cache=cache, progress=progress, report=report,
+        aggregate=aggregate,
     )
-    ledger.monitor.begin(total=n, jobs=max(1, jobs))
-    try:
-        misses = ledger.serve_cached()
-        if misses:
-            if checkpoint_dir is not None:
-                Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            SupervisedRunner(
-                max(1, min(jobs, len(misses))), policy,
-                telemetry_capacity=(
-                    aggregate.capacity if aggregate is not None else None
-                ),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_interval=checkpoint_interval,
-            ).run(
-                specs, misses, ledger,
-                # an explicit policy forces workers even at jobs=1, so
-                # its timeout can be enforced
-                fork=fork_context() is not None and (
-                    policy is not None or (jobs > 1 and len(misses) > 1)
-                ),
-            )
-    finally:
-        ledger.monitor.finish()
+    misses = ledger.serve_cached()
+    if misses:
+        if checkpoint_dir is not None:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        SupervisedRunner(
+            max(1, min(jobs, len(misses))), policy,
+            telemetry_capacity=(
+                aggregate.capacity if aggregate is not None else None
+            ),
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
+        ).run(
+            specs, misses, ledger,
+            # an explicit policy forces workers even at jobs=1, so its
+            # timeout can be enforced
+            fork=fork_context() is not None and (
+                policy is not None or (jobs > 1 and len(misses) > 1)
+            ),
+        )
     assert len(ledger.stats) == n, "internal error: sweep points missing"
     return [ledger.stats[i] for i in range(n)]
 
@@ -514,15 +476,13 @@ class Sweep:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[Callable[[Mapping[str, Any], SimStats], None]] = None,
-        obs: Optional[Tracer] = None,
         policy: Optional[SupervisorPolicy] = None,
         report: Optional[SweepReport] = None,
         aggregate: Optional[SweepAggregator] = None,
-        monitor: Optional[SweepMonitor] = None,
         checkpoint_dir: Optional[Path | str] = None,
         checkpoint_interval: Optional[int] = None,
     ) -> SweepResults:
-        """Run every grid point; optionally parallel, cached, and traced.
+        """Run every grid point; optionally parallel, cached, and supervised.
 
         ``jobs`` — fork this many worker processes (1 = in-process
         serial; results are identical either way).  ``cache`` — reuse
@@ -530,14 +490,12 @@ class Sweep:
         called exactly once per completed point, in deterministic grid
         order, with the point's overrides and final stats; the contract
         holds under ``jobs > 1`` and, on failure, covers exactly the
-        points before the first grid-order error.  ``obs`` — a tracer
-        receiving per-point ``sweep.point`` spans and cache counters.
+        points before the first grid-order error.
         ``policy``/``report`` — supervision knobs, see
         :func:`run_points`; under ``policy.keep_going`` quarantined
         points are simply absent from the returned results (the
-        ``report`` records why).  ``aggregate``/``monitor`` — sweep
-        observability (merged per-point telemetry, lifecycle callbacks), see
-        :func:`run_points`.  ``checkpoint_dir``/``checkpoint_interval``
+        ``report`` records why).  ``aggregate`` — merged per-point
+        telemetry, see :func:`run_points`.  ``checkpoint_dir``/``checkpoint_interval``
         — crash-consistent per-point snapshots with mid-run resume, see
         :func:`run_points`.
         """
@@ -547,9 +505,8 @@ class Sweep:
         if progress is not None:
             wrapped = lambda i, stats: progress(grid[i], stats)  # noqa: E731
         stats_list = run_points(
-            specs, jobs=jobs, cache=cache, progress=wrapped, obs=obs,
-            policy=policy, report=report,
-            aggregate=aggregate, monitor=monitor,
+            specs, jobs=jobs, cache=cache, progress=wrapped,
+            policy=policy, report=report, aggregate=aggregate,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,
         )

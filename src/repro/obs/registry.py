@@ -124,11 +124,10 @@ EVENTS: Dict[str, EventSpec] = {
                     "machine snapshot captured and written"),
     "ckpt.restore": _E(INSTANT, "ckpt", ("events_run",),
                        "machine state restored from a snapshot"),
-    "sweep.point": _E(SPAN, "sweep", ("index", "cached", "label"), "one sweep "
-                      "grid point completed (simulated or cache-loaded)"),
-    "sweep.retry": _E(INSTANT, "sweep", ("index", "kind", "attempt", "label"),
-                      "sweep point attempt rescheduled after a worker "
-                      "death, timeout, or injected failure"),
+    "sweep.point": _E(SPAN, "sweep",
+                      ("index", "label", "emitted", "dropped", "wall_s"),
+                      "one simulated sweep grid point's lane in a merged "
+                      "trace"),
     "sweep.worker": _E(INSTANT, "sweep", ("pid", "points"), "one worker "
                        "process's telemetry lane opened in a merged trace"),
 }
@@ -172,14 +171,6 @@ METRICS: Dict[str, str] = {
     "ckpt_saves": "machine snapshots captured by this process",
     "ckpt_bytes": "total bytes of checkpoint data written",
     "ckpt_resumes": "runs continued from a restored snapshot",
-    "sweep_cache_hits": "sweep grid points served from the result cache",
-    "sweep_cache_misses": "sweep grid points that required simulation",
-    "sweep_retries": "sweep point attempts retried after worker death, "
-                     "timeout, or failure",
-    "sweep_timeouts": "sweep point attempts reaped by the per-point "
-                      "wall-clock timeout",
-    "sweep_quarantined": "sweep points quarantined under keep-going after "
-                         "exhausting retries",
     # gauges
     "dir_occupancy_peak": "max live directory entries seen at any home",
 }

@@ -550,9 +550,11 @@ def test_dense_schema_1_file_refused_at_schema_gate(tmp_path):
     checker's ``mode`` (``"sampled"`` is gone, so every schema-6 file that
     named it stops here); schema 8 stores each cache level as two packed
     columns, an ``array('q')`` of blocks and one state byte per block, in
-    place of a ``(set, [(block, state)])`` row per occupied set.  An old
+    place of a ``(set, [(block, state)])`` row per occupied set; schema 9
+    declares ``sweep.point`` with the fields the sweep aggregator writes
+    (a retained ring row is read by its event's declared fields).  An old
     file stops at the schema gate, before its payload is even read."""
-    assert CKPT_SCHEMA == 8
+    assert CKPT_SCHEMA == 9
     _, path = _write_checkpoint(tmp_path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())

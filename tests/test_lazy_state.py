@@ -69,7 +69,7 @@ cache_ops = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(CACHE_GEOMETRIES), cache_ops)
 def test_cache_level_matches_eager_model(geometry, ops):
     capacity, assoc = geometry
@@ -104,7 +104,7 @@ hierarchy_ops = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(HIERARCHIES), hierarchy_ops)
 def test_processor_cache_matches_eager_model(geometry, ops):
     lazy = ProcessorCache(16, *geometry)

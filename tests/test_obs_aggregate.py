@@ -24,6 +24,7 @@ from repro.obs.aggregate import (
 )
 from repro.obs.export import read_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.registry import EVENTS
 from repro.obs.tracer import Tracer
 
 
@@ -126,10 +127,26 @@ class TestMergedTallies:
         assert again.points == []  # everything came from the cache
 
 
+class TestDeclaredFields:
+    def test_sweep_records_carry_exactly_their_declared_fields(self, tmp_path):
+        """``summarize --strict`` reads a merged trace against the
+        registry: each ``sweep.*`` record's args are its declared
+        fields, in declaration order."""
+        aggregate = SweepAggregator(capacity=64)
+        run_points(_specs(), jobs=2, aggregate=aggregate)
+        trace = json.loads(aggregate.write(tmp_path)["trace"].read_text())
+        records = [
+            r for r in trace["traceEvents"] if r["name"].startswith("sweep.")
+        ]
+        assert {r["name"] for r in records} == {"sweep.point", "sweep.worker"}
+        for r in records:
+            assert tuple(r["args"]) == EVENTS[r["name"]].fields, r
+
+
 class TestMergeMetricsDict:
     def test_counters_sum_gauges_max_histograms_add(self):
         a = MetricsRegistry()
-        a.counter("sweep_retries").inc(3)
+        a.counter("retries").inc(3)
         a.gauge("dir_occupancy_peak").set_max(5.0)
         a.histogram("txn_latency.read").observe(10.0)
         a.histogram("txn_latency.read").observe(100.0)
@@ -138,7 +155,7 @@ class TestMergeMetricsDict:
         merge_metrics_dict(merged, block)
         merge_metrics_dict(merged, block)
         out = merged.to_dict()
-        assert out["counters"]["sweep_retries"] == 6
+        assert out["counters"]["retries"] == 6
         assert out["gauges"]["dir_occupancy_peak"] == 5.0
         hist = out["histograms"]["txn_latency.read"]
         assert hist["count"] == 4

@@ -16,10 +16,10 @@ import json
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.supervisor import SweepReport
 from repro.analysis.sweeps import PointSpec, Sweep, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig
-from repro.obs.tracer import Tracer
 
 METRICS = ["exec_time", "total_messages", "invalidation_events"]
 
@@ -164,28 +164,25 @@ class TestProgressContract:
 
 
 class TestObsIntegration:
+    """What a sweep records about each point: the result cache counts
+    hits and misses, the report holds one outcome per point."""
+
     def test_span_per_point_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path)
-        tracer = Tracer()
-        make_sweep().run(jobs=2, cache=cache, obs=tracer)
-        points = [e for e in tracer.events() if e.name == "sweep.point"]
-        assert len(points) == 6
-        assert all(e.args["cached"] is False for e in points)
-        assert tracer.metrics.counter("sweep_cache_misses").value == 6
+        report = SweepReport()
+        make_sweep().run(jobs=2, cache=cache, report=report)
+        assert cache.counters()["misses"] == 6
+        assert cache.counters()["hits"] == 0
+        assert [o.status for o in report.outcomes.values()] == ["completed"] * 6
 
-        warm = Tracer()
-        make_sweep().run(cache=cache, obs=warm)
-        cached_points = [e for e in warm.events() if e.name == "sweep.point"]
-        assert len(cached_points) == 6
-        assert all(e.args["cached"] is True for e in cached_points)
-        assert warm.metrics.counter("sweep_cache_hits").value == 6
+        warm, warm_report = ResultCache(tmp_path), SweepReport()
+        make_sweep().run(cache=warm, report=warm_report)
+        assert warm.counters()["hits"] == 6
+        assert warm.counters()["misses"] == 0
+        assert [o.status for o in warm_report.outcomes.values()] == ["cached"] * 6
 
     def test_labels_mention_overrides(self):
-        tracer = Tracer()
-        make_sweep().run(obs=tracer)
-        labels = [
-            e.args["label"]
-            for e in tracer.events()
-            if e.name == "sweep.point"
-        ]
+        report = SweepReport()
+        make_sweep().run(report=report)
+        labels = [report.outcomes[i].label for i in range(6)]
         assert labels[0] == "scheme=full,sparse_size_factor=None"

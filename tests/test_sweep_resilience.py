@@ -12,9 +12,7 @@ The acceptance properties from the resilient-execution work:
   as :class:`WorkerDied` instead of deadlocking the parent;
 * an exception escaping the ``progress`` callback terminates workers
   promptly instead of joining them to completion, surfaces as raised,
-  and leaves the parent's signal handlers as it found them;
-* retry/timeout/quarantine observability is emitted only when those
-  events actually occur (the zero-cost guarantee holds).
+  and leaves the parent's signal handlers as it found them.
 """
 
 import json
@@ -29,6 +27,7 @@ from repro.analysis.cache import ResultCache, point_key
 from repro.analysis.supervisor import (
     ChaosError,
     ChaosPlan,
+    PointOutcome,
     PointTimeout,
     SupervisorPolicy,
     SweepInterrupted,
@@ -36,10 +35,9 @@ from repro.analysis.supervisor import (
     WorkerDied,
     sweep_key,
 )
-from repro.analysis.sweeps import PointSpec, Sweep, SweepMonitor, run_points
+from repro.analysis.sweeps import PointSpec, Sweep, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig
-from repro.obs.tracer import Tracer
 
 METRICS = ["exec_time", "total_messages", "invalidation_events"]
 
@@ -324,43 +322,9 @@ class TestKeepGoingQuarantine:
         assert report.outcomes[0].status == "completed"
 
 
-class RecordingMonitor(SweepMonitor):
-    """Every lifecycle callback, minus what legitimately differs between
-    drivers: the worker pid and wall times."""
-
-    def __init__(self):
-        self.calls = []
-
-    def begin(self, *, total, jobs):
-        self.calls.append(("begin", total, jobs))
-
-    def point_cached(self, index, label):
-        self.calls.append(("cached", index, label))
-
-    def point_started(self, index, label, worker):
-        self.calls.append(("started", index, label))
-
-    def point_done(self, index, label, wall_s):
-        self.calls.append(("done", index, label))
-
-    def point_retry(self, index, label, kind):
-        self.calls.append(("retry", index, label, kind))
-
-    def point_quarantined(self, index, label):
-        self.calls.append(("quarantined", index, label))
-
-    def finish(self):
-        self.calls.append(("finish",))
-
-
 class TestEngineParity:
     """The in-process and the forked driver are one engine: the same
     grid resolves to the same results *and the same records* on both."""
-
-    OBS_NAMES = (
-        "sweep_cache_hits", "sweep_cache_misses", "sweep_retries",
-        "sweep_timeouts", "sweep_quarantined",
-    )
 
     def observe(self, root, policy, monkeypatch, *, fork):
         """One pass over the grid (a poison point, a factory failing
@@ -384,7 +348,7 @@ class TestEngineParity:
         )
         keys = [point_key(s.config, small_factory(), check=s.check) for s in specs]
         cache = ResultCache(root)
-        report, tracer, monitor = SweepReport(), Tracer(), RecordingMonitor()
+        report = SweepReport()
         seen = []
         error = None
         with monkeypatch.context() as patch:
@@ -393,7 +357,6 @@ class TestEngineParity:
             try:
                 stats = run_points(
                     specs, cache=cache, policy=policy, report=report,
-                    obs=tracer, monitor=monitor,
                     progress=lambda i, s: seen.append(i),
                 )
             except Exception as exc:
@@ -408,15 +371,6 @@ class TestEngineParity:
             "report": outcomes,
             "done": [key in cache for key in keys],
             "cache": cache.counters(),
-            "events": {
-                name: tracer.counts[name]
-                for name in ("sweep.point", "sweep.retry")
-            },
-            "counters": {
-                name: tracer.metrics.counter(name).value
-                for name in self.OBS_NAMES
-            },
-            "monitor": monitor.calls,
         }
 
     def test_keep_going_records_identical(self, tmp_path, monkeypatch):
@@ -433,18 +387,13 @@ class TestEngineParity:
         assert inproc["report"]["counts"]["quarantined"] == 1
         assert inproc["report"]["counts"]["retries"] == 2  # flaky + poison
         assert inproc["done"] == [True, False, True, True, True]
-        assert inproc["events"] == {"sweep.point": 4, "sweep.retry": 2}
-        assert inproc["counters"]["sweep_cache_misses"] == 5
-        assert inproc["monitor"][:3] == [
-            ("begin", 5, 1), ("started", 0, "scheme=full"),
-            ("done", 0, "scheme=full"),
-        ]
+        assert inproc["cache"]["misses"] == 5
 
         # a warm second pass: hits are recorded identically too
         warm_in = self.observe(tmp_path / "in", policy, monkeypatch, fork=False)
         warm_fk = self.observe(tmp_path / "fk", policy, monkeypatch, fork=True)
         assert warm_in == warm_fk
-        assert warm_in["counters"]["sweep_cache_hits"] == 4
+        assert warm_in["cache"]["hits"] == 4
         assert warm_in["report"]["counts"]["cached"] == 4
         assert warm_in["stats"] == inproc["stats"]
 
@@ -462,48 +411,6 @@ class TestEngineParity:
             0: "completed", 1: "failed", 2: "skipped", 3: "skipped",
             4: "skipped",
         }
-
-
-class TestMonitorLifecycle:
-    """A :class:`SweepMonitor` sees a sweep begin, every point resolve
-    and the sweep finish, on both drivers; the base class does nothing."""
-
-    def test_base_monitor_is_inert(self):
-        m = SweepMonitor()
-        m.begin(total=1, jobs=1)
-        m.point_cached(0, "")
-        m.point_started(0, "", 1)
-        m.point_done(0, "", 0.0)
-        m.point_retry(0, "", "error")
-        m.point_quarantined(0, "")
-        m.finish()  # no state, no output, no exceptions
-
-    def test_monitor_sees_the_whole_lifecycle_serial(self):
-        mon = RecordingMonitor()
-        run_points(make_specs(("full", "Dir2B")), monitor=mon)
-        kinds = [c[0] for c in mon.calls]
-        assert kinds[0] == "begin"
-        assert kinds[-1] == "finish"
-        assert kinds.count("started") == 2
-        assert kinds.count("done") == 2
-
-    def test_monitor_sees_the_whole_lifecycle_parallel(self):
-        mon = RecordingMonitor()
-        run_points(make_specs(("full", "Dir2B")), jobs=2, monitor=mon)
-        kinds = [c[0] for c in mon.calls]
-        assert ("begin", 2, 2) == mon.calls[0]
-        assert kinds[-1] == "finish"
-        assert kinds.count("done") == 2
-
-    def test_monitor_sees_cache_hits(self, tmp_path):
-        specs = make_specs(("full", "Dir2B"))
-        cache = ResultCache(tmp_path)
-        run_points(specs, cache=cache)
-        mon = RecordingMonitor()
-        run_points(specs, cache=cache, monitor=mon)
-        kinds = [c[0] for c in mon.calls]
-        assert kinds.count("cached") == 2
-        assert kinds.count("started") == 0
 
 
 class TestInterruptAndResume:
@@ -547,10 +454,13 @@ class TestInterruptAndResume:
 class TestReport:
     def test_report_round_trips_as_json(self, tmp_path):
         report = SweepReport()
-        report.mark_cached(0, "a")
-        report.mark_retry(1, "death", "b")
-        report.mark_completed(1, "b", wall=0.5)
-        report.mark_quarantined(2, RuntimeError("boom"), label="c")
+        report.outcomes = {
+            0: PointOutcome(0, "a", status="cached"),
+            1: PointOutcome(1, "b", status="completed", attempts=2,
+                            retries=1, wall=0.5),
+            2: PointOutcome(2, "c", status="quarantined", attempts=1,
+                            error="RuntimeError: boom"),
+        }
         path = report.save(tmp_path / "report.json")
         record = json.loads(path.read_text())
         assert record["schema"] == 1
@@ -577,30 +487,3 @@ class TestPolicy:
         assert policy.retryable("timeout")
         assert not policy.retryable("error")
         assert SupervisorPolicy(retry_errors=True).retryable("error")
-
-
-class TestObsResilience:
-    def test_retry_events_and_counters_emitted(self):
-        tracer = Tracer()
-        policy = SupervisorPolicy(
-            chaos=ChaosPlan(seed=2, kill=0.0, hang=0.0, fail=1.0),
-            max_retries=2, backoff=0.01,
-        )
-        run_points(make_specs(), jobs=2, policy=policy, obs=tracer)
-        retries = [e for e in tracer.events() if e.name == "sweep.retry"]
-        assert len(retries) == 4
-        assert all(e.args["kind"] == "error" for e in retries)
-        assert tracer.metrics.counter("sweep_retries").value == 4
-
-    def test_zero_cost_without_faults(self):
-        """With no faults, supervision emits nothing beyond PR 4's output."""
-        tracer = Tracer()
-        run_points(
-            make_specs(), jobs=2, policy=SupervisorPolicy(timeout=30.0),
-            obs=tracer,
-        )
-        names = {e.name for e in tracer.events()}
-        assert names == {"sweep.point"}
-        assert tracer.metrics.counter("sweep_retries").value == 0
-        assert tracer.metrics.counter("sweep_timeouts").value == 0
-        assert tracer.metrics.counter("sweep_quarantined").value == 0
