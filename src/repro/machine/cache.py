@@ -10,9 +10,9 @@ evicting an L2 line purges the L1 copy).
 
 A level comes in two layouts, picked by :func:`make_level` from its
 associativity, with the same methods, walk order and snapshot format.
-A :class:`DirectMappedLevel` (the paper machine's, at both levels) is
-one ``dict`` set index -> resident block plus the set of its DIRTY
-blocks, so a resident line costs one map entry.  A :class:`CacheLevel`
+A :class:`DirectMappedLevel` (the paper machine's, at both levels) keeps
+pages of set slots, each the resident block or ``None``, plus the set of
+its DIRTY blocks, so a resident line costs one slot.  A :class:`CacheLevel`
 (set-associative) is one flat ``dict`` block->state plus an LRU-ordered
 record per occupied set.
 
@@ -38,6 +38,10 @@ _BY_BYTE = {state.value: state for state in LineState}  # snapshot byte -> state
 #: ``bytes.translate`` table: a ``block in dirty`` flag -> its state byte
 _STATE_OF_FLAG = bytes([_SHARED, _DIRTY]).ljust(256, b"\0")
 _STATE_BYTES = bytes(_BY_BYTE)  # the bytes a snapshot's states may hold
+#: sets per page of a :class:`DirectMappedLevel` (a power of two)
+PAGE_SETS = 16
+_SHIFT, _MASK = PAGE_SETS.bit_length() - 1, PAGE_SETS - 1  # set -> page, slot
+_EMPTY = (None,) * PAGE_SETS  # what a page not yet allocated reads as
 
 
 def _refused(blocks: int, states: int, num_sets: int, assoc: int) -> ValueError:
@@ -49,26 +53,29 @@ def _refused(blocks: int, states: int, num_sets: int, assoc: int) -> ValueError:
 class DirectMappedLevel:
     """One direct-mapped cache level (tags only; no data is simulated).
 
-    ``_sets`` maps every occupied set index to its resident block, which
-    is all a set of one way needs (its victim is that block); ``_dirty``
-    holds the resident blocks in state DIRTY, every other one is SHARED.
-    Walks go in ascending set index, the order a dense array of sets
-    would give; checkpoints and invariant reports are defined by it.
+    ``_pages`` maps each page of :data:`PAGE_SETS` sets ever filled into
+    (and kept once empty) to a slot per set: its block or ``None``, all a
+    set of one way needs.  ``_dirty`` holds the resident blocks in state
+    DIRTY, every other one is SHARED; ``_count`` is how many there are.
+    Walks go by page, then slot: in ascending set index, the order a dense
+    array of sets would give; checkpoints and invariant reports are
+    defined by it.
     """
 
-    __slots__ = ("num_sets", "assoc", "_sets", "_dirty")
+    __slots__ = ("num_sets", "assoc", "_pages", "_dirty", "_count")
 
     def __init__(self, capacity_bytes: int, block_bytes: int) -> None:
         self.assoc = 1
         self.num_sets = max(1, capacity_bytes // block_bytes)
-        #: occupied set -> its block
-        self._sets: Dict[int, int] = {}
+        self._pages: Dict[int, List[Optional[int]]] = {}
         #: the resident blocks in state DIRTY
         self._dirty: Set[int] = set()
+        self._count = 0
 
     def peek(self, block: int) -> Optional[LineState]:
         """State without touching LRU (for snoops and invariant checks)."""
-        if self._sets.get(block % self.num_sets) != block:
+        index = block % self.num_sets
+        if self._pages.get(index >> _SHIFT, _EMPTY)[index & _MASK] != block:
             return None
         return _DIRTY if block in self._dirty else _SHARED
 
@@ -79,12 +86,18 @@ class DirectMappedLevel:
         self, block: int, state: LineState
     ) -> Optional[Tuple[int, LineState]]:
         """Fill ``block``; returns the evicted ``(block, state)`` if any."""
-        sets, dirty = self._sets, self._dirty
+        dirty = self._dirty
         index = block % self.num_sets
-        vblock = sets.get(index)
-        sets[index] = block
+        page = self._pages.get(index >> _SHIFT)
+        if page is None:
+            page = self._pages[index >> _SHIFT] = [None] * PAGE_SETS
+        index &= _MASK
+        vblock = page[index]
+        page[index] = block
         victim = None
-        if vblock is not None and vblock != block:
+        if vblock is None:
+            self._count += 1
+        elif vblock != block:
             if vblock in dirty:
                 dirty.remove(vblock)
                 victim = (vblock, _DIRTY)
@@ -98,7 +111,7 @@ class DirectMappedLevel:
 
     def set_state(self, block: int, state: LineState) -> None:
         """Change an existing line's state (no LRU side effects)."""
-        if self._sets.get(block % self.num_sets) == block:
+        if self.peek(block) is not None:
             if state is _DIRTY:
                 self._dirty.add(block)
             else:
@@ -107,9 +120,12 @@ class DirectMappedLevel:
     def invalidate(self, block: int) -> Optional[LineState]:
         """Drop ``block``; returns its state if it was present."""
         index = block % self.num_sets
-        if self._sets.get(index) != block:
+        page = self._pages.get(index >> _SHIFT, _EMPTY)
+        index &= _MASK
+        if page[index] != block:
             return None
-        del self._sets[index]
+        page[index] = None
+        self._count -= 1
         if block in self._dirty:
             self._dirty.remove(block)
             return _DIRTY
@@ -117,8 +133,8 @@ class DirectMappedLevel:
 
     def _walk(self) -> List[int]:
         """Resident blocks in ascending set index."""
-        sets = self._sets
-        return list(map(sets.__getitem__, sorted(sets)))
+        pages = self._pages
+        return [b for key in sorted(pages) for b in pages[key] if b is not None]
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
         """Iterate over all (block, state) pairs currently cached."""
@@ -128,7 +144,7 @@ class DirectMappedLevel:
 
     def occupancy(self) -> int:
         """Number of valid lines held."""
-        return len(self._sets)
+        return self._count
 
     def to_state(self) -> Tuple[array, bytes]:
         """The :meth:`blocks` walk as two columns: blocks, one state byte each."""
@@ -141,12 +157,13 @@ class DirectMappedLevel:
         its columns match, every byte is a :class:`LineState` and no two
         blocks share a set (which also refuses a block given twice)."""
         blocks, states = state
-        num_sets = self.num_sets
-        sets = {block % num_sets: block for block in blocks}
-        if not len(sets) == len(blocks) == len(states) or states.translate(
+        fresh = DirectMappedLevel(self.num_sets, 1)
+        for block in blocks:  # a block filled into a taken set is not counted
+            fresh.install(block, _SHARED)
+        if not fresh._count == len(blocks) == len(states) or states.translate(
                 None, _STATE_BYTES):
-            raise _refused(len(blocks), len(states), num_sets, 1)
-        self._sets = sets
+            raise _refused(len(blocks), len(states), self.num_sets, 1)
+        self._pages, self._count = fresh._pages, fresh._count
         self._dirty = {
             block for block, byte in zip(blocks, states) if byte == _DIRTY}
 
@@ -283,7 +300,7 @@ class ProcessorCache:
         self.l1 = make_level(l1_bytes, block_bytes, l1_assoc)
         self.l2 = make_level(l2_bytes, block_bytes, l2_assoc)
         #: both levels direct-mapped (the paper machine): no probe has an
-        #: LRU order to refresh, so the probes read the set maps in place
+        #: LRU order to refresh, so the probes read the set slots in place
         self._direct = (type(self.l1) is DirectMappedLevel
                         and type(self.l2) is DirectMappedLevel)
         #: dirty blocks evicted but not yet acknowledged by their home
@@ -299,13 +316,16 @@ class ProcessorCache:
         the L2 line (inclusion backing line) and the L1 line it hits.
 
         The probes run once per shared reference, so on two direct-mapped
-        levels they read the set maps in place: a ``lookup`` call per level
+        levels they read the set slots in place: a ``lookup`` call per level
         would cost more than the read."""
         l1, l2 = self.l1, self.l2
         if self._direct:
-            if l1._sets.get(block % l1.num_sets) == block:
+            index = block % l1.num_sets
+            if l1._pages.get(index >> _SHIFT, _EMPTY)[index & _MASK] == block:
                 return "l1"
-            return "l2" if l2._sets.get(block % l2.num_sets) == block else None
+            index = block % l2.num_sets
+            page = l2._pages.get(index >> _SHIFT, _EMPTY)
+            return "l2" if page[index & _MASK] == block else None
         in_l2 = l2.lookup(block) is not None
         if l1.lookup(block) is not None:
             return "l1"

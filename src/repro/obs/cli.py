@@ -14,8 +14,8 @@ Subcommands::
 https://ui.perfetto.dev — or JSONL; add ``--gzip`` to compress), plus
 the run's stats-with-metrics JSON when ``--metrics-out`` is given.
 ``summarize`` tabulates any trace file; with ``--strict`` it also
-validates every event name against the registry and exits nonzero on
-violations.  ``diff`` compares two metrics JSON files (scalar counters
+holds every record to its registry declaration and exits nonzero on a
+departure.  ``diff`` compares two metrics JSON files (scalar counters
 and latency-histogram buckets).  ``critical-path`` reconstructs the
 per-transaction causal chains (request -> directory service ->
 invalidation fan-out -> reply) from any trace and reports where the
@@ -40,7 +40,7 @@ from repro.obs.export import _open_read, export_trace, read_trace
 from repro.obs.metrics import histogram_delta, load_metrics_dict
 from repro.obs.profiler import profile_run
 from repro.obs.registry import EVENTS
-from repro.obs.tracer import SPAN, Tracer
+from repro.obs.tracer import SPAN, TraceEvent, Tracer
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -121,16 +121,34 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         ["event", "comp", "count", "total dur", "avg dur"], rows
     ))
     if args.strict:
-        unknown = sorted(name for name in count if name not in EVENTS)
-        if unknown:
-            print(
-                f"error: {len(unknown)} event name(s) not in the registry: "
-                f"{', '.join(unknown)}",
-                file=sys.stderr,
-            )
+        departures = _departures(events)
+        if departures:
+            print(f"error: {len(departures)} departure(s) from the registry:",
+                  *departures, sep="\n  ", file=sys.stderr)
             return 1
-        print("trace valid: every event name is declared in the registry")
+        print("trace valid: every event name is declared in the registry, "
+              "with its declared kind, component and fields")
     return 0
+
+
+def _departures(events: Sequence[TraceEvent]) -> List[str]:
+    """Each distinct way a record departs from its ``EVENTS`` declaration,
+    naming the event and the field.  Args may leave a declared field out
+    and add only the ``point`` that a merged sweep trace puts beside a
+    ``txn_id`` (``obs/aggregate.py``)."""
+    found = set()
+    for ev in events:
+        spec = EVENTS.get(ev.name)
+        if spec is None:
+            found.add(f"event {ev.name!r} is not declared")
+            continue
+        keys = spec.fields + ("point",) * ("txn_id" in spec.fields)
+        found.update(f"event {ev.name!r}, args field {key!r}: not one of "
+                     f"{keys}" for key in ev.args or () if key not in keys)
+        declared = (("kind", ev.kind, spec.kind), ("comp", ev.comp, spec.comp))
+        found.update(f"event {ev.name!r}, field {field!r}: {got!r}, declared "
+                     f"{want!r}" for field, got, want in declared if got != want)
+    return sorted(found)
 
 
 def _load_metrics_file(path: str) -> Dict[str, object]:
@@ -224,7 +242,7 @@ def add_commands(
     p = sub.add_parser("summarize", help="tabulate a trace file")
     p.add_argument("trace", help="trace file (chrome or jsonl)")
     p.add_argument("--strict", action="store_true",
-                   help="fail on event names missing from the registry")
+                   help="fail on records the registry does not declare")
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("diff", help="compare two runs' metrics JSON files")

@@ -94,6 +94,37 @@ class TestSummarize:
         assert main(["summarize", str(path), "--strict"]) == 1
         assert "rogue.event" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, tamper, field", [
+        ("net.msg", lambda r: None, None),
+        ("net.msg", lambda r: r.update(kind="instant"), "kind"),
+        ("net.msg", lambda r: r.update(comp="cache"), "comp"),
+        ("net.msg", lambda r: r["args"].update(hops=2), "hops"),
+        # a merged sweep trace qualifies a txn_id with its grid point
+        ("net.msg", lambda r: r["args"].update(point=0), None),
+        ("cache.evict", lambda r: r["args"].update(point=0), "point"),
+    ])
+    def test_summarize_strict_holds_records_to_their_declaration(
+            self, tmp_path, capsys, name, tamper, field):
+        from repro.obs.export import write_jsonl
+        from repro.obs.tracer import TraceEvent
+
+        path = write_jsonl([
+            TraceEvent("net.msg", 1.0, "span", 9.0, "network", 2,
+                       {"kind": "READ_REQ", "block": 5, "dst": 1, "txn_id": 3}),
+            TraceEvent("cache.evict", 4.0, "instant", None, "cache", 1,
+                       {"block": 5, "dirty": True}),
+        ], tmp_path / "t.jsonl")
+        lines = path.read_text().splitlines()
+        at = 1 if name == "net.msg" else 2
+        record = json.loads(lines[at])
+        tamper(record)
+        lines[at] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["summarize", str(path), "--strict"]) == (field is not None)
+        err = capsys.readouterr().err
+        if field is not None:
+            assert repr(name) in err and repr(field) in err, err
+
     def test_summarize_missing_file_exits_2(self, tmp_path):
         assert main(["summarize", str(tmp_path / "nope.json")]) == 2
 
