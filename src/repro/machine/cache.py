@@ -1,5 +1,4 @@
-"""Processor caches: direct-mapped and set-associative levels with DASH's
-3-state protocol.
+"""Processor caches: direct-mapped levels with DASH's 3-state protocol.
 
 States are per-line: INVALID (absent), SHARED (clean, possibly replicated
 machine-wide), DIRTY (modified, exclusive machine-wide at cluster
@@ -8,13 +7,10 @@ primary cache that only filters hits, and a write-back secondary cache
 that is the coherence point (inclusion is enforced — invalidating or
 evicting an L2 line purges the L1 copy).
 
-A level comes in two layouts, picked by :func:`make_level` from its
-associativity, with the same methods, walk order and snapshot format.
-A :class:`DirectMappedLevel` (the paper machine's, at both levels) keeps
-pages of set slots, each the resident block or ``None``, plus the set of
-its DIRTY blocks, so a resident line costs one slot.  A :class:`CacheLevel`
-(set-associative) is one flat ``dict`` block->state plus an LRU-ordered
-record per occupied set.
+Both levels are direct-mapped, as in the paper machine.  A
+:class:`DirectMappedLevel` keeps pages of set slots, each the resident
+block or ``None``, plus the set of its DIRTY blocks, so a resident line
+costs one slot and a set has no recency order to keep.
 
 Dirty evictions park the block in a *writeback buffer* until the home
 directory has processed the writeback, so a forwarded request racing the
@@ -34,20 +30,14 @@ from repro.obs.tracer import NULL_TRACER
 
 #: bound once: reading a member off an ``Enum`` class costs ~0.1 us a time
 _DIRTY, _SHARED = LineState.DIRTY, LineState.SHARED
-_BY_BYTE = {state.value: state for state in LineState}  # snapshot byte -> state
 #: ``bytes.translate`` table: a ``block in dirty`` flag -> its state byte
 _STATE_OF_FLAG = bytes([_SHARED, _DIRTY]).ljust(256, b"\0")
-_STATE_BYTES = bytes(_BY_BYTE)  # the bytes a snapshot's states may hold
+#: the bytes a snapshot's states may hold
+_STATE_BYTES = bytes(state.value for state in LineState)
 #: sets per page of a :class:`DirectMappedLevel` (a power of two)
 PAGE_SETS = 16
 _SHIFT, _MASK = PAGE_SETS.bit_length() - 1, PAGE_SETS - 1  # set -> page, slot
 _EMPTY = (None,) * PAGE_SETS  # what a page not yet allocated reads as
-
-
-def _refused(blocks: int, states: int, num_sets: int, assoc: int) -> ValueError:
-    return ValueError(
-        f"cache geometry mismatch: snapshot of {blocks} blocks and "
-        f"{states} states does not fit {num_sets} sets of {assoc} ways")
 
 
 class DirectMappedLevel:
@@ -62,10 +52,9 @@ class DirectMappedLevel:
     defined by it.
     """
 
-    __slots__ = ("num_sets", "assoc", "_pages", "_dirty", "_count")
+    __slots__ = ("num_sets", "_pages", "_dirty", "_count")
 
     def __init__(self, capacity_bytes: int, block_bytes: int) -> None:
-        self.assoc = 1
         self.num_sets = max(1, capacity_bytes // block_bytes)
         self._pages: Dict[int, List[Optional[int]]] = {}
         #: the resident blocks in state DIRTY
@@ -73,14 +62,11 @@ class DirectMappedLevel:
         self._count = 0
 
     def peek(self, block: int) -> Optional[LineState]:
-        """State without touching LRU (for snoops and invariant checks)."""
+        """State of ``block`` if resident, else ``None``."""
         index = block % self.num_sets
         if self._pages.get(index >> _SHIFT, _EMPTY)[index & _MASK] != block:
             return None
         return _DIRTY if block in self._dirty else _SHARED
-
-    #: a set of one way has no LRU order to refresh
-    lookup = peek
 
     def install(
         self, block: int, state: LineState
@@ -110,7 +96,7 @@ class DirectMappedLevel:
         return victim
 
     def set_state(self, block: int, state: LineState) -> None:
-        """Change an existing line's state (no LRU side effects)."""
+        """Change an existing line's state."""
         if self.peek(block) is not None:
             if state is _DIRTY:
                 self._dirty.add(block)
@@ -162,130 +148,19 @@ class DirectMappedLevel:
             fresh.install(block, _SHARED)
         if not fresh._count == len(blocks) == len(states) or states.translate(
                 None, _STATE_BYTES):
-            raise _refused(len(blocks), len(states), self.num_sets, 1)
+            raise ValueError(
+                f"cache geometry mismatch: snapshot of {len(blocks)} blocks "
+                f"and {len(states)} states does not fit {self.num_sets} "
+                f"direct-mapped sets")
         self._pages, self._count = fresh._pages, fresh._count
         self._dirty = {
             block for block, byte in zip(blocks, states) if byte == _DIRTY}
 
 
-class CacheLevel:
-    """One set-associative cache level (tags only; no data is simulated).
-
-    ``_lines`` maps every resident block to its state; ``_sets`` holds an
-    insertion-ordered ``dict`` of the blocks of each occupied set, LRU
-    first, only to find victims and walk in set order.  Walks go in
-    ascending set index, the order a dense array of sets would give;
-    checkpoints and invariant reports are defined by it.
-    """
-
-    __slots__ = ("num_sets", "assoc", "_lines", "_sets")
-
-    def __init__(self, capacity_bytes: int, block_bytes: int, assoc: int) -> None:
-        capacity_blocks = max(1, capacity_bytes // block_bytes)
-        assoc = min(assoc, capacity_blocks)
-        self.assoc = assoc
-        self.num_sets = max(1, capacity_blocks // assoc)
-        #: every resident block -> its state
-        self._lines: Dict[int, LineState] = {}
-        #: occupied set -> ``{block: None}`` LRU->MRU
-        self._sets: Dict[int, Dict[int, None]] = {}
-
-    def lookup(self, block: int) -> Optional[LineState]:
-        """State of ``block`` if present; refreshes LRU position."""
-        state = self._lines.get(block)
-        if state is not None:
-            ways = self._sets[block % self.num_sets]
-            ways[block] = ways.pop(block)  # re-insert at the MRU end
-        return state
-
-    def peek(self, block: int) -> Optional[LineState]:
-        """State without touching LRU (for snoops and invariant checks)."""
-        return self._lines.get(block)
-
-    def install(
-        self, block: int, state: LineState
-    ) -> Optional[Tuple[int, LineState]]:
-        """Fill ``block``; returns the evicted ``(block, state)`` if any."""
-        lines = self._lines
-        ways = self._sets.setdefault(block % self.num_sets, {})
-        vblock = None
-        if block not in ways and len(ways) >= self.assoc:
-            vblock = next(iter(ways))  # LRU end: oldest insertion
-            del ways[vblock]
-        ways.pop(block, None)
-        ways[block] = None  # at the MRU end
-        lines[block] = state
-        return None if vblock is None else (vblock, lines.pop(vblock))
-
-    def set_state(self, block: int, state: LineState) -> None:
-        """Change an existing line's state (no LRU side effects)."""
-        if block in self._lines:
-            self._lines[block] = state
-
-    def invalidate(self, block: int) -> Optional[LineState]:
-        """Drop ``block``; returns its state if it was present."""
-        state = self._lines.pop(block, None)
-        if state is not None:
-            index = block % self.num_sets
-            ways = self._sets[index]
-            if len(ways) == 1:
-                del self._sets[index]
-            else:
-                del ways[block]
-        return state
-
-    def _walk(self) -> List[int]:
-        """Resident blocks in ascending set index, LRU->MRU within a set."""
-        sets = self._sets
-        return [block for index in sorted(sets) for block in sets[index]]
-
-    def blocks(self) -> Iterator[Tuple[int, LineState]]:
-        """Iterate over all (block, state) pairs currently cached."""
-        lines = self._lines
-        return ((block, lines[block]) for block in self._walk())
-
-    def occupancy(self) -> int:
-        """Number of valid lines held."""
-        return len(self._lines)
-
-    def to_state(self) -> Tuple[array, bytes]:
-        """The :meth:`blocks` walk as two columns: blocks, one state byte each."""
-        blocks = array("q", self._walk())
-        return blocks, bytes(map(self._lines.__getitem__, blocks))
-
-    def load_state(self, state: Tuple[array, bytes]) -> None:
-        """Restore :meth:`to_state` (same geometry); order is the LRU stack.
-        A set is derived from its blocks, so a snapshot fits when its columns
-        match, its blocks are distinct, every byte is a :class:`LineState`
-        and no set holds more than ``assoc`` lines."""
-        blocks, states = state
-        num_sets, assoc = self.num_sets, self.assoc
-        lines = dict(zip(blocks, map(_BY_BYTE.get, states)))
-        records: Dict[int, Dict[int, None]] = {}
-        for block in blocks:
-            records.setdefault(block % num_sets, {})[block] = None
-        if any(len(ways) > assoc for ways in records.values()) or (
-                None in lines.values()) or not (
-                len(blocks) == len(lines) == len(states)):
-            raise _refused(len(blocks), len(states), num_sets, assoc)
-        self._lines = lines
-        self._sets = records
-
-
-def make_level(
-    capacity_bytes: int, block_bytes: int, assoc: int
-) -> DirectMappedLevel | CacheLevel:
-    """The level for a geometry: direct-mapped when a set holds one line
-    (``assoc`` 1, or a capacity of one block), else set-associative."""
-    if min(assoc, max(1, capacity_bytes // block_bytes)) == 1:
-        return DirectMappedLevel(capacity_bytes, block_bytes)
-    return CacheLevel(capacity_bytes, block_bytes, assoc)
-
-
 class ProcessorCache:
     """Two-level hierarchy for one processor; L2 is the coherence point."""
 
-    __slots__ = ("l1", "l2", "wb_buffer", "tracer", "tid", "_direct")
+    __slots__ = ("l1", "l2", "wb_buffer", "tracer", "tid")
 
     def __init__(
         self,
@@ -297,51 +172,40 @@ class ProcessorCache:
         tracer=NULL_TRACER,
         tid: int = 0,
     ) -> None:
-        self.l1 = make_level(l1_bytes, block_bytes, l1_assoc)
-        self.l2 = make_level(l2_bytes, block_bytes, l2_assoc)
-        #: both levels direct-mapped (the paper machine): no probe has an
-        #: LRU order to refresh, so the probes read the set slots in place
-        self._direct = (type(self.l1) is DirectMappedLevel
-                        and type(self.l2) is DirectMappedLevel)
+        if l1_assoc != 1 or l2_assoc != 1:
+            raise ValueError(
+                f"the processor caches are direct-mapped: l1_assoc and "
+                f"l2_assoc must be 1, got {l1_assoc} and {l2_assoc}")
+        self.l1 = DirectMappedLevel(l1_bytes, block_bytes)
+        self.l2 = DirectMappedLevel(l2_bytes, block_bytes)
         #: dirty blocks evicted but not yet acknowledged by their home
         self.wb_buffer: set[int] = set()
         #: observability sink (machine-global processor id in ``tid``)
         self.tracer = tracer
         self.tid = tid
 
-    # -- probes (no state change beyond LRU refresh) -----------------------
+    # -- probes (no state change) ------------------------------------------
 
     def probe_read(self, block: int) -> Optional[str]:
-        """``"l1"`` / ``"l2"`` on a read hit, else ``None``; refreshes
-        the L2 line (inclusion backing line) and the L1 line it hits.
+        """``"l1"`` / ``"l2"`` on a read hit, else ``None``.
 
-        The probes run once per shared reference, so on two direct-mapped
-        levels they read the set slots in place: a ``lookup`` call per level
-        would cost more than the read."""
+        The probes run once per shared reference, so they read the set
+        slots in place: a ``peek`` call per level would cost more than the
+        read."""
         l1, l2 = self.l1, self.l2
-        if self._direct:
-            index = block % l1.num_sets
-            if l1._pages.get(index >> _SHIFT, _EMPTY)[index & _MASK] == block:
-                return "l1"
-            index = block % l2.num_sets
-            page = l2._pages.get(index >> _SHIFT, _EMPTY)
-            return "l2" if page[index & _MASK] == block else None
-        in_l2 = l2.lookup(block) is not None
-        if l1.lookup(block) is not None:
+        index = block % l1.num_sets
+        if l1._pages.get(index >> _SHIFT, _EMPTY)[index & _MASK] == block:
             return "l1"
-        return "l2" if in_l2 else None
+        index = block % l2.num_sets
+        page = l2._pages.get(index >> _SHIFT, _EMPTY)
+        return "l2" if page[index & _MASK] == block else None
 
     def probe_write(self, block: int) -> bool:
-        """True if writable (L2 DIRTY); refreshes the L2 line either way."""
-        if self._direct:
-            return block in self.l2._dirty  # only resident blocks are in it
-        if self.l2.lookup(block) is _DIRTY:
-            self.l1.lookup(block)
-            return True
-        return False
+        """True if writable (L2 DIRTY)."""
+        return block in self.l2._dirty  # only resident blocks are in it
 
     def state(self, block: int) -> Optional[LineState]:
-        """Coherence state (L2), no LRU side effects."""
+        """Coherence state (L2)."""
         return self.l2.peek(block)
 
     def has_ghost(self, block: int) -> bool:
@@ -376,7 +240,7 @@ class ProcessorCache:
         return eviction
 
     def clean(self, block: int) -> None:
-        """DIRTY -> SHARED (no LRU side effects)."""
+        """DIRTY -> SHARED."""
         self.l2.set_state(block, _SHARED)
 
     def invalidate(self, block: int, txn_id: Optional[int] = None) -> bool:
@@ -398,7 +262,7 @@ class ProcessorCache:
     # -- state capture (simulation checkpointing) --------------------------
 
     def to_state(self) -> Dict[str, object]:
-        """Lossless snapshot: both levels' LRU stacks + writeback buffer."""
+        """Lossless snapshot: both levels' lines + writeback buffer."""
         return {
             "l1": self.l1.to_state(),
             "l2": self.l2.to_state(),

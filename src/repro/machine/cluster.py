@@ -61,9 +61,9 @@ class Cluster:
             ProcessorCache(
                 config.block_bytes,
                 config.l1_bytes,
-                config.l1_assoc,
+                1,  # both levels direct-mapped
                 config.l2_bytes,
-                config.l2_assoc,
+                1,
                 tracer=tracer,
                 tid=cluster_id * config.procs_per_cluster + i,
             )

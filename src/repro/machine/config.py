@@ -28,10 +28,8 @@ class MachineConfig:
     block_bytes: int = 16
 
     # -- processor caches ---------------------------------------------------
-    l1_bytes: int = 64 * 1024
-    l1_assoc: int = 1
+    l1_bytes: int = 64 * 1024  # both levels direct-mapped, as in the paper
     l2_bytes: int = 256 * 1024
-    l2_assoc: int = 1
 
     # -- latencies (processor cycles) ---------------------------------------
     l1_hit_cycles: float = 1.0
@@ -111,9 +109,8 @@ class MachineConfig:
         for name in ("l1_bytes", "l2_bytes"):
             if getattr(self, name) < self.block_bytes:
                 raise ValueError(f"{name} must hold at least one block")
-        for name in ("l1_assoc", "l2_assoc", "sparse_assoc"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.sparse_assoc < 1:
+            raise ValueError("sparse_assoc must be >= 1")
         if self.sparse_size_factor is not None and self.sparse_size_factor <= 0:
             raise ValueError("sparse_size_factor must be positive")
         if self.shared_entry_group is not None:

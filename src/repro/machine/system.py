@@ -129,9 +129,11 @@ class DashSystem:
         #: optional callable(proc_id, op, time) observing every op as it
         #: is issued — used by trace.recorder.InterleavingRecorder
         self.trace_hook = None
-        #: set by a checkpoint restore: run() continues the restored
-        #: event queue instead of (re)starting the processors
-        self._restored = False
+        #: set by the first run() and by a checkpoint restore: a later
+        #: run() continues the event queue instead of starting processors
+        self._started = False
+        #: set once a run() has gone to completion: nothing is left to run
+        self._completed = False
 
     # -- construction helpers ---------------------------------------------
 
@@ -339,7 +341,7 @@ class DashSystem:
         self._build_processors()
         for proc, proc_state in zip(self.processors, state["procs"]):
             proc.load_state(proc_state, codec)
-        self._restored = True
+        self._started = True
 
     def restore(self, ckpt) -> None:
         """Restore a checkpoint onto this freshly constructed system.
@@ -387,12 +389,14 @@ class DashSystem:
         supersede any snapshot).  ``on_checkpoint(ckpt)`` fires after
         each periodic snapshot is on disk — the chaos harness uses it
         to kill the process at a moment a resumable checkpoint is
-        guaranteed to exist.  After a :meth:`restore`, ``run``
-        continues the restored queue instead of restarting.
+        guaranteed to exist.  After a :meth:`restore`, or a run stopped
+        by ``max_events``, ``run`` continues the queue in place; a run
+        that has finished cannot be run again.
         """
-        if self._restored:
-            self._restored = False
-        else:
+        if self._completed:
+            raise RuntimeError("the simulation has already run to completion")
+        if not self._started:
+            self._started = True
             self._build_processors()
             for proc in self.processors:
                 proc.start()
@@ -420,6 +424,7 @@ class DashSystem:
                 f"simulation deadlocked: processors {stuck} never finished "
                 f"({self.sync.pending_waiters()} sync waiters pending)"
             )
+        self._completed = max_events is None
         self.stats.exec_time = max(
             (p.stats.finish_time for p in self.processors), default=0.0
         )

@@ -491,9 +491,7 @@ def counterexample_workload(
         procs_per_cluster=1,
         block_bytes=block_bytes,
         l1_bytes=block_bytes * REPLAY_CACHE_BLOCKS,
-        l1_assoc=1,
         l2_bytes=block_bytes * REPLAY_CACHE_BLOCKS,
-        l2_assoc=1,
         replacement_hints=False,
     )
     workload = ScriptedWorkload(scripts, block_bytes=block_bytes)

@@ -132,6 +132,22 @@ def test_split_run_is_byte_identical(overrides):
     assert _stats_json(second.run()) == _baseline(config)
 
 
+@pytest.mark.parametrize(
+    "overrides", SCHEME_FAMILIES.values(), ids=SCHEME_FAMILIES.keys()
+)
+def test_stopped_run_continues_in_place(overrides):
+    """``run(max_events=N)`` then ``run()`` on the same machine continues
+    its queue: the stats equal the uninterrupted run's, exactly.  A run
+    that has finished is refused, not restarted."""
+    config = _config(**overrides)
+    system = DashSystem(config, _workload())
+    system.run(max_events=150)
+    system.run(max_events=150)
+    assert _stats_json(system.run()) == _baseline(config)
+    with pytest.raises(RuntimeError, match="already run to completion"):
+        system.run()
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     """Disk round trip: header readable, verification passes, the loaded
     snapshot resumes to the uninterrupted result, no temp file remains."""

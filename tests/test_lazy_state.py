@@ -1,10 +1,9 @@
 """Machine state is proportional to occupancy, and behaves as if it were not.
 
-A direct-mapped level holds pages of set slots plus its DIRTY blocks,
-a set-associative ``CacheLevel`` one block -> state map plus a record
-per occupied set; both snapshot as two packed columns (an ``array('q')``
-of blocks and one state byte each), ``ProcessorCache`` builds whichever
-its associativity calls for, and ``SparseDirectory`` and the LRU/LRA
+A direct-mapped cache level holds pages of set slots plus its DIRTY
+blocks and snapshots as two packed columns (an ``array('q')`` of blocks
+and one state byte each), ``ProcessorCache`` builds two of them and
+refuses any other associativity, and ``SparseDirectory`` and the LRU/LRA
 stamp rows materialise a set on first install.  The property tests drive them
 and the dense models in ``eager_reference.py`` with the same random
 operation sequences and require every return value, victim,
@@ -30,7 +29,6 @@ from repro.core.sparse import AllWaysBusy
 from repro.machine import DashSystem, MachineConfig
 from repro.machine.cache import (
     PAGE_SETS,
-    CacheLevel,
     DirectMappedLevel,
     LineState,
     ProcessorCache,
@@ -47,30 +45,44 @@ from tests.eager_reference import (
 #: a direct-mapped level's set count that spans pages and ends in a part page
 PAGED_SETS = 2 * PAGE_SETS + PAGE_SETS // 2
 DIRTY, SHARED = LineState.DIRTY, LineState.SHARED
-CACHE_GEOMETRIES = [  # (bytes, assoc), 16 B blocks
-    (64, 1), (64, 2), (128, 4), (16, 8), (16 * PAGED_SETS, 1),
-]
+CACHE_BYTES = [64, 16, 16 * PAGED_SETS]  # 16 B blocks
 #: mostly a few blocks that contend for the small geometries' sets, and
 #: some that reach across every page of the paged ones and wrap around
 block_ids = st.one_of(st.integers(0, 23), st.integers(0, 2 * PAGED_SETS))
 
 
-def _level(capacity, assoc):
+def _level(capacity, assoc=1):
     """The level a ``ProcessorCache`` builds for this geometry."""
     return ProcessorCache(16, capacity, assoc, capacity, assoc).l1
 
 
 @pytest.mark.parametrize("capacity, assoc, kind", [
-    (64, 1, DirectMappedLevel), (16, 8, DirectMappedLevel),  # one way a set
-    (64, 2, CacheLevel), (128, 4, CacheLevel),
+    (64, 1, "DirectMappedLevel"), (16, 8, "DirectMappedLevel"),  # one way a set
+    (64, 2, "CacheLevel"), (128, 4, "CacheLevel"),  # set-associative
 ])
 def test_processor_cache_picks_the_level_by_assoc(capacity, assoc, kind):
-    level = _level(capacity, assoc)
-    assert type(level) is kind and level.assoc == min(assoc, capacity // 16)
+    """``kind`` is the layout the geometry calls for.  Only assoc 1 builds
+    a level, a ``DirectMappedLevel``; the set-associative ``CacheLevel`` is
+    gone, and an assoc above 1 is refused even where the capacity holds
+    one way a set (16 B, assoc 8)."""
+    if assoc == 1:
+        level = _level(capacity, assoc)
+        assert type(level).__name__ == kind
+        assert level.num_sets == capacity // 16
+    else:
+        with pytest.raises(ValueError, match="direct-mapped"):
+            _level(capacity, assoc)
+
+
+def test_processor_cache_refuses_associativity():
+    for l1_assoc, l2_assoc in [(2, 1), (1, 4), (8, 8)]:
+        with pytest.raises(ValueError, match="direct-mapped"):
+            ProcessorCache(16, 64, l1_assoc, 128, l2_assoc)
+
 
 cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(["lookup", "peek", "install", "set_state", "invalidate"]),
+        st.sampled_from(["peek", "install", "set_state", "invalidate"]),
         block_ids,
         st.sampled_from(list(LineState)),
     ),
@@ -79,26 +91,25 @@ cache_ops = st.lists(
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(CACHE_GEOMETRIES), cache_ops)
+@given(st.sampled_from(CACHE_BYTES), cache_ops)
 @example(  # the last set, in a part page, and the first page edge
-    (16 * PAGED_SETS, 1),
+    16 * PAGED_SETS,
     [("install", PAGED_SETS - 1, DIRTY), ("install", 2 * PAGED_SETS - 1, SHARED),
      ("peek", PAGED_SETS - 1, SHARED), ("set_state", 2 * PAGED_SETS - 1, DIRTY),
-     ("lookup", 2 * PAGED_SETS - 1, SHARED), ("install", PAGED_SETS, SHARED),
+     ("peek", 2 * PAGED_SETS - 1, SHARED), ("install", PAGED_SETS, SHARED),
      ("invalidate", 2 * PAGED_SETS - 1, SHARED), ("install", PAGE_SETS - 1, SHARED),
      ("install", PAGE_SETS, DIRTY), ("peek", PAGE_SETS, SHARED)])
-def test_cache_level_matches_eager_model(geometry, ops):
-    capacity, assoc = geometry
-    lazy = _level(capacity, assoc)
-    eager = EagerCacheLevel(capacity, 16, assoc)
-    assert (lazy.num_sets, lazy.assoc) == (eager.num_sets, eager.assoc)
+def test_cache_level_matches_eager_model(capacity, ops):
+    lazy = _level(capacity)
+    eager = EagerCacheLevel(capacity, 16, 1)
+    assert lazy.num_sets == eager.num_sets
     for op, block, state in ops:
         args = (block, state) if op in ("install", "set_state") else (block,)
         assert getattr(lazy, op)(*args) == getattr(eager, op)(*args), (op, block)
         assert list(lazy.blocks()) == list(eager.blocks())
         assert lazy.occupancy() == eager.occupancy()
     # the snapshot is the same walk, and restores to the same machine
-    clone = _level(capacity, assoc)
+    clone = _level(capacity)
     clone.load_state(lazy.to_state())
     assert list(clone.blocks()) == list(eager.blocks())
     assert clone.to_state() == lazy.to_state() == eager.to_state()
@@ -106,7 +117,7 @@ def test_cache_level_matches_eager_model(geometry, ops):
 
 # (L1 bytes, L1 assoc, L2 bytes, L2 assoc), 16 B blocks
 PAGED_HIERARCHY = (16 * (PAGE_SETS + PAGE_SETS // 2), 1, 16 * PAGED_SETS, 1)
-HIERARCHIES = [(64, 1, 128, 1), (64, 1, 128, 2), (64, 2, 128, 4), PAGED_HIERARCHY]
+HIERARCHIES = [(64, 1, 128, 1), PAGED_HIERARCHY]
 
 hierarchy_ops = st.lists(
     st.tuples(
@@ -140,15 +151,12 @@ def test_processor_cache_matches_eager_model(geometry, ops):
         assert lazy.to_state() == eager.to_state()
 
 
-@pytest.mark.parametrize("assoc", [1, 2])
-def test_a_dirty_line_leaves_no_writable_copy_behind(assoc):
-    # 4 sets a level: 0, 4 and 8 share set 0.  A DIRTY line evicted,
+def test_a_dirty_line_leaves_no_writable_copy_behind():
+    # 4 sets a level: 0 and 4 share set 0.  A DIRTY line evicted,
     # refilled SHARED or invalidated is not writable afterwards.
-    size = 16 * 4 * assoc
-    cache = ProcessorCache(16, size, assoc, size, assoc)
+    cache = ProcessorCache(16, 64, 1, 64, 1)
     cache.install(0, LineState.DIRTY)
-    for block in (4, 8)[:assoc]:
-        cache.install(block, LineState.SHARED)  # the last evicts 0
+    cache.install(4, LineState.SHARED)  # evicts 0
     assert cache.probe_read(0) is None and not cache.probe_write(0)
     cache.install(4, LineState.DIRTY)
     cache.install(4, LineState.SHARED)
@@ -253,7 +261,7 @@ def test_sparse_directory_matches_eager_model(policy, geometry, ops):
 
 def test_construction_cost_is_independent_of_capacity():
     t0 = time.perf_counter()
-    cache = _level(2**34, 1)  # 2^30 sets
+    cache = _level(2**34)  # 2^30 sets
     store = SparseDirectory(FullBitVectorScheme(8), 2**28, 4, policy="lru")
     system = DashSystem(
         MachineConfig(
@@ -330,17 +338,14 @@ SNAPSHOT_CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("assoc", [1, 2])
 @pytest.mark.parametrize(
     "corrupt", SNAPSHOT_CORRUPTIONS.values(), ids=SNAPSHOT_CORRUPTIONS.keys())
-def test_malformed_snapshot_is_refused(assoc, corrupt):
-    # 8 sets of `assoc` ways; set 0 full, so one more block overfills it
-    # (at assoc 1: two blocks in one set)
-    cache = _level(16 * 8 * assoc, assoc)
-    for block in range(0, 8 * assoc, 8):
-        cache.install(block, LineState.DIRTY)
+def test_malformed_snapshot_is_refused(corrupt):
+    # 8 sets; one more block in set 0 puts two blocks in one set
+    cache = _level(16 * 8)
+    cache.install(0, LineState.DIRTY)
     cache.install(3, LineState.SHARED)
-    clone = _level(16 * 8 * assoc, assoc)
+    clone = _level(16 * 8)
     clone.install(6, LineState.DIRTY)  # a refused snapshot leaves it as it was
     kept = clone.to_state()
     with pytest.raises(ValueError, match="geometry mismatch"):
@@ -351,7 +356,7 @@ def test_malformed_snapshot_is_refused(assoc, corrupt):
 @pytest.mark.parametrize("policy", ["lru", "lra", "random"])
 def test_walks_are_in_set_order_not_touch_order(policy):
     store = SparseDirectory(FullBitVectorScheme(4), 16, 2, policy=policy)
-    cache = _level(16 * 8, 1)
+    cache = _level(16 * 8)
     for block in (7, 2, 5, 10, 0):  # 8 sets: 10 lands behind 2 in set 2
         store.get_or_allocate(block)
         cache.install(block, LineState.SHARED)

@@ -1,54 +1,49 @@
 """Cache hierarchy unit tests (levels, inclusion, writeback buffer)."""
 
 from repro.core import protocol
-from repro.machine.cache import CacheLevel, LineState, ProcessorCache
+import pytest
+
+from repro.core import protocol
+from repro.machine.cache import DirectMappedLevel, LineState, ProcessorCache
 
 
-def make_cache(l1_bytes=64, l2_bytes=256, block=16, l1_assoc=1, l2_assoc=2):
-    return ProcessorCache(block, l1_bytes, l1_assoc, l2_bytes, l2_assoc)
+def make_cache(l1_bytes=64, l2_bytes=256, block=16):
+    return ProcessorCache(block, l1_bytes, 1, l2_bytes, 1)
 
 
 class TestCacheLevel:
     def test_install_and_lookup(self):
-        c = CacheLevel(64, 16, 2)  # 4 blocks, 2-way, 2 sets
+        c = DirectMappedLevel(64, 16)  # 4 sets
         assert c.install(0, LineState.SHARED) is None
-        assert c.lookup(0) is LineState.SHARED
-
-    def test_miss_returns_none(self):
-        c = CacheLevel(64, 16, 2)
-        assert c.lookup(123) is None
-
-    def test_lru_eviction_within_set(self):
-        c = CacheLevel(64, 16, 2)  # 2 sets; blocks 0,2,4 share set 0
-        c.install(0, LineState.SHARED)
-        c.install(2, LineState.SHARED)
-        c.lookup(0)  # 0 now MRU
-        victim = c.install(4, LineState.DIRTY)
-        assert victim == (2, LineState.SHARED)
         assert c.peek(0) is LineState.SHARED
 
+    def test_miss_returns_none(self):
+        c = DirectMappedLevel(64, 16)
+        assert c.peek(123) is None
+
     def test_reinstall_updates_state_without_eviction(self):
-        c = CacheLevel(64, 16, 2)
+        c = DirectMappedLevel(64, 16)
         c.install(0, LineState.SHARED)
         assert c.install(0, LineState.DIRTY) is None
         assert c.peek(0) is LineState.DIRTY
 
     def test_invalidate(self):
-        c = CacheLevel(64, 16, 2)
+        c = DirectMappedLevel(64, 16)
         c.install(0, LineState.DIRTY)
         assert c.invalidate(0) is LineState.DIRTY
         assert c.invalidate(0) is None
 
-    def test_assoc_clamped_to_capacity(self):
-        c = CacheLevel(16, 16, 8)  # one block total
-        assert c.assoc == 1 and c.num_sets == 1
+    def test_associativity_is_refused(self):
+        assert DirectMappedLevel(16, 16).num_sets == 1  # one block total
+        with pytest.raises(ValueError, match="direct-mapped"):
+            ProcessorCache(16, 16, 8, 16, 8)
 
     def test_occupancy_and_blocks(self):
-        c = CacheLevel(64, 16, 4)
-        for b in (1, 5, 9):
+        c = DirectMappedLevel(64, 16)
+        for b in (1, 6, 11):  # one a set
             c.install(b, LineState.SHARED)
         assert c.occupancy() == 3
-        assert {b for b, _ in c.blocks()} == {1, 5, 9}
+        assert {b for b, _ in c.blocks()} == {1, 6, 11}
 
 
 class TestProcessorCache:
@@ -73,14 +68,14 @@ class TestProcessorCache:
         assert pc.probe_write(7) is True
 
     def test_inclusion_l2_eviction_purges_l1(self):
-        pc = make_cache(l1_bytes=256, l2_bytes=32, l2_assoc=1)  # L2: 2 blocks
+        pc = make_cache(l1_bytes=256, l2_bytes=32)  # L2: 2 blocks
         pc.install(0, LineState.SHARED)
         pc.install(2, LineState.SHARED)  # same L2 set as 0 -> evict 0
         assert pc.l2.peek(0) is None
         assert pc.l1.peek(0) is None  # inclusion preserved
 
     def test_dirty_eviction_parks_in_wb_buffer(self):
-        pc = make_cache(l2_bytes=32, l2_assoc=1)
+        pc = make_cache(l2_bytes=32)
         pc.install(0, LineState.DIRTY)
         assert pc.install(2, LineState.SHARED) == (0, True)
         assert pc.has_ghost(0)
@@ -89,7 +84,7 @@ class TestProcessorCache:
         assert not protocol.holds_dirty([pc], 0)
 
     def test_clean_eviction_reported_not_buffered(self):
-        pc = make_cache(l2_bytes=32, l2_assoc=1)
+        pc = make_cache(l2_bytes=32)
         pc.install(0, LineState.SHARED)
         assert pc.install(2, LineState.SHARED) == (0, False)
         assert not pc.has_ghost(0)
@@ -101,7 +96,7 @@ class TestProcessorCache:
         assert pc.state(4) is LineState.SHARED
 
     def test_downgrade_wb_ghost(self):
-        pc = make_cache(l2_bytes=32, l2_assoc=1)
+        pc = make_cache(l2_bytes=32)
         pc.install(0, LineState.DIRTY)
         pc.install(2, LineState.SHARED)  # 0 -> wb buffer
         assert protocol.downgrade([pc], 0) is True  # buffer supplies data
@@ -112,7 +107,7 @@ class TestProcessorCache:
         assert protocol.downgrade([pc], 9) is False
 
     def test_invalidate_clears_everything(self):
-        pc = make_cache(l2_bytes=32, l2_assoc=1)
+        pc = make_cache(l2_bytes=32)
         pc.install(0, LineState.DIRTY)
         pc.install(2, LineState.SHARED)  # 0 in wb buffer
         assert pc.invalidate(0) is True  # ghost killed

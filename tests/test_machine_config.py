@@ -54,8 +54,6 @@ class TestValidation:
         ("procs_per_cluster", 0),
         ("block_bytes", 24),  # not a power of two
         ("block_bytes", 0),
-        ("l1_assoc", 0),
-        ("l2_assoc", 0),
         ("sparse_assoc", 0),
         ("sparse_size_factor", -1.0),
         ("network", "hypercube"),

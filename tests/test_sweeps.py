@@ -61,8 +61,9 @@ class TestSweep:
 
     def test_unknown_axis_rejected_early(self):
         sweep = make_sweep()
-        with pytest.raises(TypeError):
-            sweep.add_axis("not_a_config_field", [1])
+        for name in ("not_a_config_field", "l1_assoc", "l2_assoc"):
+            with pytest.raises(TypeError):
+                sweep.add_axis(name, [1])
 
     def test_duplicate_axis_rejected(self):
         sweep = make_sweep()
