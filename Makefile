@@ -48,6 +48,9 @@ strict-smoke:
 	    PYTHONPATH=src python -m repro run --app $$app --procs 32 \
 	        --strict --check || exit 1; \
 	done
+	# cluster masks wider than a machine word: MP3D on 256 clusters
+	PYTHONPATH=src python -m repro run --app MP3D --procs 256 \
+	    --scheme Dir3CV8 --strict --check
 	# the checker observes, it does not steer: on a scheme whose reads once
 	# had side effects (the overflow cache's shared LRU) the strict run
 	# must report the plain run's result

@@ -3,7 +3,6 @@
 from repro.analysis.invalidation import (
     InvalidationModel,
     average_invalidations,
-    exact_expected_invalidations,
     figure2_series,
 )
 from repro.analysis.report import (
@@ -36,7 +35,6 @@ from repro.analysis.charts import ascii_chart
 __all__ = [
     "InvalidationModel",
     "average_invalidations",
-    "exact_expected_invalidations",
     "figure2_series",
     "format_table",
     "format_series",

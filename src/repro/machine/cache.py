@@ -18,6 +18,10 @@ writeback still finds the data — exactly the role of DASH's writeback
 buffers.  Which transition happens is decided by the node rows of
 :mod:`repro.core.protocol`; a :class:`ProcessorCache` is their view of
 one processor.
+
+The coherence audit (:mod:`repro.machine.invariants`) reads the caches
+only through a :class:`CacheCensus`, so every read of the slot layout
+lives in this module.
 """
 
 from __future__ import annotations
@@ -276,15 +280,69 @@ class ProcessorCache:
         self.l2.load_state(state["l2"])  # type: ignore[arg-type]
         self.wb_buffer = set(state["wb_buffer"])  # type: ignore[arg-type]
 
-    # -- auditing ----------------------------------------------------------
 
-    def check_inclusion(self) -> List[int]:
-        """Blocks violating the inclusion invariant (L1 without L2 backing).
+class CacheCensus:
+    """The coherence audit's read of every processor cache in a machine.
 
-        The L2 is the coherence point: an L1 line the L2 does not back
-        would survive invalidations addressed to the L2.  Returns the
-        offending blocks (empty when the hierarchy is consistent); the
-        runtime invariant checker audits this on every machine sweep
-        (and block by block, with two ``peek`` calls, in strict mode).
-        """
-        return [b for b, _ in self.l1.blocks() if self.l2.peek(b) is None]
+    ``nodes[c]`` are cluster ``c``'s caches.  The census keeps the level
+    objects, never their page maps (a checkpoint restore rebinds those),
+    and answers in cluster bitmasks (bit ``c`` is cluster ``c``), the
+    form a directory entry's ``covered()`` takes.  Every cache of a
+    machine has one geometry, so a block's page key and slot are worked
+    out once per level, then read in place in each cache.
+    """
+
+    __slots__ = ("_levels", "_l1_sets", "_l2_sets")
+
+    def __init__(self, nodes: List[List[ProcessorCache]]) -> None:
+        #: (cluster bit, cluster id, L1, L2) per cache, in cluster order
+        self._levels = [
+            (1 << node, node, cache.l1, cache.l2)
+            for node, caches in enumerate(nodes)
+            for cache in caches
+        ]
+        first = nodes[0][0]
+        self._l1_sets, self._l2_sets = first.l1.num_sets, first.l2.num_sets
+
+    def holders(self, block: int) -> Tuple[int, int, Tuple[int, ...]]:
+        """``(dirty, clean, orphans)`` for one block: the masks of the
+        clusters whose L2 holds it DIRTY / SHARED (a cluster of two caches
+        can be in both), and the cluster of each cache whose L1 holds it
+        with no L2 line behind it, in cache order."""
+        index = block % self._l2_sets
+        key2, slot2 = index >> _SHIFT, index & _MASK
+        index = block % self._l1_sets
+        key1, slot1 = index >> _SHIFT, index & _MASK
+        dirty = clean = 0
+        orphans: Tuple[int, ...] = ()
+        for bit, node, l1, l2 in self._levels:
+            if l2._pages.get(key2, _EMPTY)[slot2] == block:
+                if block in l2._dirty:
+                    dirty |= bit
+                else:
+                    clean |= bit
+            elif l1._pages.get(key1, _EMPTY)[slot1] == block:
+                orphans += (node,)
+        return dirty, clean, orphans
+
+    def sweep(self) -> Tuple[List[Tuple[int, int]], Dict[int, List[int]]]:
+        """The whole machine at once: every ``(block, cluster)`` whose L1
+        line has no L2 line behind it, by cluster, cache and set, and
+        ``block -> [dirty, clean]`` masks for every block an L2 holds, in
+        the order the walk first meets them."""
+        orphans: List[Tuple[int, int]] = []
+        holders: Dict[int, List[int]] = {}
+        get = holders.get
+        for bit, node, l1, l2 in self._levels:
+            resident = l2._walk()
+            backed = set(resident)
+            l1_blocks = l1._walk()
+            if not backed.issuperset(l1_blocks):
+                orphans += [(b, node) for b in l1_blocks if b not in backed]
+            dirty = l2._dirty
+            for block in resident:
+                pair = get(block)
+                if pair is None:
+                    pair = holders[block] = [0, 0]
+                pair[block not in dirty] |= bit
+        return orphans, holders

@@ -27,7 +27,15 @@ The three state invariants are stated once, per block, in
 :func:`block_violations`; the whole-machine sweep here, the online
 checker's per-block audit and the model checker
 (:func:`repro.verify.model.state_violations`) only build the block view
-it reads.
+it reads.  That view speaks node masks, as a directory entry's
+``covered()`` does: bit ``c`` of ``dirty`` / ``clean`` is set when
+cluster ``c``'s coherence-point cache holds the block DIRTY / clean, so
+coverage is ``clean & ~covered()`` and a second writer is
+``dirty & (dirty - 1)``.  The caches are read only through
+:class:`~repro.machine.cache.CacheCensus`: an audit reads one slot per
+cache level in place, the sweep walks each level once; nothing here
+touches a cache's layout, and nothing is kept between audits, so the
+audit trusts neither the directory nor any record of its own.
 
 The checker audits every block a transaction disturbed — the block it
 was for when it finishes, the blocks an invalidation round killed when
@@ -48,12 +56,12 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
 from repro.core import protocol
-from repro.core.protocol import LineState
+from repro.core.base import mask_nodes
+from repro.machine.cache import CacheCensus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sparse import DirLine
@@ -80,64 +88,63 @@ class CoherenceViolation(AssertionError):
 
 def block_violations(
     block: int,
-    dirty: Collection[int],
-    clean: Collection[int],
+    dirty: int,
+    clean: int,
     line: Optional["DirLine"],
     precision: str,
-) -> Iterator[Tuple[str, str]]:
-    """Yield ``(invariant, message)`` for every state invariant one block
-    breaks — the only statement of single-writer, directory-coverage and
-    the precision contract.
+) -> List[Tuple[str, str]]:
+    """``(invariant, message)`` for every state invariant one block breaks
+    (empty when it breaks none) — the only statement of single-writer,
+    directory-coverage and the precision contract.
 
     The view is what the protocol guarantees between transactions on the
-    block: ``dirty`` / ``clean`` are the clusters (nodes, in the model)
-    whose coherence-point cache holds it DIRTY / clean, ``line`` is the
-    home's directory line or ``None``, ``precision`` the scheme's
-    declared contract.  A cluster may appear in both sets (two caches on
-    one bus); a block nobody caches can only break the precision
-    contract.
+    block: ``dirty`` / ``clean`` are the masks of the clusters (nodes, in
+    the model) whose coherence-point cache holds it DIRTY / clean, ``line``
+    is the home's directory line or ``None``, ``precision`` the scheme's
+    declared contract.  A cluster may be in both masks (two caches on one
+    bus); a block nobody caches can only break the precision contract.
     """
-    if len(dirty) > 1:
-        yield "single-writer", f"block {block} dirty in clusters {sorted(dirty)}"
-        return
+    found: List[Tuple[str, str]] = []
     if dirty:
-        (owner,) = dirty
-        others = [c for c in clean if c != owner]
+        if dirty & (dirty - 1):
+            return [(
+                "single-writer",
+                f"block {block} dirty in clusters {mask_nodes(dirty)}",
+            )]
+        owner = dirty.bit_length() - 1
+        others = clean & ~dirty
         if others:
-            yield (
+            return [(
                 "single-writer",
                 f"block {block} dirty in cluster {owner} but also cached "
-                f"in {sorted(others)}",
-            )
-            return
+                f"in {mask_nodes(others)}",
+            )]
         if line is None or not line.dirty or line.owner != owner:
             # an in-flight writeback leaves no dirty *cache* line (the
             # copy is a writeback-buffer ghost), so this is never that
-            yield (
+            found.append((
                 "directory-coverage",
                 f"directory does not record cluster {owner} as owner of "
                 f"dirty block {block} (line={line})",
-            )
+            ))
     elif clean:
         # only a clean line's entry covers anyone: while a line is dirty
         # its entry records no sharers of the block
-        if line is None or line.dirty:
-            covered: Collection[int] = ()
-        else:
-            covered = line.entry.invalidation_targets()
-        missed = [c for c in clean if c not in covered]
+        covered = 0 if line is None or line.dirty else line.entry.covered()
+        missed = clean & ~covered
         if missed:
-            yield (
+            found.append((
                 "directory-coverage",
-                f"clean block {block} cached in {sorted(missed)} but the "
-                f"directory covers only {sorted(covered)} (line={line})",
-            )
+                f"clean block {block} cached in {mask_nodes(missed)} but the "
+                f"directory covers only {mask_nodes(covered)} (line={line})",
+            ))
     if precision == "exact" and line is not None and not line.entry.is_exact():
-        yield (
+        found.append((
             "precision-contract",
             f"the scheme declares itself exact but block {block}'s entry "
             f"degraded to an inexact representation",
-        )
+        ))
+    return found
 
 
 def _inclusion_violation(block: int, cluster_id: int) -> CoherenceViolation:
@@ -152,13 +159,13 @@ def _inclusion_violation(block: int, cluster_id: int) -> CoherenceViolation:
 def _view_violations(
     system: "DashSystem",
     block: int,
-    dirty: Collection[int],
-    clean: Collection[int],
+    dirty: int,
+    clean: int,
     line: Optional["DirLine"],
-) -> Iterator[CoherenceViolation]:
+) -> List[Tuple[str, str]]:
     """:func:`block_violations` on the machine's view of one block.
 
-    One thing the L2 probes that built ``dirty`` cannot show: an evicted
+    One thing the L2 slots that built ``dirty`` cannot show: an evicted
     dirty line lives in its cluster's writeback buffer until the home
     absorbs the writeback, and a sibling cache may re-read it over the bus
     meanwhile.  While the home still records that cluster as owner, the
@@ -166,17 +173,16 @@ def _view_violations(
     """
     if not dirty and line is not None and line.dirty and line.owner is not None:
         if protocol.holds_dirty(system.nodes[line.owner], block):
-            dirty = (line.owner,)
-    for invariant, message in block_violations(
-        block, dirty, clean, line, system.scheme.precision
-    ):
-        yield CoherenceViolation(invariant, message, block=block)
+            dirty = 1 << line.owner
+    return block_violations(block, dirty, clean, line, system.scheme.precision)
 
 
 def machine_state_violations(
     system: "DashSystem", *, skip_busy: bool = False
 ) -> Iterator[CoherenceViolation]:
-    """Yield every invariant violation in the machine's current state.
+    """Yield every invariant violation in the machine's current state:
+    cache inclusion first, by cluster, cache and set, then the state
+    invariants of each block in the order the caches' walk meets it.
 
     ``skip_busy`` ignores blocks with a transaction in flight at their
     home: their caches and directory are legitimately mid-transition
@@ -184,42 +190,26 @@ def machine_state_violations(
     completion).  Mid-run checks pass ``True``; end-of-run checks can
     afford the full scan because the queues are empty.
     """
-    # -- cache inclusion (independent of directories) ----------------------
-    for cluster in system.clusters:
-        for cache in cluster.caches:
-            for block in cache.check_inclusion():
-                yield _inclusion_violation(block, cluster.cluster_id)
-
-    # -- who caches what: block -> (dirty clusters, clean clusters) --------
-    # lists, not sets: two sets per cached block would triple the sweep's
-    # memory; clusters are visited in order, so a repeat is always last
-    holders: Dict[int, Tuple[List[int], List[int]]] = {}
-    for cluster in system.clusters:
-        cluster_id = cluster.cluster_id
-        for cache in cluster.caches:
-            for block, state in cache.l2.blocks():
-                lists = holders.get(block)
-                if lists is None:
-                    lists = holders[block] = ([], [])
-                ids = lists[0 if state is LineState.DIRTY else 1]
-                if not ids or ids[-1] != cluster_id:
-                    ids.append(cluster_id)
+    orphans, holders = CacheCensus(system.nodes).sweep()
+    for block, cluster_id in orphans:
+        yield _inclusion_violation(block, cluster_id)
     directories = system.directories
     if system.scheme.precision == "exact":
         # a line nobody caches can still break the precision contract
         for controller in directories:
             for block, _line in controller.store.lines():
                 if block not in holders:
-                    holders[block] = ([], [])
+                    holders[block] = [0, 0]
 
     home_of = system.config.home_of
     for block, (dirty, clean) in holders.items():
         controller = directories[home_of(block)]
         if skip_busy and block in controller._busy:
             continue
-        yield from _view_violations(
+        for invariant, message in _view_violations(
             system, block, dirty, clean, controller.store.peek(block)
-        )
+        ):
+            yield CoherenceViolation(invariant, message, block=block)
 
 
 class InvariantChecker:
@@ -259,6 +249,11 @@ class InvariantChecker:
         self.checks_run = 0
         self.blocks_checked = 0
         self.violations: List[CoherenceViolation] = []
+        # what an audit reads, bound once: none of it is ever rebound (the
+        # census holds the cache levels, never their contents)
+        self._census = CacheCensus(system.nodes)
+        self._directories = system.directories
+        self._home_of = system.config.home_of
 
     # -- checkpoint state ---------------------------------------------------
 
@@ -374,30 +369,17 @@ class InvariantChecker:
         A block in flight at its home is skipped, as ``skip_busy`` skips
         it in the sweep: its own ``on_finish`` audits the settled state.
         """
-        system = self.system
-        controller = system.directories[system.config.home_of(block)]
+        controller = self._directories[self._home_of(block)]
         if block in controller._busy:
             return
         self.blocks_checked += 1
-        dirty: Set[int] = set()
-        clean: Set[int] = set()
-        dirty_state = LineState.DIRTY
-        for cluster in system.clusters:
-            for cache in cluster.caches:
-                state = cache.l2.peek(block)
-                if state is None:  # the common case first: 2 probes a cache
-                    if cache.l1.peek(block) is not None:
-                        self._report(
-                            _inclusion_violation(block, cluster.cluster_id)
-                        )
-                elif state is dirty_state:
-                    dirty.add(cluster.cluster_id)
-                else:
-                    clean.add(cluster.cluster_id)
-        for violation in _view_violations(
-            system, block, dirty, clean, controller.store.peek(block)
+        dirty, clean, orphans = self._census.holders(block)
+        for cluster_id in orphans:
+            self._report(_inclusion_violation(block, cluster_id))
+        for invariant, message in _view_violations(
+            self.system, block, dirty, clean, controller.store.peek(block)
         ):
-            self._report(violation)
+            self._report(CoherenceViolation(invariant, message, block=block))
 
     def check_machine(self, *, skip_busy: bool = True) -> None:
         """Sweep every cache and directory; report every violation found."""

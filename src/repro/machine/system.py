@@ -102,8 +102,6 @@ class DashSystem:
             raise ValueError(
                 f'invariants must be "strict" or "off", got {invariants!r}'
             )
-        if invariants == "strict":
-            self.invariants = InvariantChecker(self)
         self.scheme = scheme if scheme is not None else make_scheme(
             config.scheme, config.num_clusters, seed=config.seed
         )
@@ -117,6 +115,8 @@ class DashSystem:
             DirectoryController(self, i, self._make_store(i))
             for i in range(config.num_clusters)
         ]
+        if invariants == "strict":  # it reads the caches and directories
+            self.invariants = InvariantChecker(self)
         self.sync = SyncManager(self)
         self.processors: List[Processor] = []
         self._finished = 0

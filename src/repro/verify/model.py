@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import protocol
-from repro.core.base import DirectoryScheme
+from repro.core.base import DirectoryScheme, nodes_mask
 from repro.core.protocol import LineState
 from repro.core.sparse import DirectoryStore, FullMapDirectory, SparseDirectory
 from repro.machine.invariants import block_violations
@@ -385,18 +385,18 @@ def state_violations(
 
     Single-writer, directory coverage and the precision contract are
     :func:`repro.machine.invariants.block_violations` applied to each
-    modeled line's view (nodes MODIFIED / SHARED, the home's line).  The
-    one rule stated here needs the message multiset that view does not
-    carry: a line the home marks dirty must have a MODIFIED copy or its
-    owner's writeback in flight (the model's stand-in for the writeback
-    buffer).
+    modeled line's view (the masks of the nodes MODIFIED / SHARED, the
+    home's line).  The one rule stated here needs the message multiset
+    that view does not carry: a line the home marks dirty must have a
+    MODIFIED copy or its owner's writeback in flight (the model's
+    stand-in for the writeback buffer).
     """
     out: List[ModelViolation] = []
     precision = state.stores[0].scheme.precision
     for l, block in enumerate(cfg.blocks):
         line = state.stores[cfg.home(l)].peek(block)
-        modified = [p for p, row in enumerate(state.caches) if row[l] == MODIFIED]
-        shared = [p for p, row in enumerate(state.caches) if row[l] == SHARED]
+        modified = nodes_mask(p for p, row in enumerate(state.caches) if row[l] == MODIFIED)
+        shared = nodes_mask(p for p, row in enumerate(state.caches) if row[l] == SHARED)
         if (
             not modified
             and line is not None

@@ -1,18 +1,18 @@
-"""Eager reference models of the set-associative machine state.
+"""Eager reference models of the machine state the simulator keeps lazily.
 
-A direct-mapped level keeps one map of set -> resident block plus its
-DIRTY blocks, a set-associative ``CacheLevel`` one map of its resident
-lines plus a record per occupied set; both snapshot as two packed
-columns, ``ProcessorCache`` reads two direct-mapped levels' maps in place, and
-``SparseDirectory`` and the replacement policies keep only the sets
-something has been installed into.  These models are the obvious dense
-versions — one LRU-stack ``dict`` or slot row per possible set, allocated
-up front, a snapshot that appends block and state byte as its dense walk
-meets them, and a two-level hierarchy that goes through each level's own
-``lookup`` — and ``test_lazy_state.py`` drives both with the same
-operation sequences and requires every return value, victim, walk and
-snapshot to agree.  They are written for obviousness, not
-speed: no shared helpers with the code under test beyond
+A ``DirectMappedLevel`` keeps its sets in pages of slots, allocated by
+the first fill into a page, plus the set of its DIRTY blocks, and
+snapshots as two packed columns; ``ProcessorCache`` reads its two
+levels' slots in place; ``SparseDirectory`` and the replacement policies
+keep only the sets something has been installed into.  These models are
+the obvious dense versions — one slot per possible set, allocated up
+front, that holds the resident block and its state; a snapshot that
+appends block and state byte as its dense walk meets them; a two-level
+hierarchy that goes through each level's own ``peek``; one slot row and
+one stamp row per directory set — and ``test_lazy_state.py`` drives both
+with the same operation sequences and requires every return value,
+victim, walk and snapshot to agree.  They are written for obviousness,
+not speed: no shared helpers with the code under test beyond
 ``DirLine``/``Eviction``/``AllWaysBusy`` (plain records).
 """
 
@@ -28,89 +28,68 @@ from repro.machine.cache import LineState
 
 
 class EagerCacheLevel:
-    """A list of ``num_sets`` insertion-ordered dicts, each an LRU stack."""
+    """A direct-mapped level as a row of ``num_sets`` slots, each ``None``
+    or the resident ``(block, state)``."""
 
-    def __init__(self, capacity_bytes: int, block_bytes: int, assoc: int) -> None:
-        capacity_blocks = max(1, capacity_bytes // block_bytes)
-        self.assoc = min(assoc, capacity_blocks)
-        self.num_sets = max(1, capacity_blocks // self.assoc)
-        self.sets: List[Dict[int, LineState]] = [{} for _ in range(self.num_sets)]
-
-    def lookup(self, block: int) -> Optional[LineState]:
-        s = self.sets[block % self.num_sets]
-        if block not in s:
-            return None
-        state = s.pop(block)
-        s[block] = state
-        return state
+    def __init__(self, capacity_bytes: int, block_bytes: int) -> None:
+        self.num_sets = max(1, capacity_bytes // block_bytes)
+        self.slots: List[Optional[Tuple[int, LineState]]] = [None] * self.num_sets
 
     def peek(self, block: int) -> Optional[LineState]:
-        return self.sets[block % self.num_sets].get(block)
+        slot = self.slots[block % self.num_sets]
+        return slot[1] if slot is not None and slot[0] == block else None
 
     def install(
         self, block: int, state: LineState
     ) -> Optional[Tuple[int, LineState]]:
-        s = self.sets[block % self.num_sets]
-        if block in s:
-            del s[block]
-            s[block] = state
+        index = block % self.num_sets
+        slot = self.slots[index]
+        self.slots[index] = (block, state)
+        if slot is None or slot[0] == block:
             return None
-        victim = None
-        if len(s) >= self.assoc:
-            vblock = next(iter(s))
-            victim = (vblock, s.pop(vblock))
-        s[block] = state
-        return victim
+        return slot
 
     def set_state(self, block: int, state: LineState) -> None:
-        s = self.sets[block % self.num_sets]
-        if block in s:
-            s[block] = state
+        if self.peek(block) is not None:
+            self.slots[block % self.num_sets] = (block, state)
 
     def invalidate(self, block: int) -> Optional[LineState]:
-        return self.sets[block % self.num_sets].pop(block, None)
+        state = self.peek(block)
+        if state is not None:
+            self.slots[block % self.num_sets] = None
+        return state
 
     def blocks(self) -> Iterator[Tuple[int, LineState]]:
-        for s in self.sets:
-            yield from s.items()
+        return (slot for slot in self.slots if slot is not None)
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self.sets)
+        return sum(slot is not None for slot in self.slots)
 
     def to_state(self) -> Tuple[array, bytes]:
         blocks, states = array("q"), bytearray()
-        for s in self.sets:
-            for block, state in s.items():
-                blocks.append(block)
-                states.append(state)
+        for block, state in self.blocks():
+            blocks.append(block)
+            states.append(state)
         return blocks, bytes(states)
 
 
 class EagerProcessorCache:
     """Two ``EagerCacheLevel``s with the hierarchy's rules spelled out: a
-    probe refreshes every level it hits, a fill lands in both levels (L1
-    clean), an L2 victim leaves L1 too (inclusion) and a DIRTY one waits
-    in the writeback buffer."""
+    fill lands in both levels (L1 clean), an L2 victim leaves L1 too
+    (inclusion) and a DIRTY one waits in the writeback buffer."""
 
-    def __init__(
-        self, block_bytes: int, l1_bytes: int, l1_assoc: int,
-        l2_bytes: int, l2_assoc: int,
-    ) -> None:
-        self.l1 = EagerCacheLevel(l1_bytes, block_bytes, l1_assoc)
-        self.l2 = EagerCacheLevel(l2_bytes, block_bytes, l2_assoc)
+    def __init__(self, block_bytes: int, l1_bytes: int, l2_bytes: int) -> None:
+        self.l1 = EagerCacheLevel(l1_bytes, block_bytes)
+        self.l2 = EagerCacheLevel(l2_bytes, block_bytes)
         self.wb_buffer: Set[int] = set()
 
     def probe_read(self, block: int) -> Optional[str]:
-        in_l2 = self.l2.lookup(block) is not None
-        if self.l1.lookup(block) is not None:
+        if self.l1.peek(block) is not None:
             return "l1"
-        return "l2" if in_l2 else None
+        return "l2" if self.l2.peek(block) is not None else None
 
     def probe_write(self, block: int) -> bool:
-        if self.l2.lookup(block) is LineState.DIRTY:
-            self.l1.lookup(block)
-            return True
-        return False
+        return self.l2.peek(block) is LineState.DIRTY
 
     def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
         eviction = None

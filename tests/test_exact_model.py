@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import average_invalidations, exact_expected_invalidations
-from repro.analysis.invalidation import _hypergeom_zero
+from repro.analysis import average_invalidations
+
+from tests.exact_model import _hypergeom_zero, exact_expected_invalidations
 
 
 class TestClosedForms:

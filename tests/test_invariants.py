@@ -6,7 +6,9 @@ invariant is violated by hand-tampering a finished machine, and the
 checker must name it.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,13 @@ from repro.apps import DWFWorkload, MP3DWorkload
 from repro.cli import app_factory
 from repro.core import FullBitVectorScheme, SparseDirectory
 from repro.core.registry import SCHEME_FACTORIES, make_scheme
-from repro.machine import DashSystem, MachineConfig
-from repro.machine.cache import LineState
+from repro.machine import DashSystem, MachineConfig, invariants
+from repro.machine.cache import (
+    CacheCensus,
+    DirectMappedLevel,
+    LineState,
+    ProcessorCache,
+)
 from repro.machine.invariants import (
     CoherenceViolation,
     InvariantChecker,
@@ -125,8 +132,8 @@ class TestPrecisionContract:
             def is_exact(self):
                 return False
 
-            def invalidation_targets(self, exclude=()):
-                return range(NUM_CLUSTERS)
+            def covered(self):
+                return (1 << NUM_CLUSTERS) - 1
 
         system = _ran_system(scheme="full")
         block, _holder = _shared_block(system)
@@ -291,3 +298,17 @@ def test_peek_has_no_replacement_side_effect():
     assert store.policy.to_state() == before  # ... peek does not
     _, evictions = store.get_or_allocate(2)
     assert [ev.block for ev in evictions] == [1]
+
+
+def test_the_audit_reads_no_cache_layout():
+    """``invariants.py`` reads the caches only through ``CacheCensus``: it
+    names no private attribute or method of a cache class."""
+    private = {"_walk"} | {
+        name
+        for cls in (DirectMappedLevel, ProcessorCache, CacheCensus)
+        for name in cls.__slots__
+        if name.startswith("_")
+    }
+    tree = ast.parse(Path(invariants.__file__).read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & private

@@ -8,7 +8,9 @@ stamp rows materialise a set on first install.  The property tests drive them
 and the dense models in ``eager_reference.py`` with the same random
 operation sequences and require every return value, victim,
 whole-structure walk and snapshot to agree (walks in ascending set order,
-which is the dense order).  The geometry tests build structures no dense
+which is the dense order); the coherence audit's ``CacheCensus``, which
+reads the lazy slots in place, must report what ``peek`` and ``blocks()``
+report on the dense caches.  The geometry tests build structures no dense
 layout could hold, refuse snapshots that do not fit, and price a resident
 line of the paper machine's direct-mapped caches, live and snapshotted.
 """
@@ -29,6 +31,7 @@ from repro.core.sparse import AllWaysBusy
 from repro.machine import DashSystem, MachineConfig
 from repro.machine.cache import (
     PAGE_SETS,
+    CacheCensus,
     DirectMappedLevel,
     LineState,
     ProcessorCache,
@@ -101,7 +104,7 @@ cache_ops = st.lists(
      ("install", PAGE_SETS, DIRTY), ("peek", PAGE_SETS, SHARED)])
 def test_cache_level_matches_eager_model(capacity, ops):
     lazy = _level(capacity)
-    eager = EagerCacheLevel(capacity, 16, 1)
+    eager = EagerCacheLevel(capacity, 16)
     assert lazy.num_sets == eager.num_sets
     for op, block, state in ops:
         args = (block, state) if op in ("install", "set_state") else (block,)
@@ -115,9 +118,9 @@ def test_cache_level_matches_eager_model(capacity, ops):
     assert clone.to_state() == lazy.to_state() == eager.to_state()
 
 
-# (L1 bytes, L1 assoc, L2 bytes, L2 assoc), 16 B blocks
-PAGED_HIERARCHY = (16 * (PAGE_SETS + PAGE_SETS // 2), 1, 16 * PAGED_SETS, 1)
-HIERARCHIES = [(64, 1, 128, 1), PAGED_HIERARCHY]
+# (L1 bytes, L2 bytes), 16 B blocks
+PAGED_HIERARCHY = (16 * (PAGE_SETS + PAGE_SETS // 2), 16 * PAGED_SETS)
+HIERARCHIES = [(64, 128), PAGED_HIERARCHY]
 
 hierarchy_ops = st.lists(
     st.tuples(
@@ -140,8 +143,9 @@ hierarchy_ops = st.lists(
         ("install", PAGED_SETS + 1), ("install", PAGE_SETS + 1),
         ("probe_read", PAGED_SETS + 1), ("probe_write", PAGED_SETS + 1)]])
 def test_processor_cache_matches_eager_model(geometry, ops):
-    lazy = ProcessorCache(16, *geometry)
-    eager = EagerProcessorCache(16, *geometry)
+    l1_bytes, l2_bytes = geometry
+    lazy = ProcessorCache(16, l1_bytes, 1, l2_bytes, 1)
+    eager = EagerProcessorCache(16, l1_bytes, l2_bytes)
     for op, block, state in ops:
         args = (block, state) if op == "install" else (block,)
         assert getattr(lazy, op)(*args) == getattr(eager, op)(*args), (op, block)
@@ -149,6 +153,69 @@ def test_processor_cache_matches_eager_model(geometry, ops):
         assert list(lazy.l1.blocks()) == list(eager.l1.blocks())
         assert list(lazy.l2.blocks()) == list(eager.l2.blocks())
         assert lazy.to_state() == eager.to_state()
+
+
+#: a census of 3 clusters x 2 caches: (cache index, op, block, state); the
+#: "orphan" op fills a block, then drops it from the L2 only
+census_ops = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(["install", "clean", "invalidate", "orphan", "dirty"]),
+        block_ids,
+        st.sampled_from(list(LineState)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(HIERARCHIES), census_ops)
+def test_cache_census_matches_eager_caches(geometry, ops):
+    """``CacheCensus`` reads the slots in place; the dense caches, read
+    with ``peek`` and ``blocks()``, must tell the same story, block by
+    block and for the whole machine, in the same order."""
+    l1_bytes, l2_bytes = geometry
+    lazy = [[ProcessorCache(16, l1_bytes, 1, l2_bytes, 1) for _ in range(2)]
+            for _ in range(3)]
+    eager = [[EagerProcessorCache(16, l1_bytes, l2_bytes) for _ in range(2)]
+             for _ in range(3)]
+    for index, op, block, state in ops:
+        for caches in (lazy, eager):
+            cache = caches[index // 2][index % 2]
+            if op == "install":
+                cache.install(block, state)
+            elif op == "orphan":
+                cache.install(block, state)
+                cache.l2.invalidate(block)
+            elif op == "dirty":
+                cache.l2.set_state(block, DIRTY)
+            else:
+                getattr(cache, op)(block)
+    census = CacheCensus(lazy)
+    dense = [(node, cache) for node, caches in enumerate(eager) for cache in caches]
+    for block in range(2 * PAGED_SETS + 1):
+        dirty = clean = 0
+        for node, cache in dense:
+            state = cache.l2.peek(block)
+            if state is DIRTY:
+                dirty |= 1 << node
+            elif state is SHARED:
+                clean |= 1 << node
+        orphans = tuple(
+            node for node, cache in dense
+            if cache.l2.peek(block) is None and cache.l1.peek(block) is not None
+        )
+        assert census.holders(block) == (dirty, clean, orphans), block
+    holders = {}
+    for node, cache in dense:
+        for block, state in cache.l2.blocks():
+            holders.setdefault(block, [0, 0])[state is SHARED] |= 1 << node
+    orphaned = [
+        (block, node) for node, cache in dense
+        for block, _ in cache.l1.blocks() if cache.l2.peek(block) is None
+    ]
+    assert census.sweep() == (orphaned, holders)
+    assert list(census.sweep()[1]) == list(holders)  # first-seen order
 
 
 def test_a_dirty_line_leaves_no_writable_copy_behind():

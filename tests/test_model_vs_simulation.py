@@ -10,10 +10,11 @@ break.
 
 import pytest
 
-from repro.analysis import exact_expected_invalidations
 from repro.apps import SharingDegreeWorkload
 from repro.machine import MachineConfig, run_workload
 from repro.machine.stats import InvalCause
+
+from tests.exact_model import exact_expected_invalidations
 
 PROCS = 16
 
