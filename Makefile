@@ -67,7 +67,7 @@ results:
 	for b in benchmarks/bench_fig*.py benchmarks/bench_table*.py \
 	         benchmarks/bench_ablation_*.py; do \
 	    echo "== $$b =="; \
-	    python $$b --jobs $(JOBS) \
+	    PYTHONPATH=src python $$b --jobs $(JOBS) \
 	        $(if $(CACHE_DIR),--cache-dir $(CACHE_DIR),) || exit 1; \
 	done
 

@@ -54,24 +54,14 @@ class DirectoryEntry(ABC):
         """
 
     @abstractmethod
-    def remove_sharer(self, node: int) -> None:
-        """Best-effort removal (replacement hint / writeback).
-
-        Coarse representations may be unable to remove a single node (a
-        region bit covers ``r`` nodes); they must stay conservative and
-        keep the node covered rather than drop other possible sharers.
-        """
-
-    @abstractmethod
     def covered(self) -> int:
         """Bitmask of every node an invalidation of the block must reach.
 
         The one statement of who the entry covers: a superset of the true
         sharers, equal to them only while the representation is exact.
         Must be free of side effects — audits, the model checker and the
-        protocol all read it, and only ``record_sharer`` /
-        ``remove_sharer`` / ``reset`` may advance state shared between
-        entries (the overflow cache's LRU).
+        protocol all read it, and only ``record_sharer`` / ``reset`` may
+        advance state shared between entries (the overflow cache's LRU).
         """
 
     @abstractmethod
@@ -213,10 +203,6 @@ class DirectoryScheme(ABC):
         :mod:`repro.core.overhead` composes those.
         """
 
-    def entry_bits(self, *, tag_bits: int = 0) -> int:
-        """Total bits per entry: presence + 1 dirty bit + optional tag."""
-        return self.presence_bits() + 1 + tag_bits
-
     # -- state capture (simulation checkpointing) ------------------------
 
     def to_state(self) -> Dict[str, Any]:
@@ -300,12 +286,6 @@ class PointerListEntry(DirectoryEntry):
             self.pointers.append(node)
             return ()
         return None
-
-    def _remove_pointer(self, node: int) -> None:
-        try:
-            self.pointers.remove(node)
-        except ValueError:
-            pass
 
 
 def nodes_mask(nodes: Iterable[int]) -> int:

@@ -60,16 +60,6 @@ class CoarseVectorEntry(PointerListEntry):
         self.pointers.clear()
         return ()
 
-    def remove_sharer(self, node: int) -> None:
-        if not self.coarse:
-            self._remove_pointer(node)
-            return
-        # A region bit covers r nodes; clearing it could lose other
-        # sharers in the same region.  Only safe when r == 1 (the coarse
-        # vector then *is* a full bit vector over the nodes).
-        if self.scheme.region_size == 1:
-            self.region_mask &= ~(1 << self._region_of(node))
-
     def covered(self) -> int:
         if not self.coarse:
             return nodes_mask(self.pointers)

@@ -33,10 +33,6 @@ class FullBitVectorEntry(DirectoryEntry):
         self.mask |= 1 << node
         return ()
 
-    def remove_sharer(self, node: int) -> None:
-        check_node(node, self.num_nodes)
-        self.mask &= ~(1 << node)
-
     def covered(self) -> int:
         return self.mask
 

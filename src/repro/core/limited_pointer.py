@@ -47,12 +47,6 @@ class BroadcastEntry(PointerListEntry):
             return ()
         return handled
 
-    def remove_sharer(self, node: int) -> None:
-        if not self.broadcast:
-            self._remove_pointer(node)
-        # In broadcast mode individual removals are unrepresentable; the
-        # broadcast bit stays conservative.
-
     def covered(self) -> int:
         return self.scheme.all_nodes if self.broadcast else nodes_mask(self.pointers)
 
@@ -112,9 +106,6 @@ class NoBroadcastEntry(PointerListEntry):
         victim = self.pointers[victim_index]
         self.pointers[victim_index] = node
         return (victim,)
-
-    def remove_sharer(self, node: int) -> None:
-        self._remove_pointer(node)
 
     def covered(self) -> int:
         return nodes_mask(self.pointers)

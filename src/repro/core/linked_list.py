@@ -48,15 +48,6 @@ class LinkedListEntry(DirectoryEntry):
         self.chain.insert(0, node)
         return ()
 
-    def remove_sharer(self, node: int) -> None:
-        # Rollout: a cache replacing the line splices itself out of the
-        # list; the linked list supports this exactly (unlike the coarse
-        # representations).
-        try:
-            self.chain.remove(node)
-        except ValueError:
-            pass
-
     def covered(self) -> int:
         return nodes_mask(self.chain)
 

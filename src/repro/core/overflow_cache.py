@@ -39,8 +39,8 @@ class _WideStore:
 
     def peek(self, key: int) -> int | None:
         """The mask, without counting as a use: only :meth:`put` (a
-        ``record_sharer`` / ``remove_sharer``) advances the LRU, so no
-        read of an entry can reorder later victims."""
+        ``record_sharer``) advances the LRU, so no read of an entry can
+        reorder later victims."""
         return self._masks.get(key)
 
     def put(self, key: int, mask: int) -> Tuple[int, int] | None:
@@ -103,16 +103,6 @@ class OverflowCacheEntry(PointerListEntry):
             evicted_key, _ = evicted
             self.scheme._mark_broadcast(evicted_key)
         return ()
-
-    def remove_sharer(self, node: int) -> None:
-        if self.broadcast:
-            return
-        if self.wide:
-            mask = self.scheme.wide_store.peek(self.key)
-            if mask is not None:
-                self.scheme.wide_store.put(self.key, mask & ~(1 << node))
-            return
-        self._remove_pointer(node)
 
     def covered(self) -> int:
         if self.wide:

@@ -20,8 +20,6 @@ W2    write      dirty(o != req)  IV at o; regrant(req)                         
 W3    write      dirty(req)       regrant(req); invalidation round              dirty(req)   (None, targets, mates)
 B1    writeback  dirty(req)       WD at req; CB at req ? record(req) : release  shared/gone  still_shared
 B2    writeback  anything else    WD at req (stale: ownership moved on)         unchanged    None
-H1    hint       clean            remove_sharer(req); release if empty          shared/gone  None
-H2    hint       dirty            none                                          unchanged    None
 NB    record     pointers full    IV at each victim (Dir_iNB only)              shared       victims
 RC    recall     entry replaced   IV at each covered node                       gone         None
 ====  =========  ===============  ============================================  ===========  ======================
@@ -77,7 +75,6 @@ from repro.core.sparse import DirectoryStore, DirLine, Eviction
 READ = "read"
 WRITE = "write"
 WRITEBACK = "writeback"
-HINT = "hint"
 
 
 class LineState(IntEnum):
@@ -284,15 +281,6 @@ def writeback(
     else:
         store.release(block)
     return still_shared
-
-
-def hint(store: DirectoryStore, block: int, req: int) -> None:
-    """Rows H1-H2: a replacement hint forgets a clean sharer."""
-    line = store.lookup(block)
-    if line is not None and not line.dirty:
-        line.entry.remove_sharer(req)
-        if line.is_empty():
-            store.release(block)
 
 
 def record_sharer(

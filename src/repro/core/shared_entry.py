@@ -89,7 +89,6 @@ class SharedEntryDirectory(DirectoryStore):
     def release(self, block: int) -> None:
         line = self._lines.get(block)
         if line is not None and line.is_empty():
-            line.reset()  # the group's entry is empty: nothing is lost
             del self._lines[block]
             group = self.group_of(block)
             if not any(

@@ -95,10 +95,10 @@ class DirectoryStore(ABC):
 
     @abstractmethod
     def release(self, block: int) -> None:
-        """Hint that ``block``'s line is now empty and may be freed.
+        """Free ``block``'s line if it is empty (no-op otherwise).
 
-        A freed line is ``reset()`` first: its entry may hold scheme
-        state (an overflow-cache wide slot) that must go with it."""
+        An empty entry holds no scheme state: entries only grow until
+        ``reset()``, which frees an overflow-cache wide slot itself."""
 
     def blocks_invalidated_with(self, block: int) -> Tuple[int, ...]:
         """Blocks whose cached copies an invalidation of ``block`` kills.
@@ -171,7 +171,6 @@ class FullMapDirectory(DirectoryStore):
         # working set rather than all of memory.
         line = self._lines.get(block)
         if line is not None and line.is_empty():
-            line.reset()  # scheme state (a wide slot) must not outlive it
             del self._lines[block]
 
     def capacity_entries(self) -> Optional[int]:
@@ -376,7 +375,6 @@ class SparseDirectory(DirectoryStore):
             if way.tag == tag:
                 assert way.line is not None
                 if way.line.is_empty():
-                    way.line.reset()  # as in _evict
                     way.tag = -1
                     way.line = None
                     self._valid -= 1

@@ -64,11 +64,6 @@ class SupersetEntry(PointerListEntry):
         self.pointers.clear()
         return ()
 
-    def remove_sharer(self, node: int) -> None:
-        if self.composite is None:
-            self._remove_pointer(node)
-        # A composite cannot drop one node without risking under-coverage.
-
     def covered(self) -> int:
         if self.composite is None:
             return nodes_mask(self.pointers)

@@ -223,8 +223,7 @@ class ProcessorCache:
         a fill evicts at most one line — or ``None``.
 
         A DIRTY victim is parked in the writeback buffer (the caller must
-        issue the writeback); a SHARED victim is reported so the caller
-        can send a replacement hint when that option is enabled.
+        issue the writeback); a SHARED victim leaves silently.
         """
         eviction = None
         victim = self.l2.install(block, state)

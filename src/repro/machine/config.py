@@ -52,7 +52,6 @@ class MachineConfig:
     sparse_size_factor: Optional[float] = None  # None => full map
     sparse_assoc: int = 4
     sparse_policy: str = "random"  # lru | lra | random
-    replacement_hints: bool = False  # notify directory on clean evictions
     #: pool the presence entry of this many consecutive home blocks
     #: (§7 "multiple memory blocks share one wide entry"); None = per-block
     shared_entry_group: Optional[int] = None
@@ -66,11 +65,6 @@ class MachineConfig:
     #: are issued and retired in the background; lock/unlock/barrier ops
     #: (and the end of the program) fence until outstanding writes drain.
     release_consistency: bool = False
-
-    # -- robustness ---------------------------------------------------------------
-    #: invariant-checker horizon: a transaction outstanding longer than
-    #: this (doubled per fault-layer retry) trips the watchdog invariant
-    watchdog_cycles: float = 50_000.0
 
     # -- misc -------------------------------------------------------------------
     seed: int = 0
@@ -123,8 +117,6 @@ class MachineConfig:
                 )
         if self.network not in ("uniform", "mesh"):
             raise ValueError("network must be 'uniform' or 'mesh'")
-        if self.watchdog_cycles <= 0:
-            raise ValueError("watchdog_cycles must be positive")
 
     def with_(self, **changes) -> "MachineConfig":
         """A modified copy (dataclasses.replace wrapper)."""

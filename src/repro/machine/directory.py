@@ -1,10 +1,10 @@
 """Per-cluster directory controller: the DASH coherence protocol engine.
 
 Each cluster's controller owns the directory state for the blocks whose
-home it is.  Transactions (read / write / writeback / replacement hint)
-are serialized per block: a block stays *busy* from service until the
-transaction's last effect lands, and later arrivals queue — the same
-global ordering DASH enforces with busy-retry NAKs, but deterministic.
+home it is.  Transactions (read / write / writeback) are serialized per
+block: a block stays *busy* from service until the transaction's last
+effect lands, and later arrivals queue — the same global ordering DASH
+enforces with busy-retry NAKs, but deterministic.
 
 State effects are applied atomically at service time, by the transition
 functions of :mod:`repro.core.protocol` (the one statement of the
@@ -34,7 +34,7 @@ from typing import (
 )
 
 from repro.core import protocol
-from repro.core.protocol import HINT, READ, WRITE, WRITEBACK
+from repro.core.protocol import READ, WRITE, WRITEBACK
 from repro.core.sparse import AllWaysBusy, DirectoryStore, DirLine, Eviction
 from repro.machine.faults import FaultBudgetExceeded, FaultKind
 from repro.machine.messages import MsgClass
@@ -99,7 +99,7 @@ class Transaction:
         #: (cycles per ``_phases`` leg; they sum to the execution delta)
         self.phases: Optional[Tuple[float, ...]] = None
         #: processor continuation + issue time, carried for the system's
-        #: shared miss-completion handler (None/0.0 for writebacks, hints)
+        #: shared miss-completion handler (None/0.0 for writebacks)
         self.resume: Optional[Callable[[float, bool], None]] = None
         self.t_issue = 0.0
 
@@ -163,7 +163,6 @@ class DirectoryController:
             READ: self._execute_read,
             WRITE: self._execute_write,
             WRITEBACK: self._execute_writeback,
-            HINT: self._execute_hint,
         }
         #: (block, cluster) -> number of in-flight writebacks that were
         #: obsoleted by a subsequent ownership re-grant and must be dropped
@@ -218,35 +217,22 @@ class DirectoryController:
                 self._trace_msg(txn, now, arrival)
             events.at(arrival, self._arrive, txn)
             return
-        # Replacement hints depend on point-to-point ordering (a delayed
-        # hint could erase a re-fetched sharer) and are pure optimization,
-        # so they are never delayed and never retried — see faults.py.
-        best_effort = txn.kind == HINT
-        d = deliver(
-            txn.requester, self.cluster_id, now,
-            reorderable=not best_effort, txn_id=txn.txn_id,
-        )
+        d = deliver(txn.requester, self.cluster_id, now, txn_id=txn.txn_id)
         if d.fault is not None:
             machine.stats.count_fault(d.fault)
         if not d.arrivals:
             # dropped in the interconnect: the requester's timeout fires
             # and the request is reissued with exponential backoff
-            if best_effort:
-                self._abandon(txn)
-            else:
-                self._schedule_retry(txn, 0.0)
+            self._schedule_retry(txn, 0.0)
             return
         if d.nak:
             # the home refuses service: the NAK rides the reply class, and
             # the requester retries after the observed round trip
             machine.count_msg(MsgClass.REPLY, self.cluster_id, txn.requester)
-            if best_effort:
-                self._abandon(txn)
-            else:
-                round_trip = (d.arrivals[0] - now) + net.leg(
-                    self.cluster_id, txn.requester
-                )
-                self._schedule_retry(txn, round_trip)
+            round_trip = (d.arrivals[0] - now) + net.leg(
+                self.cluster_id, txn.requester
+            )
+            self._schedule_retry(txn, round_trip)
             return
         for arrival in d.arrivals:
             if self._obs.enabled:
@@ -259,11 +245,6 @@ class DirectoryController:
             "net.msg", sent, arrival - sent, txn.requester,
             txn.kind, txn.block, self.cluster_id, txn.txn_id,
         )
-
-    def _abandon(self, txn: Transaction) -> None:
-        """Drop a best-effort request for good (hints are optimizations)."""
-        if self.machine.invariants is not None:
-            self.machine.invariants.on_abandon(txn)
 
     def _schedule_retry(self, txn: Transaction, extra_delay: float) -> None:
         """Reissue a faulted request after (bounded) exponential backoff."""
@@ -573,7 +554,7 @@ class DirectoryController:
             )
         return delta + max(reply_path, ack_path)
 
-    # -- writebacks and hints ------------------------------------------------------
+    # -- writebacks ------------------------------------------------------------
 
     def _cancel_inflight_writeback(self, block: int, cluster: int) -> None:
         """Mark the cluster's pending writeback for this block obsolete.
@@ -615,10 +596,6 @@ class DirectoryController:
             # tells conformance whether the cluster kept a clean copy
             txn.still_shared = still_shared
         return cfg.bus_cycles
-
-    def _execute_hint(self, txn: Transaction) -> float:
-        protocol.hint(self.store, txn.block, txn.requester)
-        return self._cfg.dir_service_cycles
 
     # -- invalidation rounds: the sparse recall, and what every round shares --------
 

@@ -16,11 +16,6 @@ must absorb it with extra invalidations, never with incoherence.  The
 invariant checker (:mod:`repro.machine.invariants`) verifies exactly
 that.
 
-Replacement hints are best-effort by design: a *delayed* hint could
-legally overtake a later re-fetch of the same block and erase a live
-sharer, so hints are never delayed, and a dropped or NAKed hint is
-abandoned rather than retried (losing one only costs a stale entry).
-
 Everything here is zero-cost when disabled: a machine built without a
 plan never touches this module on its hot path.
 """
@@ -177,12 +172,8 @@ class FaultPlan:
 
     # -- per-message decisions ---------------------------------------------
 
-    def message_fault(self, *, reorderable: bool = True) -> Optional[FaultKind]:
-        """Roll the fate of one inter-cluster request message.
-
-        ``reorderable=False`` (replacement hints) suppresses DELAY —
-        those messages rely on point-to-point ordering for correctness.
-        """
+    def message_fault(self) -> Optional[FaultKind]:
+        """Roll the fate of one inter-cluster request message."""
         if not self.budget_left():
             return None
         roll = self.rng.random()
@@ -196,8 +187,6 @@ class FaultPlan:
             return FaultKind.DUPLICATE
         edge += self.delay_prob
         if roll < edge:
-            if not reorderable:
-                return None
             self._spend()
             return FaultKind.DELAY
         edge += self.nak_prob

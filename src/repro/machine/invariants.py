@@ -68,6 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.directory import Transaction
     from repro.machine.system import DashSystem
 
+#: watchdog horizon in cycles: a transaction outstanding longer than this
+#: (doubled per fault-layer retry) trips the watchdog invariant
+WATCHDOG_CYCLES = 50_000.0
+
 
 class CoherenceViolation(AssertionError):
     """A machine-wide coherence invariant failed.
@@ -84,6 +88,16 @@ class CoherenceViolation(AssertionError):
         self.invariant = invariant
         self.message = message
         self.block = block
+
+
+def _line_text(line: Optional["DirLine"]) -> str:
+    """A directory line as violation text: whom it covers, and its owner."""
+    if line is None:
+        return "no line"
+    return (
+        f"line covers {mask_nodes(line.entry.covered())}, "
+        f"dirty={line.dirty}, owner={line.owner}"
+    )
 
 
 def block_violations(
@@ -125,7 +139,7 @@ def block_violations(
             found.append((
                 "directory-coverage",
                 f"directory does not record cluster {owner} as owner of "
-                f"dirty block {block} (line={line})",
+                f"dirty block {block} ({_line_text(line)})",
             ))
     elif clean:
         # only a clean line's entry covers anyone: while a line is dirty
@@ -135,8 +149,8 @@ def block_violations(
         if missed:
             found.append((
                 "directory-coverage",
-                f"clean block {block} cached in {mask_nodes(missed)} but the "
-                f"directory covers only {mask_nodes(covered)} (line={line})",
+                f"clean block {block} cached in {mask_nodes(missed)}, which "
+                f"the directory does not cover ({_line_text(line)})",
             ))
     if precision == "exact" and line is not None and not line.entry.is_exact():
         found.append((
@@ -232,14 +246,10 @@ class InvariantChecker:
         self,
         system: "DashSystem",
         *,
-        watchdog_cycles: Optional[float] = None,
+        watchdog_cycles: float = WATCHDOG_CYCLES,
     ) -> None:
         self.system = system
-        self.watchdog_cycles = (
-            system.config.watchdog_cycles
-            if watchdog_cycles is None
-            else watchdog_cycles
-        )
+        self.watchdog_cycles = watchdog_cycles
         #: id(txn) -> (txn, first submit time); the txn reference keeps the
         #: object alive so ids cannot be recycled while outstanding
         self._outstanding: Dict[int, Tuple["Transaction", float]] = {}
@@ -294,10 +304,6 @@ class InvariantChecker:
     def on_submit(self, txn: "Transaction", now: float) -> None:
         """First submission of a transaction (retries keep the entry)."""
         self._outstanding.setdefault(id(txn), (txn, now))
-
-    def on_abandon(self, txn: "Transaction") -> None:
-        """A best-effort request (replacement hint) was dropped for good."""
-        self._outstanding.pop(id(txn), None)
 
     def on_finish(self, txn: "Transaction", now: float) -> None:
         """A transaction's last effect landed: watchdog, then audit its

@@ -133,8 +133,7 @@ class FaultyNetwork(Network):
         return self.inner.leg(src, dst)
 
     def deliver(
-        self, src: int, dst: int, now: float, *, reorderable: bool = True,
-        txn_id: int | None = None,
+        self, src: int, dst: int, now: float, *, txn_id: int | None = None,
     ) -> Delivery:
         """Arrival schedule for one request message sent at ``now``.
 
@@ -144,7 +143,7 @@ class FaultyNetwork(Network):
         leg = self.inner.leg(src, dst)
         if src == dst:
             return Delivery(arrivals=(now + leg,))
-        kind = self.plan.message_fault(reorderable=reorderable)
+        kind = self.plan.message_fault()
         if kind is None:
             return Delivery(arrivals=(now + leg,))
         if self.tracer.enabled:

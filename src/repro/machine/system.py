@@ -25,7 +25,7 @@ from repro.core.sparse import (
 )
 from repro.machine.cluster import Cluster
 from repro.machine.config import MachineConfig
-from repro.machine.directory import HINT, READ, WRITE, WRITEBACK, DirectoryController, Transaction
+from repro.machine.directory import READ, WRITE, WRITEBACK, DirectoryController, Transaction
 from repro.machine.events import EventQueue
 from repro.machine.faults import FaultPlan
 from repro.machine.invariants import InvariantChecker, machine_state_violations
@@ -275,29 +275,17 @@ class DashSystem:
     def _handle_eviction(
         self, cluster_id: int, vblock: int, was_dirty: bool
     ) -> None:
-        """Issue the writeback (or optional hint) for a cache fill's victim."""
-        procs = self.nodes[cluster_id]
-        if was_dirty:
-            self.stats.writebacks += 1
-            if self.obs.enabled:
-                self.obs.record(
-                    "wb.issue", self.events.now, None, cluster_id, vblock
-                )
-            still_shared = protocol.copies_besides_wb(procs, vblock)
-            self.directories[self._home_of(vblock)].submit(
-                Transaction(
-                    WRITEBACK, vblock, cluster_id, still_shared=still_shared
-                )
-            )
-        elif self.config.replacement_hints:
-            if not protocol.copies_besides_wb(procs, vblock):
-                if self.obs.enabled:
-                    self.obs.record(
-                        "hint.issue", self.events.now, None, cluster_id, vblock
-                    )
-                self.directories[self._home_of(vblock)].submit(
-                    Transaction(HINT, vblock, cluster_id)
-                )
+        """Issue the writeback for a cache fill's DIRTY victim; a clean
+        victim leaves silently (the directory keeps covering it)."""
+        if not was_dirty:
+            return
+        self.stats.writebacks += 1
+        if self.obs.enabled:
+            self.obs.record("wb.issue", self.events.now, None, cluster_id, vblock)
+        still_shared = protocol.copies_besides_wb(self.nodes[cluster_id], vblock)
+        self.directories[self._home_of(vblock)].submit(
+            Transaction(WRITEBACK, vblock, cluster_id, still_shared=still_shared)
+        )
 
     # -- checkpointing --------------------------------------------------------------
 

@@ -90,8 +90,6 @@ EVENTS: Dict[str, EventSpec] = {
                     "faulted request reissued after backoff"),
     "wb.issue": _E(INSTANT, "cluster", ("block",),
                    "dirty eviction put a writeback on the wire"),
-    "hint.issue": _E(INSTANT, "cluster", ("block",),
-                     "clean eviction sent a replacement hint"),
     "dir.service": _E(SPAN, "directory",
                       ("kind", "block", "requester", "t_start",
                        "still_shared", "txn_id", "phases"),

@@ -11,15 +11,15 @@ of actions the model *did* allow at that point.
 Per-address projection
 ----------------------
 The model is per-line, so the trace is projected per block: every
-relevant event (``txn.read``/``txn.write`` issues, ``wb.issue`` /
-``hint.issue`` evictions, ``dir.service`` deliveries,
-``dir.sparse_evict`` recalls) is bucketed by block and sorted by the
-instant its state change took effect — issue events at their emission
-time, services at ``args["t_start"]`` (the execution start the engine
-records exactly for this purpose; ``ts`` = arrival is used for older
-traces).  Issues order before services at equal timestamps, and the
-original event index breaks remaining ties.  Each block's sequence is
-then driven through a fresh single-line model instance.
+relevant event (``txn.read``/``txn.write`` issues, ``wb.issue``
+evictions, ``dir.service`` deliveries, ``dir.sparse_evict`` recalls) is
+bucketed by block and sorted by the instant its state change took
+effect — issue events at their emission time, services at
+``args["t_start"]`` (the execution start the engine records exactly for
+this purpose; ``ts`` = arrival is used for older traces).  Issues order
+before services at equal timestamps, and the original event index
+breaks remaining ties.  Each block's sequence is then driven through a
+fresh single-line model instance.
 
 Engine/model gap repairs (each counted in the result):
 
@@ -35,9 +35,6 @@ Engine/model gap repairs (each counted in the result):
   service); the model's nodes are one processor each, so the evicting
   node is filled ``SHARED`` again (the kernel's fill row) before the
   delivery, and the kernel's writeback row re-records it;
-* **replacement hints** — pure optimizations outside the model's action
-  set; ``hint.issue`` maps to a clean ``drop`` and the hint's service
-  calls :func:`repro.core.protocol.hint`, as the engine does;
 * **sparse recalls** — a single-line model cannot reproduce cross-block
   replacement pressure, so a ``dir.sparse_evict`` event is trusted: the
   kernel's recall row runs at the recorded victim nodes, as the
@@ -84,19 +81,16 @@ RELEVANT_EVENTS = (
     "txn.read",
     "txn.write",
     "wb.issue",
-    "hint.issue",
     "dir.service",
     "dir.sparse_evict",
 )
 
-#: dir.service kind -> the model message its delivery consumes
+#: dir.service kind (every kind machine.directory emits) -> the model
+#: message its delivery consumes
 _MSG_OF = {
     protocol.READ: MSG_READ, protocol.WRITE: MSG_WRITE,
     protocol.WRITEBACK: MSG_WB,
 }
-#: every dir.service kind machine.directory emits (hints have no message:
-#: they are outside the model's action set)
-_SERVICE_KINDS = (*_MSG_OF, protocol.HINT)
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,6 @@ class ConformanceResult:
     drops_inserted: int = 0
     cancelled_wb_skipped: int = 0
     still_shared_wbs: int = 0
-    hints_applied: int = 0
     sparse_recalls: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     #: model invariant violations raised while replaying (a conforming
@@ -163,7 +156,6 @@ class ConformanceResult:
             "drops_inserted": self.drops_inserted,
             "cancelled_wb_skipped": self.cancelled_wb_skipped,
             "still_shared_wbs": self.still_shared_wbs,
-            "hints_applied": self.hints_applied,
             "sparse_recalls": self.sparse_recalls,
             "divergences": len(self.divergences),
             "violations": len(self.violations),
@@ -345,18 +337,6 @@ class _BlockChecker:
         if name == "wb.issue":
             return self._try(("evict", ev.tid, 0), idx, seq, ev)
 
-        if name == "hint.issue":
-            st = self.state.caches[ev.tid][0] if 0 <= ev.tid < self.cfg.num_nodes else None
-            if st == SHARED:
-                self._apply(("drop", ev.tid, 0), idx, ev)
-                self.result.hints_applied += 1
-                return True
-            if st == INVALID:
-                # already recalled/invalidated in the model; nothing to drop
-                return True
-            self._diverge(idx, seq, ev, f"clean drop by node {ev.tid}")
-            return False
-
         if name == "dir.sparse_evict":
             nodes = args.get("nodes")
             if not isinstance(nodes, list):
@@ -381,34 +361,30 @@ class _BlockChecker:
         # dir.service
         kind = args.get("kind")
         req = args.get("requester")
-        if kind not in _SERVICE_KINDS or not isinstance(req, int):
+        if kind not in _MSG_OF or not isinstance(req, int):
             self._diverge(idx, seq, ev, f"service kind={kind!r} from {req!r}")
             return False
         if kind in (protocol.READ, protocol.WRITE):
             return self._try(("deliver", _MSG_OF[kind], 0, req), idx, seq, ev)
-        if kind == protocol.WRITEBACK:
-            wb: Message = (MSG_WB, 0, req)
-            if wb not in self.state.msgs:
-                if self.cancelled[req] > 0:
-                    # obsoleted by a later re-grant; engine drops it too
-                    self.cancelled[req] -= 1
-                    self.result.cancelled_wb_skipped += 1
-                    return True
-                self._diverge(idx, seq, ev, describe_action(("deliver",) + wb))
-                return False
-            if args.get("still_shared") and self.state.caches[req][0] == INVALID:
-                # the evicting cluster kept a clean copy (multi-processor
-                # cluster); fill it back (row FL) so the delivery
-                # re-records the node (protocol.writeback's CB branch)
-                protocol.fill(
-                    node_views(self.state, self.cfg)[req], 0, self.block, False
-                )
-                self.result.still_shared_wbs += 1
-            return self._try(("deliver",) + wb, idx, seq, ev)
-        # hint service: outside the model's actions, so call the kernel
-        protocol.hint(self.state.stores[self.cfg.home(0)], self.block, req)
-        self.result.hints_applied += 1
-        return True
+        # a writeback's delivery
+        wb: Message = (MSG_WB, 0, req)
+        if wb not in self.state.msgs:
+            if self.cancelled[req] > 0:
+                # obsoleted by a later re-grant; engine drops it too
+                self.cancelled[req] -= 1
+                self.result.cancelled_wb_skipped += 1
+                return True
+            self._diverge(idx, seq, ev, describe_action(("deliver",) + wb))
+            return False
+        if args.get("still_shared") and self.state.caches[req][0] == INVALID:
+            # the evicting cluster kept a clean copy (multi-processor
+            # cluster); fill it back (row FL) so the delivery
+            # re-records the node (protocol.writeback's CB branch)
+            protocol.fill(
+                node_views(self.state, self.cfg)[req], 0, self.block, False
+            )
+            self.result.still_shared_wbs += 1
+        return self._try(("deliver",) + wb, idx, seq, ev)
 
 
 def check_trace(
@@ -498,7 +474,6 @@ def format_conformance_report(result: ConformanceResult) -> str:
         f"  repairs: {result.drops_inserted} silent drops, "
         f"{result.cancelled_wb_skipped} cancelled writebacks, "
         f"{result.still_shared_wbs} still-shared writebacks, "
-        f"{result.hints_applied} hints, "
         f"{result.sparse_recalls} sparse recalls",
     ]
     for v in result.violations:

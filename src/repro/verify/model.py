@@ -26,8 +26,7 @@ Actions (one atomic step each):
     ``p`` evicts its dirty copy — the copy leaves the cache and a ``wb``
     message starts travelling home;
 ``("drop", p, l)``
-    ``p`` silently drops a clean copy (no message, like the simulator
-    without replacement hints);
+    ``p`` silently drops a clean copy (no message, like the simulator);
 ``("deliver", kind, l, p)``
     the home services one in-flight message by *executing*
     :mod:`repro.core.protocol` — the same directory and node rows
@@ -492,7 +491,6 @@ def counterexample_workload(
         block_bytes=block_bytes,
         l1_bytes=block_bytes * REPLAY_CACHE_BLOCKS,
         l2_bytes=block_bytes * REPLAY_CACHE_BLOCKS,
-        replacement_hints=False,
     )
     workload = ScriptedWorkload(scripts, block_bytes=block_bytes)
     return machine, workload

@@ -69,7 +69,7 @@ from repro.trace.event import Write, unpack
 P = 8
 
 #: one representative per directory-format family, including the sparse
-#: overflow configuration (replacement traffic exercises HINT events)
+#: overflow configuration
 SCHEME_FAMILIES = {
     "full-map": {},
     "broadcast": {"scheme": "Dir2B"},
@@ -828,7 +828,7 @@ histories = st.lists(st.tuples(nodes, st.booleans()), max_size=60)
 
 
 def _apply(entry, true_sharers, history):
-    """Replay add/remove-hint ops the way a machine would (as in
+    """Replay add / invalidation-round ops the way a machine would (as in
     test_properties_schemes), mutating ``true_sharers`` in place."""
     for node, is_add in history:
         if is_add:
@@ -836,10 +836,9 @@ def _apply(entry, true_sharers, history):
             true_sharers.add(node)
             for victim in evicted:
                 true_sharers.discard(victim)
-        else:
-            if node in true_sharers:
-                true_sharers.discard(node)
-                entry.remove_sharer(node)
+        elif node in true_sharers:
+            true_sharers.clear()
+            entry.reset()
 
 
 @settings(max_examples=60)
@@ -874,23 +873,17 @@ def test_entry_state_round_trips(history, extra, builder_idx):
     assert clone.is_empty() == entry.is_empty()
 
     # continued behavior: same evictions, same targets, same state
-    clone_sharers = set(true_sharers)
     for node, is_add in extra:
         if is_add:
             evicted = entry.record_sharer(node)
             assert clone.record_sharer(node) == evicted
             true_sharers.add(node)
-            clone_sharers.add(node)
             for victim in evicted:
                 true_sharers.discard(victim)
-                clone_sharers.discard(victim)
-        else:
-            if node in true_sharers:
-                true_sharers.discard(node)
-                entry.remove_sharer(node)
-            if node in clone_sharers:
-                clone_sharers.discard(node)
-                clone.remove_sharer(node)
+        elif node in true_sharers:
+            true_sharers.clear()
+            entry.reset()
+            clone.reset()
     assert clone.to_state() == entry.to_state()
     assert clone.invalidation_targets() == entry.invalidation_targets()
 

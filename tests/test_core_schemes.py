@@ -22,13 +22,6 @@ class TestFullBitVector:
         assert entry.invalidation_targets() == {0, 5, 31}
         assert entry.is_exact()
 
-    def test_remove_sharer(self):
-        entry = FullBitVectorScheme(8).make_entry()
-        entry.record_sharer(3)
-        entry.record_sharer(4)
-        entry.remove_sharer(3)
-        assert entry.invalidation_targets() == {4}
-
     def test_duplicate_add_is_idempotent(self):
         entry = FullBitVectorScheme(8).make_entry()
         entry.record_sharer(2)
@@ -87,20 +80,6 @@ class TestBroadcast:
             entry.record_sharer(n)
         # home=0, writer=7 excluded -> N-2 invalidations
         assert len(entry.invalidation_targets(exclude=[0, 7])) == 6
-
-    def test_remove_in_pointer_mode(self):
-        entry = LimitedPointerBroadcastScheme(32, 3).make_entry()
-        entry.record_sharer(1)
-        entry.record_sharer(2)
-        entry.remove_sharer(1)
-        assert entry.invalidation_targets() == {2}
-
-    def test_remove_in_broadcast_mode_is_conservative(self):
-        entry = LimitedPointerBroadcastScheme(8, 1).make_entry()
-        entry.record_sharer(1)
-        entry.record_sharer(2)
-        entry.remove_sharer(1)
-        assert entry.invalidation_targets() == set(range(8))
 
     def test_reset_clears_broadcast(self):
         entry = LimitedPointerBroadcastScheme(8, 1).make_entry()
@@ -252,14 +231,6 @@ class TestCoarseVector:
             entry.record_sharer(n)
         assert len(entry.invalidation_targets()) == 8
 
-    def test_remove_ignored_in_coarse_mode(self):
-        entry = CoarseVectorScheme(32, 1, 2).make_entry()
-        entry.record_sharer(0)
-        entry.record_sharer(1)  # overflow -> coarse
-        entry.remove_sharer(0)
-        # 0 and 1 share a region; the bit must survive
-        assert {0, 1} <= entry.invalidation_targets()
-
     def test_region_size_one_is_full_vector(self):
         scheme = CoarseVectorScheme(8, 1, 1)
         entry = scheme.make_entry()
@@ -267,8 +238,6 @@ class TestCoarseVector:
             entry.record_sharer(n)
         assert entry.invalidation_targets() == {0, 3, 5}
         assert entry.is_exact()
-        entry.remove_sharer(3)
-        assert entry.invalidation_targets() == {0, 5}
 
     def test_ragged_last_region(self):
         # 10 nodes, region size 4 -> last region holds only nodes 8, 9
@@ -303,13 +272,6 @@ class TestLinkedList:
             entry.record_sharer(n)
         entry.record_sharer(1)
         assert entry.invalidation_chain() == (1, 3, 2)
-
-    def test_rollout_removes_exactly(self):
-        entry = LinkedListScheme(16).make_entry()
-        for n in (1, 2, 3):
-            entry.record_sharer(n)
-        entry.remove_sharer(2)
-        assert entry.invalidation_targets() == {1, 3}
 
     def test_serial_flag(self):
         assert LinkedListScheme(16).serial_invalidations is True

@@ -85,11 +85,9 @@ def test_faulty_runs_stay_coherent(seed, scheme, sparse):
     "extra",
     [
         dict(shared_entry_group=2),
-        dict(replacement_hints=True),
         dict(release_consistency=True),
-        dict(replacement_hints=True, sparse_size_factor=0.5),
     ],
-    ids=["shared-entry", "hints", "release-consistency", "hints+sparse"],
+    ids=["shared-entry", "release-consistency"],
 )
 @pytest.mark.parametrize("seed", FIXED_SEEDS)
 def test_faulty_runs_stay_coherent_with_extensions(seed, extra):
@@ -190,18 +188,6 @@ def test_message_fault_partition_is_deterministic():
     assert a == b
     kinds = {k for k in a if k is not None}
     assert kinds  # the default probabilities fire within 500 rolls
-
-
-def test_non_reorderable_messages_never_delayed():
-    plan = FaultPlan(
-        0, drop_prob=0, dup_prob=0, delay_prob=1.0, nak_prob=0, corrupt_prob=0
-    )
-    assert all(
-        plan.message_fault(reorderable=False) is None for _ in range(200)
-    )
-    assert FaultPlan(
-        0, drop_prob=0, dup_prob=0, delay_prob=1.0, nak_prob=0, corrupt_prob=0
-    ).message_fault() is FaultKind.DELAY
 
 
 def test_backoff_is_exponential():

@@ -30,6 +30,8 @@ from repro.machine.invariants import (
     InvariantChecker,
     machine_state_violations,
 )
+from repro.trace import Read, Work, Write
+from repro.trace.scripted import ScriptedWorkload
 
 from tests.verify_mutants import (
     ForgetfulScheme,
@@ -130,7 +132,6 @@ ORGANISATIONS = {
     "sparse-lra": {"sparse_size_factor": 0.5, "sparse_policy": "lra"},
     "sparse-random": {"sparse_size_factor": 0.5, "sparse_policy": "random"},
     "shared-entry": {"shared_entry_group": 2},
-    "hints": {"replacement_hints": True},
     "release-consistency": {"release_consistency": True},
     "two-procs": {"procs_per_cluster": 2, "num_clusters": 4},
 }
@@ -145,8 +146,9 @@ FAULT_SEEDS = (1, 7, 23)
 #: serviced read takes row R3, "re-read during own writeback", and cleans a
 #: line its sibling holds dirty) is reached fault-free on every scheme
 #: tried once clusters have two processors and the workload is big enough
-#: (test_hole_1b_is_reached_without_faults).  This grid's small MP3D
-#: happens to reach it only here.
+#: (test_hole_1b_is_reached_without_faults); two operations on one cluster
+#: reach it (test_hole_1b_two_operation_reproducer).  This grid's small
+#: MP3D happens to reach it only here.
 KNOWN_INCOHERENT = {
     ("no-broadcast", "two-procs"),
 }
@@ -185,6 +187,33 @@ def test_hole_1b_is_reached_without_faults():
     system.run()
     found = Counter(v.invariant for v in system.invariants.violations)
     assert found == {"single-writer": 8, "directory-coverage": 6}
+
+
+@pytest.mark.parametrize("scripts, violations", [
+    pytest.param([[Write(0)], [Read(0)]], 2, id="write-then-read"),
+    pytest.param([[Read(0)], [Write(0)]], 0, id="read-then-write"),
+    pytest.param([[Write(0)], [Work(20), Read(0)]], 2, id="read-20-later"),
+    pytest.param([[Write(0)], [Work(30), Read(0)]], 0, id="read-30-later"),
+])
+def test_hole_1b_two_operation_reproducer(scripts, violations):
+    """ROADMAP hole 1(b) in two operations: one full-map cluster of two
+    processors, a write and then a sibling's read of the same block while
+    the write is still in flight.  The directory ends up not recording
+    the cluster as owner of the block it holds DIRTY.  Pinned, not
+    endorsed: the fix for 1(b) must turn this into zero."""
+    config = MachineConfig(num_clusters=1, procs_per_cluster=2, scheme="full")
+    system = DashSystem(
+        config, ScriptedWorkload(scripts, block_bytes=config.block_bytes),
+        invariants="strict",
+    )
+    system.run()
+    found = [v.invariant for v in system.invariants.violations]
+    assert found == ["directory-coverage"] * violations
+    if violations:
+        with pytest.raises(CoherenceViolation, match="directory-coverage"):
+            system.check_coherence()
+    else:
+        system.check_coherence()
 
 
 # -- one planted bug per source of the touched set ------------------------------

@@ -160,25 +160,19 @@ class TestWritebacks:
         scripts = [[], [Read(addr(0)), Read(addr(4))], [], []]
         _, stats = run_scripts(scripts, l1_bytes=16, l2_bytes=16)
         assert stats.writebacks == 0
-        assert stats.total_messages == 4  # two read pairs, no hint
+        assert stats.total_messages == 4  # two read pairs
 
-    def test_replacement_hints_inform_directory(self):
-        # with hints on, the next write sends no invalidation to the
-        # cluster that silently dropped its copy.
+    def test_silently_dropped_sharer_is_still_invalidated(self):
+        # the directory never learns of a clean eviction, so the next
+        # write invalidates the cluster that dropped its copy
         scripts = [
             [],
             [Read(addr(0)), Read(addr(4))],
             [Work(900), Write(addr(0))],
             [],
         ]
-        _, stats_nohint = run_scripts(scripts, l1_bytes=16, l2_bytes=16)
-        _, stats_hint = run_scripts(
-            scripts, l1_bytes=16, l2_bytes=16, replacement_hints=True
-        )
-        assert stats_nohint.invalidations == 1  # stale sharer invalidated
-        assert stats_hint.invalidations == 0
-        # the hint itself is one extra request
-        assert stats_hint.requests == stats_nohint.requests + 1
+        _, stats = run_scripts(scripts, l1_bytes=16, l2_bytes=16)
+        assert stats.invalidations == 1
 
     def test_forward_races_writeback_buffer(self):
         # proc 1 dirties block 0, evicts it (wb in flight), while proc 2

@@ -2,7 +2,9 @@
 
 The sha256 of the JSONL export and of ``SimStats.metrics`` for three
 small traced runs, recorded from the commit *before* the tracer moved to
-flat ring rows (PR 19).  How an event is stored is free to change; these
+flat ring rows; ``dir1nb-sparse`` was recorded by the last build that
+still had replacement hints, with them off, so deleting them is shown to
+leave its bytes alone.  How an event is stored is free to change; these
 bytes are not.  Re-record (``python tests/test_obs_reference.py``) only
 for a deliberate change of the trace vocabulary or the machine's timing.
 """
@@ -28,10 +30,10 @@ CONFIGS = {
         config=MachineConfig(num_clusters=8, scheme="Dir3CV2"),
         workload=lambda: _mp3d(8),
     ),
-    "dir1nb-sparse-hints": dict(
+    "dir1nb-sparse": dict(
         config=MachineConfig(
             num_clusters=8, scheme="Dir1NB", sparse_size_factor=1.0,
-            l1_bytes=128, l2_bytes=512, replacement_hints=True,
+            l1_bytes=128, l2_bytes=512,
         ),
         workload=lambda: _mp3d(8, particles=300),
     ),
@@ -44,9 +46,9 @@ CONFIGS = {
 
 #: name -> (sha256 of the JSONL export, sha256 of SimStats.metrics)
 REFERENCE = {
-    "dir1nb-sparse-hints": (
-        "30a3ca84df68014b3244261232f9e659323b2d2a31293c2b22949b7b8c73eee5",
-        "d2a451e091b9b3a7b810c4eb2bed163b645141f6d1771fff923dd058b20ab525",
+    "dir1nb-sparse": (
+        "689f0fd305f9c00efb8d90ec01b50ee9838ec47b90c80b606ecaeb5873f987e9",
+        "734487b7764e08de253356fc7d61a1c01a0ab28217c05b0a1a4d513b9332b9f2",
     ),
     "dir2b-faults": (
         "579e7a1b25a6b12d809b6083cceedf44162b96f0ab6f6e369c8054c0d32dbeff",

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    FullMapDirectory,
-    OverflowCacheScheme,
-    SharedEntryDirectory,
-    SparseDirectory,
-)
-from repro.core.protocol import hint
+from repro.core import OverflowCacheScheme, SparseDirectory
 
 
 def fill(entry, nodes):
@@ -23,12 +17,6 @@ class TestPointerMode:
         assert entry.is_exact()
         assert entry.invalidation_targets() == {1, 2, 3}
 
-    def test_remove_in_pointer_mode(self):
-        entry = OverflowCacheScheme(32, 3, 8).make_entry()
-        fill(entry, [1, 2])
-        entry.remove_sharer(1)
-        assert entry.invalidation_targets() == {2}
-
 
 class TestWideMode:
     def test_overflow_moves_to_wide_store_exactly(self):
@@ -38,13 +26,6 @@ class TestWideMode:
         assert entry.is_exact()  # wide entries are full bit vectors
         assert entry.invalidation_targets() == {1, 2, 3, 17, 31}
         assert len(scheme.wide_store) == 1
-
-    def test_remove_in_wide_mode(self):
-        scheme = OverflowCacheScheme(32, 2, 8)
-        entry = scheme.make_entry()
-        fill(entry, [1, 2, 3, 4])
-        entry.remove_sharer(3)
-        assert entry.invalidation_targets() == {1, 2, 4}
 
     def test_reset_frees_wide_slot(self):
         scheme = OverflowCacheScheme(32, 2, 8)
@@ -87,7 +68,6 @@ class TestStarvation:
         fill(a, [1, 2])
         fill(b, [3, 4])  # a degraded to broadcast
         a.record_sharer(5)  # absorbed silently
-        a.remove_sharer(1)  # cannot narrow a broadcast
         assert a.invalidation_targets() == set(range(8))
         assert not a.is_empty()
 
@@ -102,25 +82,6 @@ class TestLifetime:
         _, evictions = store.get_or_allocate(1)
         assert [ev.targets for ev in evictions] == [(1, 2, 3)]  # taken first
         assert len(scheme.wide_store) == 0
-
-    @pytest.mark.parametrize("make_store", [
-        FullMapDirectory,
-        lambda scheme: SparseDirectory(scheme, 4, 2),
-        lambda scheme: SharedEntryDirectory(scheme, 2),
-    ], ids=["full_map", "sparse", "shared_entry"])
-    def test_a_released_line_frees_its_wide_slot(self, make_store):
-        """Replacement hints empty a wide line and the store frees it:
-        the wide slot and its holder go with the line."""
-        scheme = OverflowCacheScheme(4, 1, overflow_entries=2)  # Dir1OF2
-        store = make_store(scheme)
-        line, _ = store.get_or_allocate(0)
-        fill(line.entry, [1, 2])
-        assert len(scheme.wide_store) == 1 and scheme._wide_entries
-        for node in (1, 2):
-            hint(store, 0, node)
-        assert list(store.lines()) == []
-        assert len(scheme.wide_store) == 0
-        assert not scheme._wide_entries
 
     def test_registry_holds_only_entries_with_a_wide_slot(self):
         scheme = OverflowCacheScheme(8, 1, overflow_entries=2)

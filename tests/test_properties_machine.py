@@ -79,7 +79,7 @@ def test_coherence_invariants(script_lists, scheme, sparse):
 def test_message_conservation(script_lists, scheme, sparse):
     _, stats = run(script_lists, scheme, sparse)
     # every reply answers exactly one request (requests also include
-    # writebacks and hints, which get no reply)
+    # writebacks, which get no reply)
     assert stats.replies <= stats.requests
     # each network invalidation is acknowledged; local (home-bus)
     # invalidations may add acks without a message

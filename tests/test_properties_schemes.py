@@ -1,7 +1,7 @@
 """Property-based tests: invariants every directory format must obey.
 
 These are the coherence-safety arguments from DESIGN.md §6, checked with
-hypothesis across random add/remove/write histories.
+hypothesis across random add / invalidation-round histories.
 """
 
 from hypothesis import given, settings
@@ -31,7 +31,8 @@ SCHEME_BUILDERS = [
 ]
 
 nodes = st.integers(min_value=0, max_value=NUM_NODES - 1)
-# an operation history: add (node, True) or remove-hint (node, False)
+# an operation history: add (node, True) or an invalidation round that
+# reaches node (node, False)
 histories = st.lists(st.tuples(nodes, st.booleans()), max_size=60)
 
 
@@ -39,7 +40,9 @@ def replay(scheme, history):
     """Apply a history; track the true sharer set the way a machine would.
 
     Returns (entry, true_sharers).  NB-evictions remove their victims from
-    the true set (the machine invalidates them immediately).
+    the true set (the machine invalidates them immediately).  A round that
+    reaches a sharer kills every copy and resets the entry, the machine's
+    only shrinking operation.
     """
     entry = scheme.make_entry()
     true_sharers = set()
@@ -49,11 +52,9 @@ def replay(scheme, history):
             true_sharers.add(node)
             for victim in evicted:
                 true_sharers.discard(victim)
-        else:
-            # replacement hint: the cache dropped its copy
-            if node in true_sharers:
-                true_sharers.discard(node)
-                entry.remove_sharer(node)
+        elif node in true_sharers:
+            true_sharers.clear()
+            entry.reset()
     return entry, true_sharers
 
 

@@ -82,28 +82,6 @@ class TestBroadcastEdgeCases:
         assert stats.acknowledgements == 3
 
 
-class TestHints:
-    def test_hint_ignored_for_dirty_line(self):
-        # proc 1 writes block 0 then evicts it dirty (writeback, not a
-        # hint); replacement_hints must not corrupt dirty-line state
-        scripts = [[], [Write(addr(0)), Read(addr(4))], [], []]
-        system, stats = run_scripts(
-            scripts, l1_bytes=16, l2_bytes=16, replacement_hints=True
-        )
-        assert stats.writebacks == 1
-        line = system.directories[0].store.lookup(0)
-        assert line is None or not line.dirty
-
-    def test_hint_messages_are_requests(self):
-        scripts = [[], [Read(addr(0)), Read(addr(4))], [], []]
-        _, plain = run_scripts(scripts, l1_bytes=16, l2_bytes=16)
-        _, hinted = run_scripts(
-            scripts, l1_bytes=16, l2_bytes=16, replacement_hints=True
-        )
-        assert hinted.requests == plain.requests + 1
-        assert hinted.replies == plain.replies  # hints are unacknowledged
-
-
 class TestSparseNAK:
     def test_all_ways_busy_retries_until_free(self):
         # one directory entry per home, direct-mapped; two clusters read

@@ -244,25 +244,6 @@ def _writeback_stale():
     assert b.state() == (False, None, [2])
 
 
-@row("H1")
-def _hint_clean():
-    b = Bench()
-    b.line.entry.record_sharer(1)
-    b.line.entry.record_sharer(2)
-    protocol.hint(b.store, BLOCK, 1)
-    assert b.state() == (False, None, [2])
-    protocol.hint(b.store, BLOCK, 2)
-    assert b.state() == "gone" and b.log == []
-
-
-@row("H2")
-def _hint_dirty():
-    b = Bench()
-    _dirty(b, 1)
-    protocol.hint(b.store, BLOCK, 1)
-    assert b.state() == (True, 1, []) and b.log == []
-
-
 @row("NB")
 def _pointer_overflow():
     b = Bench("Dir1NB")
@@ -421,8 +402,8 @@ TABLE_ROWS = re.findall(r"^([A-Z][A-Z0-9])\s{2,}\w", protocol.__doc__, re.M)
 
 
 def test_every_row_of_the_docstring_table_has_a_case():
-    # twelve directory rows, twelve node rows
-    assert len(TABLE_ROWS) == 24 and set(TABLE_ROWS) == set(ROWS)
+    # ten directory rows, twelve node rows
+    assert len(TABLE_ROWS) == 22 and set(TABLE_ROWS) == set(ROWS)
 
 
 @pytest.mark.parametrize("label", TABLE_ROWS)
@@ -529,7 +510,7 @@ def _protocol_state_writers(sources):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 attr, owner = node.func.attr, node.func.value
                 if (
-                    attr in ("reset", "record_sharer", "remove_sharer")
+                    attr in ("reset", "record_sharer")
                     and isinstance(owner, ast.Attribute) and owner.attr == "entry"
                 ):
                     offenders.append(f"{name}:{node.lineno} entry.{attr}()")

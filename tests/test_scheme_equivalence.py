@@ -1,11 +1,11 @@
 """Property test: every scheme is observationally equivalent to a set model.
 
 The directory controller consults entries through a tiny surface —
-``record_sharer`` / ``remove_sharer`` / ``reset`` to write, and to read
+``record_sharer`` / ``reset`` to write, and to read
 the one bitmask ``covered()`` with the views ``core/base.py`` derives
 from it (``targets_sorted`` / ``invalidation_targets`` / ``is_empty`` /
 ``might_share``) plus ``is_exact``.  This test drives every registered
-scheme notation through random add / remove / reset sequences next to a
+scheme notation through random add / reset sequences next to a
 plain-set reference model and checks, after every step:
 
 * **coverage** — ``invalidation_targets()`` is a superset of the true
@@ -64,7 +64,6 @@ def _op_sequences(draw):
         st.lists(
             st.one_of(
                 st.tuples(st.just("add"), node),
-                st.tuples(st.just("remove"), node),
                 st.tuples(st.just("reset"), st.just(0)),
             ),
             max_size=40,
@@ -125,11 +124,6 @@ def _drive(scheme, ops, exclude) -> None:
                 assert victim != node, "record_sharer evicted the newcomer"
                 sharers.discard(victim)
             sharers.add(node)
-        elif op == "remove":
-            # best-effort removal: the model forgets the sharer; the entry
-            # may keep it covered (coarse modes) but must never drop others
-            entry.remove_sharer(node)
-            sharers.discard(node)
         else:
             entry.reset()
             sharers.clear()
