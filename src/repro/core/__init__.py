@@ -34,7 +34,6 @@ from repro.core.overhead import (
     DirectoryOverhead,
     full_vector_overhead,
     limited_pointer_overhead,
-    sparse_overhead,
     savings_factor,
     table1_configurations,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "DirectoryOverhead",
     "full_vector_overhead",
     "limited_pointer_overhead",
-    "sparse_overhead",
     "savings_factor",
     "table1_configurations",
     "SCHEME_FACTORIES",

@@ -90,11 +90,7 @@ class LinkedListScheme(DirectoryScheme):
         return LinkedListEntry(self.num_nodes)
 
     def presence_bits(self) -> int:
-        # Memory-side cost only: head + tail pointers.  The forward/back
-        # pointers live in (expensive) cache memory; see
-        # ``cache_pointer_bits_per_line`` for that side of the ledger.
-        return 2 * pointer_bits(self.num_nodes)
-
-    def cache_pointer_bits_per_line(self) -> int:
-        """Forward + back pointer each cache line must carry."""
+        # Memory-side cost only: head + tail pointers.  The forward and
+        # back pointers every cache line carries live in (expensive)
+        # cache memory and are not counted here.
         return 2 * pointer_bits(self.num_nodes)

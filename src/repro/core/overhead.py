@@ -107,13 +107,6 @@ def limited_pointer_overhead(
     return directory_overhead(cls(num_nodes, num_pointers), block_bytes, sparsity=sparsity)
 
 
-def sparse_overhead(
-    scheme: DirectoryScheme, block_bytes: int, sparsity: float
-) -> DirectoryOverhead:
-    """Alias making call sites that study sparsity read naturally."""
-    return directory_overhead(scheme, block_bytes, sparsity=sparsity)
-
-
 def savings_factor(
     scheme: DirectoryScheme, block_bytes: int, sparsity: float
 ) -> float:

@@ -47,11 +47,11 @@ the directory rows apply the rest; ``verify.model`` runs them all.
 row   event       node state                              effects, in order                   returns
 ====  ==========  ======================================  ==================================  =====================
 L1    read        i holds the line                        none                                True (hit)
-L2    read        a sibling holds a line or ghost         i fills SHARED                      (True, victim)
+L2    read        a sibling holds a line or ghost         i fills SHARED                      (True, writeback)
 L3    write       i holds it DIRTY                        none                                True (hit)
-L4    write       a sibling holds it DIRTY                siblings invalidate; i fills DIRTY  (True, victim)
+L4    write       a sibling holds it DIRTY                siblings invalidate; i fills DIRTY  (True, writeback)
 L5    either      none of the above                       none: the home serves it            (False, None)
-FL    fill        the home granted i's request            i fills SHARED (read) / DIRTY       victim
+FL    fill        the home granted i's request            i fills SHARED (read) / DIRTY       writeback
 IV    invalidate  any                                     every line and ghost dies           None
 IC    inval       any                                     IV unless HD                        None
 DG    downgrade   any                                     each DIRTY line becomes SHARED      a DIRTY line or ghost
@@ -61,8 +61,9 @@ HD    query       any                                     none                  
 ====  ==========  ======================================  ==================================  =====================
 
 L1/L3 are :func:`hit` (the machine's cache probe is its priced form);
-L2/L4/L5 are :func:`bus`, tried only where they do not hit.  A fill's
-``victim`` is ``(block, was_dirty)`` or ``None``.
+L2/L4/L5 are :func:`bus`, tried only where they do not hit.  A fill
+evicts at most one line; its ``writeback`` is a DIRTY victim's block
+(now the filler's ghost) or ``None``: a clean victim leaves silently.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class LineState(IntEnum):
     DIRTY = 2
 
 
-#: a fill's evicted ``(block, was_dirty)``, if any
-Victim = Optional[Tuple[int, bool]]
+#: a fill's DIRTY victim's block, if any: the writeback the caller issues
+Victim = Optional[int]
 
 
 class ProcView(Protocol):
@@ -94,7 +95,8 @@ class ProcView(Protocol):
     def state(self, block: int) -> Optional[LineState]:
         """The line's state, ``None`` if absent; no LRU effect."""
     def install(self, block: int, state: LineState) -> Victim:
-        """Fill the line; a DIRTY victim becomes the ghost."""
+        """Fill the line; a DIRTY victim becomes the ghost and its block
+        is returned, a clean one leaves silently."""
     def clean(self, block: int) -> None:
         """DIRTY line -> SHARED."""
     def invalidate(self, block: int, txn_id: Optional[int] = None) -> bool:

@@ -218,14 +218,14 @@ class ProcessorCache:
 
     # -- state transitions (applied for repro.core.protocol) ---------------
 
-    def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
-        """Fill both levels; returns the evicted ``(block, was_dirty)`` —
-        a fill evicts at most one line — or ``None``.
+    def install(self, block: int, state: LineState) -> Optional[int]:
+        """Fill both levels; returns the DIRTY victim's block — a fill
+        evicts at most one line — or ``None``.
 
         A DIRTY victim is parked in the writeback buffer (the caller must
         issue the writeback); a SHARED victim leaves silently.
         """
-        eviction = None
+        writeback = None
         victim = self.l2.install(block, state)
         if victim is not None:
             vblock, vstate = victim
@@ -233,14 +233,14 @@ class ProcessorCache:
             self.l1.invalidate(vblock)  # inclusion
             if was_dirty:
                 self.wb_buffer.add(vblock)
+                writeback = vblock
             if self.tracer.enabled:
                 self.tracer.record(
                     "cache.evict", self.tracer.now(), None, self.tid,
                     vblock, was_dirty,
                 )
-            eviction = (vblock, was_dirty)
         self.l1.install(block, _SHARED)  # L1 is write-through/clean
-        return eviction
+        return writeback
 
     def clean(self, block: int) -> None:
         """DIRTY -> SHARED."""

@@ -14,7 +14,7 @@ immutable) :class:`LocalResult`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core import protocol
 from repro.machine.cache import ProcessorCache
@@ -25,25 +25,25 @@ from repro.obs.tracer import NULL_TRACER
 class LocalResult:
     """Outcome of attempting to satisfy a reference inside the cluster."""
 
-    __slots__ = ("satisfied", "latency", "eviction", "where")
+    __slots__ = ("satisfied", "latency", "writeback", "where")
 
     def __init__(
         self,
         satisfied: bool,
         latency: float = 0.0,
-        eviction: Optional[Tuple[int, bool]] = None,
+        writeback: Optional[int] = None,
         where: str = "",  # "l1" | "l2" | "bus" for stats
     ) -> None:
         self.satisfied = satisfied
         self.latency = latency
-        #: the (block, was_dirty) victim of the fill performed, if any
-        self.eviction = eviction
+        #: the DIRTY victim's block of the fill performed, if any
+        self.writeback = writeback
         self.where = where
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalResult(satisfied={self.satisfied}, "
-            f"latency={self.latency}, eviction={self.eviction}, "
+            f"latency={self.latency}, writeback={self.writeback}, "
             f"where={self.where!r})"
         )
 
@@ -91,9 +91,9 @@ class Cluster:
             return self._hit_l1
         if self._single:
             return self._miss
-        supplied, eviction = protocol.bus(self.caches, proc_idx, block, is_write)
+        supplied, writeback = protocol.bus(self.caches, proc_idx, block, is_write)
         if not supplied:
             return self._miss
         return LocalResult(
-            True, self.config.bus_transfer_cycles, eviction, where="bus"
+            True, self.config.bus_transfer_cycles, writeback, where="bus"
         )

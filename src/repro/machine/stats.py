@@ -12,7 +12,7 @@ Everything the paper's figures are drawn from:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -37,9 +37,10 @@ class InvalCause(str, Enum):
     SPARSE_REPL = "sparse_repl"  # sparse-directory entry replacement
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessorStats:
-    """Cycle breakdown for one processor."""
+    """Cycle breakdown for one processor; a slot per counter, so a write
+    to an undeclared one raises ``AttributeError``."""
 
     busy: float = 0.0  # Work ops + cache-hit service
     stall: float = 0.0  # waiting on the memory system
@@ -54,7 +55,21 @@ class ProcessorStats:
 
 
 class SimStats:
-    """Mutable statistics accumulator for one simulation run."""
+    """Mutable statistics accumulator for one simulation run.
+
+    Every counter is a slot: a write to an undeclared one raises
+    ``AttributeError``, whatever name the object is reached through.
+    """
+
+    #: plain-int / plain-float counters copied verbatim by the state
+    #: round-trip below (everything except the enum-keyed structures)
+    _SCALAR_FIELDS = (
+        "exec_time", "l1_hits", "l2_hits", "local_misses", "remote_misses",
+        "writebacks", "sparse_replacements", "nb_evictions", "lock_acquires",
+        "barrier_waits", "fault_retries", "invariant_violations",
+    )
+    __slots__ = ("messages", "inval_hist", "procs", "fault_counts",
+                 "metrics") + _SCALAR_FIELDS
 
     def __init__(self, num_processors: int) -> None:
         self.messages: Counter = Counter()  # MsgClass -> count
@@ -231,14 +246,6 @@ class SimStats:
 
     # -- lossless state round-trip (the result-cache payload) ---------------
 
-    #: plain-int / plain-float attributes copied verbatim by the state
-    #: round-trip below (everything except the enum-keyed structures)
-    _SCALAR_FIELDS = (
-        "exec_time", "l1_hits", "l2_hits", "local_misses", "remote_misses",
-        "writebacks", "sparse_replacements", "nb_evictions", "lock_acquires",
-        "barrier_waits", "fault_retries", "invariant_violations",
-    )
-
     def to_state(self) -> Dict[str, object]:
         """Lossless JSON-safe snapshot of every recorded statistic.
 
@@ -262,7 +269,7 @@ class SimStats:
             "fault_counts": {
                 k.value: n for k, n in sorted(self.fault_counts.items())
             },
-            "procs": [vars(p).copy() for p in self.procs],
+            "procs": [asdict(p) for p in self.procs],
         }
         for name in self._SCALAR_FIELDS:
             state[name] = getattr(self, name)
@@ -293,8 +300,8 @@ class SimStats:
         for kind_value, n in state.get("fault_counts", {}).items():  # type: ignore[union-attr]
             self.fault_counts[FaultKind(kind_value)] = int(n)
         for proc, pstate in zip(self.procs, procs_state):  # type: ignore[arg-type]
-            for field_name in vars(proc):
-                setattr(proc, field_name, pstate[field_name])
+            for field in fields(proc):
+                setattr(proc, field.name, pstate[field.name])
         for name in self._SCALAR_FIELDS:
             setattr(self, name, state[name])
 

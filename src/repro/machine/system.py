@@ -222,8 +222,8 @@ class DashSystem:
             else:
                 stats.local_misses += 1
                 hit = False
-            if local.eviction is not None:
-                self._handle_eviction(cluster_id, *local.eviction)
+            if local.writeback is not None:
+                self._handle_eviction(cluster_id, local.writeback)
             done = events.now + local.latency
             events.at(done, resume, done, hit)
             return
@@ -267,18 +267,14 @@ class DashSystem:
                 t - t_issue, self._home_of(block),
                 block, cluster_id, txn.txn_id,
             )
-        eviction = protocol.fill(self.nodes[cluster_id], txn.proc_idx, block, is_write)
-        if eviction is not None:
-            self._handle_eviction(cluster_id, *eviction)
+        writeback = protocol.fill(self.nodes[cluster_id], txn.proc_idx, block, is_write)
+        if writeback is not None:
+            self._handle_eviction(cluster_id, writeback)
         txn.resume(t, False)
 
-    def _handle_eviction(
-        self, cluster_id: int, vblock: int, was_dirty: bool
-    ) -> None:
-        """Issue the writeback for a cache fill's DIRTY victim; a clean
-        victim leaves silently (the directory keeps covering it)."""
-        if not was_dirty:
-            return
+    def _handle_eviction(self, cluster_id: int, vblock: int) -> None:
+        """Issue the writeback for a cache fill's DIRTY victim (a clean
+        victim left silently: the directory keeps covering it)."""
         self.stats.writebacks += 1
         if self.obs.enabled:
             self.obs.record("wb.issue", self.events.now, None, cluster_id, vblock)

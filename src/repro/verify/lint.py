@@ -3,12 +3,14 @@
 The rules are catalogued once, in :data:`LINT_RULES` (``python -m
 repro verify lint --list-rules`` prints it); the rule table in
 ``docs/verification.md`` says what each one matches and why it exists.
+Each holds a code path no run may reach.  What the language or a test
+holds is not linted: a ``SimStats`` / ``ProcessorStats`` counter is a
+slot, so a write to an undeclared one raises ``AttributeError``, and
+``tests/test_core_registry.py`` holds every public ``DirectoryScheme``
+under ``repro.core`` to a registry entry.
 
-Suppressions are **line-targeted**: ``# lint: ignore[rule-name]`` (or a
-bare ``# lint: ignore`` for all rules) silences findings anchored to the
-annotated line only.  For an intentional whole-file opt-out use the
-``-file`` suffix form — ``# lint: ignore-file[rule-name]`` (or bare
-``# lint: ignore-file``) anywhere in the file.
+A finding is suppressed by ``# lint: ignore[rule-name, ...]`` on the
+line it is anchored to; that is the only suppression form.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ LINT_RULES: Dict[str, str] = {
     "datetime.now, os.urandom) in machine/ and core/",
     "unordered-iteration": "no direct iteration over sets or "
     "invalidation_targets(); sort first",
-    "unregistered-scheme": "every concrete DirectoryScheme must appear in "
-    "core/registry.py",
-    "undeclared-stat": "stats counters must be declared before incremented",
     "undeclared-obs-name": "trace event / metric names must be declared in "
     "obs/registry.py",
     "dead-metric": "metrics declared in obs/registry.py must be "
@@ -85,48 +84,18 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
 
-@dataclass(frozen=True)
-class _IgnoreIndex:
-    """Parsed suppression comments of one module."""
-
-    file_all: bool  #: ``# lint: ignore-file`` anywhere
-    file_rules: FrozenSet[str]  #: ``# lint: ignore-file[...]`` rule names
-    line_all: FrozenSet[int]  #: lines carrying a bare ``# lint: ignore``
-    line_rules: Dict[int, FrozenSet[str]]  #: line -> ignored rule names
+_IGNORE_MARKER = "# lint: ignore["
 
 
-_IGNORE_MARKER = "# lint: ignore"
-
-
-def _parse_ignores(source_lines: List[str]) -> _IgnoreIndex:
-    file_all = False
-    file_rules: Set[str] = set()
-    line_all: Set[int] = set()
-    line_rules: Dict[int, FrozenSet[str]] = {}
+def _parse_ignores(source_lines: List[str]) -> Dict[int, FrozenSet[str]]:
+    """Line -> the rule names its ``# lint: ignore[...]`` marker silences."""
+    ignores: Dict[int, FrozenSet[str]] = {}
     for lineno, text in enumerate(source_lines, start=1):
         marker = text.rfind(_IGNORE_MARKER)
-        if marker == -1:
-            continue
-        spec = text[marker + len(_IGNORE_MARKER):]
-        file_wide = spec.startswith("-file")
-        if file_wide:
-            spec = spec[len("-file"):]
-        spec = spec.strip()
-        if not spec.startswith("["):
-            # bare ignore: all rules
-            if file_wide:
-                file_all = True
-            else:
-                line_all.add(lineno)
-            continue
-        names = spec[1:spec.find("]")] if "]" in spec else spec[1:]
-        rules = frozenset(n.strip() for n in names.split(","))
-        if file_wide:
-            file_rules |= rules
-        else:
-            line_rules[lineno] = line_rules.get(lineno, frozenset()) | rules
-    return _IgnoreIndex(file_all, frozenset(file_rules), frozenset(line_all),
-                        line_rules)
+        if marker != -1:
+            names = text[marker + len(_IGNORE_MARKER):].partition("]")[0]
+            ignores[lineno] = frozenset(n.strip() for n in names.split(","))
+    return ignores
 
 
 @dataclass
@@ -134,8 +103,7 @@ class _Module:
     path: Path
     rel: str
     tree: ast.Module
-    source_lines: List[str]
-    ignores: _IgnoreIndex
+    ignores: Dict[int, FrozenSet[str]]  #: line -> suppressed rule names
 
     def determinism_scoped(self) -> bool:
         """Rules about nondeterminism apply to machine/ and core/ only."""
@@ -146,11 +114,8 @@ class _Module:
 def _finding(
     module: _Module, line: int, col: int, rule: str, message: str
 ) -> Iterator[Finding]:
-    """The finding, unless a line or file annotation silences it."""
-    ig = module.ignores
-    if ig.file_all or rule in ig.file_rules:
-        return
-    if line in ig.line_all or rule in ig.line_rules.get(line, frozenset()):
+    """The finding, unless its line's annotation silences the rule."""
+    if rule in module.ignores.get(line, ()):
         return
     yield Finding(str(module.path), line, col, rule, message)
 
@@ -388,122 +353,6 @@ def _check_unordered_iteration(module: _Module) -> Iterator[Finding]:
                 module, lineno, col, "unordered-iteration",
                 f"iterating over {reason} has no deterministic order; "
                 f"wrap in sorted(...)",
-            )
-
-
-# -- rule: unregistered-scheme ----------------------------------------------
-
-
-def _scheme_findings(modules: List[_Module]) -> Iterator[Finding]:
-    registry: Optional[_Module] = None
-    class_sites: Dict[str, Tuple[_Module, int, int, List[str]]] = {}
-    for module in modules:
-        parts = Path(module.rel).parts
-        if "core" not in parts:
-            continue
-        if Path(module.rel).name == "registry.py":
-            registry = module
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                bases = [
-                    b.id if isinstance(b, ast.Name) else
-                    b.attr if isinstance(b, ast.Attribute) else ""
-                    for b in node.bases
-                ]
-                class_sites[node.name] = (
-                    module, node.lineno, node.col_offset, bases
-                )
-    if registry is None:
-        return  # nothing to check against (partial lint run)
-    # transitively collect DirectoryScheme descendants among core classes
-    schemes: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, (_m, _l, _c, bases) in class_sites.items():
-            if name in schemes:
-                continue
-            if "DirectoryScheme" in bases or any(b in schemes for b in bases):
-                schemes.add(name)
-                changed = True
-    referenced = {
-        node.id
-        for node in ast.walk(registry.tree)
-        if isinstance(node, ast.Name)
-    }
-    for name in sorted(schemes):
-        module, lineno, col, _bases = class_sites[name]
-        if name.startswith("_"):
-            continue  # private helper base, not a user-facing scheme
-        if name not in referenced:
-            yield from _finding(
-                module, lineno, col, "unregistered-scheme",
-                f"{name} subclasses DirectoryScheme but core/registry.py "
-                f"never references it; add an alias or pattern",
-            )
-
-
-# -- rule: undeclared-stat --------------------------------------------------
-
-
-def _declared_stats(modules: List[_Module]) -> Optional[FrozenSet[str]]:
-    stats_module = next(
-        (m for m in modules if Path(m.rel).name == "stats.py"
-         and "machine" in Path(m.rel).parts),
-        None,
-    )
-    if stats_module is None:
-        return None
-    declared: Set[str] = set()
-    for node in ast.walk(stats_module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if node.name not in ("SimStats", "ProcessorStats"):
-            continue
-        for item in ast.walk(node):
-            # self.x = ... inside methods (SimStats.__init__)
-            if isinstance(item, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    item.targets
-                    if isinstance(item, ast.Assign)
-                    else [item.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        declared.add(target.attr)
-                    elif isinstance(target, ast.Name) and isinstance(
-                        item, ast.AnnAssign
-                    ):
-                        declared.add(target.id)  # dataclass field
-            elif isinstance(item, ast.FunctionDef):
-                declared.add(item.name)  # properties / helper methods
-    return frozenset(declared)
-
-
-def _check_undeclared_stat(
-    module: _Module, declared: FrozenSet[str]
-) -> Iterator[Finding]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.AugAssign):
-            continue
-        target = node.target
-        if not isinstance(target, ast.Attribute):
-            continue
-        base = target.value
-        is_stats = (isinstance(base, ast.Attribute) and base.attr == "stats") or (
-            isinstance(base, ast.Name) and base.id == "stats"
-        )
-        if not is_stats:
-            continue
-        if target.attr not in declared:
-            yield from _finding(
-                module, node.lineno, node.col_offset, "undeclared-stat",
-                f"stats.{target.attr} is incremented but not declared on "
-                f"SimStats/ProcessorStats",
             )
 
 
@@ -817,28 +666,24 @@ def _load(files: List[Tuple[Path, Path]]) -> Tuple[List[_Module], List[Finding]]
             rel = os.path.join(root.name, str(file.relative_to(root)))
         except ValueError:  # pragma: no cover - absolute/relative mix
             rel = str(file)
-        lines = source.splitlines()
-        modules.append(_Module(file, rel, tree, lines, _parse_ignores(lines)))
+        modules.append(
+            _Module(file, rel, tree, _parse_ignores(source.splitlines())))
     return modules, errors
 
 
 def run_lint(paths: Iterable[str]) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; returns sorted findings."""
     modules, findings = _load(_collect_files(paths))
-    declared = _declared_stats(modules)
     obs_names = _declared_obs_names(modules)
     for module in modules:
         findings.extend(_check_enum_dispatch(module))
         findings.extend(_check_nondeterminism(module))
         findings.extend(_check_unordered_iteration(module))
         findings.extend(_check_unpicklable_continuation(module))
-        if declared is not None:
-            findings.extend(_check_undeclared_stat(module, declared))
         if obs_names is not None:
             findings.extend(
                 _check_undeclared_obs_name(module, obs_names[0], obs_names[1])
             )
-    findings.extend(_scheme_findings(modules))
     findings.extend(_dead_metric_findings(modules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -91,17 +91,17 @@ class EagerProcessorCache:
     def probe_write(self, block: int) -> bool:
         return self.l2.peek(block) is LineState.DIRTY
 
-    def install(self, block: int, state: LineState) -> Optional[Tuple[int, bool]]:
-        eviction = None
+    def install(self, block: int, state: LineState) -> Optional[int]:
+        writeback = None
         victim = self.l2.install(block, state)
         if victim is not None:
             vblock, vstate = victim
             self.l1.invalidate(vblock)
             if vstate is LineState.DIRTY:
                 self.wb_buffer.add(vblock)
-            eviction = (vblock, vstate is LineState.DIRTY)
+                writeback = vblock
         self.l1.install(block, LineState.SHARED)
-        return eviction
+        return writeback
 
     def clean(self, block: int) -> None:
         self.l2.set_state(block, LineState.SHARED)

@@ -105,7 +105,7 @@ class TestStatsStateRoundTrip:
         )
         assert clone.to_dict() == stats.to_dict()
         assert clone.inval_distribution() == stats.inval_distribution()
-        assert [vars(p) for p in clone.procs] == [vars(p) for p in stats.procs]
+        assert clone.procs == stats.procs
 
     def test_bad_state_raises(self):
         with pytest.raises((KeyError, TypeError, ValueError)):

@@ -1,9 +1,16 @@
-"""Scheme-name parsing (`make_scheme`)."""
+"""Scheme-name parsing (`make_scheme`) and the registry's coverage."""
+
+import gc
+import importlib
+import pkgutil
 
 import pytest
 
+import repro.core
 from repro.core import (
+    SCHEME_FACTORIES,
     CoarseVectorScheme,
+    DirectoryScheme,
     FullBitVectorScheme,
     LimitedPointerBroadcastScheme,
     LimitedPointerNoBroadcastScheme,
@@ -64,3 +71,66 @@ def test_seed_forwarded():
 def test_names_roundtrip():
     for name in ["Dir3B", "Dir3NB", "Dir2X", "Dir3CV2"]:
         assert make_scheme(name, 32).name == name
+
+
+# -- every public scheme under repro.core is registered ------------------------
+
+
+def _core_schemes():
+    """Public ``DirectoryScheme`` descendants defined under ``repro.core``,
+    at any depth; a ``_Private`` helper base is not a scheme."""
+    for info in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
+        importlib.import_module(info.name)
+    found, stack = set(), [DirectoryScheme]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.core.") and not (
+                sub.__name__.startswith("_")
+            ):
+                found.add(sub)
+    return found
+
+
+def _unregistered():
+    registered = set(SCHEME_FACTORIES.values())
+    return sorted(c.__name__ for c in _core_schemes() - registered)
+
+
+@pytest.fixture
+def plant():
+    """Define scheme classes as if in a ``repro.core`` module; they are
+    collected again on teardown so no later test sees them."""
+    planted = []
+
+    def define(name, base):
+        cls = type(name, (base,), {"__module__": "repro.core.planted"})
+        planted.append(cls)
+        return cls
+
+    yield define
+    planted.clear()
+    gc.collect()
+
+
+def test_every_core_scheme_is_registered():
+    assert _unregistered() == []
+    # and nothing else: the seven families are the registry's entries
+    assert _core_schemes() == set(SCHEME_FACTORIES.values())
+
+
+def test_orphan_scheme_is_flagged(plant):
+    plant("OrphanScheme", DirectoryScheme)
+    assert _unregistered() == ["OrphanScheme"]
+
+
+def test_transitive_subclass_is_also_checked(plant):
+    plant("ChildScheme", FullBitVectorScheme)
+    helper = plant("_HelperBase", DirectoryScheme)
+    plant("GrandchildScheme", helper)
+    assert _unregistered() == ["ChildScheme", "GrandchildScheme"]
+
+
+def test_private_helper_base_is_exempt(plant):
+    plant("_HelperScheme", DirectoryScheme)
+    assert _unregistered() == []

@@ -299,12 +299,12 @@ def test_l2_victim_left_in_an_l1(monkeypatch):
     install = ProcessorCache.install
 
     def leaky_install(self, block, state):
-        eviction = install(self, block, state)
-        if not planted and eviction is not None and eviction[1]:
+        writeback = install(self, block, state)
+        if not planted and writeback is not None:
             # the inclusion purge "failed": the dirty victim is back in the L1
-            self.l1.install(eviction[0], LineState.SHARED)
-            planted.append(eviction[0])
-        return eviction
+            self.l1.install(writeback, LineState.SHARED)
+            planted.append(writeback)
+        return writeback
 
     monkeypatch.setattr(ProcessorCache, "install", leaky_install)
     violation = _caught(_strict_system())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import protocol
 from repro.machine.cache import DirectMappedLevel, LineState, ProcessorCache
+from repro.obs.tracer import Tracer
 
 
 def make_cache(l1_bytes=64, l2_bytes=256, block=16):
@@ -77,17 +78,23 @@ class TestProcessorCache:
     def test_dirty_eviction_parks_in_wb_buffer(self):
         pc = make_cache(l2_bytes=32)
         pc.install(0, LineState.DIRTY)
-        assert pc.install(2, LineState.SHARED) == (0, True)
+        assert pc.install(2, LineState.SHARED) == 0  # the writeback to issue
         assert pc.has_ghost(0)
         assert protocol.holds_dirty([pc], 0)  # ghost still serves forwards
         pc.release_ghost(0)
         assert not protocol.holds_dirty([pc], 0)
 
     def test_clean_eviction_reported_not_buffered(self):
-        pc = make_cache(l2_bytes=32)
+        # a clean victim needs no writeback, so the fill returns nothing;
+        # the trace still reports the eviction
+        tracer = Tracer()
+        pc = ProcessorCache(16, 64, 1, 32, 1, tracer=tracer, tid=3)
         pc.install(0, LineState.SHARED)
-        assert pc.install(2, LineState.SHARED) == (0, False)
+        assert pc.install(2, LineState.SHARED) is None
         assert not pc.has_ghost(0)
+        (event,) = tracer.events()
+        assert (event.name, event.tid, event.args) == (
+            "cache.evict", 3, {"block": 0, "dirty": False})
 
     def test_downgrade_live_line(self):
         pc = make_cache()

@@ -1,7 +1,12 @@
 """SimStats accounting unit tests."""
 
+import json
+import pickle
+
 import pytest
 
+from repro.apps import MP3DWorkload
+from repro.machine import DashSystem, MachineConfig
 from repro.machine.messages import MsgClass
 from repro.machine.stats import InvalCause, ProcessorStats, SimStats
 
@@ -83,3 +88,48 @@ class TestToDict:
         s = SimStats(1)
         s.exec_time = 12.0
         assert "msgs=0" in repr(s)
+
+
+# -- every counter is declared: a slot ------------------------------------------
+
+
+def _controller_stats():
+    """What a live directory controller counts into (its own alias)."""
+    system = DashSystem(
+        MachineConfig(num_clusters=4), MP3DWorkload(4, num_particles=16, steps=1)
+    )
+    return system.directories[0]._stats
+
+
+class TestDeclaredCounters:
+    @pytest.mark.parametrize("owner", [
+        lambda: SimStats(1),
+        ProcessorStats,
+        _controller_stats,
+    ], ids=["sim-stats", "processor-stats", "controller-alias"])
+    def test_undeclared_counter_raises(self, owner):
+        stats = owner()
+        with pytest.raises(AttributeError):
+            stats.bogus = 0
+        with pytest.raises(AttributeError):
+            stats.bogus += 1
+
+    def test_a_finished_run_round_trips(self):
+        # the sweep pipes pickle a run's stats; the result cache stores
+        # its to_state() as JSON
+        system = DashSystem(
+            MachineConfig(num_clusters=4),
+            MP3DWorkload(4, num_particles=64, steps=1),
+        )
+        stats = system.run()
+        assert stats.remote_misses and stats.procs[3].reads
+        state = stats.to_state()
+        assert list(state["procs"][0]) == [
+            "busy", "stall", "sync", "reads", "writes", "finish_time"]
+        for clone in (
+            pickle.loads(pickle.dumps(stats)),
+            SimStats.from_state(json.loads(json.dumps(state))),
+        ):
+            assert clone.to_state() == state
+            assert clone.to_dict() == stats.to_dict()
+            assert clone.procs == stats.procs

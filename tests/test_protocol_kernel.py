@@ -329,11 +329,13 @@ def _fill():
     assert protocol.fill(procs, 1, BLOCK, True) is None
     assert protocol.fill(procs, 0, BLOCK, False) is None
     assert log == [("install", 1, BLOCK, "DIRTY"), ("install", 0, BLOCK, "SHARED")]
-    # the machine's view parks a DIRTY victim as the filler's ghost
+    # the machine's view parks a DIRTY victim as the filler's ghost and
+    # returns its block, the writeback to issue; a clean victim is silent
     cache = ProcessorCache(16, 16, 1, 16, 1)
     protocol.fill([cache], 0, 0, True)
-    assert protocol.fill([cache], 0, 1, False) == (0, True)
+    assert protocol.fill([cache], 0, 1, False) == 0
     assert protocol.holds_dirty([cache], 0)
+    assert protocol.fill([cache], 0, 2, False) is None
 
 
 @row("IV")

@@ -112,4 +112,4 @@ def test_lint_missing_path_does_not_read_as_clean(tmp_path, capsys):
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "enum-dispatch" in out and "undeclared-stat" in out
+    assert "enum-dispatch" in out and "unpicklable-continuation" in out

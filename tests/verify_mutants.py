@@ -4,8 +4,9 @@ Each mutant plants one protocol-representation bug that the model checker
 must find as a minimal counterexample, and whose replay through the full
 simulator must raise the matching
 :class:`~repro.machine.invariants.CoherenceViolation`.  They live next to
-the tests (not under ``core/``) so the ``unregistered-scheme`` lint rule
-does not flag them.
+the tests (not under ``repro.core``) so the registry test in
+``tests/test_core_registry.py``, which holds every public scheme under
+``repro.core`` to a registry entry, does not report them.
 """
 
 from typing import Iterable, Tuple
